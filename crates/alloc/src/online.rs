@@ -97,6 +97,9 @@ pub struct OnlineModelStats {
 #[derive(Debug, Clone)]
 pub struct OnlineLatencyModel {
     apps: HashMap<usize, AppModel>,
+    /// Apps whose `pending` buffer is non-empty, in no particular order:
+    /// a refit tick ranks these few instead of walking every app.
+    with_pending: Vec<usize>,
     config: GpConfig,
     /// Training-set size cap; exceeding it triggers a sliding-window
     /// compaction keeping the most recent half.
@@ -127,6 +130,7 @@ impl OnlineLatencyModel {
         assert!(time_horizon > 0.0, "time horizon must be positive");
         OnlineLatencyModel {
             apps: HashMap::new(),
+            with_pending: Vec::new(),
             config,
             window,
             min_fit: 4,
@@ -195,6 +199,9 @@ impl OnlineLatencyModel {
         x.extend_from_slice(u);
         x.push((at_secs / self.time_horizon).clamp(0.0, 1.0));
         let entry = self.apps.entry(app).or_default();
+        if entry.pending.is_empty() {
+            self.with_pending.push(app);
+        }
         entry.pending.push(PendingObs {
             x,
             latency: latency_secs,
@@ -214,10 +221,9 @@ impl OnlineLatencyModel {
     /// order for a budgeted scheduler.
     pub fn pending_apps(&self) -> Vec<usize> {
         let mut apps: Vec<(u64, usize)> = self
-            .apps
+            .with_pending
             .iter()
-            .filter(|(_, m)| !m.pending.is_empty())
-            .map(|(&id, m)| (m.staleness, id))
+            .map(|&id| (self.apps[&id].staleness, id))
             .collect();
         apps.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         apps.into_iter().map(|(_, id)| id).collect()
@@ -237,7 +243,10 @@ impl OnlineLatencyModel {
         let Some(model) = self.apps.get_mut(&app) else {
             return 0;
         };
-        let drained: Vec<PendingObs> = model.pending.drain(..).collect();
+        let drained = std::mem::take(&mut model.pending);
+        if !drained.is_empty() {
+            self.with_pending.retain(|&id| id != app);
+        }
         let mut absorbed = 0;
         for obs in drained {
             match &mut model.model {
@@ -417,6 +426,10 @@ mod tests {
         assert_eq!(m.pending_apps(), vec![0, 1, 2]);
         m.refit(0);
         assert_eq!(m.pending_apps(), vec![1, 2]);
+        // An app rejoins once, however often it is refit while drained.
+        m.refit(0);
+        feed(&mut m, 0, 2, 0.3);
+        assert_eq!(m.pending_apps(), vec![1, 2, 0]);
     }
 
     #[test]

@@ -122,6 +122,26 @@ pub(crate) fn pairwise_dists(x: &Matrix) -> Matrix {
     d
 }
 
+/// [`unit_factors`] of every entry of a symmetric distance matrix, as flat
+/// row-major `(poly, decay)` buffers. Only the lower triangle is evaluated
+/// (the `exp` is the expensive part) and mirrored: equal distances give
+/// equal factors, so this is the full-matrix pass bit for bit.
+fn unit_factor_matrices(dists: &Matrix, lengthscale: f64) -> (Vec<f64>, Vec<f64>) {
+    let n = dists.rows();
+    let mut poly = vec![0.0; n * n];
+    let mut decay = vec![0.0; n * n];
+    for i in 0..n {
+        for (j, &d) in dists.row(i)[..=i].iter().enumerate() {
+            let (p, e) = unit_factors(d, lengthscale);
+            poly[i * n + j] = p;
+            decay[i * n + j] = e;
+            poly[j * n + i] = p;
+            decay[j * n + i] = e;
+        }
+    }
+    (poly, decay)
+}
+
 /// Packs per-point vectors into the row-major `n × d` form the GP stores.
 ///
 /// # Panics
@@ -201,21 +221,18 @@ impl Gp {
         config: &GpConfig,
     ) -> Option<(f64, Matern52, Cholesky, Vec<f64>)> {
         let n = dists.rows();
+        let noise = config.noise.max(1e-9);
         let per_ls = par_map(&config.lengthscale_grid, |_, &ls| {
-            // One factor pass per lengthscale, shared by all outputscales.
-            let mut poly = Matrix::zeros(n, n);
-            let mut decay = Matrix::zeros(n, n);
-            for i in 0..n {
-                for j in 0..n {
-                    let (p, e) = unit_factors(dists[(i, j)], ls);
-                    poly[(i, j)] = p;
-                    decay[(i, j)] = e;
-                }
-            }
+            // One factor pass per lengthscale, shared by all outputscales,
+            // and one kernel buffer overwritten per outputscale.
+            let (poly, decay) = unit_factor_matrices(dists, ls);
+            let mut k = Matrix::zeros(n, n);
             let mut best: Option<(f64, Matern52, Cholesky, Vec<f64>)> = None;
             for &os in &config.outputscale_grid {
-                let mut k = Matrix::from_fn(n, n, |i, j| (os * poly[(i, j)]) * decay[(i, j)]);
-                k.add_diagonal(config.noise.max(1e-9));
+                for ((k, p), e) in k.as_mut_slice().iter_mut().zip(&poly).zip(&decay) {
+                    *k = (os * p) * e;
+                }
+                k.add_diagonal(noise);
                 let Ok(chol) = Cholesky::new_with_jitter(&k) else {
                     continue;
                 };
@@ -747,6 +764,70 @@ mod tests {
         assert_eq!(fast.chol.factor(), chol.factor());
         for (a, b) in fast.alpha.iter().zip(&alpha) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// The grid search as it ran before the symmetric factor pass: every
+    /// entry of the distance matrix through `unit_factors`, one freshly
+    /// allocated kernel matrix per candidate. Kept as the oracle.
+    fn reference_select(
+        dists: &Matrix,
+        y: &[f64],
+        config: &GpConfig,
+    ) -> Option<(f64, Matern52, Cholesky, Vec<f64>)> {
+        let n = dists.rows();
+        let mut best: Option<(f64, Matern52, Cholesky, Vec<f64>)> = None;
+        for &ls in &config.lengthscale_grid {
+            let mut poly = Matrix::zeros(n, n);
+            let mut decay = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    let (p, e) = unit_factors(dists[(i, j)], ls);
+                    poly[(i, j)] = p;
+                    decay[(i, j)] = e;
+                }
+            }
+            for &os in &config.outputscale_grid {
+                let mut k = Matrix::from_fn(n, n, |i, j| (os * poly[(i, j)]) * decay[(i, j)]);
+                k.add_diagonal(config.noise.max(1e-9));
+                let Ok(chol) = Cholesky::new_with_jitter(&k) else {
+                    continue;
+                };
+                let (lml, alpha) = Gp::marginal_likelihood(&chol, y);
+                if best.as_ref().is_none_or(|(b, ..)| lml > *b) {
+                    best = Some((lml, Matern52::new(ls, os), chol, alpha));
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn fit_bit_identical_to_full_matrix_factor_pass() {
+        // Sizes 2..=80 with clustered points (near-duplicate rows, the
+        // ill-conditioned kernels an online model sees) and a noisy target.
+        let mut rng = SimRng::seed(77);
+        for n in 2..=80 {
+            let d = 1 + n % 4;
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..d)
+                        .map(|_| (i % 7) as f64 / 7.0 + 1e-3 * rng.uniform())
+                        .collect()
+                })
+                .collect();
+            let ys: Vec<f64> = xs.iter().map(|x| x[0] + rng.normal(0.0, 0.3)).collect();
+            let cfg = GpConfig::with_noise([1e-6, 1e-2][n % 2]);
+            let gp = Gp::fit(xs, ys, cfg.clone()).expect("fits");
+            let (_, _, y_std) = standardize(gp.train_y());
+            let (lml, kernel, chol, alpha) =
+                reference_select(&pairwise_dists(gp.train_x()), &y_std, &cfg).expect("fits");
+            assert_eq!(*gp.kernel(), kernel, "n={n}");
+            assert_eq!(gp.lml.to_bits(), lml.to_bits(), "n={n}");
+            assert_eq!(gp.chol, chol, "n={n}");
+            for (a, b) in gp.alpha.iter().zip(&alpha) {
+                assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
+            }
         }
     }
 

@@ -69,21 +69,37 @@ impl Cholesky {
     pub fn new(a: &Matrix) -> Result<Self, NotPositiveDefiniteError> {
         assert_eq!(a.rows(), a.cols(), "Cholesky of a non-square matrix");
         let n = a.rows();
+        let a = a.as_slice();
         let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(NotPositiveDefiniteError { pivot: i });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+        // Left-looking, one column at a time: column `j` needs only the
+        // finished columns `0..j`, so the elements below the diagonal are
+        // independent of each other and their subtraction chains can be
+        // interleaved. Per element the arithmetic is the textbook loop's —
+        // start from `a[i][j]`, subtract `l[i][k]·l[j][k]` for ascending
+        // `k`, divide (or take the root) last — so the factor, and the
+        // first non-positive pivot, are bit-identical to it and to
+        // [`Cholesky::extend`]. Only the lower triangle of `a` is read.
+        for j in 0..n {
+            let (head, below) = l.as_mut_slice().split_at_mut((j + 1) * n);
+            let row_j = &mut head[j * n..=j * n + j];
+            let mut pivot = a[j * n + j];
+            for v in &row_j[..j] {
+                pivot -= v * v;
+            }
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(NotPositiveDefiniteError { pivot: j });
+            }
+            let diag = pivot.sqrt();
+            row_j[j] = diag;
+            let lj = &row_j[..j];
+            let mut tiles = below.chunks_exact_mut(4 * n);
+            let mut a_tiles = a[(j + 1) * n..].chunks_exact(4 * n);
+            for (tile, a_tile) in (&mut tiles).zip(&mut a_tiles) {
+                column_tile::<4>(tile, a_tile, n, lj, diag);
+            }
+            let rest = tiles.into_remainder().chunks_exact_mut(n);
+            for (row, a_row) in rest.zip(a_tiles.remainder().chunks_exact(n)) {
+                column_tile::<1>(row, a_row, n, lj, diag);
             }
         }
         Ok(Cholesky { l, jitter: 0.0 })
@@ -203,10 +219,10 @@ impl Cholesky {
         assert_eq!(b.len(), n, "dimension mismatch");
         let mut y = vec![0.0; n];
         for i in 0..n {
-            let mut sum = b[i];
             let lrow = self.l.row(i);
-            for k in 0..i {
-                sum -= lrow[k] * y[k];
+            let mut sum = b[i];
+            for (lik, yk) in lrow[..i].iter().zip(&y[..i]) {
+                sum -= lik * yk;
             }
             y[i] = sum / lrow[i];
         }
@@ -221,13 +237,15 @@ impl Cholesky {
     pub fn backward_solve(&self, y: &[f64]) -> Vec<f64> {
         let n = self.dim();
         assert_eq!(y.len(), n, "dimension mismatch");
+        let l = self.l.as_slice();
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = y[i];
-            for (k, xk) in x.iter().enumerate().skip(i + 1) {
-                sum -= self.l[(k, i)] * xk;
+            // Column `i` of `L` below the diagonal, nearest row first.
+            for (lrow, xk) in l[(i + 1) * n..].chunks_exact(n).zip(&x[i + 1..]) {
+                sum -= lrow[i] * xk;
             }
-            x[i] = sum / self.l[(i, i)];
+            x[i] = sum / l[i * n + i];
         }
         x
     }
@@ -405,6 +423,28 @@ impl Cholesky {
     }
 }
 
+/// Column `j = lj.len()` of the factor for `R` consecutive rows below the
+/// diagonal: `rows` holds them back to back (`n` apart) and `a_rows` the
+/// same rows of the matrix being factored. The `R` subtraction chains
+/// advance together, one `k` at a time, so the floating-point latency of
+/// one hides behind the others; each chain on its own is the sequential
+/// ascending-`k` loop.
+fn column_tile<const R: usize>(rows: &mut [f64], a_rows: &[f64], n: usize, lj: &[f64], diag: f64) {
+    let j = lj.len();
+    let mut sums: [f64; R] = std::array::from_fn(|r| a_rows[r * n + j]);
+    {
+        let li: [&[f64]; R] = std::array::from_fn(|r| &rows[r * n..r * n + j]);
+        for (k, ljk) in lj.iter().enumerate() {
+            for r in 0..R {
+                sums[r] -= li[r][k] * ljk;
+            }
+        }
+    }
+    for r in 0..R {
+        rows[r * n + j] = sums[r] / diag;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,6 +591,119 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The textbook row-by-row factorization [`Cholesky::new`] replaced,
+    /// kept as the oracle for its bits and its failing pivot.
+    fn reference_factor(a: &Matrix) -> Result<Matrix, NotPositiveDefiniteError> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(NotPositiveDefiniteError { pivot: i });
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// [`Cholesky::new_with_jitter`]'s ladder over the reference loop.
+    fn reference_jitter(a: &Matrix) -> Option<(f64, Matrix)> {
+        if let Ok(l) = reference_factor(a) {
+            return Some((0.0, l));
+        }
+        let scale = a.max_abs().max(1.0);
+        let mut jitter = 1e-10 * scale;
+        while jitter <= 1e-4 * scale {
+            let mut aj = a.clone();
+            aj.add_diagonal(jitter);
+            if let Ok(l) = reference_factor(&aj) {
+                return Some((jitter, l));
+            }
+            jitter *= 10.0;
+        }
+        None
+    }
+
+    fn assert_same_bits(got: &Matrix, want: &Matrix) {
+        assert_eq!(got.rows(), want.rows());
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "flat index {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn factor_bit_identical_to_reference_loop_for_every_size() {
+        // 1..=97 covers every row-tile remainder in every column position.
+        for n in 1..=97 {
+            let a = big_spd(n, 3 + n as u64);
+            let got = Cholesky::new(&a).expect("SPD");
+            assert_same_bits(got.factor(), &reference_factor(&a).expect("SPD"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random SPD matrices of random size factor to the reference
+        /// loop's bits.
+        #[test]
+        fn prop_factor_bit_identical_to_reference(n in 1usize..98, seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let b = Matrix::from_fn(n, n, |_, _| rng.unit() * 4.0 - 2.0);
+            let mut a = b.matmul(&b.transpose());
+            a.add_diagonal(0.5);
+            let got = Cholesky::new(&a).expect("SPD");
+            assert_same_bits(got.factor(), &reference_factor(&a).expect("SPD"));
+        }
+
+        /// An indefinite matrix fails at the reference loop's pivot, at
+        /// whatever row of a tile that pivot falls.
+        #[test]
+        fn prop_indefinite_fails_at_reference_pivot(
+            n in 2usize..98,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::new(seed);
+            let mut a = big_spd(n, seed);
+            // Sink one diagonal entry: the leading block stays SPD, the
+            // Schur complement at `bad` (or shortly after) does not.
+            let bad = rng.below(n as u64) as usize;
+            a[(bad, bad)] = -a[(bad, bad)];
+            let want = reference_factor(&a).expect_err("indefinite");
+            prop_assert_eq!(Cholesky::new(&a).expect_err("indefinite"), want);
+        }
+
+        /// Rank-deficient Gram matrices walk the jitter ladder to the same
+        /// rung, and the same factor, as the reference loop does.
+        #[test]
+        fn prop_jitter_ladder_picks_reference_rung(
+            n in 2usize..40,
+            rank in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::new(seed);
+            let b = Matrix::from_fn(n, rank.min(n - 1), |_, _| rng.unit() * 2.0 - 1.0);
+            let gram = b.matmul(&b.transpose());
+            match (Cholesky::new_with_jitter(&gram), reference_jitter(&gram)) {
+                (Ok(c), Some((jitter, l))) => {
+                    prop_assert_eq!(c.jitter().to_bits(), jitter.to_bits());
+                    assert_same_bits(c.factor(), &l);
+                }
+                (Err(_), None) => {}
+                (got, want) => panic!("ladder disagrees: {got:?} vs {want:?}"),
             }
         }
     }

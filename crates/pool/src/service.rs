@@ -23,8 +23,6 @@ use aqua_sim::{SimDuration, SimTime};
 /// [`PoolObservation`]s for a [`aqua_faas::PrewarmController`].
 #[derive(Debug, Clone)]
 pub struct LivePoolSignal {
-    functions: usize,
-    total_memory_mb: f64,
     /// Invocations that became runnable this window, per function.
     invocations: Vec<u32>,
     /// Current number of in-flight (busy-equivalent) invocations.
@@ -35,6 +33,9 @@ pub struct LivePoolSignal {
     failed_boots: Vec<u32>,
     /// Window start time.
     window_start: SimTime,
+    /// The observation [`LivePoolSignal::observe`] hands out, refilled in
+    /// place every window instead of being allocated afresh.
+    obs: PoolObservation,
 }
 
 impl LivePoolSignal {
@@ -42,13 +43,31 @@ impl LivePoolSignal {
     /// `total_memory_mb` of memory, starting its first window at `start`.
     pub fn new(functions: usize, total_memory_mb: f64, start: SimTime) -> Self {
         LivePoolSignal {
-            functions,
-            total_memory_mb,
             invocations: vec![0; functions],
             in_flight: vec![0; functions],
             peak: vec![0; functions],
             failed_boots: vec![0; functions],
             window_start: start,
+            obs: PoolObservation {
+                now: start,
+                window: SimDuration::ZERO,
+                stats: (0..functions)
+                    .map(|i| FnWindowStats {
+                        function: FunctionId(i),
+                        invocations: 0,
+                        peak_concurrency: 0,
+                        booting: 0,
+                        idle: 0,
+                        busy: 0,
+                        failed_boots: 0,
+                    })
+                    .collect(),
+                cluster: ClusterSnapshot {
+                    reserved_memory_mb: 0.0,
+                    total_memory_mb,
+                    containers: 0,
+                },
+            },
         }
     }
 
@@ -79,48 +98,44 @@ impl LivePoolSignal {
 
     /// Cuts the window at `now` and builds the observation a
     /// [`aqua_faas::PrewarmController`] expects. The caller supplies the
-    /// container ledger view (`idle`/`booting` per function plus reserved
-    /// memory and live-container totals) because the warm pool, not the
-    /// signal accumulator, owns containers. Window counters reset; the
-    /// next window starts at `now`.
+    /// container ledger view (`(idle, booting)` per function, in function
+    /// order, plus reserved memory and live-container totals) because the
+    /// warm pool, not the signal accumulator, owns containers. Window
+    /// counters reset; the next window starts at `now`. The observation
+    /// lives in the accumulator and is overwritten by the next call.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ledger` yields exactly one pair per function.
     pub fn observe(
         &mut self,
         now: SimTime,
-        idle: &[u32],
-        booting: &[u32],
+        ledger: impl IntoIterator<Item = (u32, u32)>,
         reserved_memory_mb: f64,
         containers: usize,
-    ) -> PoolObservation {
-        assert_eq!(idle.len(), self.functions, "idle ledger length");
-        assert_eq!(booting.len(), self.functions, "booting ledger length");
-        let stats = (0..self.functions)
-            .map(|i| FnWindowStats {
-                function: FunctionId(i),
-                invocations: self.invocations[i],
-                peak_concurrency: self.peak[i],
-                booting: booting[i],
-                idle: idle[i],
-                busy: self.in_flight[i],
-                failed_boots: self.failed_boots[i],
-            })
-            .collect();
-        let obs = PoolObservation {
-            now,
-            window: now - self.window_start,
-            stats,
-            cluster: ClusterSnapshot {
-                reserved_memory_mb,
-                total_memory_mb: self.total_memory_mb,
-                containers,
-            },
-        };
+    ) -> &PoolObservation {
+        let mut ledger = ledger.into_iter();
+        for (i, s) in self.obs.stats.iter_mut().enumerate() {
+            let (idle, booting) = ledger.next().expect("ledger shorter than the functions");
+            s.invocations = self.invocations[i];
+            s.peak_concurrency = self.peak[i];
+            s.booting = booting;
+            s.idle = idle;
+            s.busy = self.in_flight[i];
+            s.failed_boots = self.failed_boots[i];
+        }
+        assert!(ledger.next().is_none(), "ledger longer than the functions");
+        self.obs.now = now;
+        self.obs.window = now - self.window_start;
+        self.obs.cluster.reserved_memory_mb = reserved_memory_mb;
+        self.obs.cluster.containers = containers;
         self.invocations.iter_mut().for_each(|v| *v = 0);
         self.failed_boots.iter_mut().for_each(|v| *v = 0);
         // Peak concurrency restarts from the carried-over in-flight level,
         // exactly as the simulator's window accounting does.
         self.peak.copy_from_slice(&self.in_flight);
         self.window_start = now;
-        obs
+        &self.obs
     }
 
     /// Memory one container of `config` reserves — the unit the service
@@ -131,7 +146,7 @@ impl LivePoolSignal {
 
     /// Number of functions tracked.
     pub fn functions(&self) -> usize {
-        self.functions
+        self.obs.stats.len()
     }
 
     /// The default control-window length the service ticks policies at:
@@ -160,7 +175,7 @@ mod tests {
         sig.on_dispatch(f1);
         sig.on_boot_failure(f1);
 
-        let obs = sig.observe(SimTime::from_secs(1), &[3, 0], &[1, 2], 512.0, 6);
+        let obs = sig.observe(SimTime::from_secs(1), [(3, 1), (0, 2)], 512.0, 6);
         assert_eq!(obs.window, SimDuration::from_secs(1));
         assert_eq!(obs.stats[0].invocations, 2);
         assert_eq!(obs.stats[0].peak_concurrency, 2);
@@ -175,7 +190,7 @@ mod tests {
         assert_eq!(obs.cluster.containers, 6);
 
         // Next window: per-window counters reset, in-flight carries over.
-        let obs2 = sig.observe(SimTime::from_secs(2), &[0, 0], &[0, 0], 0.0, 0);
+        let obs2 = sig.observe(SimTime::from_secs(2), [(0, 0), (0, 0)], 0.0, 0);
         assert_eq!(obs2.stats[0].invocations, 0);
         assert_eq!(obs2.stats[0].failed_boots, 0);
         assert_eq!(obs2.stats[0].busy, 1, "in-flight carries across windows");
@@ -194,9 +209,9 @@ mod tests {
         for _ in 0..8 {
             sig.on_dispatch(FunctionId(0));
         }
-        let obs = sig.observe(SimTime::from_secs(1), &[0], &[0], 0.0, 8);
+        let obs = sig.observe(SimTime::from_secs(1), [(0, 0)], 0.0, 8);
         let mut policy = crate::ReactiveAutoscale::default();
-        let decisions = policy.tick(&obs);
+        let decisions = policy.tick(obs);
         assert_eq!(decisions.len(), 1);
         assert_eq!(decisions[0].function, FunctionId(0));
     }

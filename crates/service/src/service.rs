@@ -248,6 +248,9 @@ pub struct ControlPlane {
     /// Per-function queues of `(instance, stage)` tasks waiting for a
     /// container.
     pending: Vec<VecDeque<(u64, usize)>>,
+    /// Tasks across all `pending` queues: the front door's congestion gate
+    /// reads this instead of scanning every queue per arrival.
+    pending_tasks: usize,
     /// Functions whose waiters found no capacity, in discovery order.
     starved: VecDeque<FunctionId>,
     starved_flag: Vec<bool>,
@@ -333,6 +336,7 @@ impl ControlPlane {
             instances: FxHashMap::default(),
             next_instance: 0,
             pending: (0..functions).map(|_| VecDeque::new()).collect(),
+            pending_tasks: 0,
             starved: VecDeque::new(),
             starved_flag: vec![false; functions],
             draining: false,
@@ -476,16 +480,13 @@ impl ControlPlane {
                 self.task_complete(wf, stage, now);
             }
             SvcEvent::PolicyTick => {
-                let idle = self.pool.idle_counts();
-                let booting = self.pool.booting_counts();
                 let obs = self.signal.observe(
                     now,
-                    &idle,
-                    &booting,
+                    self.pool.ledger_counts(),
                     self.pool.reserved_memory_mb(),
                     self.pool.live_containers(),
                 );
-                let decisions = self.policy.tick(&obs);
+                let decisions = self.policy.tick(obs);
                 self.pool.apply_decisions(&decisions);
                 self.predictive_left = self.cfg.predictive.checks_per_window;
                 if !self.draining {
@@ -548,7 +549,11 @@ impl ControlPlane {
         // and — crucially — admitting freely while uncongested keeps
         // completions flowing into the model, so a pessimistic forecast
         // learned during a burst can never starve its own correction.
-        if self.pending.iter().all(|q| q.is_empty()) {
+        debug_assert_eq!(
+            self.pending_tasks,
+            self.pending.iter().map(VecDeque::len).sum::<usize>()
+        );
+        if self.pending_tasks == 0 {
             return false;
         }
         self.predictive_left -= 1;
@@ -660,6 +665,7 @@ impl ControlPlane {
                 self.emit_cold_start(&ticket, now, false);
                 self.schedule_boot(&ticket);
                 self.pending[f.0].push_back((wf, stage));
+                self.pending_tasks += 1;
                 true
             }
             Acquired::NoCapacity => {
@@ -668,6 +674,7 @@ impl ControlPlane {
                 if self.admission.may_queue(tenant, self.pending[f.0].len()) {
                     self.bump_outstanding(wf);
                     self.pending[f.0].push_back((wf, stage));
+                    self.pending_tasks += 1;
                     self.mark_starved(f);
                     true
                 } else {
@@ -754,6 +761,7 @@ impl ControlPlane {
             let Some((wf, stage)) = self.pending[f.0].pop_front() else {
                 return;
             };
+            self.pending_tasks -= 1;
             let alive = self.instances.get(&wf).map(|i| !i.aborted).unwrap_or(false);
             if !alive {
                 // Dead waiter: retire it without consuming a container.

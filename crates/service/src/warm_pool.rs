@@ -118,12 +118,18 @@ pub struct WarmPoolStats {
     pub swept: u64,
 }
 
-/// Per-function pool state.
+/// Per-function pool state. Everything a filler pass reads to learn that
+/// a pool needs nothing (idle length, oldest idle stamp, booting, target,
+/// keep-alive, shrink) sits inline, so the 18 000 passes an hour never
+/// touch the heap buffer of an inactive function's idle ring.
 #[derive(Debug, Clone, Default)]
 struct FnPool {
     /// Warm idle containers, most recently used last (LIFO reuse keeps
     /// the warmest container hot and lets the oldest expire).
     idle: VecDeque<(aqua_faas::ContainerId, SimTime)>,
+    /// Idle-since stamp of `idle.front()`, mirrored by the three methods
+    /// that push and pop; meaningless while `idle` is empty.
+    oldest_idle: SimTime,
     /// Containers currently booting (either purpose).
     booting: u32,
     /// Policy pre-warm target (`None` = demand-driven only).
@@ -132,6 +138,35 @@ struct FnPool {
     keep_alive: SimDuration,
     /// Whether the policy allows killing over-target idle containers.
     shrink: bool,
+}
+
+impl FnPool {
+    fn push_idle(&mut self, id: aqua_faas::ContainerId, now: SimTime) {
+        if self.idle.is_empty() {
+            self.oldest_idle = now;
+        }
+        self.idle.push_back((id, now));
+    }
+
+    /// Takes the most recently used idle container (the front, and so
+    /// `oldest_idle`, stays).
+    fn pop_newest(&mut self) -> Option<aqua_faas::ContainerId> {
+        self.idle.pop_back().map(|(id, _)| id)
+    }
+
+    /// Takes the least recently used idle container.
+    fn pop_oldest(&mut self) -> Option<aqua_faas::ContainerId> {
+        let (id, _) = self.idle.pop_front()?;
+        if let Some(&(_, since)) = self.idle.front() {
+            self.oldest_idle = since;
+        }
+        Some(id)
+    }
+
+    /// Idle plus booting containers: what counts toward a target.
+    fn headroom(&self) -> usize {
+        self.idle.len() + self.booting as usize
+    }
 }
 
 /// The warm-pool manager.
@@ -245,7 +280,7 @@ impl WarmPoolManager {
     /// [`Acquired::NoCapacity`].
     pub fn acquire(&mut self, f: FunctionId, now: SimTime) -> Acquired {
         self.advance_mem_clock(now);
-        if let Some((id, _)) = self.pools[f.0].idle.pop_back() {
+        if let Some(id) = self.pools[f.0].pop_newest() {
             self.busy.insert(id, f);
             self.stats.warm_hits += 1;
             return Acquired::Warm(id);
@@ -268,7 +303,7 @@ impl WarmPoolManager {
             .busy
             .remove(&container)
             .expect("release of a container that is not busy");
-        self.pools[f.0].idle.push_back((container, now));
+        self.pools[f.0].push_idle(container, now);
     }
 
     /// Marks a finished boot warm-idle; returns the function and purpose
@@ -283,7 +318,7 @@ impl WarmPoolManager {
             .remove(&container)
             .expect("boot-done for unknown container");
         self.finish_boot_accounting(f, purpose);
-        self.pools[f.0].idle.push_back((container, now));
+        self.pools[f.0].push_idle(container, now);
         (f, purpose)
     }
 
@@ -329,16 +364,13 @@ impl WarmPoolManager {
         for i in 0..self.pools.len() {
             let f = FunctionId(i);
             // Keep-alive reaping: idle front is oldest.
-            let keep_alive = self.pools[i].keep_alive;
-            while let Some(&(id, since)) = self.pools[i].idle.front() {
-                if now - since >= keep_alive {
-                    self.pools[i].idle.pop_front();
-                    self.free_container(f);
-                    assert!(self.runtime.kill(id), "reaped container not on ledger");
-                    self.stats.reaped += 1;
-                } else {
-                    break;
-                }
+            while !self.pools[i].idle.is_empty()
+                && now - self.pools[i].oldest_idle >= self.pools[i].keep_alive
+            {
+                let id = self.pools[i].pop_oldest().expect("idle is non-empty");
+                self.free_container(f);
+                assert!(self.runtime.kill(id), "reaped container not on ledger");
+                self.stats.reaped += 1;
             }
             let target = self.pools[i].target;
             // Policy-sanctioned shrink of over-target idle capacity. A
@@ -347,8 +379,8 @@ impl WarmPoolManager {
             // keep-alive above — shrinking to zero here would annihilate
             // every keep-alive-only policy's warm capacity on the spot.
             if let (true, Some(target)) = (self.pools[i].shrink, target) {
-                while self.pools[i].idle.len() + self.pools[i].booting as usize > target {
-                    let Some((id, _)) = self.pools[i].idle.pop_front() else {
+                while self.pools[i].headroom() > target {
+                    let Some(id) = self.pools[i].pop_oldest() else {
                         break;
                     };
                     self.free_container(f);
@@ -364,8 +396,7 @@ impl WarmPoolManager {
                 Some(t) => t.max(self.cfg.min_idle),
                 None => continue,
             };
-            let have = self.pools[i].idle.len() + self.pools[i].booting as usize;
-            let mut deficit = desired.saturating_sub(have);
+            let mut deficit = desired.saturating_sub(self.pools[i].headroom());
             while deficit > 0 {
                 if self.prewarm_inflight >= self.cfg.max_concurrent_boots {
                     self.stats.semaphore_deferrals += deficit as u64;
@@ -398,7 +429,7 @@ impl WarmPoolManager {
         let mut killed = 0;
         for i in 0..self.pools.len() {
             let f = FunctionId(i);
-            while let Some((id, _)) = self.pools[i].idle.pop_front() {
+            while let Some(id) = self.pools[i].pop_oldest() {
                 self.free_container(f);
                 assert!(self.runtime.kill(id), "swept container not on ledger");
                 killed += 1;
@@ -446,7 +477,13 @@ impl WarmPoolManager {
         self.mem_integral_mb_s / 1024.0
     }
 
-    /// Per-function idle counts (for [`aqua_pool::LivePoolSignal::observe`]).
+    /// Per-function `(idle, booting)` counts in function order — the
+    /// ledger view [`aqua_pool::LivePoolSignal::observe`] takes.
+    pub fn ledger_counts(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.pools.iter().map(|p| (p.idle.len() as u32, p.booting))
+    }
+
+    /// Per-function idle counts.
     pub fn idle_counts(&self) -> Vec<u32> {
         self.pools.iter().map(|p| p.idle.len() as u32).collect()
     }
@@ -459,11 +496,6 @@ impl WarmPoolManager {
     /// Containers of `f` currently booting (either purpose).
     pub fn booting_count(&self, f: FunctionId) -> u32 {
         self.pools[f.0].booting
-    }
-
-    /// Per-function booting counts.
-    pub fn booting_counts(&self) -> Vec<u32> {
-        self.pools.iter().map(|p| p.booting).collect()
     }
 
     /// Pre-warm boots currently holding the semaphore.
@@ -568,7 +600,7 @@ impl WarmPoolManager {
             let Some((_, id, i)) = victim else {
                 return;
             };
-            self.pools[i].idle.pop_front();
+            self.pools[i].pop_oldest();
             self.free_container(FunctionId(i));
             assert!(self.runtime.kill(id), "evicted container not on ledger");
             self.stats.pressure_evictions += 1;

@@ -18,16 +18,23 @@
 //! forces the sequential path), and never affects results — only wall
 //! clock.
 
+use std::sync::OnceLock;
 use std::thread;
 
 /// Number of worker threads to use for `len` items.
+///
+/// `AQUA_THREADS` is read on every call (tests toggle it in-process); the
+/// hardware count it falls back to costs affinity and cgroup syscalls, so
+/// that one is probed once per process.
 fn worker_threads(len: usize) -> usize {
-    let hw = thread::available_parallelism().map_or(1, |n| n.get());
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
     let cap = std::env::var("AQUA_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(hw);
+        .unwrap_or_else(|| {
+            *HARDWARE.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+        });
     cap.min(len).max(1)
 }
 

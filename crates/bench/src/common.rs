@@ -97,8 +97,8 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Writes an experiment's JSON record under the *workspace's*
-/// `target/experiments/` (bench binaries run with the package directory as
-/// CWD, so a bare relative path would land inside `crates/bench`).
+/// `target/experiments/`, wherever below the workspace root the binary was
+/// started.
 pub fn write_json(name: &str, value: &serde_json::Value) {
     let target = std::env::var("CARGO_TARGET_DIR")
         .map(PathBuf::from)

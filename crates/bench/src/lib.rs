@@ -1,9 +1,9 @@
 //! Experiment harness regenerating every table and figure of the AQUATOPE
 //! paper's evaluation (§8).
 //!
-//! Each module reproduces one result; the matching `benches/` target (run
-//! via `cargo bench`) prints the same rows/series the paper reports and
-//! writes a JSON record under `target/experiments/`.
+//! Each module reproduces one result; `cargo run -p aqua-bench --release --
+//! paper <name>` prints the same rows/series the paper reports and writes
+//! a JSON record under `target/experiments/`.
 //!
 //! Absolute numbers differ from the paper (our substrate is a simulator,
 //! not a 7-node OpenWhisk testbed); the reproduced *shape* — who wins, by
@@ -27,7 +27,6 @@ pub mod fig17;
 pub mod fig18;
 pub mod gp_bench;
 pub mod matrix;
-pub mod nn_bench;
 pub mod sim_bench;
 pub mod svc_bench;
 pub mod table1;

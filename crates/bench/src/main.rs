@@ -6,10 +6,6 @@
 //!   `target/BENCH_GP_SMOKE.json`). Exits non-zero if `gp_extend` or the
 //!   sparse `propose_batch` median regresses past its ceiling (the full
 //!   run gates sparse proposals at 1 ms).
-//! * `cargo run -p aqua-bench --release -- nn` — batched BNN engine
-//!   (sequential vs batched, bit-identical paths) → `BENCH_NN.json`.
-//!   Add `--smoke` for a seconds-long CI sanity run (written to
-//!   `target/BENCH_NN_SMOKE.json`, leaving the committed record alone).
 //! * `cargo run -p aqua-bench --release -- matrix` — policy zoo ×
 //!   scenario matrix → `MATRIX_REPORT.json` (deterministic; `--smoke`
 //!   writes the reduced CI variant to `target/MATRIX_REPORT_SMOKE.json`).
@@ -31,13 +27,16 @@
 //!   non-zero if the sustained simulated-invocation rate falls below the
 //!   floor (100k/s full, 20k/s smoke) or the shutdown leaves orphaned
 //!   containers.
-//! * `cargo run -p aqua-bench --release -- all` — GP + NN + SIM + SVC
-//!   records in one invocation.
+//! * `cargo run -p aqua-bench --release -- all` — GP + SIM + SVC records
+//!   in one invocation.
+//! * `cargo run -p aqua-bench --release -- paper <name>` — one table or
+//!   figure of the paper's evaluation (`table1`, `fig09` … `fig18`,
+//!   `ablation`) → `target/experiments/<name>.json`; `AQUA_SCALE=full`
+//!   for paper-scale runs.
 //!
-//! All records carry `"schema": "aquatope.bench.v1"` and a `"kind"`
-//! field (`gp` / `nn` / `sim` / `svc`) so downstream tooling can dispatch
-//! on one tag. Debug timings are not meaningful; always run with
-//! `--release`.
+//! The bench records carry `"schema": "aquatope.bench.v1"` and a `"kind"`
+//! field (`gp` / `sim` / `svc`) so downstream tooling can dispatch on one
+//! tag. Debug timings are not meaningful; always run with `--release`.
 
 fn write_record(name: &str, record: &serde_json::Value) {
     let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
@@ -138,6 +137,35 @@ fn run_svc(smoke: bool) {
     }
 }
 
+/// One table or figure of the paper's evaluation, by record name.
+fn run_paper(which: Option<&String>) {
+    use aqua_bench::*;
+    type Experiment = fn(Scale) -> serde_json::Value;
+    let experiments: [(&str, Experiment); 12] = [
+        ("table1", table1::run),
+        ("fig09", fig09::run),
+        ("fig10", fig10::run),
+        ("fig11", fig11::run),
+        ("fig12", fig12::run),
+        ("fig13", fig13::run),
+        ("fig14", fig14::run),
+        ("fig15", fig15::run),
+        ("fig16", fig16::run),
+        ("fig17", fig17::run),
+        ("fig18", fig18::run),
+        ("ablation", ablation::run),
+    ];
+    let found = experiments
+        .iter()
+        .find(|(name, _)| Some(*name) == which.map(String::as_str));
+    let Some((name, run)) = found else {
+        let names: Vec<&str> = experiments.iter().map(|(name, _)| *name).collect();
+        eprintln!("usage: aqua-bench -- paper <{}>", names.join("|"));
+        std::process::exit(2);
+    };
+    write_json(name, &run(Scale::from_env()));
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -148,16 +176,6 @@ fn main() {
         .unwrap_or("gp");
     match which {
         "gp" => run_gp(smoke),
-        "nn" => {
-            // Smoke runs use too few reps to be a reference record; keep
-            // them out of the committed root-level file.
-            let name = if smoke {
-                "target/BENCH_NN_SMOKE.json"
-            } else {
-                "BENCH_NN.json"
-            };
-            write_record(name, &aqua_bench::nn_bench::run(smoke));
-        }
         "matrix" => {
             let service_mode = args
                 .iter()
@@ -186,18 +204,13 @@ fn main() {
         "svc" => run_svc(smoke),
         "all" => {
             run_gp(smoke);
-            let name = if smoke {
-                "target/BENCH_NN_SMOKE.json"
-            } else {
-                "BENCH_NN.json"
-            };
-            write_record(name, &aqua_bench::nn_bench::run(smoke));
             run_sim(smoke);
             run_svc(smoke);
         }
+        "paper" => run_paper(args.iter().filter(|a| !a.starts_with("--")).nth(1)),
         other => {
             eprintln!(
-                "unknown benchmark '{other}' (expected 'gp', 'nn', 'matrix', 'sim', 'svc', or 'all')"
+                "unknown benchmark '{other}' (expected 'gp', 'matrix', 'sim', 'svc', 'all', or 'paper')"
             );
             std::process::exit(2);
         }

@@ -169,6 +169,12 @@ impl HybridBayesian {
     /// corrections from the latent and the calendar features.
     const RECENT_TAIL: usize = 4;
 
+    /// Examples per Adam step in encoder-decoder pre-training. A constant,
+    /// not a knob: one step per example is the optimizer trajectory every
+    /// golden trace and every `aquatope_mix` number was recorded under, and
+    /// a larger batch is a different model, not a faster one.
+    const PRETRAIN_BATCH: usize = 1;
+
     fn recent_tail(window: &[Vec<f64>]) -> Vec<f64> {
         let n = window.len();
         (0..Self::RECENT_TAIL)
@@ -240,8 +246,13 @@ impl Predictor for HybridBayesian {
             pretrain.push((input, target));
         }
         let mut rng = self.rng.fork("pretrain");
-        self.encoder_decoder
-            .train(&pretrain, self.config.pretrain_epochs, 1.5e-3, &mut rng);
+        self.encoder_decoder.train_batched(
+            &pretrain,
+            self.config.pretrain_epochs,
+            1.5e-3,
+            Self::PRETRAIN_BATCH,
+            &mut rng,
+        );
 
         // Stage 2: train the prediction network on frozen-encoder latents +
         // external features. Latents are extracted deterministically
@@ -297,9 +308,7 @@ impl Predictor for HybridBayesian {
 
         // Mini-batched AdamW: averaging gradients over small batches tames
         // the label noise of Poisson-count targets. Each chunk runs as one
-        // batched forward/backward; masks are pre-drawn lane-major, so the
-        // gradients (and RNG stream) are bit-identical to the sequential
-        // per-example loop this replaces.
+        // batched forward/backward.
         let batch = 16;
         let mut adam = Adam::new(4e-3).with_clip(1.0).with_weight_decay(1e-4);
         let mut order: Vec<usize> = (0..inputs.len()).collect();
@@ -369,8 +378,8 @@ impl Predictor for HybridBayesian {
         self.standardize(&mut base_input);
         // All T MC-dropout passes share the input and the weights, so they
         // run as ONE batched forward over T broadcast rows; masks are
-        // pre-drawn pass-major, making sample `p` bit-identical to the
-        // `p`-th sequential `forward_train` call this replaces.
+        // pre-drawn pass-major, so the `t`-row call draws what `t` one-row
+        // calls would.
         let t = self.config.mc_passes.max(2);
         let mut mc_in = Matrix::zeros(t, base_input.len());
         for r in 0..t {

@@ -1,7 +1,8 @@
 //! Vanilla LSTM baseline: same backbone capacity as the hybrid model but no
 //! external features and no uncertainty (Table 1's third column).
 
-use aqua_nn::{mse, Adam, Linear, Lstm, Parameterized};
+use aqua_linalg::Matrix;
+use aqua_nn::{mse, Adam, BatchInput, Linear, Lstm, Parameterized};
 use aqua_sim::SimRng;
 
 use crate::point::{counts, Forecast, SeriesPoint};
@@ -67,8 +68,7 @@ impl VanillaLstm {
 
     fn predict_norm(&mut self, input: &[Vec<f64>]) -> f64 {
         // Arena-based inference step: no per-step caches, no RNG (inference
-        // mode never draws masks), bit-identical to the training-path
-        // forward with dropout off.
+        // mode never draws masks).
         let res = self.lstm.forward_infer(input, None);
         self.head.forward(&res.last_output)[0]
     }
@@ -105,20 +105,30 @@ impl Predictor for VanillaLstm {
             for chunk in examples.chunks(batch) {
                 self.lstm.zero_grad();
                 self.head.zero_grad();
-                for &s in chunk {
-                    let input: Vec<Vec<f64>> =
-                        norm[s..s + self.window].iter().map(|v| vec![*v]).collect();
-                    let target = [norm[s + self.window]];
-                    let cache = self.lstm.forward_seq(&input, None, false, &mut self.rng);
-                    let top = cache.outputs.last().expect("non-empty").clone();
-                    let pred = self.head.forward(&top);
-                    let (_, d_pred) = mse(&pred, &target);
-                    let scaled: Vec<f64> = d_pred.iter().map(|g| g / chunk.len() as f64).collect();
-                    let d_top = self.head.backward(&top, &scaled);
-                    let mut d_outputs = vec![vec![0.0; self.lstm.top_hidden()]; input.len()];
-                    *d_outputs.last_mut().expect("non-empty") = d_top;
-                    self.lstm.backward_seq(&cache, &d_outputs, None);
+                // One batched forward/backward per chunk, a lane per
+                // example: gradients land lane-major, in example order.
+                let lanes = chunk.len();
+                let steps: Vec<Matrix> = (0..self.window)
+                    .map(|t| Matrix::from_fn(lanes, 1, |b, _| norm[chunk[b] + t]))
+                    .collect();
+                let cache = self.lstm.forward_seq_batch(
+                    lanes,
+                    BatchInput::PerLane(&steps),
+                    None,
+                    false,
+                    true,
+                    &mut self.rng,
+                );
+                let top = cache.outputs.last().expect("non-empty");
+                let pred = self.head.forward_batch(top);
+                let mut d_pred = Matrix::zeros(lanes, 1);
+                for (b, &s) in chunk.iter().enumerate() {
+                    let (_, g) = mse(pred.row(b), &[norm[s + self.window]]);
+                    d_pred[(b, 0)] = g[0] / lanes as f64;
                 }
+                let mut d_outputs = vec![Matrix::zeros(lanes, top.cols()); self.window];
+                *d_outputs.last_mut().expect("non-empty") = self.head.backward_batch(top, &d_pred);
+                self.lstm.backward_seq_batch(&cache, &d_outputs, None);
                 adam.step(&mut Both(&mut self.lstm, &mut self.head));
             }
         }

@@ -1,9 +1,9 @@
 //! Cache-blocked GEMM kernels with a *deterministic summation order*.
 //!
-//! The batched NN engine (`aqua-nn`) replaces per-vector matvec loops with
-//! matrix products over `B×dim` activation blocks. The repository's golden
-//! traces demand bit-identical replays, so every kernel here upholds one
-//! contract:
+//! The NN engine (`aqua-nn`) runs matrix products over `B×dim` activation
+//! blocks where a textbook network runs per-vector matvec loops. The
+//! repository's golden traces demand bit-identical replays, so every
+//! kernel here upholds one contract:
 //!
 //! > For each output element, contributions are accumulated **in increasing
 //! > contraction-index order, one `mul`+`add` per index, starting from the

@@ -10,19 +10,20 @@ use crate::Parameterized;
 /// # Examples
 ///
 /// ```
-/// use aqua_nn::{Adam, Linear, Parameterized, mse};
+/// use aqua_linalg::Matrix;
+/// use aqua_nn::{Adam, Linear, Parameterized};
 /// use aqua_sim::SimRng;
 ///
 /// let mut rng = SimRng::seed(0);
 /// let mut layer = Linear::new(1, 1, &mut rng);
 /// let mut adam = Adam::new(0.05);
+/// let x = Matrix::from_vec(3, 1, vec![0.0, 1.0, 2.0]);
+/// let y = [1.0, 3.0, 5.0];
 /// for _ in 0..300 {
 ///     layer.zero_grad();
-///     for (x, y) in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)] {
-///         let out = layer.forward(&[x]);
-///         let (_, g) = mse(&out, &[y]);
-///         layer.backward(&[x], &g);
-///     }
+///     let out = layer.forward_batch(&x);
+///     let g = Matrix::from_fn(3, 1, |r, _| 2.0 * (out[(r, 0)] - y[r]));
+///     layer.backward_batch(&x, &g);
 ///     adam.step(&mut layer);
 /// }
 /// let pred = layer.forward(&[3.0]);

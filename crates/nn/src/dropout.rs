@@ -18,9 +18,9 @@ use aqua_sim::SimRng;
 ///
 /// let drop = Dropout::new(0.5);
 /// let mut rng = SimRng::seed(1);
-/// let mask = drop.sample_mask(4, &mut rng);
-/// let y = Dropout::apply(&[1.0, 1.0, 1.0, 1.0], &mask);
-/// assert!(y.iter().all(|v| *v == 0.0 || (*v - 2.0).abs() < 1e-12));
+/// let mut mask = [0.0; 4];
+/// drop.sample_mask_into(&mut mask, &mut rng);
+/// assert!(mask.iter().all(|m| *m == 0.0 || *m == 2.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dropout {
@@ -43,23 +43,12 @@ impl Dropout {
         self.p
     }
 
-    /// Samples a multiplicative mask of the given width: each entry is
-    /// `0` with probability `p`, otherwise `1/(1-p)`.
+    /// Fills `out` with a fresh multiplicative mask: each entry is `0` with
+    /// probability `p`, otherwise `1/(1-p)`.
     ///
-    /// A rate of zero produces the all-ones mask (dropout disabled).
-    pub fn sample_mask(&self, n: usize, rng: &mut SimRng) -> Vec<f64> {
-        let mut mask = vec![0.0; n];
-        self.sample_mask_into(&mut mask, rng);
-        mask
-    }
-
-    /// Fills a caller-owned buffer with a fresh mask — the allocation-free
-    /// form of [`Dropout::sample_mask`], used by the batched engine's
-    /// pre-drawn mask arenas.
-    ///
-    /// A rate of zero writes all-ones **without consuming any randomness**,
-    /// exactly like [`Dropout::sample_mask`]; callers replicating the
-    /// sequential RNG stream rely on that.
+    /// A rate of zero writes all-ones (dropout disabled) **without
+    /// consuming any randomness**; the engine's batch-size invariance of
+    /// the RNG stream relies on that.
     pub fn sample_mask_into(&self, out: &mut [f64], rng: &mut SimRng) {
         if self.p == 0.0 {
             out.fill(1.0);
@@ -70,68 +59,36 @@ impl Dropout {
             *v = if rng.chance(self.p) { 0.0 } else { keep };
         }
     }
-
-    /// Applies a previously sampled mask (elementwise product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn apply(x: &[f64], mask: &[f64]) -> Vec<f64> {
-        let mut y = x.to_vec();
-        Self::apply_in_place(&mut y, mask);
-        y
-    }
-
-    /// Applies a mask in place — no allocation, same elementwise product as
-    /// [`Dropout::apply`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn apply_in_place(x: &mut [f64], mask: &[f64]) {
-        assert_eq!(x.len(), mask.len(), "mask length mismatch");
-        for (a, m) in x.iter_mut().zip(mask) {
-            *a *= m;
-        }
-    }
-
-    /// Backpropagates through a masked application: `dx = dy ⊙ mask`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn backward(dy: &[f64], mask: &[f64]) -> Vec<f64> {
-        Self::apply(dy, mask)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+
+    fn sample(d: Dropout, n: usize, rng: &mut SimRng) -> Vec<f64> {
+        let mut mask = vec![0.0; n];
+        d.sample_mask_into(&mut mask, rng);
+        mask
+    }
 
     #[test]
     fn zero_rate_is_identity() {
-        let d = Dropout::new(0.0);
         let mut rng = SimRng::seed(2);
-        let mask = d.sample_mask(8, &mut rng);
-        assert_eq!(mask, vec![1.0; 8]);
+        assert_eq!(sample(Dropout::new(0.0), 8, &mut rng), vec![1.0; 8]);
     }
 
     #[test]
     fn mask_preserves_expectation() {
-        let d = Dropout::new(0.3);
         let mut rng = SimRng::seed(7);
         let n = 200_000;
-        let mean: f64 = d.sample_mask(n, &mut rng).iter().sum::<f64>() / n as f64;
+        let mean: f64 = sample(Dropout::new(0.3), n, &mut rng).iter().sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.01, "mean = {mean}");
     }
 
     #[test]
     fn drop_fraction_close_to_rate() {
-        let d = Dropout::new(0.5);
         let mut rng = SimRng::seed(8);
-        let mask = d.sample_mask(100_000, &mut rng);
+        let mask = sample(Dropout::new(0.5), 100_000, &mut rng);
         let dropped = mask.iter().filter(|m| **m == 0.0).count() as f64 / mask.len() as f64;
         assert!((dropped - 0.5).abs() < 0.01);
     }
@@ -144,37 +101,9 @@ mod tests {
 
     #[test]
     fn zero_rate_mask_consumes_no_randomness() {
-        let d = Dropout::new(0.0);
         let mut rng = SimRng::seed(3);
         let before = rng.clone();
-        let mut buf = vec![0.0; 16];
-        d.sample_mask_into(&mut buf, &mut rng);
+        assert_eq!(sample(Dropout::new(0.0), 16, &mut rng), vec![1.0; 16]);
         assert_eq!(rng, before, "p = 0 must not draw from the RNG");
-        assert_eq!(buf, vec![1.0; 16]);
-    }
-
-    #[test]
-    fn mask_into_matches_sample_mask_stream() {
-        let d = Dropout::new(0.35);
-        let mut a = SimRng::seed(9);
-        let mut b = SimRng::seed(9);
-        let owned = d.sample_mask(33, &mut a);
-        let mut buf = vec![0.0; 33];
-        d.sample_mask_into(&mut buf, &mut b);
-        assert_eq!(owned, buf);
-        assert_eq!(a, b, "identical RNG consumption");
-    }
-
-    proptest! {
-        /// apply/backward use the same mask, making dropout a linear op.
-        #[test]
-        fn prop_backward_is_apply(xs in prop::collection::vec(-3.0f64..3.0, 1..32), seed in 0u64..1000) {
-            let d = Dropout::new(0.4);
-            let mut rng = SimRng::seed(seed);
-            let mask = d.sample_mask(xs.len(), &mut rng);
-            let fwd = Dropout::apply(&xs, &mask);
-            let bwd = Dropout::backward(&xs, &mask);
-            prop_assert_eq!(fwd, bwd);
-        }
     }
 }

@@ -1,12 +1,12 @@
 //! Deterministic, branch-free transcendentals for the NN hot paths.
 //!
-//! The batched engine's contract is *bit-identity* with the sequential
-//! path, so both must evaluate exactly the same activation function per
-//! element. `libm`'s `tanh`/`exp` satisfy that but are opaque scalar
-//! calls the compiler can neither inline nor vectorize — and the gate
-//! activations dominate the rollout profile once the matrix products run
-//! through the blocked GEMM kernels. This module supplies the shared
-//! implementation both paths use:
+//! The engine's contract is *bit-identity* across batch sizes and with the
+//! per-vector reference in `tests/batched_equiv.rs`, so every loop must
+//! evaluate exactly the same activation function per element. `libm`'s
+//! `tanh`/`exp` satisfy that but are opaque scalar calls the compiler can
+//! neither inline nor vectorize — and the gate activations dominate the
+//! rollout profile once the matrix products run through the blocked GEMM
+//! kernels. This module supplies the one implementation every caller uses:
 //!
 //! * **Deterministic**: pure IEEE-754 `mul`/`add`/`div`/`floor`/`min`/
 //!   `max` plus exponent-bit assembly — every operation is exactly

@@ -16,20 +16,21 @@
 //! # Examples
 //!
 //! ```
+//! use aqua_linalg::Matrix;
 //! use aqua_nn::{Adam, Mlp, Parameterized};
 //! use aqua_sim::SimRng;
 //!
 //! let mut rng = SimRng::seed(1);
 //! let mut mlp = Mlp::new(2, &[8, 8], 1, 0.0, &mut rng);
 //! let mut adam = Adam::new(1e-2);
-//! // Learn y = x0 + x1 on a few points.
+//! // Learn y = x0 + x1 on a few points, one row each of a single batch.
+//! let x = Matrix::from_vec(4, 2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
+//! let y = [0.0, 1.0, 1.0, 2.0];
 //! for _ in 0..200 {
 //!     mlp.zero_grad();
-//!     for (x, y) in [([0.0, 0.0], 0.0), ([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([1.0, 1.0], 2.0)] {
-//!         let out = mlp.forward_train(&x, &mut rng);
-//!         let grad = vec![2.0 * (out.output[0] - y)];
-//!         mlp.backward(&out, &grad);
-//!     }
+//!     let out = mlp.forward_train_batch(&x, &mut rng);
+//!     let grad = Matrix::from_fn(4, 1, |r, _| 2.0 * (out.output[(r, 0)] - y[r]));
+//!     mlp.backward_batch(&out, &grad);
 //!     adam.step(&mut mlp);
 //! }
 //! let pred = mlp.forward(&[1.0, 1.0]);
@@ -49,7 +50,6 @@ pub use dropout::Dropout;
 pub use linear::Linear;
 pub use lstm::{
     BatchInput, BatchLayerStates, BatchSeqCache, BatchSeqGrads, InferResult, LayerStates, Lstm,
-    LstmLayer, PackedLstm,
 };
 pub use mlp::{Mlp, MlpBatchCache};
 pub use seq2seq::{EncoderDecoder, Seq2SeqConfig, SeqPair};
@@ -107,7 +107,7 @@ pub trait Parameterized {
 }
 
 /// Numerically stable logistic sigmoid — the shared [`fastmath`]
-/// implementation, so scalar and batched paths agree bit for bit.
+/// implementation every layer uses.
 pub fn sigmoid(x: f64) -> f64 {
     fastmath::sigmoid(x)
 }
@@ -131,6 +131,43 @@ pub fn mse(pred: &[f64], target: &[f64]) -> (f64, Vec<f64>) {
         grad[i] = 2.0 * d / n;
     }
     (loss / n, grad)
+}
+
+/// Checks the gradients `model` has accumulated against central finite
+/// differences of `loss`, on about `per_block` evenly spaced weights of
+/// every parameter block (`usize::MAX` = all of them).
+#[cfg(test)]
+pub(crate) fn assert_grads_match_finite_differences<M: Parameterized>(
+    model: &mut M,
+    loss: impl Fn(&M) -> f64,
+    per_block: usize,
+    (eps, tol): (f64, f64),
+) {
+    let mut analytic = Vec::new();
+    model.visit_params(&mut |_, g| analytic.push(g.to_vec()));
+    let nudged = |model: &mut M, block: usize, k: usize, delta: f64| {
+        let mut b = 0;
+        model.visit_params(&mut |w, _| {
+            if b == block {
+                w[k] += delta;
+            }
+            b += 1;
+        });
+        loss(model)
+    };
+    for (block, grads) in analytic.iter().enumerate() {
+        for k in (0..grads.len()).step_by((grads.len() / per_block).max(1)) {
+            let lp = nudged(model, block, k, eps);
+            let lm = nudged(model, block, k, -2.0 * eps);
+            nudged(model, block, k, eps);
+            let numeric = (lp - lm) / (2.0 * eps);
+            assert!(
+                (numeric - grads[k]).abs() < tol,
+                "block {block} param {k}: numeric {numeric} analytic {}",
+                grads[k]
+            );
+        }
+    }
 }
 
 #[cfg(test)]

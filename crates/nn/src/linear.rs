@@ -76,7 +76,7 @@ impl Linear {
     /// `x (B×in)`. Row `r` of the result is bit-identical to
     /// `self.forward(x.row(r))` — the GEMM keeps the per-element
     /// contraction in input-index order and adds the bias to the completed
-    /// dot product, exactly like the scalar path.
+    /// dot product, exactly like [`Linear::forward`].
     ///
     /// # Panics
     ///
@@ -103,10 +103,11 @@ impl Linear {
         y
     }
 
-    /// Batched backward pass: accumulates weight/bias gradients for all `B`
-    /// rows at once and returns `dL/dX (B×in)`. Gradient accumulation order
-    /// per weight element is row-major over the batch — identical to `B`
-    /// sequential [`Linear::backward`] calls.
+    /// Backward pass: accumulates weight/bias gradients for the recorded
+    /// inputs `x (B×in)` and upstream gradients `dy (B×out)`, all `B` rows
+    /// at once, and returns `dL/dX (B×in)`. Gradient accumulation order per
+    /// weight element is row-major over the batch — identical to `B`
+    /// one-row calls.
     ///
     /// # Panics
     ///
@@ -136,28 +137,6 @@ impl Linear {
         );
         dx
     }
-
-    /// Backward pass: accumulates weight/bias gradients for the recorded
-    /// input `x` and upstream gradient `dy`, returning `dL/dx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
-        assert_eq!(dy.len(), self.out_dim, "gradient dimension mismatch");
-        let mut dx = vec![0.0; self.in_dim];
-        for (o, &g) in dy.iter().enumerate() {
-            self.gb[o] += g;
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let grow = &mut self.gw[o * self.in_dim..(o + 1) * self.in_dim];
-            for i in 0..self.in_dim {
-                grow[i] += g * x[i];
-                dx[i] += g * row[i];
-            }
-        }
-        dx
-    }
 }
 
 impl Parameterized for Linear {
@@ -172,86 +151,81 @@ mod tests {
     use super::*;
     use crate::mse;
 
-    /// Finite-difference check of the analytic gradients.
+    /// Summed per-row MSE through the single-vector forward pass.
+    fn loss_of(layer: &Linear, x: &Matrix, targets: &Matrix) -> f64 {
+        (0..x.rows())
+            .map(|r| mse(&layer.forward(x.row(r)), targets.row(r)).0)
+            .sum()
+    }
+
+    /// Runs forward + backward on `x`, returning `dL/dX` of [`loss_of`].
+    fn backprop(layer: &mut Linear, x: &Matrix, targets: &Matrix) -> Matrix {
+        let y = layer.forward_batch(x);
+        let mut dy = Matrix::zeros(x.rows(), targets.cols());
+        for r in 0..x.rows() {
+            dy.row_mut(r)
+                .copy_from_slice(&mse(y.row(r), targets.row(r)).1);
+        }
+        layer.backward_batch(x, &dy)
+    }
+
+    fn inputs(rows: usize) -> (Matrix, Matrix) {
+        let x = Matrix::from_fn(rows, 3, |i, j| [0.5, -1.0, 2.0][j] + 0.3 * i as f64);
+        let targets = Matrix::from_fn(rows, 2, |i, j| 1.0 - 2.0 * j as f64 - 0.4 * i as f64);
+        (x, targets)
+    }
+
+    /// Finite-difference check of the analytic gradients, at one row and at
+    /// several.
     #[test]
     fn gradients_match_finite_differences() {
-        let mut rng = SimRng::seed(3);
-        let mut layer = Linear::new(3, 2, &mut rng);
-        let x = [0.5, -1.0, 2.0];
-        let target = [1.0, -1.0];
+        for rows in [1, 3] {
+            let mut rng = SimRng::seed(3);
+            let mut layer = Linear::new(3, 2, &mut rng);
+            let (x, targets) = inputs(rows);
 
-        layer.zero_grad();
-        let y = layer.forward(&x);
-        let (_, dy) = mse(&y, &target);
-        layer.backward(&x, &dy);
-
-        // Capture analytic grads.
-        let mut analytic: Vec<f64> = Vec::new();
-        layer.visit_params(&mut |_, g| analytic.extend_from_slice(g));
-
-        // Numeric grads via central differences on each parameter.
-        let eps = 1e-6;
-        let mut idx = 0;
-        let mut param_lens = Vec::new();
-        layer.visit_params(&mut |w, _| param_lens.push(w.len()));
-        for (block, len) in param_lens.iter().enumerate() {
-            for k in 0..*len {
-                let perturb = |delta: f64, layer: &mut Linear| {
-                    let mut b = 0;
-                    layer.visit_params(&mut |w, _| {
-                        if b == block {
-                            w[k] += delta;
-                        }
-                        b += 1;
-                    });
-                };
-                perturb(eps, &mut layer);
-                let (lp, _) = mse(&layer.forward(&x), &target);
-                perturb(-2.0 * eps, &mut layer);
-                let (lm, _) = mse(&layer.forward(&x), &target);
-                perturb(eps, &mut layer);
-                let numeric = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (numeric - analytic[idx]).abs() < 1e-5,
-                    "param {idx}: numeric {numeric} analytic {}",
-                    analytic[idx]
-                );
-                idx += 1;
-            }
+            layer.zero_grad();
+            backprop(&mut layer, &x, &targets);
+            crate::assert_grads_match_finite_differences(
+                &mut layer,
+                |l| loss_of(l, &x, &targets),
+                usize::MAX,
+                (1e-6, 1e-5),
+            );
         }
     }
 
     #[test]
     fn backward_returns_input_gradient() {
-        let mut rng = SimRng::seed(4);
-        let mut layer = Linear::new(2, 2, &mut rng);
-        let x = [1.0, 2.0];
-        let y = layer.forward(&x);
-        let (_, dy) = mse(&y, &[0.0, 0.0]);
-        let dx = layer.backward(&x, &dy);
-        assert_eq!(dx.len(), 2);
+        for rows in [1, 3] {
+            let mut rng = SimRng::seed(4);
+            let mut layer = Linear::new(3, 2, &mut rng);
+            let (x, targets) = inputs(rows);
+            let dx = backprop(&mut layer, &x, &targets);
+            assert_eq!((dx.rows(), dx.cols()), (rows, 3));
 
-        // dL/dx via finite differences.
-        let eps = 1e-6;
-        for i in 0..2 {
-            let mut xp = x;
-            xp[i] += eps;
-            let (lp, _) = mse(&layer.forward(&xp), &[0.0, 0.0]);
-            xp[i] -= 2.0 * eps;
-            let (lm, _) = mse(&layer.forward(&xp), &[0.0, 0.0]);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!((numeric - dx[i]).abs() < 1e-5);
+            // dL/dx via finite differences.
+            let eps = 1e-6;
+            for r in 0..rows {
+                for i in 0..3 {
+                    let mut xp = x.clone();
+                    xp[(r, i)] += eps;
+                    let lp = loss_of(&layer, &xp, &targets);
+                    xp[(r, i)] -= 2.0 * eps;
+                    let lm = loss_of(&layer, &xp, &targets);
+                    let numeric = (lp - lm) / (2.0 * eps);
+                    assert!((numeric - dx[(r, i)]).abs() < 1e-5);
+                }
+            }
         }
     }
 
     #[test]
     fn zero_grad_clears() {
         let mut rng = SimRng::seed(5);
-        let mut layer = Linear::new(2, 1, &mut rng);
-        let x = [1.0, 1.0];
-        let y = layer.forward(&x);
-        let (_, dy) = mse(&y, &[5.0]);
-        layer.backward(&x, &dy);
+        let mut layer = Linear::new(3, 2, &mut rng);
+        let (x, targets) = inputs(1);
+        backprop(&mut layer, &x, &targets);
         layer.zero_grad();
         let mut all_zero = true;
         layer.visit_params(&mut |_, g| all_zero &= g.iter().all(|v| *v == 0.0));
@@ -265,6 +239,8 @@ mod tests {
         assert_eq!(layer.param_count(), 7 * 3 + 3);
     }
 
+    /// A `B`-row call leaves the bits of `B` one-row calls in order, and the
+    /// batched forward pass those of the single-vector one.
     #[test]
     fn batch_paths_bitwise_match_sequential() {
         let mut rng = SimRng::seed(7);
@@ -285,9 +261,10 @@ mod tests {
         l_batch.zero_grad();
         l_seq.zero_grad();
         let dxb = l_batch.backward_batch(&x, &dy);
+        let one_row = |m: &Matrix, r: usize| Matrix::from_vec(1, m.cols(), m.row(r).to_vec());
         for r in 0..bsz {
-            let dxs = l_seq.backward(x.row(r), dy.row(r));
-            for (a, b) in dxb.row(r).iter().zip(&dxs) {
+            let dxs = l_seq.backward_batch(&one_row(&x, r), &one_row(&dy, r));
+            for (a, b) in dxb.row(r).iter().zip(dxs.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }

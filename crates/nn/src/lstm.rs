@@ -3,21 +3,21 @@
 //!
 //! Gate layout in all `4H`-sized buffers is `[i | f | g | o]`.
 //!
-//! Two execution engines share the same weights: the original scalar
-//! per-vector path ([`Lstm::forward_seq`] / [`Lstm::backward_seq`]) and a
-//! batched path ([`Lstm::forward_seq_batch`] / [`Lstm::backward_seq_batch`])
-//! that advances `B` lanes per step through GEMM kernels. The batched path
-//! is **bit-identical** to `B` sequential passes: the GEMMs keep every
-//! output element's contraction in scalar dot-product order, dropout masks
-//! are pre-drawn lane-major so the RNG stream matches, and weight gradients
-//! are accumulated lane-major/timestep-descending — the exact order `B`
-//! sequential backward passes produce.
+//! One engine: every pass advances `B` lanes per step through GEMM
+//! kernels ([`Lstm::forward_seq_batch`] / [`Lstm::backward_seq_batch`]); a
+//! single sequence is the `B = 1` case. The engine is **batch-size
+//! invariant**: a `B`-lane pass leaves the bits and the RNG state of `B`
+//! one-lane passes in order, because the GEMMs keep every output element's
+//! contraction in scalar dot-product order, dropout masks are pre-drawn
+//! lane-major, and weight gradients accumulate lane-major/timestep-
+//! descending. `tests/batched_equiv.rs` holds the scalar textbook
+//! reference those bits are asserted against.
 
 use aqua_linalg::{col_sum_acc, gemm, gemm_tn, pack_transpose, Matrix};
 use aqua_sim::SimRng;
 
 use crate::dropout::Dropout;
-use crate::fastmath::{self, sigmoid};
+use crate::fastmath;
 use crate::Parameterized;
 
 /// Borrowed per-layer `(h, c)` states handed into sequence calls.
@@ -39,7 +39,7 @@ pub enum BatchInput<'a> {
 /// One LSTM layer: `4H × I` input weights, `4H × H` recurrent weights, and
 /// `4H` biases (forget-gate bias initialized to 1, the standard trick).
 #[derive(Debug, Clone)]
-pub struct LstmLayer {
+struct LstmLayer {
     input_dim: usize,
     hidden: usize,
     wx: Vec<f64>,
@@ -50,25 +50,9 @@ pub struct LstmLayer {
     gb: Vec<f64>,
 }
 
-/// Cached activations of one time step, needed for the backward pass.
-#[derive(Debug, Clone)]
-pub struct StepCache {
-    x: Vec<f64>,
-    h_prev: Vec<f64>,
-    c_prev: Vec<f64>,
-    i: Vec<f64>,
-    f: Vec<f64>,
-    g: Vec<f64>,
-    o: Vec<f64>,
-    c: Vec<f64>,
-    tanh_c: Vec<f64>,
-    /// Hidden state after variational dropout (what downstream consumers saw).
-    pub h_out: Vec<f64>,
-}
-
 impl LstmLayer {
     /// Creates a layer with Xavier-uniform weights.
-    pub fn new(input_dim: usize, hidden: usize, rng: &mut SimRng) -> Self {
+    fn new(input_dim: usize, hidden: usize, rng: &mut SimRng) -> Self {
         assert!(input_dim > 0 && hidden > 0, "dimensions must be positive");
         let bx = (6.0 / (input_dim + hidden) as f64).sqrt();
         let bh = (6.0 / (2 * hidden) as f64).sqrt();
@@ -94,123 +78,6 @@ impl LstmLayer {
             gb: vec![0.0; 4 * hidden],
         }
     }
-
-    /// Hidden-state width `H`.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input width `I`.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// One forward step. `h_mask` is the variational dropout mask applied to
-    /// the produced hidden state (all-ones to disable).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any dimension mismatch.
-    pub fn forward_step(
-        &self,
-        x: &[f64],
-        h_prev: &[f64],
-        c_prev: &[f64],
-        h_mask: &[f64],
-    ) -> StepCache {
-        let hdim = self.hidden;
-        assert_eq!(x.len(), self.input_dim, "input width mismatch");
-        assert_eq!(h_prev.len(), hdim, "hidden width mismatch");
-        assert_eq!(c_prev.len(), hdim, "cell width mismatch");
-        assert_eq!(h_mask.len(), hdim, "mask width mismatch");
-
-        // z = Wx x + Wh h_prev + b
-        let mut z = self.b.clone();
-        for (r, zr) in z.iter_mut().enumerate() {
-            let wxr = &self.wx[r * self.input_dim..(r + 1) * self.input_dim];
-            let whr = &self.wh[r * hdim..(r + 1) * hdim];
-            *zr += wxr.iter().zip(x).map(|(w, v)| w * v).sum::<f64>()
-                + whr.iter().zip(h_prev).map(|(w, v)| w * v).sum::<f64>();
-        }
-
-        let mut i = vec![0.0; hdim];
-        let mut f = vec![0.0; hdim];
-        let mut g = vec![0.0; hdim];
-        let mut o = vec![0.0; hdim];
-        let mut c = vec![0.0; hdim];
-        let mut tanh_c = vec![0.0; hdim];
-        let mut h_out = vec![0.0; hdim];
-        for k in 0..hdim {
-            i[k] = sigmoid(z[k]);
-            f[k] = sigmoid(z[hdim + k]);
-            g[k] = fastmath::tanh(z[2 * hdim + k]);
-            o[k] = sigmoid(z[3 * hdim + k]);
-            c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            tanh_c[k] = fastmath::tanh(c[k]);
-            h_out[k] = o[k] * tanh_c[k] * h_mask[k];
-        }
-
-        StepCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            c,
-            tanh_c,
-            h_out,
-        }
-    }
-
-    /// One backward step. `dh` is the gradient w.r.t. the *masked* output
-    /// `h_out`; `dc` the gradient w.r.t. the cell state. Returns
-    /// `(dx, dh_prev, dc_prev)` and accumulates weight gradients.
-    pub fn backward_step(
-        &mut self,
-        cache: &StepCache,
-        dh: &[f64],
-        dc: &[f64],
-        h_mask: &[f64],
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let hdim = self.hidden;
-        let mut dz = vec![0.0; 4 * hdim];
-        let mut dc_prev = vec![0.0; hdim];
-        for k in 0..hdim {
-            // Gradient reaching the pre-mask hidden state.
-            let dh_raw = dh[k] * h_mask[k];
-            let do_ = dh_raw * cache.tanh_c[k];
-            let dct = dh_raw * cache.o[k] * (1.0 - cache.tanh_c[k] * cache.tanh_c[k]) + dc[k];
-            let di = dct * cache.g[k];
-            let df = dct * cache.c_prev[k];
-            let dg = dct * cache.i[k];
-            dc_prev[k] = dct * cache.f[k];
-            dz[k] = di * cache.i[k] * (1.0 - cache.i[k]);
-            dz[hdim + k] = df * cache.f[k] * (1.0 - cache.f[k]);
-            dz[2 * hdim + k] = dg * (1.0 - cache.g[k] * cache.g[k]);
-            dz[3 * hdim + k] = do_ * cache.o[k] * (1.0 - cache.o[k]);
-        }
-
-        let mut dx = vec![0.0; self.input_dim];
-        let mut dh_prev = vec![0.0; hdim];
-        for (r, &grad) in dz.iter().enumerate() {
-            self.gb[r] += grad;
-            let wxr = &self.wx[r * self.input_dim..(r + 1) * self.input_dim];
-            let gxr = &mut self.gwx[r * self.input_dim..(r + 1) * self.input_dim];
-            for idx in 0..self.input_dim {
-                gxr[idx] += grad * cache.x[idx];
-                dx[idx] += grad * wxr[idx];
-            }
-            let whr = &self.wh[r * hdim..(r + 1) * hdim];
-            let ghr = &mut self.gwh[r * hdim..(r + 1) * hdim];
-            for idx in 0..hdim {
-                ghr[idx] += grad * cache.h_prev[idx];
-                dh_prev[idx] += grad * whr[idx];
-            }
-        }
-        (dx, dh_prev, dc_prev)
-    }
 }
 
 impl Parameterized for LstmLayer {
@@ -227,21 +94,6 @@ impl Parameterized for LstmLayer {
 pub struct Lstm {
     layers: Vec<LstmLayer>,
     dropout: Dropout,
-}
-
-/// Everything the backward pass needs from one sequence forward pass.
-#[derive(Debug, Clone)]
-pub struct SeqCache {
-    /// `caches[layer][step]`.
-    caches: Vec<Vec<StepCache>>,
-    /// Variational masks, one per layer.
-    masks: Vec<Vec<f64>>,
-    /// Final (masked) hidden state per layer.
-    pub final_h: Vec<Vec<f64>>,
-    /// Final cell state per layer.
-    pub final_c: Vec<Vec<f64>>,
-    /// Masked top-layer hidden state per step.
-    pub outputs: Vec<Vec<f64>>,
 }
 
 impl Lstm {
@@ -269,147 +121,27 @@ impl Lstm {
 
     /// Hidden width of the top layer.
     pub fn top_hidden(&self) -> usize {
-        self.layers.last().expect("at least one layer").hidden()
+        self.layers.last().expect("at least one layer").hidden
     }
 
     /// Hidden width of layer `l`.
     pub fn hidden_of(&self, l: usize) -> usize {
-        self.layers[l].hidden()
-    }
-
-    /// Runs the sequence forward from the given initial states.
-    ///
-    /// `init` is `(h, c)` per layer, or `None` for zeros. When `train` is
-    /// false, dropout masks are all-ones (deterministic inference); when
-    /// true (or for MC-dropout inference), fresh masks are sampled once per
-    /// sequence — Gal & Ghahramani's variational RNN dropout.
-    pub fn forward_seq(
-        &self,
-        xs: &[Vec<f64>],
-        init: Option<LayerStates<'_>>,
-        train: bool,
-        rng: &mut SimRng,
-    ) -> SeqCache {
-        assert!(!xs.is_empty(), "empty sequence");
-        let num_layers = self.layers.len();
-        let masks: Vec<Vec<f64>> = self
-            .layers
-            .iter()
-            .map(|l| {
-                if train {
-                    self.dropout.sample_mask(l.hidden(), rng)
-                } else {
-                    vec![1.0; l.hidden()]
-                }
-            })
-            .collect();
-
-        let mut h: Vec<Vec<f64>> = Vec::with_capacity(num_layers);
-        let mut c: Vec<Vec<f64>> = Vec::with_capacity(num_layers);
-        for (l, layer) in self.layers.iter().enumerate() {
-            match init {
-                Some((h0, c0)) => {
-                    h.push(h0[l].clone());
-                    c.push(c0[l].clone());
-                }
-                None => {
-                    h.push(vec![0.0; layer.hidden()]);
-                    c.push(vec![0.0; layer.hidden()]);
-                }
-            }
-        }
-
-        let mut caches: Vec<Vec<StepCache>> = vec![Vec::with_capacity(xs.len()); num_layers];
-        let mut outputs = Vec::with_capacity(xs.len());
-        for x in xs {
-            let mut input = x.clone();
-            for (l, layer) in self.layers.iter().enumerate() {
-                let cache = layer.forward_step(&input, &h[l], &c[l], &masks[l]);
-                h[l] = cache.h_out.clone();
-                c[l] = cache.c.clone();
-                input = cache.h_out.clone();
-                caches[l].push(cache);
-            }
-            outputs.push(input);
-        }
-
-        SeqCache {
-            caches,
-            masks,
-            final_h: h,
-            final_c: c,
-            outputs,
-        }
-    }
-
-    /// Backpropagates through the whole sequence.
-    ///
-    /// `d_outputs[t]` is the gradient w.r.t. the top-layer output at step `t`
-    /// (zero vectors are fine). `d_final` optionally adds gradients flowing
-    /// into the final `(h, c)` of every layer (used by the encoder, whose
-    /// final state feeds the decoder). Returns the gradients w.r.t. each
-    /// input step and w.r.t. the initial states.
-    pub fn backward_seq(
-        &mut self,
-        cache: &SeqCache,
-        d_outputs: &[Vec<f64>],
-        d_final: Option<LayerStates<'_>>,
-    ) -> SeqGrads {
-        let steps = cache.outputs.len();
-        assert_eq!(d_outputs.len(), steps, "gradient/step count mismatch");
-        let num_layers = self.layers.len();
-
-        let mut dh: Vec<Vec<f64>> = Vec::with_capacity(num_layers);
-        let mut dc: Vec<Vec<f64>> = Vec::with_capacity(num_layers);
-        for (l, layer) in self.layers.iter().enumerate() {
-            match d_final {
-                Some((dhf, dcf)) => {
-                    dh.push(dhf[l].clone());
-                    dc.push(dcf[l].clone());
-                }
-                None => {
-                    dh.push(vec![0.0; layer.hidden()]);
-                    dc.push(vec![0.0; layer.hidden()]);
-                }
-            }
-        }
-
-        let input_dim = self.layers[0].input_dim();
-        let mut dxs = vec![vec![0.0; input_dim]; steps];
-        for t in (0..steps).rev() {
-            // Gradient flowing into the top layer's output at this step.
-            let mut dnext: Vec<f64> = d_outputs[t].clone();
-            for l in (0..num_layers).rev() {
-                for (a, b) in dh[l].iter_mut().zip(&dnext) {
-                    *a += b;
-                }
-                let (dx, dh_prev, dc_prev) = {
-                    let step_cache = &cache.caches[l][t];
-                    let mask = &cache.masks[l];
-                    let dh_l = dh[l].clone();
-                    let dc_l = dc[l].clone();
-                    self.layers[l].backward_step(step_cache, &dh_l, &dc_l, mask)
-                };
-                dh[l] = dh_prev;
-                dc[l] = dc_prev;
-                dnext = dx;
-            }
-            dxs[t] = dnext;
-        }
-        SeqGrads {
-            d_inputs: dxs,
-            d_init_h: dh,
-            d_init_c: dc,
-        }
+        self.layers[l].hidden
     }
 }
 
-/// Packed transposed weights (`Wxᵀ: I×4H`, `Whᵀ: H×4H` per layer) for the
-/// batched kernels: forward products `X · Wᵀ` run as plain [`gemm`] calls
-/// with unit-stride inner loops.
-#[derive(Debug, Clone)]
-pub struct PackedLstm {
-    per_layer: Vec<(Vec<f64>, Vec<f64>)>,
+/// Working set of one rollout's step kernel, reused across every
+/// (step, layer) pair: the packed transposed weights (`Wxᵀ: I×4H`,
+/// `Whᵀ: H×4H` per layer, so the forward products `X · Wᵀ` run as plain
+/// [`gemm`] calls with unit-stride inner loops) and the gate scratch
+/// arenas. The packing is a pure data-layout transform of the weights as
+/// they are now; build a fresh arena after an optimizer step.
+#[derive(Debug)]
+pub(crate) struct StepArena {
+    packed: Vec<(Vec<f64>, Vec<f64>)>,
+    zx: Vec<f64>,
+    zh: Vec<f64>,
+    tanh_c: Vec<f64>,
 }
 
 /// Per-step element-wise inputs for [`lstm_gates`], bundled so the dispatch
@@ -429,9 +161,10 @@ struct GateCtx<'a> {
 /// Fused element-wise stage of one batched LSTM step: bias add, gate
 /// activations, cell update, `tanh(c)` and the (masked) hidden output for
 /// every lane — one dispatched call per (step, layer) instead of four small
-/// slice calls per lane. Per element this is the exact scalar
-/// [`LstmLayer::forward_step`] expression tree, so fusing cannot change a
-/// bit; `tc` (when given) receives `tanh(c)` per lane for recording.
+/// slice calls per lane. Per element this is the textbook cell's
+/// expression tree (`z = b + (Wx·x + Wh·h)`, `c = f·c + i·g`,
+/// `h = o·tanh(c)·mask`), so fusing cannot change a bit; `tc` (when given)
+/// receives `tanh(c)` per lane for recording.
 fn lstm_gates(
     ctx: &GateCtx<'_>,
     zh: &mut [f64],
@@ -569,16 +302,14 @@ fn lstm_gates_impl(
     }
 }
 
-/// One layer's cached batched step activations (all `B×dim`).
+/// One layer's cached step activations (all `B×dim`).
 #[derive(Debug, Clone)]
-struct BatchStepCache {
+pub(crate) struct BatchStepCache {
     x: Matrix,
     h_prev: Matrix,
     c_prev: Matrix,
-    i: Matrix,
-    f: Matrix,
-    g: Matrix,
-    o: Matrix,
+    /// Activated gates, `B×4H`.
+    gates: Matrix,
     tanh_c: Matrix,
 }
 
@@ -597,13 +328,6 @@ pub struct BatchSeqCache {
     /// Masked top-layer hidden state per step, `B×H_top`. When the rollout
     /// was not recorded, only the final step's output is kept.
     pub outputs: Vec<Matrix>,
-}
-
-impl BatchSeqCache {
-    /// Number of batch lanes in this rollout.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
 }
 
 /// Gradients returned by [`Lstm::backward_seq_batch`].
@@ -629,41 +353,110 @@ pub struct InferResult {
 }
 
 impl Lstm {
-    /// Packs every layer's weights for the batched kernels. The packing is
-    /// a pure data-layout transform; repack after any optimizer step.
-    pub fn pack(&self) -> PackedLstm {
-        let per_layer = self
-            .layers
-            .iter()
-            .map(|l| {
-                let mut wxt = vec![0.0; l.wx.len()];
-                pack_transpose(4 * l.hidden, l.input_dim, &l.wx, &mut wxt);
-                let mut wht = vec![0.0; l.wh.len()];
-                pack_transpose(4 * l.hidden, l.hidden, &l.wh, &mut wht);
-                (wxt, wht)
-            })
-            .collect();
-        PackedLstm { per_layer }
+    /// One zeroed `B×H` matrix per layer.
+    fn zero_states(&self, batch: usize) -> Vec<Matrix> {
+        let zeros = |l: &LstmLayer| Matrix::zeros(batch, l.hidden);
+        self.layers.iter().map(zeros).collect()
     }
 
-    /// `4 ×` the widest hidden layer — the per-lane scratch width the
-    /// batched step buffers need.
-    fn max_gate_width(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| 4 * l.hidden)
-            .max()
-            .expect("at least one layer")
+    /// Packs the current weights and sizes the scratch for `batch` lanes.
+    pub(crate) fn arena(&self, batch: usize) -> StepArena {
+        let pack = |l: &LstmLayer| {
+            let mut wxt = vec![0.0; l.wx.len()];
+            pack_transpose(4 * l.hidden, l.input_dim, &l.wx, &mut wxt);
+            let mut wht = vec![0.0; l.wh.len()];
+            pack_transpose(4 * l.hidden, l.hidden, &l.wh, &mut wht);
+            (wxt, wht)
+        };
+        let widest = self.layers.iter().map(|l| l.hidden).max();
+        let lanes = batch * widest.expect("at least one layer");
+        StepArena {
+            packed: self.layers.iter().map(pack).collect(),
+            zx: vec![0.0; 4 * lanes],
+            zh: vec![0.0; 4 * lanes],
+            tanh_c: vec![0.0; lanes],
+        }
     }
 
-    /// Batched sequence rollout: advances `batch` lanes together, one GEMM
-    /// pair per (step, layer) instead of `batch` scalar matvec sweeps.
+    /// Advances every layer one step **in place** for the `B` lanes of `h`
+    /// and `c` — the one step kernel under training, MC rollouts and
+    /// inference. `x` is the layer-0 input, `B×I` row-major or one `I`-wide
+    /// row shared by every lane; `masks = None` is the all-ones case;
+    /// `record` receives one [`BatchStepCache`] per layer for the backward
+    /// pass.
+    pub(crate) fn step_batch(
+        &self,
+        x: &[f64],
+        h: &mut [Matrix],
+        c: &mut [Matrix],
+        masks: Option<&[Matrix]>,
+        arena: &mut StepArena,
+        mut record: Option<&mut [Vec<BatchStepCache>]>,
+    ) {
+        let batch = h[0].rows();
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (hdim, idim) = (layer.hidden, layer.input_dim);
+            let h4 = 4 * hdim;
+            let (wxt, wht) = &arena.packed[l];
+
+            // Input contribution zx = X · Wxᵀ, X being the step input or the
+            // layer below's freshly updated (masked) hidden state. A shared
+            // input yields one identical 4H row for every lane — computed
+            // once, broadcast in the gate loop.
+            let x_in = if l == 0 { x } else { h[l - 1].as_slice() };
+            assert!(
+                x_in.len() == batch * idim || (l == 0 && x_in.len() == idim),
+                "input width mismatch"
+            );
+            let x_rows = x_in.len() / idim;
+            gemm(x_rows, h4, idim, x_in, wxt, &mut arena.zx[..x_rows * h4]);
+            // Recurrent contribution zh = H_prev · Whᵀ.
+            let zh = &mut arena.zh[..batch * h4];
+            gemm(batch, h4, hdim, h[l].as_slice(), wht, zh);
+
+            let before = record.as_ref().map(|_| {
+                let x = Matrix::from_vec(batch, idim, x_in.repeat(batch / x_rows));
+                (x, h[l].clone(), c[l].clone())
+            });
+            // Gate math — the fused element-wise stage; tanh(c) is only
+            // kept when the backward pass will want it.
+            let tanh_c = &mut arena.tanh_c[..batch * hdim];
+            lstm_gates(
+                &GateCtx {
+                    batch,
+                    hdim,
+                    zx: &arena.zx,
+                    shared0: x_rows < batch,
+                    bias: &layer.b,
+                    masks: masks.map(|m| m[l].as_slice()),
+                },
+                zh,
+                c[l].as_mut_slice(),
+                h[l].as_mut_slice(),
+                before.is_some().then_some(&mut *tanh_c),
+            );
+            if let (Some(caches), Some((x, h_prev, c_prev))) = (record.as_deref_mut(), before) {
+                caches[l].push(BatchStepCache {
+                    x,
+                    h_prev,
+                    c_prev,
+                    gates: Matrix::from_vec(batch, h4, zh.to_vec()),
+                    tanh_c: Matrix::from_vec(batch, hdim, tanh_c.to_vec()),
+                });
+            }
+        }
+    }
+
+    /// Sequence rollout: advances `batch` lanes together from the initial
+    /// states `init` (`None` = zeros), one GEMM pair per (step, layer).
     ///
-    /// Lane `b` of every output is bit-identical to the `b`-th of `batch`
-    /// sequential [`Lstm::forward_seq`] calls, and with `train = true` the
-    /// RNG stream is consumed identically: masks are pre-drawn lane-major
-    /// (lane `b`'s per-layer masks before lane `b+1`'s), the order the
-    /// sequential calls draw them.
+    /// With `train = true` each lane draws one variational mask per layer
+    /// for the whole sequence (Gal & Ghahramani's RNN dropout; also the
+    /// MC-dropout inference mode); otherwise masks are all-ones and no
+    /// randomness is consumed. Lane `b` of every output is bit-identical to
+    /// the `b`-th of `batch` one-lane calls, and the RNG stream is consumed
+    /// identically: masks are pre-drawn lane-major (lane `b`'s per-layer
+    /// masks before lane `b+1`'s), the order one-lane calls draw them.
     ///
     /// `record = true` keeps per-step activation caches for
     /// [`Lstm::backward_seq_batch`]; inference callers pass `false` and
@@ -683,26 +476,19 @@ impl Lstm {
         rng: &mut SimRng,
     ) -> BatchSeqCache {
         assert!(batch > 0, "empty batch");
-        let steps = match xs {
-            BatchInput::Shared(seq) => seq.len(),
-            BatchInput::PerLane(ms) => ms.len(),
+        let steps: Vec<&[f64]> = match xs {
+            BatchInput::Shared(seq) => seq.iter().map(Vec::as_slice).collect(),
+            BatchInput::PerLane(ms) => {
+                let lanes = ms.iter().all(|m| m.rows() == batch);
+                assert!(lanes, "per-lane step batch mismatch");
+                ms.iter().map(Matrix::as_slice).collect()
+            }
         };
-        assert!(steps > 0, "empty sequence");
-        if let BatchInput::PerLane(ms) = xs {
-            assert!(
-                ms.iter().all(|m| m.rows() == batch),
-                "per-lane step batch mismatch"
-            );
-        }
-        let num_layers = self.layers.len();
+        assert!(!steps.is_empty(), "empty sequence");
 
         // Masks pre-drawn lane-major: identical RNG consumption to `batch`
-        // sequential forward_seq calls (each draws layer 0, 1, ... in turn).
-        let mut masks: Vec<Matrix> = self
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(batch, l.hidden))
-            .collect();
+        // one-lane calls (each draws layer 0, 1, ... in turn).
+        let mut masks = self.zero_states(batch);
         if train {
             for b in 0..batch {
                 for m in &mut masks {
@@ -714,142 +500,25 @@ impl Lstm {
                 m.as_mut_slice().fill(1.0);
             }
         }
+        let (mut h, mut c) = match init {
+            Some((h0, c0)) => (h0.to_vec(), c0.to_vec()),
+            None => (self.zero_states(batch), self.zero_states(batch)),
+        };
 
-        let mut h: Vec<Matrix> = Vec::with_capacity(num_layers);
-        let mut c: Vec<Matrix> = Vec::with_capacity(num_layers);
-        for (l, layer) in self.layers.iter().enumerate() {
-            match init {
-                Some((h0, c0)) => {
-                    h.push(h0[l].clone());
-                    c.push(c0[l].clone());
-                }
-                None => {
-                    h.push(Matrix::zeros(batch, layer.hidden));
-                    c.push(Matrix::zeros(batch, layer.hidden));
-                }
-            }
-        }
-
-        let packed = self.pack();
-        // Scratch arenas reused across every (step, layer) pair.
-        let mut zx = vec![0.0; batch * self.max_gate_width()];
-        let mut zh = vec![0.0; batch * self.max_gate_width()];
-        let mut tc_buf = vec![0.0; batch * self.max_gate_width() / 4];
-
-        let mut caches: Vec<Vec<BatchStepCache>> = vec![Vec::new(); num_layers];
-        if record {
-            for cv in &mut caches {
-                cv.reserve(steps);
-            }
-        }
-        let mut outputs = Vec::with_capacity(steps);
-
-        for t in 0..steps {
-            for l in 0..num_layers {
-                let layer = &self.layers[l];
-                let hdim = layer.hidden;
-                let idim = layer.input_dim;
-                let h4 = 4 * hdim;
-                let (wxt, wht) = &packed.per_layer[l];
-
-                // Input contribution zx = X · Wxᵀ. A shared layer-0 input
-                // yields one identical 4H row for every lane — compute it
-                // once and broadcast in the gate loop.
-                let shared0 = l == 0 && matches!(xs, BatchInput::Shared(_));
-                if l == 0 {
-                    match xs {
-                        BatchInput::Shared(seq) => {
-                            assert_eq!(seq[t].len(), idim, "input width mismatch");
-                            gemm(1, h4, idim, &seq[t], wxt, &mut zx[..h4]);
-                        }
-                        BatchInput::PerLane(ms) => {
-                            assert_eq!(ms[t].cols(), idim, "input width mismatch");
-                            gemm(
-                                batch,
-                                h4,
-                                idim,
-                                ms[t].as_slice(),
-                                wxt,
-                                &mut zx[..batch * h4],
-                            );
-                        }
-                    }
-                } else {
-                    // Previous layer's freshly updated (masked) hidden state.
-                    gemm(
-                        batch,
-                        h4,
-                        idim,
-                        h[l - 1].as_slice(),
-                        wxt,
-                        &mut zx[..batch * h4],
-                    );
-                }
-                // Recurrent contribution zh = H_prev · Whᵀ.
-                gemm(batch, h4, hdim, h[l].as_slice(), wht, &mut zh[..batch * h4]);
-
-                let rec = if record {
-                    let x_mat = if l == 0 {
-                        match xs {
-                            BatchInput::Shared(seq) => {
-                                let mut m = Matrix::zeros(batch, idim);
-                                for b in 0..batch {
-                                    m.row_mut(b).copy_from_slice(&seq[t]);
-                                }
-                                m
-                            }
-                            BatchInput::PerLane(ms) => ms[t].clone(),
-                        }
-                    } else {
-                        h[l - 1].clone()
-                    };
-                    Some(BatchStepCache {
-                        x: x_mat,
-                        h_prev: h[l].clone(),
-                        c_prev: c[l].clone(),
-                        i: Matrix::zeros(batch, hdim),
-                        f: Matrix::zeros(batch, hdim),
-                        g: Matrix::zeros(batch, hdim),
-                        o: Matrix::zeros(batch, hdim),
-                        tanh_c: Matrix::zeros(batch, hdim),
-                    })
-                } else {
-                    None
-                };
-
-                // Gate math — the fused element-wise stage, one dispatched
-                // call per (step, layer); per element it is the exact scalar
-                // `forward_step` expression tree.
-                lstm_gates(
-                    &GateCtx {
-                        batch,
-                        hdim,
-                        zx: &zx,
-                        shared0,
-                        bias: &layer.b,
-                        masks: Some(masks[l].as_slice()),
-                    },
-                    &mut zh[..batch * h4],
-                    c[l].as_mut_slice(),
-                    h[l].as_mut_slice(),
-                    Some(&mut tc_buf[..batch * hdim]),
-                );
-                if let Some(mut rc) = rec {
-                    for b in 0..batch {
-                        let z_row = &zh[b * h4..(b + 1) * h4];
-                        rc.i.row_mut(b).copy_from_slice(&z_row[..hdim]);
-                        rc.f.row_mut(b).copy_from_slice(&z_row[hdim..2 * hdim]);
-                        rc.g.row_mut(b).copy_from_slice(&z_row[2 * hdim..3 * hdim]);
-                        rc.o.row_mut(b).copy_from_slice(&z_row[3 * hdim..]);
-                        rc.tanh_c
-                            .row_mut(b)
-                            .copy_from_slice(&tc_buf[b * hdim..(b + 1) * hdim]);
-                    }
-                    caches[l].push(rc);
-                }
-            }
-            if record || t + 1 == steps {
-                outputs.push(h[num_layers - 1].clone());
+        let mut arena = self.arena(batch);
+        let mut caches = vec![Vec::new(); self.layers.len()];
+        let mut outputs = Vec::with_capacity(steps.len());
+        for (t, x) in steps.iter().enumerate() {
+            self.step_batch(
+                x,
+                &mut h,
+                &mut c,
+                train.then_some(masks.as_slice()),
+                &mut arena,
+                record.then_some(caches.as_mut_slice()),
+            );
+            if record || t + 1 == steps.len() {
+                outputs.push(h.last().expect("at least one layer").clone());
             }
         }
 
@@ -863,13 +532,16 @@ impl Lstm {
         }
     }
 
-    /// Batched BPTT over a recorded rollout.
+    /// BPTT over a recorded rollout. `d_outputs[t]` is the gradient w.r.t.
+    /// the top-layer output at step `t` (zero matrices are fine); `d_final`
+    /// optionally adds gradients flowing into every layer's final `(h, c)`
+    /// (the encoder's final state feeds the decoder).
     ///
     /// Weight gradients are accumulated **lane-major, timestep-descending**
     /// — deferred until all per-step `dz` blocks exist, then contracted
-    /// with one in-order [`gemm_tn`] per layer. That reproduces, bit for
-    /// bit, the order in which `B` sequential [`Lstm::backward_seq`] calls
-    /// accumulate: example by example, each walking its steps backwards.
+    /// with one in-order [`gemm_tn`] per layer. That is, bit for bit, the
+    /// order in which `B` one-lane calls accumulate: example by example,
+    /// each walking its steps backwards.
     ///
     /// # Panics
     ///
@@ -889,20 +561,10 @@ impl Lstm {
         let batch = cache.batch;
         let num_layers = self.layers.len();
 
-        let mut dh: Vec<Matrix> = Vec::with_capacity(num_layers);
-        let mut dc: Vec<Matrix> = Vec::with_capacity(num_layers);
-        for (l, layer) in self.layers.iter().enumerate() {
-            match d_final {
-                Some((dhf, dcf)) => {
-                    dh.push(dhf[l].clone());
-                    dc.push(dcf[l].clone());
-                }
-                None => {
-                    dh.push(Matrix::zeros(batch, layer.hidden));
-                    dc.push(Matrix::zeros(batch, layer.hidden));
-                }
-            }
-        }
+        let (mut dh, mut dc) = match d_final {
+            Some((dhf, dcf)) => (dhf.to_vec(), dcf.to_vec()),
+            None => (self.zero_states(batch), self.zero_states(batch)),
+        };
 
         // dz per (layer, step), kept t-descending for the deferred weight
         // accumulation below.
@@ -928,15 +590,15 @@ impl Lstm {
                     let dc_row = dc[l].row(b);
                     let m_row = mask.row(b);
                     let tc = sc.tanh_c.row(b);
-                    let i_r = sc.i.row(b);
-                    let f_r = sc.f.row(b);
-                    let g_r = sc.g.row(b);
-                    let o_r = sc.o.row(b);
+                    let (i_r, rest) = sc.gates.row(b).split_at(hdim);
+                    let (f_r, rest) = rest.split_at(hdim);
+                    let (g_r, o_r) = rest.split_at(hdim);
                     let cp = sc.c_prev.row(b);
                     let dz_row = dz.row_mut(b);
                     let dcp_row = dc_prev.row_mut(b);
                     for k in 0..hdim {
-                        // Identical expression tree to scalar backward_step.
+                        // The textbook cell backward, one expression tree
+                        // for every batch size.
                         let dh_raw = dh_row[k] * m_row[k];
                         let do_ = dh_raw * tc[k];
                         let dct = dh_raw * o_r[k] * (1.0 - tc[k] * tc[k]) + dc_row[k];
@@ -952,18 +614,11 @@ impl Lstm {
                 }
                 // dX = dZ · Wx and dH_prev = dZ · Wh: the contraction runs
                 // over the 4H gate rows in order — the scalar r-loop order.
+                let dzs = dz.as_slice();
                 let mut dx = Matrix::zeros(batch, idim);
-                gemm(batch, idim, h4, dz.as_slice(), &layer.wx, dx.as_mut_slice());
-                let mut dh_prev = Matrix::zeros(batch, hdim);
-                gemm(
-                    batch,
-                    hdim,
-                    h4,
-                    dz.as_slice(),
-                    &layer.wh,
-                    dh_prev.as_mut_slice(),
-                );
-                dh[l] = dh_prev;
+                gemm(batch, idim, h4, dzs, &layer.wx, dx.as_mut_slice());
+                dh[l] = Matrix::zeros(batch, hdim);
+                gemm(batch, hdim, h4, dzs, &layer.wh, dh[l].as_mut_slice());
                 dc[l] = dc_prev;
                 dz_store[l].push(dz);
                 dnext = dx;
@@ -974,7 +629,7 @@ impl Lstm {
 
         // Deferred weight gradients: flatten (lane-major, t-descending) and
         // contract rows in order, so each gradient element accumulates its
-        // contributions exactly as B sequential backward passes would.
+        // contributions exactly as B one-lane backward passes would.
         for (l, layer) in self.layers.iter_mut().enumerate() {
             let hdim = layer.hidden;
             let idim = layer.input_dim;
@@ -1007,65 +662,8 @@ impl Lstm {
         }
     }
 
-    /// Advances every layer one step for `batch` lanes **in place**, with
-    /// all-ones masks and no caches — the arena-backed inference step the
-    /// decoder rollout reuses across horizon steps. `zx`/`zh` must hold at
-    /// least `batch * max_gate_width` elements.
-    pub(crate) fn step_batch_infer(
-        &self,
-        x: &Matrix,
-        h: &mut [Matrix],
-        c: &mut [Matrix],
-        packed: &PackedLstm,
-        zx: &mut [f64],
-        zh: &mut [f64],
-    ) {
-        let batch = x.rows();
-        for l in 0..self.layers.len() {
-            let layer = &self.layers[l];
-            let hdim = layer.hidden;
-            let idim = layer.input_dim;
-            let h4 = 4 * hdim;
-            let (wxt, wht) = &packed.per_layer[l];
-            if l == 0 {
-                gemm(batch, h4, idim, x.as_slice(), wxt, &mut zx[..batch * h4]);
-            } else {
-                gemm(
-                    batch,
-                    h4,
-                    idim,
-                    h[l - 1].as_slice(),
-                    wxt,
-                    &mut zx[..batch * h4],
-                );
-            }
-            gemm(batch, h4, hdim, h[l].as_slice(), wht, &mut zh[..batch * h4]);
-            // No mask (all-ones is exact) and no tanh(c) recording needed.
-            lstm_gates(
-                &GateCtx {
-                    batch,
-                    hdim,
-                    zx: &zx[..batch * h4],
-                    shared0: false,
-                    bias: &layer.b,
-                    masks: None,
-                },
-                &mut zh[..batch * h4],
-                c[l].as_mut_slice(),
-                h[l].as_mut_slice(),
-                None,
-            );
-        }
-    }
-
-    /// Scratch width for [`Lstm::step_batch_infer`] buffers.
-    pub(crate) fn infer_scratch_len(&self, batch: usize) -> usize {
-        batch * self.max_gate_width()
-    }
-
-    /// Inference-only sequence rollout: no step caches, scratch arenas
-    /// instead of per-step `Vec` churn. Bit-identical to
-    /// `forward_seq(xs, init, false, ..)` without needing an RNG.
+    /// Inference-only rollout of one sequence: no step caches, no RNG —
+    /// a one-lane [`Lstm::forward_seq_batch`] with `train = false`.
     pub fn forward_infer(&self, xs: &[Vec<f64>], init: Option<LayerStates<'_>>) -> InferResult {
         let init_m = init.map(|(h0, c0)| {
             let wrap = |vs: &[Vec<f64>]| {
@@ -1098,17 +696,6 @@ impl Lstm {
     }
 }
 
-/// Gradients returned by [`Lstm::backward_seq`].
-#[derive(Debug, Clone)]
-pub struct SeqGrads {
-    /// Gradient w.r.t. each input step.
-    pub d_inputs: Vec<Vec<f64>>,
-    /// Gradient w.r.t. the initial hidden state per layer.
-    pub d_init_h: Vec<Vec<f64>>,
-    /// Gradient w.r.t. the initial cell state per layer.
-    pub d_init_c: Vec<Vec<f64>>,
-}
-
 impl Parameterized for Lstm {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         for layer in &mut self.layers {
@@ -1122,62 +709,67 @@ mod tests {
     use super::*;
     use crate::mse;
 
-    fn seq_loss(lstm: &Lstm, xs: &[Vec<f64>], target: &[f64], rng: &mut SimRng) -> f64 {
-        let cache = lstm.forward_seq(xs, None, false, rng);
+    /// One lane and several: every test below holds at both.
+    const BATCHES: [usize; 2] = [1, 3];
+
+    /// Recorded rollout of `xs` broadcast to `batch` lanes.
+    fn run(
+        lstm: &Lstm,
+        xs: &[Vec<f64>],
+        batch: usize,
+        init: Option<BatchLayerStates<'_>>,
+        train: bool,
+        rng: &mut SimRng,
+    ) -> BatchSeqCache {
+        lstm.forward_seq_batch(batch, BatchInput::Shared(xs), init, train, true, rng)
+    }
+
+    /// Summed last-step MSE over the lanes of a per-lane rollout.
+    fn seq_loss(lstm: &Lstm, xs: &[Matrix], targets: &Matrix) -> f64 {
+        let mut rng = SimRng::seed(0);
+        let input = BatchInput::PerLane(xs);
+        let cache = lstm.forward_seq_batch(targets.rows(), input, None, false, false, &mut rng);
         let last = cache.outputs.last().unwrap();
-        mse(last, target).0
+        (0..targets.rows())
+            .map(|b| mse(last.row(b), targets.row(b)).0)
+            .sum()
     }
 
     /// Full BPTT gradient check against central finite differences.
     #[test]
     fn bptt_matches_finite_differences() {
-        let mut rng = SimRng::seed(10);
-        let mut lstm = Lstm::new(&[2, 3, 2], 0.0, &mut rng);
-        let xs: Vec<Vec<f64>> = vec![vec![0.5, -0.2], vec![1.0, 0.3], vec![-0.7, 0.9]];
-        let target = vec![0.3, -0.4];
+        for batch in BATCHES {
+            let mut rng = SimRng::seed(10);
+            let mut lstm = Lstm::new(&[2, 3, 2], 0.0, &mut rng);
+            let xs: Vec<Matrix> = (0..3)
+                .map(|t| Matrix::from_fn(batch, 2, |b, j| ((3 * t + 2 * b + j) as f64 * 0.9).sin()))
+                .collect();
+            let targets = Matrix::from_fn(batch, 2, |b, j| 0.3 - 0.7 * j as f64 + 0.2 * b as f64);
 
-        lstm.zero_grad();
-        let cache = lstm.forward_seq(&xs, None, false, &mut rng);
-        let last = cache.outputs.last().unwrap().clone();
-        let (_, dlast) = mse(&last, &target);
-        let mut d_outputs = vec![vec![0.0; 2]; xs.len()];
-        *d_outputs.last_mut().unwrap() = dlast;
-        lstm.backward_seq(&cache, &d_outputs, None);
-
-        let mut analytic = Vec::new();
-        lstm.visit_params(&mut |_, g| analytic.extend_from_slice(g));
-
-        let eps = 1e-5;
-        let mut block_lens = Vec::new();
-        lstm.visit_params(&mut |w, _| block_lens.push(w.len()));
-        let mut idx = 0;
-        for (block, len) in block_lens.iter().enumerate() {
-            // Check a subset of parameters per block to keep the test fast.
-            let stride = (len / 5).max(1);
-            for k in (0..*len).step_by(stride) {
-                let flat_idx = idx + k;
-                let perturb = |delta: f64, l: &mut Lstm| {
-                    let mut b = 0;
-                    l.visit_params(&mut |w, _| {
-                        if b == block {
-                            w[k] += delta;
-                        }
-                        b += 1;
-                    });
-                };
-                perturb(eps, &mut lstm);
-                let lp = seq_loss(&lstm, &xs, &target, &mut rng);
-                perturb(-2.0 * eps, &mut lstm);
-                let lm = seq_loss(&lstm, &xs, &target, &mut rng);
-                perturb(eps, &mut lstm);
-                let numeric = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (numeric - analytic[flat_idx]).abs() < 1e-4,
-                    "block {block} param {k}: numeric {numeric} analytic {}",
-                    analytic[flat_idx]
-                );
+            lstm.zero_grad();
+            let cache = lstm.forward_seq_batch(
+                batch,
+                BatchInput::PerLane(&xs),
+                None,
+                false,
+                true,
+                &mut rng,
+            );
+            let last = cache.outputs.last().unwrap();
+            let mut d_outputs = vec![Matrix::zeros(batch, 2); xs.len()];
+            for b in 0..batch {
+                let (_, dlast) = mse(last.row(b), targets.row(b));
+                d_outputs[xs.len() - 1].row_mut(b).copy_from_slice(&dlast);
             }
-            idx += len;
+            lstm.backward_seq_batch(&cache, &d_outputs, None);
+
+            // A subset of parameters per block keeps the test fast.
+            crate::assert_grads_match_finite_differences(
+                &mut lstm,
+                |l| seq_loss(l, &xs, &targets),
+                5,
+                (1e-5, 1e-4),
+            );
         }
     }
 
@@ -1186,9 +778,11 @@ mod tests {
         let mut rng = SimRng::seed(20);
         let lstm = Lstm::new(&[1, 4], 0.5, &mut rng);
         let xs = vec![vec![1.0], vec![2.0]];
-        let a = lstm.forward_seq(&xs, None, false, &mut rng);
-        let b = lstm.forward_seq(&xs, None, false, &mut rng);
-        assert_eq!(a.outputs, b.outputs);
+        for batch in BATCHES {
+            let a = run(&lstm, &xs, batch, None, false, &mut rng);
+            let b = run(&lstm, &xs, batch, None, false, &mut rng);
+            assert_eq!(a.outputs, b.outputs);
+        }
     }
 
     #[test]
@@ -1196,12 +790,19 @@ mod tests {
         let mut rng = SimRng::seed(21);
         let lstm = Lstm::new(&[1, 32], 0.5, &mut rng);
         let xs = vec![vec![1.0]; 3];
-        let a = lstm.forward_seq(&xs, None, true, &mut rng);
-        let b = lstm.forward_seq(&xs, None, true, &mut rng);
-        assert_ne!(
-            a.outputs, b.outputs,
-            "MC dropout should produce stochastic outputs"
-        );
+        for batch in BATCHES {
+            let a = run(&lstm, &xs, batch, None, true, &mut rng);
+            let b = run(&lstm, &xs, batch, None, true, &mut rng);
+            assert_ne!(
+                a.outputs, b.outputs,
+                "MC dropout should produce stochastic outputs"
+            );
+            let last = a.outputs.last().unwrap();
+            assert!(
+                (1..batch).all(|l| last.row(l) != last.row(0)),
+                "lanes draw their own masks"
+            );
+        }
     }
 
     #[test]
@@ -1209,11 +810,13 @@ mod tests {
         let mut rng = SimRng::seed(22);
         let lstm = Lstm::new(&[1, 3], 0.0, &mut rng);
         let xs = vec![vec![0.5]];
-        let zero = lstm.forward_seq(&xs, None, false, &mut rng);
-        let h0 = vec![vec![0.9, -0.9, 0.4]];
-        let c0 = vec![vec![0.1, 0.2, -0.3]];
-        let warm = lstm.forward_seq(&xs, Some((&h0, &c0)), false, &mut rng);
-        assert_ne!(zero.outputs, warm.outputs);
+        for batch in BATCHES {
+            let zero = run(&lstm, &xs, batch, None, false, &mut rng);
+            let lane = |v: [f64; 3]| vec![Matrix::from_fn(batch, 3, |_, j| v[j])];
+            let (h0, c0) = (lane([0.9, -0.9, 0.4]), lane([0.1, 0.2, -0.3]));
+            let warm = run(&lstm, &xs, batch, Some((&h0, &c0)), false, &mut rng);
+            assert_ne!(zero.outputs, warm.outputs);
+        }
     }
 
     #[test]
@@ -1222,9 +825,9 @@ mod tests {
         let mut rng = SimRng::seed(23);
         let lstm = Lstm::new(&[1, 8], 0.0, &mut rng);
         let xs: Vec<Vec<f64>> = (0..100).map(|i| vec![(i as f64 / 10.0).sin()]).collect();
-        let cache = lstm.forward_seq(&xs, None, false, &mut rng);
-        for out in &cache.outputs {
-            for v in out {
+        for batch in BATCHES {
+            let cache = run(&lstm, &xs, batch, None, false, &mut rng);
+            for v in cache.outputs.iter().flat_map(|m| m.as_slice()) {
                 assert!(v.abs() <= 1.0, "hidden state escaped (-1,1): {v}");
             }
         }

@@ -29,19 +29,6 @@ pub struct Mlp {
     dropout: Dropout,
 }
 
-/// Forward-pass record needed for backprop (inputs and masks per layer).
-#[derive(Debug, Clone)]
-pub struct MlpCache {
-    /// Input to each Linear layer.
-    inputs: Vec<Vec<f64>>,
-    /// Pre-activation output of each hidden Linear.
-    pre_act: Vec<Vec<f64>>,
-    /// Dropout mask per hidden layer.
-    masks: Vec<Vec<f64>>,
-    /// Final network output.
-    pub output: Vec<f64>,
-}
-
 impl Mlp {
     /// Builds an MLP with the given hidden widths.
     ///
@@ -91,73 +78,15 @@ impl Mlp {
         cur
     }
 
-    /// Stochastic forward pass with dropout active, recording everything the
-    /// backward pass needs. Also used for MC-dropout inference.
-    pub fn forward_train(&self, x: &[f64], rng: &mut SimRng) -> MlpCache {
-        let last = self.layers.len() - 1;
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre_act = Vec::with_capacity(last);
-        let mut masks = Vec::with_capacity(last);
-        let mut cur = x.to_vec();
-        for (l, layer) in self.layers.iter().enumerate() {
-            inputs.push(cur.clone());
-            cur = layer.forward(&cur);
-            if l < last {
-                pre_act.push(cur.clone());
-                fastmath::tanh_mut(&mut cur);
-                let mask = self.dropout.sample_mask(cur.len(), rng);
-                Dropout::apply_in_place(&mut cur, &mask);
-                masks.push(mask);
-            }
-        }
-        MlpCache {
-            inputs,
-            pre_act,
-            masks,
-            output: cur,
-        }
-    }
-
-    /// Backward pass for a recorded stochastic forward pass. Accumulates
-    /// parameter gradients and returns `dL/dx`.
-    pub fn backward(&mut self, cache: &MlpCache, d_out: &[f64]) -> Vec<f64> {
-        let last = self.layers.len() - 1;
-        let mut grad = d_out.to_vec();
-        for l in (0..self.layers.len()).rev() {
-            if l < last {
-                // Through dropout, then tanh.
-                Dropout::apply_in_place(&mut grad, &cache.masks[l]);
-                for (gv, z) in grad.iter_mut().zip(&cache.pre_act[l]) {
-                    let t = fastmath::tanh(*z);
-                    *gv *= 1.0 - t * t;
-                }
-            }
-            grad = self.layers[l].backward(&cache.inputs[l], &grad);
-        }
-        grad
-    }
-
-    /// Deterministic batched forward pass over `B` input rows. Row `r` of
-    /// the result is bit-identical to `self.forward(x.row(r))`.
-    pub fn forward_batch(&self, x: &Matrix) -> Matrix {
-        let last = self.layers.len() - 1;
-        let mut cur = x.clone();
-        for (l, layer) in self.layers.iter().enumerate() {
-            cur = layer.forward_batch(&cur);
-            if l < last {
-                fastmath::tanh_mut(cur.as_mut_slice());
-            }
-        }
-        cur
-    }
-
-    /// Batched stochastic forward pass: `B` MC-dropout samples in one call.
+    /// Stochastic forward pass with dropout active over `B` input rows,
+    /// recording everything the backward pass needs — a training
+    /// mini-batch, or `B` MC-dropout samples in one call.
     ///
     /// All masks are pre-drawn **pass-major** — lane `b`'s masks for every
     /// hidden layer are drawn before lane `b+1` touches the RNG — which is
-    /// exactly the order `B` sequential [`Mlp::forward_train`] calls consume
-    /// the stream. Row `b` of the output (and every recorded activation) is
-    /// therefore bit-identical to the `b`-th sequential call.
+    /// exactly the order `B` one-row calls consume the stream. Row `b` of
+    /// the output (and every recorded activation) is therefore
+    /// bit-identical to the `b`-th one-row call.
     pub fn forward_train_batch(&self, x: &Matrix, rng: &mut SimRng) -> MlpBatchCache {
         let bsz = x.rows();
         let last = self.layers.len() - 1;
@@ -193,9 +122,9 @@ impl Mlp {
         }
     }
 
-    /// Batched backward pass for a recorded [`Mlp::forward_train_batch`].
+    /// Backward pass for a recorded [`Mlp::forward_train_batch`].
     /// Accumulates parameter gradients (batch-row order, matching `B`
-    /// sequential [`Mlp::backward`] calls bit for bit) and returns `dL/dX`.
+    /// one-row calls bit for bit) and returns `dL/dX`.
     ///
     /// # Panics
     ///
@@ -229,7 +158,7 @@ impl Mlp {
     }
 }
 
-/// Batched forward-pass record: the `B×dim` analogue of [`MlpCache`].
+/// Forward-pass record needed for backprop (inputs and masks per layer).
 #[derive(Debug, Clone)]
 pub struct MlpBatchCache {
     /// Input to each Linear layer (`B×in` each).
@@ -264,58 +193,55 @@ mod tests {
         assert_eq!(mlp.forward(&[0.0; 3]).len(), 2);
     }
 
+    /// One row and several: the tests below hold at both.
+    const BATCHES: [usize; 2] = [1, 3];
+
+    fn rows(batch: usize) -> Matrix {
+        Matrix::from_fn(batch, 2, |b, j| 0.3 - 1.1 * j as f64 + 0.25 * b as f64)
+    }
+
     #[test]
     fn train_forward_without_dropout_matches_deterministic() {
         let mut rng = SimRng::seed(2);
         let mlp = Mlp::new(2, &[4], 1, 0.0, &mut rng);
-        let x = [0.3, -0.8];
-        let det = mlp.forward(&x);
-        let sto = mlp.forward_train(&x, &mut rng);
-        assert!((det[0] - sto.output[0]).abs() < 1e-12);
+        for batch in BATCHES {
+            let x = rows(batch);
+            let sto = mlp.forward_train_batch(&x, &mut rng);
+            for b in 0..batch {
+                let det = mlp.forward(x.row(b));
+                assert!((det[0] - sto.output[(b, 0)]).abs() < 1e-12);
+            }
+        }
     }
 
     #[test]
     fn gradient_check() {
-        let mut rng = SimRng::seed(3);
-        let mut mlp = Mlp::new(2, &[4, 3], 1, 0.0, &mut rng);
-        let x = [0.4, -0.6];
-        let target = [0.7];
+        for batch in BATCHES {
+            let mut rng = SimRng::seed(3);
+            let mut mlp = Mlp::new(2, &[4, 3], 1, 0.0, &mut rng);
+            let x = rows(batch);
+            let target = |b: usize| [0.7 - 0.4 * b as f64];
+            // Summed per-row MSE through the deterministic path.
+            let loss_of = |m: &Mlp| -> f64 {
+                (0..batch)
+                    .map(|b| mse(&m.forward(x.row(b)), &target(b)).0)
+                    .sum()
+            };
 
-        mlp.zero_grad();
-        let cache = mlp.forward_train(&x, &mut rng);
-        let (_, d_out) = mse(&cache.output, &target);
-        mlp.backward(&cache, &d_out);
-
-        let mut analytic = Vec::new();
-        mlp.visit_params(&mut |_, g| analytic.extend_from_slice(g));
-
-        let eps = 1e-6;
-        let mut block_lens = Vec::new();
-        mlp.visit_params(&mut |w, _| block_lens.push(w.len()));
-        let mut offset = 0;
-        for (block, len) in block_lens.iter().enumerate() {
-            for k in 0..*len {
-                let perturb = |delta: f64, m: &mut Mlp| {
-                    let mut b = 0;
-                    m.visit_params(&mut |w, _| {
-                        if b == block {
-                            w[k] += delta;
-                        }
-                        b += 1;
-                    });
-                };
-                perturb(eps, &mut mlp);
-                let (lp, _) = mse(&mlp.forward(&x), &target);
-                perturb(-2.0 * eps, &mut mlp);
-                let (lm, _) = mse(&mlp.forward(&x), &target);
-                perturb(eps, &mut mlp);
-                let numeric = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (numeric - analytic[offset + k]).abs() < 1e-5,
-                    "block {block} param {k}"
-                );
+            mlp.zero_grad();
+            let cache = mlp.forward_train_batch(&x, &mut rng);
+            let mut d_out = Matrix::zeros(batch, 1);
+            for b in 0..batch {
+                d_out[(b, 0)] = mse(cache.output.row(b), &target(b)).1[0];
             }
-            offset += len;
+            mlp.backward_batch(&cache, &d_out);
+
+            crate::assert_grads_match_finite_differences(
+                &mut mlp,
+                loss_of,
+                usize::MAX,
+                (1e-6, 1e-5),
+            );
         }
     }
 
@@ -323,14 +249,20 @@ mod tests {
     fn mc_dropout_produces_variance() {
         let mut rng = SimRng::seed(4);
         let mlp = Mlp::new(1, &[32, 32], 1, 0.3, &mut rng);
-        let outs: Vec<f64> = (0..50)
-            .map(|_| mlp.forward_train(&[1.0], &mut rng).output[0])
+        let one = Matrix::from_fn(1, 1, |_, _| 1.0);
+        // Fifty one-row passes, then one fifty-row pass.
+        let singly: Vec<f64> = (0..50)
+            .map(|_| mlp.forward_train_batch(&one, &mut rng).output[(0, 0)])
             .collect();
-        let mean = outs.iter().sum::<f64>() / outs.len() as f64;
-        let var = outs.iter().map(|o| (o - mean).powi(2)).sum::<f64>() / outs.len() as f64;
-        assert!(
-            var > 0.0,
-            "MC dropout must produce nonzero predictive variance"
-        );
+        let fifty = Matrix::from_fn(50, 1, |_, _| 1.0);
+        let at_once = mlp.forward_train_batch(&fifty, &mut rng).output;
+        for outs in [singly.as_slice(), at_once.as_slice()] {
+            let mean = outs.iter().sum::<f64>() / outs.len() as f64;
+            let var = outs.iter().map(|o| (o - mean).powi(2)).sum::<f64>() / outs.len() as f64;
+            assert!(
+                var > 0.0,
+                "MC dropout must produce nonzero predictive variance"
+            );
+        }
     }
 }

@@ -149,9 +149,8 @@ impl EncoderDecoder {
     /// matrix product per step instead of `passes` sequential rollouts.
     ///
     /// Returns `[pass][step][feature]`. Pass `p` is bit-identical to the
-    /// `p`-th of `passes` sequential [`EncoderDecoder::mc_sample`] calls,
-    /// and the RNG stream is consumed identically (masks are pre-drawn
-    /// pass-major).
+    /// `p`-th of `passes` one-pass calls, and the RNG stream is consumed
+    /// identically (masks are pre-drawn pass-major).
     ///
     /// # Panics
     ///
@@ -167,30 +166,8 @@ impl EncoderDecoder {
         self.rollout_batch(xs, k, passes, true, rng)
     }
 
-    /// One sequential stochastic rollout — the scalar MC-dropout reference
-    /// sample that [`EncoderDecoder::predict_mc`] batches.
-    pub fn mc_sample(&self, xs: &[Vec<f64>], k: usize, rng: &mut SimRng) -> Vec<Vec<f64>> {
-        let enc = self.encoder.forward_seq(xs, None, true, rng);
-        let z = enc.final_h.last().expect("encoder layers");
-        let (h0, c0) = self.bridge(z);
-        let mut preds = Vec::with_capacity(k);
-        let zero = vec![0.0; self.config.input_dim];
-        let mut h = h0;
-        let mut c = c0;
-        for _ in 0..k {
-            let step =
-                self.decoder
-                    .forward_seq(std::slice::from_ref(&zero), Some((&h, &c)), false, rng);
-            h = step.final_h.clone();
-            c = step.final_c.clone();
-            preds.push(self.out.forward(step.outputs.last().expect("one step")));
-        }
-        preds
-    }
-
-    /// Shared batched rollout: encode all lanes at once, bridge, then run
-    /// the decoder horizon with arena scratch buffers and one reused
-    /// all-zero decoder-input matrix (no per-step `from_ref` re-wrapping).
+    /// Shared rollout: encode all lanes at once, bridge, then step the
+    /// decoder through the horizon out of one arena.
     fn rollout_batch(
         &self,
         xs: &[Vec<f64>],
@@ -221,16 +198,14 @@ impl EncoderDecoder {
         let mut h = bridge_all(&self.bridges_h);
         let mut c = bridge_all(&self.bridges_c);
 
-        let packed = self.decoder.pack();
-        let mut zx = vec![0.0; self.decoder.infer_scratch_len(passes)];
-        let mut zh = vec![0.0; self.decoder.infer_scratch_len(passes)];
-        // Reused decoder-input buffer: the decoder consumes zeros at every
-        // horizon step, so one matrix serves the whole rollout.
-        let zero = Matrix::zeros(passes, self.config.input_dim);
+        let mut arena = self.decoder.arena(passes);
+        // The decoder consumes zeros at every horizon step: one row, shared
+        // by every lane, serves the whole rollout.
+        let zero = vec![0.0; self.config.input_dim];
         let mut preds = vec![Vec::with_capacity(k); passes];
         for _ in 0..k {
             self.decoder
-                .step_batch_infer(&zero, &mut h, &mut c, &packed, &mut zx, &mut zh);
+                .step_batch(&zero, &mut h, &mut c, None, &mut arena, None);
             let y = self.out.forward_batch(h.last().expect("decoder layers"));
             for (b, lane) in preds.iter_mut().enumerate() {
                 lane.push(y.row(b).to_vec());
@@ -239,159 +214,12 @@ impl EncoderDecoder {
         preds
     }
 
-    fn bridge(&self, z: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let h = self
-            .bridges_h
-            .iter()
-            .map(|b| b.forward(z).iter().map(|v| fastmath::tanh(*v)).collect())
-            .collect();
-        let c = self
-            .bridges_c
-            .iter()
-            .map(|b| b.forward(z).iter().map(|v| fastmath::tanh(*v)).collect())
-            .collect();
-        (h, c)
-    }
-
-    /// One training step on a single `(input window, target horizon)` pair
-    /// with teacher forcing. Accumulates gradients and returns the loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ys.len() != config.horizon`.
-    pub fn accumulate_example(
-        &mut self,
-        xs: &[Vec<f64>],
-        ys: &[Vec<f64>],
-        rng: &mut SimRng,
-    ) -> f64 {
-        assert_eq!(ys.len(), self.config.horizon, "target horizon mismatch");
-
-        // --- forward ---
-        let enc_cache = self.encoder.forward_seq(xs, None, true, rng);
-        let z = enc_cache.final_h.last().expect("encoder layers").clone();
-        // Bridge (record pre-tanh for backprop).
-        let pre_h: Vec<Vec<f64>> = self.bridges_h.iter().map(|b| b.forward(&z)).collect();
-        let pre_c: Vec<Vec<f64>> = self.bridges_c.iter().map(|b| b.forward(&z)).collect();
-        let h0: Vec<Vec<f64>> = pre_h
-            .iter()
-            .map(|v| v.iter().map(|x| fastmath::tanh(*x)).collect())
-            .collect();
-        let c0: Vec<Vec<f64>> = pre_c
-            .iter()
-            .map(|v| v.iter().map(|x| fastmath::tanh(*x)).collect())
-            .collect();
-
-        // Decoder inputs are zeros: every bit of information must flow
-        // through the latent Z and the bridged states, otherwise teacher
-        // forcing lets the decoder copy its inputs and Z learns nothing.
-        let dec_inputs = vec![vec![0.0; self.config.input_dim]; ys.len()];
-        let dec_cache = self
-            .decoder
-            .forward_seq(&dec_inputs, Some((&h0, &c0)), false, rng);
-
-        // Output projection per step + loss.
-        let mut loss = 0.0;
-        let mut d_dec_out = Vec::with_capacity(ys.len());
-        let mut out_inputs = Vec::with_capacity(ys.len());
-        let mut out_grads = Vec::with_capacity(ys.len());
-        for (t, target) in ys.iter().enumerate() {
-            let dec_out = dec_cache.outputs[t].clone();
-            let pred = self.out.forward(&dec_out);
-            let (l, d_pred) = mse(&pred, target);
-            loss += l / ys.len() as f64;
-            out_inputs.push(dec_out);
-            out_grads.push(
-                d_pred
-                    .iter()
-                    .map(|g| g / ys.len() as f64)
-                    .collect::<Vec<f64>>(),
-            );
-            d_dec_out.push(vec![0.0; self.decoder.top_hidden()]);
-        }
-
-        // --- backward ---
-        for t in 0..ys.len() {
-            d_dec_out[t] = self.out.backward(&out_inputs[t], &out_grads[t]);
-        }
-        let dec_grads = self.decoder.backward_seq(&dec_cache, &d_dec_out, None);
-
-        // Through the tanh bridges into Z.
-        let mut dz = vec![0.0; z.len()];
-        for (l, bridge) in self.bridges_h.iter_mut().enumerate() {
-            let d_pre: Vec<f64> = dec_grads.d_init_h[l]
-                .iter()
-                .zip(&pre_h[l])
-                .map(|(g, p)| {
-                    let t = fastmath::tanh(*p);
-                    g * (1.0 - t * t)
-                })
-                .collect();
-            for (a, b) in dz.iter_mut().zip(bridge.backward(&z, &d_pre)) {
-                *a += b;
-            }
-        }
-        for (l, bridge) in self.bridges_c.iter_mut().enumerate() {
-            let d_pre: Vec<f64> = dec_grads.d_init_c[l]
-                .iter()
-                .zip(&pre_c[l])
-                .map(|(g, p)| {
-                    let t = fastmath::tanh(*p);
-                    g * (1.0 - t * t)
-                })
-                .collect();
-            for (a, b) in dz.iter_mut().zip(bridge.backward(&z, &d_pre)) {
-                *a += b;
-            }
-        }
-
-        // Into the encoder: gradient lands on the final top-layer hidden.
-        let num_enc = self.encoder.num_layers();
-        let mut dh_final: Vec<Vec<f64>> = (0..num_enc)
-            .map(|l| vec![0.0; self.encoder.hidden_of(l)])
-            .collect();
-        let dc_final: Vec<Vec<f64>> = dh_final.clone();
-        dh_final[num_enc - 1] = dz;
-        let zero_outputs = vec![vec![0.0; self.encoder.top_hidden()]; xs.len()];
-        self.encoder
-            .backward_seq(&enc_cache, &zero_outputs, Some((&dh_final, &dc_final)));
-
-        loss
-    }
-
-    /// Trains on a dataset of `(window, horizon)` pairs for the given number
-    /// of epochs, returning the mean loss per epoch.
-    pub fn train(
-        &mut self,
-        dataset: &[SeqPair],
-        epochs: usize,
-        lr: f64,
-        rng: &mut SimRng,
-    ) -> Vec<f64> {
-        assert!(!dataset.is_empty(), "empty training set");
-        let mut adam = Adam::new(lr).with_clip(1.0);
-        let mut history = Vec::with_capacity(epochs);
-        let mut order: Vec<usize> = (0..dataset.len()).collect();
-        for _ in 0..epochs {
-            rng.shuffle(&mut order);
-            let mut epoch_loss = 0.0;
-            for &i in &order {
-                self.zero_grad();
-                let (xs, ys) = &dataset[i];
-                epoch_loss += self.accumulate_example(xs, ys, rng);
-                adam.step(self);
-            }
-            history.push(epoch_loss / dataset.len() as f64);
-        }
-        history
-    }
-
-    /// Batched teacher-forced training step over several `(window, horizon)`
-    /// pairs at once (mini-batch BPTT). Accumulated gradients and the
-    /// returned summed loss are bit-identical to calling
-    /// [`EncoderDecoder::accumulate_example`] on each pair in order with the
-    /// same RNG (masks are pre-drawn lane-major; every weight-gradient
-    /// contraction runs example-major) — only the wall time differs.
+    /// Teacher-forced training step over one or more `(window, horizon)`
+    /// pairs at once (mini-batch BPTT): accumulates gradients and returns
+    /// the summed loss. Both, and the RNG state left behind, are
+    /// bit-identical to one call per pair in order (masks are pre-drawn
+    /// lane-major; every weight-gradient contraction runs example-major) —
+    /// only the wall time differs.
     ///
     /// # Panics
     ///
@@ -439,6 +267,9 @@ impl EncoderDecoder {
         let h0: Vec<Matrix> = pre_h.iter().map(tanh_of).collect();
         let c0: Vec<Matrix> = pre_c.iter().map(tanh_of).collect();
 
+        // Decoder inputs are zeros: every bit of information must flow
+        // through the latent Z and the bridged states, otherwise teacher
+        // forcing lets the decoder copy its inputs and Z learns nothing.
         let dec_inputs = vec![Matrix::zeros(bsz, in_dim); horizon];
         let dec_cache = self.decoder.forward_seq_batch(
             bsz,
@@ -521,13 +352,12 @@ impl EncoderDecoder {
         loss
     }
 
-    /// Mini-batch variant of [`EncoderDecoder::train`]: gradients accumulate
-    /// over up to `batch_size` examples per Adam step. Each chunk's summed
-    /// gradient is bit-identical to the corresponding sequential
-    /// [`EncoderDecoder::accumulate_example`] sum; the optimizer trajectory
-    /// differs from [`train`] (one step per chunk rather than per example),
-    /// which is the point — fewer, larger steps at a fraction of the wall
-    /// time. Windows within a chunk must share a length.
+    /// Trains on a dataset of `(window, horizon)` pairs for the given number
+    /// of epochs, returning the mean loss per epoch. Each epoch visits the
+    /// examples in a fresh shuffle, one Adam step (clip 1.0) per chunk of up
+    /// to `batch_size`; `batch_size` sets the optimizer trajectory, so it
+    /// is part of the model, not a speed setting. Windows within a chunk
+    /// must share a length.
     pub fn train_batched(
         &mut self,
         dataset: &[SeqPair],
@@ -600,35 +430,45 @@ mod tests {
             .collect()
     }
 
+    /// One example per Adam step and several: the training tests hold at both.
+    const BATCHES: [usize; 2] = [1, 4];
+
     #[test]
     fn training_reduces_loss() {
-        let mut rng = SimRng::seed(1);
-        let mut model = EncoderDecoder::new(tiny_config(), &mut rng);
-        let data = sine_dataset(40, 8, 2);
-        let history = model.train(&data, 15, 5e-3, &mut rng);
-        let first = history.first().unwrap();
-        let last = history.last().unwrap();
-        assert!(
-            last < &(first * 0.5),
-            "loss should at least halve: {first} -> {last}"
-        );
+        for batch in BATCHES {
+            let mut rng = SimRng::seed(1);
+            let mut model = EncoderDecoder::new(tiny_config(), &mut rng);
+            let data = sine_dataset(40, 8, 2);
+            let history = model.train_batched(&data, 15 * batch, 5e-3, batch, &mut rng);
+            let first = history.first().unwrap();
+            let last = history.last().unwrap();
+            assert!(
+                last < &(first * 0.5),
+                "batch {batch}: loss should at least halve: {first} -> {last}"
+            );
+        }
     }
 
     #[test]
     fn predict_learns_sine_direction() {
-        let mut rng = SimRng::seed(2);
-        let mut model = EncoderDecoder::new(tiny_config(), &mut rng);
-        let data = sine_dataset(60, 8, 2);
-        model.train(&data, 30, 5e-3, &mut rng);
-        // Evaluate one-step-ahead on held-out windows.
-        let test = sine_dataset(80, 8, 2);
-        let mut err = 0.0;
-        for (xs, ys) in &test[60..80] {
-            let pred = model.predict(xs, 1, &mut rng);
-            err += (pred[0][0] - ys[0][0]).abs();
+        for batch in BATCHES {
+            let mut rng = SimRng::seed(2);
+            let mut model = EncoderDecoder::new(tiny_config(), &mut rng);
+            let data = sine_dataset(60, 8, 2);
+            model.train_batched(&data, 30 * batch, 5e-3, batch, &mut rng);
+            // Evaluate one-step-ahead on held-out windows.
+            let test = sine_dataset(80, 8, 2);
+            let mut err = 0.0;
+            for (xs, ys) in &test[60..80] {
+                let pred = model.predict(xs, 1, &mut rng);
+                err += (pred[0][0] - ys[0][0]).abs();
+            }
+            err /= 20.0;
+            assert!(
+                err < 0.15,
+                "batch {batch}: mean 1-step error too high: {err}"
+            );
         }
-        err /= 20.0;
-        assert!(err < 0.15, "mean 1-step error too high: {err}");
     }
 
     #[test]
@@ -669,61 +509,21 @@ mod tests {
             },
             &mut rng,
         );
-        let xs = vec![vec![0.3], vec![-0.5], vec![0.8]];
-        let ys = vec![vec![0.2], vec![-0.1]];
-
-        model.zero_grad();
-        model.accumulate_example(&xs, &ys, &mut rng);
-        let mut analytic = Vec::new();
-        model.visit_params(&mut |_, g| analytic.extend_from_slice(g));
-
-        let loss_of = |m: &mut EncoderDecoder, rng: &mut SimRng| {
-            // Forward-only loss (dropout = 0 so accumulate's forward is
-            // deterministic; recompute without disturbing grads).
-            let enc = m.encoder.forward_seq(&xs, None, false, rng);
-            let z = enc.final_h.last().unwrap().clone();
-            let (h0, c0) = m.bridge(&z);
-            let dec_inputs = vec![vec![0.0; 1]; ys.len()];
-            let dec = m
-                .decoder
-                .forward_seq(&dec_inputs, Some((&h0, &c0)), false, rng);
-            let mut loss = 0.0;
-            for (t, target) in ys.iter().enumerate() {
-                let pred = m.out.forward(&dec.outputs[t]);
-                loss += mse(&pred, target).0 / ys.len() as f64;
-            }
-            loss
-        };
-
-        let eps = 1e-5;
-        let mut block_lens = Vec::new();
-        model.visit_params(&mut |w, _| block_lens.push(w.len()));
-        let mut offset = 0;
-        for (block, len) in block_lens.iter().enumerate() {
-            let stride = (len / 3).max(1);
-            for k in (0..*len).step_by(stride) {
-                let perturb = |delta: f64, m: &mut EncoderDecoder| {
-                    let mut b = 0;
-                    m.visit_params(&mut |w, _| {
-                        if b == block {
-                            w[k] += delta;
-                        }
-                        b += 1;
-                    });
-                };
-                perturb(eps, &mut model);
-                let lp = loss_of(&mut model, &mut rng);
-                perturb(-2.0 * eps, &mut model);
-                let lm = loss_of(&mut model, &mut rng);
-                perturb(eps, &mut model);
-                let numeric = (lp - lm) / (2.0 * eps);
-                let a = analytic[offset + k];
-                assert!(
-                    (numeric - a).abs() < 1e-4,
-                    "block {block} param {k}: numeric {numeric} analytic {a}"
-                );
-            }
-            offset += len;
+        let pairs: Vec<SeqPair> = (0..3)
+            .map(|b| {
+                let at = |t: usize| vec![((4 * b + t) as f64 * 1.3).sin() * 0.8];
+                ((0..3).map(at).collect(), (3..5).map(at).collect())
+            })
+            .collect();
+        for batch in [1, 3] {
+            let examples: Vec<&SeqPair> = pairs[..batch].iter().collect();
+            model.zero_grad();
+            model.accumulate_batch(&examples, &mut rng);
+            // Dropout is 0, so the training forward pass is deterministic:
+            // the loss of a perturbed copy is a plain function of the weights.
+            let loss_of =
+                |m: &EncoderDecoder| m.clone().accumulate_batch(&examples, &mut SimRng::seed(0));
+            crate::assert_grads_match_finite_differences(&mut model, loss_of, 3, (1e-5, 1e-4));
         }
     }
 }

@@ -42,6 +42,14 @@ pub struct AquatopePoolConfig {
     pub hybrid: HybridConfig,
 }
 
+impl AquatopePoolConfig {
+    /// Windows of history a function's state retains: the longer of the
+    /// training window and the forecast input window.
+    fn history_cap(&self) -> usize {
+        self.training_window.max(self.hybrid.window)
+    }
+}
+
 impl Default for AquatopePoolConfig {
     fn default() -> Self {
         AquatopePoolConfig {
@@ -67,11 +75,27 @@ impl Default for AquatopePoolConfig {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FnState {
+    /// The most recent [`AquatopePoolConfig::history_cap`] windows — all a
+    /// retrain or a forecast ever reads, so a resident policy stays bounded.
     history: Vec<f64>,
+    /// Windows observed so far (pre-loaded ones included). Drives the
+    /// retrain cadence and the per-retrain seed, which therefore do not
+    /// notice that `history` forgets.
+    seen: usize,
     model: Option<HybridBayesian>,
+    /// `seen` at the last training.
     trained_at: usize,
+}
+
+impl FnState {
+    fn record(&mut self, windows: &[f64], cap: usize) {
+        self.seen += windows.len();
+        self.history.extend_from_slice(windows);
+        let excess = self.history.len().saturating_sub(cap);
+        self.history.drain(..excess);
+    }
 }
 
 /// Alias for the AquaLite ablation (constructed via
@@ -145,12 +169,8 @@ impl AquatopePool {
     /// CouchDB before it starts managing an application. The model trains
     /// on the first tick once enough history is present.
     pub fn preload_history(&mut self, function: FunctionId, history: &[f64]) {
-        let st = self.state.entry(function).or_insert_with(|| FnState {
-            history: Vec::new(),
-            model: None,
-            trained_at: 0,
-        });
-        st.history.extend_from_slice(history);
+        let cap = self.config.history_cap();
+        self.state.entry(function).or_default().record(history, cap);
     }
 
     /// Computes the pool target (plus the prediction behind it) for one
@@ -163,12 +183,13 @@ impl AquatopePool {
         st: &mut FnState,
         fallback_peak: u32,
     ) -> TargetPrediction {
-        let n = st.history.len();
+        let n = st.seen;
+        let len = st.history.len();
         // (Re)train when due.
         let min_len = config.hybrid.window + config.hybrid.horizon + 8;
         let due = st.model.is_none() || n >= st.trained_at + config.retrain_every;
         if n >= config.warmup_windows.max(min_len) && due {
-            let start = n.saturating_sub(config.training_window);
+            let start = len.saturating_sub(config.training_window);
             let series = to_series(&st.history[start..]);
             let mut hybrid_cfg = config.hybrid.clone();
             hybrid_cfg.seed ^= function.0 as u64 ^ ((n as u64) << 20);
@@ -179,7 +200,7 @@ impl AquatopePool {
         }
         match st.model.as_mut() {
             Some(model) => {
-                let start = n.saturating_sub(config.hybrid.window);
+                let start = len.saturating_sub(config.hybrid.window);
                 let series = to_series(&st.history[start..]);
                 // The predictive MEAN gates the pool on/off: confidently
                 // idle minutes release everything (just-in-time behaviour
@@ -218,13 +239,10 @@ impl AquatopePool {
 impl PrewarmController for AquatopePool {
     fn tick(&mut self, obs: &PoolObservation) -> Vec<PoolDecision> {
         // Record this window's observation for every function first.
+        let cap = self.config.history_cap();
         for s in &obs.stats {
-            let st = self.state.entry(s.function).or_insert_with(|| FnState {
-                history: Vec::new(),
-                model: None,
-                trained_at: 0,
-            });
-            st.history.push(s.peak_concurrency as f64);
+            let st = self.state.entry(s.function).or_default();
+            st.record(&[s.peak_concurrency as f64], cap);
         }
         // Current-window peaks for dependency boosts.
         let peaks: HashMap<FunctionId, u32> = obs
@@ -429,5 +447,29 @@ mod tests {
         let p = AquatopePool::aqualite(fast_config(), &[]);
         assert!(!p.config.uncertainty);
         assert_eq!(p.config.uncertainty_z, 0.0);
+    }
+
+    /// A resident policy's memory is bounded, and forgetting old windows
+    /// changes no decision: the hash is of the first 1 000 targets the
+    /// unbounded history produced on this load before the cap existed.
+    #[test]
+    fn history_is_capped_without_moving_a_decision() {
+        let cfg = fast_config();
+        let cap = cfg.history_cap();
+        let mut p = AquatopePool::new(cfg, &[]);
+        let mut hash: u64 = 0xcbf29ce484222325;
+        let mut x = 1u64;
+        for minute in 0..5000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let peak = (if (minute / 6) % 2 == 0 { 5 } else { 1 }) + (x >> 33) % 3;
+            let d = p.tick(&obs(&[peak as u32], minute));
+            if minute < 1000 {
+                let target = d[0].prewarm_target.unwrap() as u64;
+                hash = (hash ^ target).wrapping_mul(0x100000001b3);
+            }
+        }
+        assert_eq!(hash, 0xf663a3ba96b02300, "a decision moved");
+        let st = &p.state[&FunctionId(0)];
+        assert_eq!((st.history.len(), st.seen), (cap, 5000));
     }
 }

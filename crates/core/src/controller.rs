@@ -3,8 +3,7 @@
 //!
 //! All *decisions* (resource-manager search, fallback plans, pool-policy
 //! construction) live in [`crate::decision::DecisionEngine`]; this module
-//! only hosts them for batch simulation runs. The control-plane service
-//! (`aqua-service`) hosts the same engine for live traffic.
+//! only hosts them for batch simulation runs.
 
 use aqua_faas::fault::{FaultPlan, RetryPolicy};
 use aqua_faas::sim::WorkflowJob;

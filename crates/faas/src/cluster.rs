@@ -1,9 +1,7 @@
 //! The worker cluster: container placement, warm-pool bookkeeping, and
 //! resource-time accounting.
 
-use std::collections::HashMap;
-
-use aqua_sim::{SimDuration, SimTime};
+use aqua_sim::{FxHashMap, SimDuration, SimTime};
 use aqua_telemetry::{EvictionReason, SimEvent, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -46,7 +44,9 @@ pub struct Cluster {
     /// Global id of `workers[0]` — non-zero when this cluster is one shard
     /// of a partitioned run.
     worker_base: usize,
-    containers: HashMap<ContainerId, Container>,
+    /// Live containers by id. Never iterated for anything order-sensitive:
+    /// the one scan (`evict_for`) minimises a unique key.
+    containers: FxHashMap<ContainerId, Container>,
     /// Live container ids per function (`by_function[fid.0]`), so the hot
     /// lookups (`find_warm`, `find_booting`, `counts`, reaping) touch only
     /// the function's own containers instead of scanning the whole map.
@@ -108,7 +108,7 @@ impl Cluster {
                 })
                 .collect(),
             worker_base,
-            containers: HashMap::new(),
+            containers: FxHashMap::default(),
             by_function: Vec::new(),
             next_id: container_base,
             id_stride: stride,
@@ -215,6 +215,7 @@ impl Cluster {
                 ready_at: now + boot_time,
                 last_used: now + boot_time,
                 busy_slots: 0,
+                claimed: 0,
                 prewarmed,
             },
         );
@@ -231,6 +232,7 @@ impl Cluster {
         let c = self.containers.get_mut(&id).expect("unknown container");
         assert_eq!(c.state, ContainerState::Booting, "container not booting");
         c.state = ContainerState::Idle;
+        c.claimed = 0;
         c.ready_at = now;
         c.last_used = now;
     }
@@ -254,7 +256,6 @@ impl Cluster {
         &self,
         function: FunctionId,
         config: &ResourceConfig,
-        claimed: &HashMap<ContainerId, u32>,
     ) -> Option<ContainerId> {
         self.fn_index(function)
             .iter()
@@ -262,10 +263,23 @@ impl Cluster {
             .filter(|c| {
                 c.config == *config
                     && c.state == ContainerState::Booting
-                    && claimed.get(&c.id).copied().unwrap_or(0) < c.config.concurrency
+                    && c.claimed < c.config.concurrency
             })
             .min_by_key(|c| (c.ready_at, c.id.0))
             .map(|c| c.id)
+    }
+
+    /// Promises one future slot of a booting container to an invocation
+    /// that will wait for the boot (see [`Cluster::find_booting`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the container is unknown, not booting, or fully claimed.
+    pub fn claim(&mut self, id: ContainerId) {
+        let c = self.containers.get_mut(&id).expect("unknown container");
+        assert_eq!(c.state, ContainerState::Booting, "container not booting");
+        assert!(c.claimed < c.config.concurrency, "container fully claimed");
+        c.claimed += 1;
     }
 
     /// Occupies one invocation slot.
@@ -726,9 +740,36 @@ mod tests {
     }
 
     #[test]
+    fn find_booting_skips_fully_claimed_containers() {
+        let mut cl = cluster();
+        let two_slots = ResourceConfig::new(2.0, 1024.0, 2);
+        let boot = |cl: &mut Cluster, at_ms| {
+            cl.boot_container(
+                FunctionId(0),
+                two_slots,
+                SimTime::from_millis(at_ms),
+                SimDuration::from_secs(1),
+                true,
+            )
+            .unwrap()
+        };
+        let a = boot(&mut cl, 0);
+        let b = boot(&mut cl, 1);
+        // The earliest boot is offered until both of its slots are promised.
+        for _ in 0..2 {
+            assert_eq!(cl.find_booting(FunctionId(0), &two_slots), Some(a));
+            cl.claim(a);
+        }
+        assert_eq!(cl.find_booting(FunctionId(0), &two_slots), Some(b));
+        // Claims are a boot-time notion: once warm, capacity is busy_slots.
+        cl.boot_complete(a, SimTime::from_secs(1));
+        assert_eq!(cl.container(a).unwrap().claimed, 0);
+        assert_eq!(cl.find_warm(FunctionId(0), &two_slots), Some(a));
+    }
+
+    #[test]
     fn find_booting_ignores_killed_containers() {
         let mut cl = cluster();
-        let claimed = HashMap::new();
         let a = cl
             .boot_container(
                 FunctionId(0),
@@ -748,12 +789,12 @@ mod tests {
             )
             .unwrap();
         // `a` boots earliest so it is preferred...
-        assert_eq!(cl.find_booting(FunctionId(0), &cfg(), &claimed), Some(a));
+        assert_eq!(cl.find_booting(FunctionId(0), &cfg()), Some(a));
         // ...but once a fault kills it mid-boot the later boot is found.
         cl.kill(a, SimTime::from_millis(500), EvictionReason::Fault);
-        assert_eq!(cl.find_booting(FunctionId(0), &cfg(), &claimed), Some(b));
+        assert_eq!(cl.find_booting(FunctionId(0), &cfg()), Some(b));
         cl.kill(b, SimTime::from_millis(600), EvictionReason::Fault);
-        assert_eq!(cl.find_booting(FunctionId(0), &cfg(), &claimed), None);
+        assert_eq!(cl.find_booting(FunctionId(0), &cfg()), None);
     }
 
     #[test]

@@ -37,6 +37,9 @@ pub struct Container {
     pub last_used: SimTime,
     /// Invocation slots currently executing.
     pub busy_slots: u32,
+    /// Slots of this still-booting container already promised to waiting
+    /// invocations (zero once the boot completes and they start running).
+    pub claimed: u32,
     /// Whether the pool created this container ahead of demand.
     pub prewarmed: bool,
 }
@@ -81,6 +84,7 @@ mod tests {
             ready_at: SimTime::from_secs(1),
             last_used: SimTime::from_secs(2),
             busy_slots: busy,
+            claimed: 0,
             prewarmed: false,
         }
     }

@@ -111,7 +111,7 @@ pub(crate) fn run_sharded(
     let mut slack_secs = 0.0f64;
 
     loop {
-        let min_peek = shards.iter().filter_map(|s| s.queue.peek_time()).min();
+        let min_peek = shards.iter().filter_map(|s| s.agenda.next_time()).min();
         let event_bound = min_peek
             .filter(|t| *t <= horizon)
             .map(|t| floor_to_quantum(t) + quantum);
@@ -219,11 +219,10 @@ pub(crate) fn run_sharded(
     // Per-shard epilogue — resource-integral finalization and dense
     // per-instance counter folds — is shard-local, so it runs in the same
     // parallel regime as the windows (and earns the same overlap credit).
-    let total_insts: usize = jobs.iter().map(|j| j.arrivals.len()).sum();
     let timed = par_map_owned(std::mem::take(&mut shards), |_, mut st| {
         let t0 = std::time::Instant::now();
         st.cluster.finalize(horizon);
-        let fold = st.instance_fold(total_insts);
+        let fold = st.instance_fold();
         ((st, fold), t0.elapsed().as_secs_f64())
     });
     let (mut sum, mut max) = (0.0f64, 0.0f64);
@@ -241,12 +240,10 @@ pub(crate) fn run_sharded(
 
     let report = merge_reports(
         params,
-        jobs,
         shards,
         folds,
         recorders,
         pool_snapshots,
-        horizon,
         &mut slack_secs,
     );
     LAST_PARALLEL_SLACK_MICROS.store((slack_secs * 1e6) as u64, Ordering::Relaxed);
@@ -255,15 +252,12 @@ pub(crate) fn run_sharded(
 
 /// Folds the per-shard run states into one [`RunReport`] and replays the
 /// per-shard telemetry streams time-sorted into the run's sink.
-#[allow(clippy::too_many_arguments)]
 fn merge_reports(
     params: &FaasSimBuilder,
-    jobs: &[WorkflowJob],
     mut shards: Vec<RunState<'_>>,
     folds: Vec<(Vec<u32>, Vec<u32>, Vec<bool>)>,
     recorders: Vec<Option<std::sync::Arc<std::sync::Mutex<aqua_telemetry::Recorder>>>>,
     pool_snapshots: Vec<(SimTime, f64)>,
-    horizon: SimTime,
     slack_secs: &mut f64,
 ) -> RunReport {
     let n = shards.len();
@@ -273,7 +267,9 @@ fn merge_reports(
     };
     let mut inv_lists = Vec::with_capacity(n);
     let mut wf_lists = Vec::with_capacity(n);
+    let mut arrivals_fired = 0usize;
     for st in shards.iter_mut() {
+        arrivals_fired += st.agenda.arrivals_fired();
         report.cpu_core_seconds += st.cluster.cpu_core_seconds();
         report.memory_gb_seconds += st.cluster.memory_gb_seconds();
         report.busy_memory_gb_seconds += st.cluster.busy_memory_gb_seconds();
@@ -315,25 +311,13 @@ fn merge_reports(
         w.invocations = invs[w.instance];
     }
 
-    // Completion lives on the home shard; rejection on whichever owner
-    // shard exhausted a task's retries.
-    let mut base = 0usize;
-    for (ji, job) in jobs.iter().enumerate() {
-        let home = job.dag.stage(job.dag.roots()[0]).function.0 % n;
-        let done = &shards[home].instances[ji];
-        for (ii, &arrived) in job.arrivals.iter().enumerate() {
-            if arrived > horizon {
-                continue;
-            }
-            if !done[ii].done {
-                report.unfinished += 1;
-            }
-            if rejected[base + ii] {
-                report.rejected += 1;
-            }
-        }
-        base += job.arrivals.len();
-    }
+    // Every arrival within the horizon fired on its home shard and either
+    // wrote its workflow record there or is unfinished. Rejection happens
+    // on whichever owner shard exhausted a task's retries — possibly more
+    // than one per instance, hence the OR-fold rather than a sum of the
+    // shards' own counters.
+    report.unfinished = arrivals_fired - report.workflows.len();
+    report.rejected = rejected.iter().filter(|r| **r).count();
 
     if params.telemetry.is_enabled() {
         let mut events: Vec<SimEvent> = recorders

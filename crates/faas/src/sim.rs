@@ -4,9 +4,10 @@
 //! a pluggable [`PrewarmController`] every pool-adjustment interval (1 min
 //! by default, the paper's container keep-alive timescale).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
-use aqua_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use aqua_sim::{EventQueue, FxHashMap, SimDuration, SimRng, SimTime};
 use aqua_telemetry::{EvictionReason, FaultKind, SimEvent, Telemetry};
 
 use crate::cluster::{Cluster, ClusterSnapshot};
@@ -178,10 +179,6 @@ impl WorkflowJob {
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
-    Arrival {
-        job: usize,
-        inst: usize,
-    },
     BootDone {
         container: ContainerId,
     },
@@ -264,19 +261,112 @@ impl ShardMsg {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct InstanceState {
-    pub(crate) arrived: SimTime,
+/// What the loop runs next: a workflow arrival from the cursor, or an
+/// event from the heap.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Next {
+    Arrival { job: usize, inst: usize },
+    Event(Event),
+}
+
+/// The loop's event source: a cursor over the time-sorted arrivals merged
+/// with the future-event heap, so the heap holds only what running work
+/// scheduled, never the trace.
+///
+/// The next event is the earlier of the cursor's head and the heap's, and
+/// **the arrival wins a tie**: a loop that pushed every arrival before its
+/// first pop gave arrivals the lowest sequence numbers, which is the pop
+/// order every golden trace was recorded under. Equal-time arrivals fire in
+/// `(job, inst)` order for the same reason (the sort is stable).
+#[derive(Debug)]
+pub(crate) struct Agenda {
+    /// `(time, job, inst)`, sorted by time.
+    arrivals: Vec<(SimTime, u32, u32)>,
+    /// Index of the next arrival to fire: the count fired so far.
+    cursor: usize,
+    queue: EventQueue<Event>,
+}
+
+impl Agenda {
+    /// An agenda over `arrivals`, given in `(job, inst)` order.
+    fn new(mut arrivals: Vec<(SimTime, u32, u32)>) -> Self {
+        arrivals.sort_by_key(|&(at, _, _)| at);
+        Agenda {
+            arrivals,
+            cursor: 0,
+            queue: EventQueue::new(),
+        }
+    }
+
+    /// Time of the next event, if any.
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
+        let arrival = self.arrivals.get(self.cursor).map(|a| a.0);
+        match (arrival, self.queue.peek_time()) {
+            (Some(a), Some(q)) => Some(a.min(q)),
+            (a, q) => a.or(q),
+        }
+    }
+
+    /// Takes the next event, advancing the clock that clamps past pushes.
+    fn pop(&mut self) -> Option<(SimTime, Next)> {
+        if let Some(&(at, job, inst)) = self.arrivals.get(self.cursor) {
+            if self.queue.peek_time().is_none_or(|queued| at <= queued) {
+                self.cursor += 1;
+                self.queue.advance_to(at);
+                let (job, inst) = (job as usize, inst as usize);
+                return Some((at, Next::Arrival { job, inst }));
+            }
+        }
+        let (at, event) = self.queue.pop()?;
+        Some((at, Next::Event(event)))
+    }
+
+    /// Schedules `event` at `at` (clamped to the clock, like
+    /// [`EventQueue::push`]).
+    pub(crate) fn push(&mut self, at: SimTime, event: Event) {
+        self.queue.push(at, event);
+    }
+
+    /// Arrivals fired so far.
+    pub(crate) fn arrivals_fired(&self) -> usize {
+        self.cursor
+    }
+}
+
+/// Slot-table mark: the instance has not been touched yet.
+const UNSEEN: u32 = u32::MAX;
+/// Slot-table mark: the instance completed and its slot was handed back.
+const DONE: u32 = u32::MAX - 1;
+
+/// Live bookkeeping of one workflow instance, held in the slab from the
+/// instance's first touch until (in the sequential loop) its workflow
+/// record is written.
+#[derive(Debug, Clone, Default)]
+struct InstanceState {
     /// Unsatisfied dependency count per stage.
     deps_left: Vec<usize>,
     /// Tasks still running per stage.
     tasks_left: Vec<u32>,
     stages_left: usize,
-    pub(crate) cold_starts: u32,
-    pub(crate) invocations: u32,
-    pub(crate) done: bool,
+    cold_starts: u32,
+    invocations: u32,
     /// A task exhausted its retries; the instance can never finish.
-    pub(crate) rejected: bool,
+    rejected: bool,
+}
+
+impl InstanceState {
+    /// Re-initialises a fresh or recycled entry for an instance of `dag`,
+    /// reusing the stage buffers.
+    fn reset(&mut self, dag: &WorkflowDag) {
+        self.deps_left.clear();
+        self.deps_left.extend(dag.stages().map(|s| s.deps.len()));
+        self.tasks_left.clear();
+        self.tasks_left.extend(dag.stages().map(|s| s.tasks));
+        self.stages_left = dag.num_stages();
+        self.cold_starts = 0;
+        self.invocations = 0;
+        self.rejected = false;
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -287,6 +377,16 @@ pub(crate) struct Task {
     requested: SimTime,
     /// Execution attempt, 0 for the first try.
     attempt: u32,
+}
+
+/// The work riding on one container: tasks waiting for its boot, then the
+/// attempts executing on it (for crash cancellation). An entry exists only
+/// while one of the two is non-empty, so the table never outlives the
+/// containers the cluster kills on its own (those are idle: no work).
+#[derive(Debug, Default)]
+struct ContainerWork {
+    attached: Vec<Task>,
+    running: Vec<u64>,
 }
 
 /// Metadata of one in-flight execution attempt, keyed by its `seq`.
@@ -615,14 +715,22 @@ pub(crate) struct RunState<'a> {
     jobs: &'a [WorkflowJob],
     pub(crate) cluster: Cluster,
     rng: SimRng,
-    pub(crate) queue: EventQueue<Event>,
-    pub(crate) instances: Vec<Vec<InstanceState>>,
+    pub(crate) agenda: Agenda,
+    /// Slab index of each workflow instance's live state, dense over
+    /// global instance ids ([`UNSEEN`] before the first touch, [`DONE`]
+    /// once the slot was handed back).
+    slot_of: Vec<u32>,
+    /// Live instance states. The sequential loop hands a slot back when
+    /// the workflow record is written, so the slab is as long as the peak
+    /// number of instances in flight; sharded states keep every entry for
+    /// the driver's end-of-run fold.
+    slab: Vec<InstanceState>,
+    /// Handed-back slab slots, reused before the slab grows.
+    free_slots: Vec<u32>,
     /// Tasks waiting for cluster capacity.
     pending: VecDeque<Task>,
-    /// Tasks attached to a booting container.
-    attached: HashMap<ContainerId, Vec<Task>>,
-    /// Claimed slots per booting container.
-    claimed: HashMap<ContainerId, u32>,
+    /// Per-container work, for containers that have any.
+    work: FxHashMap<ContainerId, ContainerWork>,
     /// Current resource config per function id, dense over function ids
     /// (`None` = no workload uses the id).
     config_of: Vec<Option<ResourceConfig>>,
@@ -639,9 +747,7 @@ pub(crate) struct RunState<'a> {
     /// Live fault-draw streams for this run.
     faults: FaultState,
     /// In-flight execution attempts by sequence number.
-    exec_meta: HashMap<u64, ExecInfo>,
-    /// Attempts currently running per container (for crash cancellation).
-    running_on: HashMap<ContainerId, Vec<u64>>,
+    exec_meta: FxHashMap<u64, ExecInfo>,
     /// Next execution-attempt sequence number.
     next_seq: u64,
     /// Per-function failed-boot count in the current window (dense).
@@ -677,6 +783,10 @@ impl<'a> RunState<'a> {
     /// minted at `shard + k * num_shards`, RNG/fault streams forked by
     /// shard id, and only the arrivals of jobs homed on it; pool ticks are
     /// driven externally by [`crate::shard::run_sharded`].
+    ///
+    /// Nothing here is built per arrival except the sorted arrival index
+    /// and the instance slot table: instance state is created on first
+    /// touch and the heap starts empty.
     pub(crate) fn new_shard(
         params: &'a FaasSimBuilder,
         jobs: &'a [WorkflowJob],
@@ -739,48 +849,19 @@ impl<'a> RunState<'a> {
             })
             .collect();
 
-        // Pre-size the future-event list from the arrival count this state
-        // will inject: each arrival spawns at least a dispatch plus an
-        // exec-done per task, so a small multiple avoids mid-run
-        // reallocation for typical DAG widths.
-        let homed_arrivals: usize = jobs
-            .iter()
-            .enumerate()
-            .filter(|(ji, _)| !sharded || home[*ji] == shard)
-            .map(|(_, j)| j.arrivals.len())
-            .sum();
-        let mut queue = EventQueue::with_capacity(homed_arrivals * 4 + 64);
-        let mut instances = Vec::with_capacity(jobs.len());
-        for (ji, job) in jobs.iter().enumerate() {
-            let participates = !sharded
-                || home[ji] == shard
-                || job.dag.stages().any(|s| s.function.0 % num_shards == shard);
-            if !participates {
-                // A shard that neither homes this job nor owns any of its
-                // stage functions never touches its instances.
-                instances.push(Vec::new());
-                continue;
-            }
-            let mut insts = Vec::with_capacity(job.arrivals.len());
-            for (ii, &at) in job.arrivals.iter().enumerate() {
-                if !sharded || home[ji] == shard {
-                    queue.push(at, Event::Arrival { job: ji, inst: ii });
-                }
-                insts.push(InstanceState {
-                    arrived: at,
-                    deps_left: job.dag.stages().map(|s| s.deps.len()).collect(),
-                    tasks_left: job.dag.stages().map(|s| s.tasks).collect(),
-                    stages_left: job.dag.num_stages(),
-                    cold_starts: 0,
-                    invocations: 0,
-                    done: false,
-                    rejected: false,
-                });
-            }
-            instances.push(insts);
+        let total_instances: usize = jobs.iter().map(|j| j.arrivals.len()).sum();
+        assert!(
+            total_instances < DONE as usize,
+            "instance slots are u32: {total_instances} arrivals"
+        );
+        let mut arrivals = Vec::new();
+        for (ji, job) in jobs.iter().enumerate().filter(|(ji, _)| home[*ji] == shard) {
+            let times = job.arrivals.iter().enumerate();
+            arrivals.extend(times.map(|(ii, &at)| (at, ji as u32, ii as u32)));
         }
+        let mut agenda = Agenda::new(arrivals);
         if !sharded {
-            queue.push(SimTime::ZERO + params.tick, Event::PoolTick);
+            agenda.push(SimTime::ZERO + params.tick, Event::PoolTick);
         }
         let (rng, faults) = if sharded {
             (
@@ -795,18 +876,18 @@ impl<'a> RunState<'a> {
             jobs,
             cluster,
             rng,
-            queue,
-            instances,
+            agenda,
+            slot_of: vec![UNSEEN; total_instances],
+            slab: Vec::new(),
+            free_slots: Vec::new(),
             pending: VecDeque::new(),
-            attached: HashMap::new(),
-            claimed: HashMap::new(),
+            work: FxHashMap::default(),
             config_of,
             window_invocations: vec![0; nfn],
             window_peak: vec![0; nfn],
             demand_now: vec![0; nfn],
             faults,
-            exec_meta: HashMap::new(),
-            running_on: HashMap::new(),
+            exec_meta: FxHashMap::default(),
             next_seq: 0,
             window_boot_failures: vec![0; nfn],
             telemetry,
@@ -820,67 +901,43 @@ impl<'a> RunState<'a> {
     }
 
     fn execute(mut self, controller: &mut dyn PrewarmController, horizon: SimTime) -> RunReport {
-        while let Some(time) = self.queue.peek_time() {
-            if time > horizon {
-                break;
-            }
-            let (now, event) = self.queue.pop().expect("peeked");
-            self.report.events_processed += 1;
-            match event {
-                Event::Arrival { job, inst } => self.on_arrival(job, inst, now),
-                Event::BootDone { container } => self.on_boot_done(container, now),
-                Event::BootFailed { container } => self.on_boot_failed(container, now),
-                Event::ExecDone { seq } => self.on_exec_done(seq, now),
-                Event::ContainerCrash { container, seq } => {
-                    self.on_container_crash(container, seq, now)
-                }
-                Event::TaskTimeout { seq } => self.on_task_timeout(seq, now),
-                Event::Retry { task } => self.start_task(task, now),
-                Event::StageReady { job, inst, stage } => {
-                    self.dispatch_stage(job, inst, stage, now)
-                }
-                Event::StageDoneRemote {
-                    job,
-                    inst,
-                    stage,
-                    finished,
-                } => self.home_stage_complete(job, inst, stage, finished, now),
-                Event::PoolTick => self.on_pool_tick(controller, now, horizon),
-            }
-            self.drain_pending(now);
+        while self.agenda.next_time().is_some_and(|t| t <= horizon) {
+            self.step(Some(&mut *controller), horizon);
         }
         self.cluster.finalize(horizon);
         self.report.cpu_core_seconds = self.cluster.cpu_core_seconds();
         self.report.memory_gb_seconds = self.cluster.memory_gb_seconds();
         self.report.busy_memory_gb_seconds = self.cluster.busy_memory_gb_seconds();
-        self.report.unfinished = self
-            .instances
-            .iter()
-            .flatten()
-            .filter(|i| !i.done && i.arrived <= horizon)
-            .count();
-        self.report.rejected = self
-            .instances
-            .iter()
-            .flatten()
-            .filter(|i| i.rejected && i.arrived <= horizon)
-            .count();
+        // Every arrival within the horizon has fired, and each either wrote
+        // its workflow record or is still in flight (`rejected` counts as it
+        // happens, in `retry_or_reject`).
+        self.report.unfinished = self.agenda.arrivals_fired() - self.report.workflows.len();
         self.telemetry.flush();
         self.report
     }
 
-    /// Pops and handles every event strictly before `bound` (and within
-    /// the horizon). Used by the sharded driver; pool ticks never appear
-    /// here because sharded runs drive them between windows.
+    /// Runs every event strictly before `bound` (and within the horizon).
+    /// Used by the sharded driver, which runs pool ticks itself between
+    /// windows.
     pub(crate) fn advance_until(&mut self, bound: SimTime, horizon: SimTime) {
-        while let Some(time) = self.queue.peek_time() {
-            if time >= bound || time > horizon {
-                break;
-            }
-            let (now, event) = self.queue.pop().expect("peeked");
-            self.report.events_processed += 1;
-            match event {
-                Event::Arrival { job, inst } => self.on_arrival(job, inst, now),
+        while self
+            .agenda
+            .next_time()
+            .is_some_and(|t| t < bound && t <= horizon)
+        {
+            self.step(None, horizon);
+        }
+    }
+
+    /// Runs the next event; the caller has checked that there is one inside
+    /// its stop condition. `controller` is absent on shard-driven states,
+    /// whose agenda never holds a pool tick.
+    fn step(&mut self, controller: Option<&mut dyn PrewarmController>, horizon: SimTime) {
+        let (now, next) = self.agenda.pop().expect("step needs a pending event");
+        self.report.events_processed += 1;
+        match next {
+            Next::Arrival { job, inst } => self.on_arrival(job, inst, now),
+            Next::Event(event) => match event {
                 Event::BootDone { container } => self.on_boot_done(container, now),
                 Event::BootFailed { container } => self.on_boot_failed(container, now),
                 Event::ExecDone { seq } => self.on_exec_done(seq, now),
@@ -898,10 +955,13 @@ impl<'a> RunState<'a> {
                     stage,
                     finished,
                 } => self.home_stage_complete(job, inst, stage, finished, now),
-                Event::PoolTick => unreachable!("pool ticks are driver-run in sharded mode"),
-            }
-            self.drain_pending(now);
+                Event::PoolTick => {
+                    let controller = controller.expect("pool ticks are driver-run when sharded");
+                    self.on_pool_tick(controller, now, horizon)
+                }
+            },
         }
+        self.drain_pending(now);
     }
 
     /// Enqueues a cross-shard message on this (receiving) shard at the
@@ -912,7 +972,7 @@ impl<'a> RunState<'a> {
             ShardMsg::StageStart {
                 job, inst, stage, ..
             } => {
-                self.queue
+                self.agenda
                     .push(bound, Event::StageReady { job, inst, stage });
             }
             ShardMsg::StageDone {
@@ -922,7 +982,7 @@ impl<'a> RunState<'a> {
                 finished,
                 ..
             } => {
-                self.queue.push(
+                self.agenda.push(
                     bound,
                     Event::StageDoneRemote {
                         job,
@@ -988,7 +1048,7 @@ impl<'a> RunState<'a> {
         let function = dag.stage(task.stage).function;
         let config = self.jobs[task.job].configs.stage(task.stage);
         self.window_invocations[function.0] += 1;
-        self.instances[task.job][task.inst].invocations += 1;
+        self.instance(task.job, task.inst).invocations += 1;
         self.demand_now[function.0] += 1;
         let demand = self.demand_now[function.0];
         self.window_peak[function.0] = self.window_peak[function.0].max(demand.max(0) as u32);
@@ -999,10 +1059,8 @@ impl<'a> RunState<'a> {
             return;
         }
         // 2. In-flight booting container with unclaimed capacity → wait for it.
-        if let Some(cid) = self.cluster.find_booting(function, &config, &self.claimed) {
-            *self.claimed.entry(cid).or_insert(0) += 1;
-            self.attached.entry(cid).or_default().push(task);
-            self.instances[task.job][task.inst].cold_starts += 1;
+        if let Some(cid) = self.cluster.find_booting(function, &config) {
+            self.attach(cid, task);
             return;
         }
         // 3. Boot a dedicated container.
@@ -1026,9 +1084,7 @@ impl<'a> RunState<'a> {
         match cid {
             Some(cid) => {
                 self.schedule_boot_outcome(cid, now + boot);
-                *self.claimed.entry(cid).or_insert(0) += 1;
-                self.attached.entry(cid).or_default().push(task);
-                self.instances[task.job][task.inst].cold_starts += 1;
+                self.attach(cid, task);
             }
             None => {
                 // No capacity anywhere: queue until something frees up.
@@ -1040,6 +1096,24 @@ impl<'a> RunState<'a> {
                     function: function.0,
                 });
                 self.pending.push_back(task);
+            }
+        }
+    }
+
+    /// Parks `task` on the booting container `cid`: it claims one of the
+    /// container's future slots and pays the boot as its cold start.
+    fn attach(&mut self, cid: ContainerId, task: Task) {
+        self.cluster.claim(cid);
+        self.work.entry(cid).or_default().attached.push(task);
+        self.instance(task.job, task.inst).cold_starts += 1;
+    }
+
+    /// Forgets that attempt `seq` runs on `cid` (it finished or timed out).
+    fn detach_running(&mut self, cid: ContainerId, seq: u64) {
+        if let Entry::Occupied(mut work) = self.work.entry(cid) {
+            work.get_mut().running.retain(|s| *s != seq);
+            if work.get().running.is_empty() {
+                work.remove();
             }
         }
     }
@@ -1076,12 +1150,12 @@ impl<'a> RunState<'a> {
         let finish = now + exec;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(finish, Event::ExecDone { seq });
+        self.agenda.push(finish, Event::ExecDone { seq });
         // Crash fault: the container dies partway through this attempt,
         // taking every invocation running on it down with it.
         if let Some(frac) = self.faults.next_crash() {
             let crash_at = now + SimDuration::from_secs_f64(exec.as_secs_f64() * frac);
-            self.queue.push(
+            self.agenda.push(
                 crash_at,
                 Event::ContainerCrash {
                     container: cid,
@@ -1091,7 +1165,7 @@ impl<'a> RunState<'a> {
         }
         if let Some(timeout) = self.params.retry.task_timeout {
             if timeout < exec {
-                self.queue.push(now + timeout, Event::TaskTimeout { seq });
+                self.agenda.push(now + timeout, Event::TaskTimeout { seq });
             }
         }
         let secs = exec.as_secs_f64();
@@ -1115,7 +1189,7 @@ impl<'a> RunState<'a> {
                 record,
             },
         );
-        self.running_on.entry(cid).or_default().push(seq);
+        self.work.entry(cid).or_default().running.push(seq);
     }
 
     /// Truncates a cancelled attempt's billed window at `now`: the crash
@@ -1138,23 +1212,22 @@ impl<'a> RunState<'a> {
         let attempt = task.attempt + 1;
         if attempt <= self.params.retry.max_retries {
             let function = self.jobs[task.job].dag.stage(task.stage).function;
-            self.params
-                .telemetry
-                .emit_with(|| SimEvent::InvocationRetried {
-                    at: now,
-                    workflow: task.job,
-                    instance: task.inst,
-                    stage: task.stage,
-                    function: function.0,
-                    attempt,
-                });
+            self.telemetry.emit_with(|| SimEvent::InvocationRetried {
+                at: now,
+                workflow: task.job,
+                instance: task.inst,
+                stage: task.stage,
+                function: function.0,
+                attempt,
+            });
             let task = Task { attempt, ..task };
-            self.queue.push(
+            self.agenda.push(
                 now + self.params.retry.backoff_for(attempt),
                 Event::Retry { task },
             );
         } else {
-            self.instances[task.job][task.inst].rejected = true;
+            let newly = !std::mem::replace(&mut self.instance(task.job, task.inst).rejected, true);
+            self.report.rejected += usize::from(newly);
         }
     }
 
@@ -1162,20 +1235,45 @@ impl<'a> RunState<'a> {
         self.inst_base[job] + inst
     }
 
+    /// The live state of instance (job, inst), created on first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance already completed and handed its slot back:
+    /// nothing may reference a workflow after its record is written.
+    fn instance(&mut self, job: usize, inst: usize) -> &mut InstanceState {
+        let global = self.global_instance(job, inst);
+        let slot = match self.slot_of[global] {
+            UNSEEN => {
+                let slot = self.free_slots.pop().unwrap_or_else(|| {
+                    self.slab.push(InstanceState::default());
+                    (self.slab.len() - 1) as u32
+                });
+                self.slab[slot as usize].reset(&self.jobs[job].dag);
+                self.slot_of[global] = slot;
+                slot
+            }
+            DONE => panic!("workflow instance {global} touched after it completed"),
+            slot => slot,
+        };
+        &mut self.slab[slot as usize]
+    }
+
     /// Folds this shard's per-instance counters into dense global-instance
-    /// vectors `(cold_starts, invocations, rejected)` of length `total`.
-    /// Shard-local by construction — the sharded driver sums the per-shard
-    /// folds after the final barrier.
-    pub(crate) fn instance_fold(&self, total: usize) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
+    /// vectors `(cold_starts, invocations, rejected)`. Shard-local by
+    /// construction — the sharded driver sums the per-shard folds after
+    /// the final barrier.
+    pub(crate) fn instance_fold(&self) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
+        let total = self.slot_of.len();
         let mut cold = vec![0u32; total];
         let mut invs = vec![0u32; total];
         let mut rejected = vec![false; total];
-        for (ji, insts) in self.instances.iter().enumerate() {
-            let base = self.inst_base[ji];
-            for (ii, is) in insts.iter().enumerate() {
-                cold[base + ii] += is.cold_starts;
-                invs[base + ii] += is.invocations;
-                rejected[base + ii] |= is.rejected;
+        for (global, &slot) in self.slot_of.iter().enumerate() {
+            // The `UNSEEN` / `DONE` marks index past any slab.
+            if let Some(is) = self.slab.get(slot as usize) {
+                cold[global] = is.cold_starts;
+                invs[global] = is.invocations;
+                rejected[global] = is.rejected;
             }
         }
         (cold, invs, rejected)
@@ -1197,8 +1295,8 @@ impl<'a> RunState<'a> {
         });
         self.cluster.kill(cid, now, EvictionReason::Fault);
         self.window_boot_failures[function.0] += 1;
-        self.claimed.remove(&cid);
-        for task in self.attached.remove(&cid).unwrap_or_default() {
+        let work = self.work.remove(&cid).unwrap_or_default();
+        for task in work.attached {
             // The waiting task is no longer outstanding until its retry
             // re-enters scheduling.
             self.demand_now[function.0] -= 1;
@@ -1224,9 +1322,9 @@ impl<'a> RunState<'a> {
             container: Some(cid.0),
             magnitude: 0.0,
         });
-        let seqs = self.running_on.remove(&cid).unwrap_or_default();
+        let work = self.work.remove(&cid).unwrap_or_default();
         self.cluster.kill_faulted(cid, now);
-        for s in seqs {
+        for s in work.running {
             let Some(info) = self.exec_meta.remove(&s) else {
                 continue;
             };
@@ -1244,12 +1342,7 @@ impl<'a> RunState<'a> {
             return; // attempt finished before the timeout
         };
         let cid = info.container;
-        if let Some(v) = self.running_on.get_mut(&cid) {
-            v.retain(|s| *s != seq);
-            if v.is_empty() {
-                self.running_on.remove(&cid);
-            }
-        }
+        self.detach_running(cid, seq);
         self.cluster.release(cid, now);
         let task = info.task;
         let function = self.jobs[task.job].dag.stage(task.stage).function;
@@ -1271,9 +1364,10 @@ impl<'a> RunState<'a> {
     /// the boot hangs until its deadline and then dies.
     fn schedule_boot_outcome(&mut self, cid: ContainerId, ready: SimTime) {
         if self.faults.next_boot_fail() {
-            self.queue.push(ready, Event::BootFailed { container: cid });
+            self.agenda
+                .push(ready, Event::BootFailed { container: cid });
         } else {
-            self.queue.push(ready, Event::BootDone { container: cid });
+            self.agenda.push(ready, Event::BootDone { container: cid });
         }
     }
 
@@ -1283,8 +1377,10 @@ impl<'a> RunState<'a> {
             None => return, // reaped while booting cannot happen, but stay safe
         };
         self.cluster.boot_complete(cid, now);
-        self.claimed.remove(&cid);
-        let tasks = self.attached.remove(&cid).unwrap_or_default();
+        let tasks = match self.work.get_mut(&cid) {
+            Some(work) => std::mem::take(&mut work.attached),
+            None => Vec::new(), // a pre-warm nobody waited for
+        };
         self.telemetry.emit_with(|| SimEvent::ColdStartEnd {
             at: now,
             function: function.0,
@@ -1303,12 +1399,7 @@ impl<'a> RunState<'a> {
             return; // attempt was cancelled by a crash or timeout
         };
         let cid = info.container;
-        if let Some(v) = self.running_on.get_mut(&cid) {
-            v.retain(|s| *s != seq);
-            if v.is_empty() {
-                self.running_on.remove(&cid);
-            }
-        }
+        self.detach_running(cid, seq);
         let Task {
             job, inst, stage, ..
         } = info.task;
@@ -1322,9 +1413,9 @@ impl<'a> RunState<'a> {
             stage,
             container: cid.0,
         });
-        let instance = &mut self.instances[job][inst];
-        instance.tasks_left[stage] -= 1;
-        if instance.tasks_left[stage] > 0 {
+        let tasks_left = &mut self.instance(job, inst).tasks_left[stage];
+        *tasks_left -= 1;
+        if *tasks_left > 0 {
             return;
         }
         // Stage complete.
@@ -1365,20 +1456,26 @@ impl<'a> RunState<'a> {
         finished: SimTime,
         now: SimTime,
     ) {
-        let global_instance = self.global_instance(job, inst);
-        let dag = &self.jobs[job].dag;
-        let instance = &mut self.instances[job][inst];
+        let global = self.global_instance(job, inst);
+        let job_spec = &self.jobs[job];
+        let dag = &job_spec.dag;
+        let instance = self.instance(job, inst);
         instance.stages_left -= 1;
         if instance.stages_left == 0 {
-            instance.done = true;
             let record = WorkflowRecord {
-                instance: global_instance,
-                arrived: instance.arrived,
+                instance: global,
+                arrived: job_spec.arrivals[inst],
                 finished,
                 cold_starts: instance.cold_starts,
                 invocations: instance.invocations,
             };
             self.report.workflows.push(record);
+            if self.num_shards == 1 {
+                // Nothing references a finished workflow: hand the slot
+                // back. Sharded states keep theirs for `instance_fold`.
+                let slot = std::mem::replace(&mut self.slot_of[global], DONE);
+                self.free_slots.push(slot);
+            }
             return;
         }
         let dependents = dag.dependents();
@@ -1386,9 +1483,8 @@ impl<'a> RunState<'a> {
             .iter()
             .copied()
             .filter(|&d| {
-                let inst_state = &mut self.instances[job][inst];
-                inst_state.deps_left[d] -= 1;
-                inst_state.deps_left[d] == 0
+                instance.deps_left[d] -= 1;
+                instance.deps_left[d] == 0
             })
             .collect();
         for d in ready {
@@ -1402,7 +1498,7 @@ impl<'a> RunState<'a> {
                     container: None,
                     magnitude: delay.as_secs_f64(),
                 });
-                self.queue.push(
+                self.agenda.push(
                     now + delay,
                     Event::StageReady {
                         job,
@@ -1444,7 +1540,7 @@ impl<'a> RunState<'a> {
         self.clear_window();
         let next = now + self.params.tick;
         if next <= horizon {
-            self.queue.push(next, Event::PoolTick);
+            self.agenda.push(next, Event::PoolTick);
         }
     }
 
@@ -1515,10 +1611,7 @@ impl<'a> RunState<'a> {
             let function = self.jobs[task.job].dag.stage(task.stage).function;
             let config = self.jobs[task.job].configs.stage(task.stage);
             let can_warm = self.cluster.find_warm(function, &config).is_some();
-            let can_attach = self
-                .cluster
-                .find_booting(function, &config, &self.claimed)
-                .is_some();
+            let can_attach = self.cluster.find_booting(function, &config).is_some();
             if !can_warm && !can_attach && !self.cluster.evict_for(config.memory_mb, now) {
                 break;
             }
@@ -1529,7 +1622,7 @@ impl<'a> RunState<'a> {
             // the window while the task sat queued.
             self.window_invocations[function.0] =
                 self.window_invocations[function.0].saturating_sub(1);
-            self.instances[task.job][task.inst].invocations -= 1;
+            self.instance(task.job, task.inst).invocations -= 1;
             self.demand_now[function.0] -= 1;
             self.start_task(task, now);
         }
@@ -1880,6 +1973,130 @@ mod tests {
             (mean_par - mean_seq).abs() < 1.5,
             "mean latency diverged: sequential {mean_seq} vs 4 shards {mean_par}"
         );
+    }
+
+    /// What firing `next` at `now` schedules in the merge-order script: a
+    /// boot per arrival (sometimes at the arrival's own instant), an
+    /// exec-done per boot (sometimes in the past, which the queue clamps
+    /// to its clock), a re-armed tick plus a pre-warm boot per tick. Ids
+    /// are minted in firing order, so any divergence in order snowballs
+    /// into different labels.
+    fn script(
+        next: Next,
+        now: SimTime,
+        offsets: &[u64],
+        minted: &mut u64,
+    ) -> Vec<(SimTime, Event)> {
+        let after = |k: usize, back: u64| {
+            let micros = now.as_micros() + 500_000 * offsets[k % offsets.len()];
+            SimTime::from_micros(micros.saturating_sub(500_000 * back))
+        };
+        *minted += 1;
+        let container = ContainerId(*minted);
+        match next {
+            Next::Arrival { job, inst } => {
+                vec![(after(job + inst, 0), Event::BootDone { container })]
+            }
+            Next::Event(Event::BootDone { container }) => {
+                vec![(
+                    after(container.0 as usize, 3),
+                    Event::ExecDone { seq: *minted },
+                )]
+            }
+            Next::Event(Event::PoolTick) if now < SimTime::from_secs(24) => vec![
+                (after(*minted as usize, 0), Event::BootDone { container }),
+                (now + SimDuration::from_secs(2), Event::PoolTick),
+            ],
+            Next::Event(_) => Vec::new(),
+        }
+    }
+
+    proptest::proptest! {
+        /// The cursor+heap source pops in exactly the order of the source
+        /// it replaced: one `EventQueue` with every arrival pushed in
+        /// `(job, inst)` order before the first pop, then the first tick.
+        /// Arrival lists are unsorted and full of duplicates within and
+        /// across jobs; half-second granularity lands them on the 2 s
+        /// ticks and on scripted boot instants.
+        #[test]
+        fn prop_agenda_pops_like_a_preloaded_queue(
+            jobs in proptest::collection::vec(proptest::collection::vec(0u64..44, 0..14), 1..5),
+            offsets in proptest::collection::vec(0u64..7, 1..6),
+        ) {
+            let first_tick = SimTime::from_secs(2);
+            let mut arrivals = Vec::new();
+            let mut oracle: EventQueue<Next> = EventQueue::new();
+            for (job, times) in jobs.iter().enumerate() {
+                for (inst, half_secs) in times.iter().enumerate() {
+                    let at = SimTime::from_millis(500 * half_secs);
+                    arrivals.push((at, job as u32, inst as u32));
+                    oracle.push(at, Next::Arrival { job, inst });
+                }
+            }
+            oracle.push(first_tick, Next::Event(Event::PoolTick));
+            let mut agenda = Agenda::new(arrivals);
+            agenda.push(first_tick, Event::PoolTick);
+
+            let (mut minted_a, mut minted_o) = (0u64, 0u64);
+            loop {
+                proptest::prop_assert_eq!(agenda.next_time(), oracle.peek_time());
+                let (got, want) = (agenda.pop(), oracle.pop());
+                proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                let (Some((now, got)), Some((_, want))) = (got, want) else { break };
+                for (at, event) in script(got, now, &offsets, &mut minted_a) {
+                    agenda.push(at, event);
+                }
+                for (at, event) in script(want, now, &offsets, &mut minted_o) {
+                    oracle.push(at, Next::Event(event));
+                }
+            }
+            let total: usize = jobs.iter().map(Vec::len).sum();
+            proptest::prop_assert_eq!(agenda.arrivals_fired(), total);
+        }
+    }
+
+    #[test]
+    fn live_state_is_bounded_by_overlap_not_by_trace_length() {
+        let (sim, dag, configs) = setup(100.0);
+        // 60 000 arrivals in bursts of three every 6 s, 0.11 s of work
+        // each: only one burst is ever in flight.
+        let bursts = 20_000u64;
+        let arrivals: Vec<SimTime> = (0..bursts)
+            .flat_map(|b| [SimTime::from_secs(1 + 6 * b); 3])
+            .collect();
+        let total = arrivals.len();
+        let jobs = [WorkflowJob::new(dag, configs, arrivals)];
+        let horizon = SimTime::from_secs(6 * bursts + 60);
+        let mut controller = FixedPrewarm::provider_default();
+        let mut state = RunState::new(&sim.params, &jobs);
+        let mut peak_queued = 0;
+        while state.agenda.next_time().is_some_and(|t| t <= horizon) {
+            state.step(Some(&mut controller), horizon);
+            peak_queued = peak_queued.max(state.agenda.queue.len());
+        }
+        assert_eq!(state.report.workflows.len(), total);
+        // The heap holds the tick plus what the burst in flight scheduled;
+        // the slab grows only when no slot is free, so its length is the
+        // peak number of live instances. Neither may scale with `total`.
+        assert!(peak_queued <= 8, "heap peaked at {peak_queued} events");
+        assert!(state.slab.len() <= 4, "{} live instances", state.slab.len());
+        assert_eq!(state.free_slots.len(), state.slab.len(), "slot leaked");
+        assert!(state.work.is_empty() && state.exec_meta.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "touched after it completed")]
+    fn touching_a_completed_instance_is_a_bug() {
+        let (sim, dag, configs) = setup(100.0);
+        let jobs = [WorkflowJob::new(dag, configs, vec![SimTime::from_secs(1)])];
+        let horizon = SimTime::from_secs(30);
+        let mut controller = FixedPrewarm::provider_default();
+        let mut state = RunState::new(&sim.params, &jobs);
+        while state.agenda.next_time().is_some_and(|t| t <= horizon) {
+            state.step(Some(&mut controller), horizon);
+        }
+        assert_eq!(state.report.workflows.len(), 1);
+        state.instance(0, 0);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! seed-replicate confidence intervals.
 //!
 //! On top of the raw cells sits a small statistics layer
-//! ([`stats::Comparison`]): paired seed-wise deltas and an exact sign
-//! test make "policy A beats policy B on scenario C" a machine-checkable
-//! claim rather than a glance at a table, which is what the regression
-//! gates in `tests/scenario_matrix.rs` and the CI smoke job check.
+//! ([`Comparison`]): paired seed-wise deltas and an exact sign test make
+//! "policy A beats policy B on scenario C" a machine-checkable claim
+//! rather than a glance at a table, which is what the regression gates in
+//! `tests/scenario_matrix.rs` and the CI smoke job check.
 //!
 //! Everything is deterministic: scenarios derive their arrival processes
 //! from forked [`aqua_sim::SimRng`] streams, cells are evaluated through
@@ -31,8 +31,8 @@ pub mod matrix;
 pub mod policy;
 pub mod scenario;
 pub mod service_mode;
-pub mod stats;
 
+pub use aqua_sim::stats::{mean_ci95, sign_test_p, Comparison};
 pub use matrix::{run_matrix, Cell, CellMetrics, MatrixConfig, MatrixReport};
 pub use policy::{OraclePrewarm, PolicyKind};
 pub use scenario::{default_fault_rates, ScenarioInstance, ScenarioKind, ScenarioSpec};
@@ -40,4 +40,3 @@ pub use service_mode::{
     evaluate_cell_service, run_service_cells, run_service_matrix, ClusterProfile, DriftRow,
     ServiceMatrixReport,
 };
-pub use stats::{mean_ci95, sign_test_p, Comparison};

@@ -4,11 +4,11 @@
 
 use aqua_faas::{FaasSim, FaultRates, NoiseModel};
 use aqua_sim::par_map;
+use aqua_sim::stats::{mean_ci95, Comparison};
 use serde_json::{json, Value};
 
 use crate::policy::PolicyKind;
 use crate::scenario::{default_fault_rates, ScenarioSpec};
-use crate::stats::{mean_ci95, Comparison};
 
 /// Cluster sizing shared by every cell (six 40-core/128 GiB workers, the
 /// bench suite's standard cluster).

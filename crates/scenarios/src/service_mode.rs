@@ -35,6 +35,7 @@
 
 use aqua_faas::FaultRates;
 use aqua_service::{ControlPlane, PredictiveConfig, ServiceConfig, WarmPoolConfig};
+use aqua_sim::stats::{mean_ci95, Comparison};
 use aqua_sim::{par_map, SimDuration};
 use serde_json::{json, Value};
 
@@ -43,7 +44,6 @@ use crate::matrix::{
 };
 use crate::policy::PolicyKind;
 use crate::scenario::{default_fault_rates, ScenarioKind, ScenarioSpec};
-use crate::stats::{mean_ci95, Comparison};
 
 /// Live-cluster sizing for one service-mode run.
 #[derive(Debug, Clone, Copy, PartialEq)]

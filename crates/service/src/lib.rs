@@ -61,7 +61,6 @@
 
 pub mod admission;
 pub mod driver;
-pub mod fxhash;
 pub mod reactor;
 pub mod refit;
 pub mod service;
@@ -69,7 +68,6 @@ pub mod warm_pool;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats};
 pub use driver::{drive, drive_tenanted, DriverReport};
-pub use fxhash::FxHashMap;
 pub use reactor::Reactor;
 pub use refit::{RefitScheduler, RefitStats};
 pub use service::{

@@ -34,11 +34,10 @@ use aqua_faas::{
     SimContainerRuntime, StageConfigs, TenantId, TenantPlan, WorkflowDag, WorkflowJob,
 };
 use aqua_pool::LivePoolSignal;
-use aqua_sim::{LatencySummary, SimDuration, SimTime};
+use aqua_sim::{FxHashMap, LatencySummary, SimDuration, SimTime};
 use aqua_telemetry::{EventSink, LiveSink, LiveStats, ShedReason, SimEvent};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats};
-use crate::fxhash::FxHashMap;
 use crate::reactor::Reactor;
 use crate::refit::{RefitScheduler, RefitStats};
 use crate::warm_pool::{Acquired, WarmPoolConfig, WarmPoolManager, WarmPoolStats};

@@ -38,9 +38,7 @@ use std::collections::VecDeque;
 use aqua_faas::runtime::{BootTicket, ContainerRuntime};
 use aqua_faas::tenant::TenantId;
 use aqua_faas::{FunctionId, PoolDecision, ResourceConfig};
-use aqua_sim::{SimDuration, SimTime};
-
-use crate::fxhash::FxHashMap;
+use aqua_sim::{FxHashMap, SimDuration, SimTime};
 
 /// Sizing knobs for the warm pool.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,7 +1,8 @@
-//! A tiny deterministic hasher for the service's hot-path maps.
+//! A tiny deterministic hasher for the event loops' hot-path maps.
 //!
-//! The control plane keys its ledgers by dense integer ids (instance
-//! counters, container ids). The standard library's default SipHash is
+//! Both container-lifecycle engines key their ledgers by dense integer
+//! ids they mint themselves (instance counters, container ids, execution
+//! attempt numbers). The standard library's default SipHash is
 //! DoS-resistant but costs tens of nanoseconds per lookup — measurable
 //! when the load driver pushes over a hundred thousand invocations per
 //! second through two or three map operations each. These keys are
@@ -9,7 +10,8 @@
 //! hash in the Firefox `FxHasher` family is safe and several times
 //! faster. It is also seed-free, which makes map iteration order a pure
 //! function of the insert/remove sequence — one less source of run-to-run
-//! divergence for the deterministic-service tests.
+//! divergence for the determinism tests. Code must still not depend on
+//! that order for anything it reports.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -62,7 +64,7 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `HashMap` keyed with [`FxHasher`] — drop-in for the service ledgers.
+/// `HashMap` keyed with [`FxHasher`] — drop-in for id-keyed ledgers.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 //! ```
 
 pub mod dist;
+pub mod fxhash;
 pub mod parallel;
 pub mod queue;
 pub mod rng;
@@ -26,6 +27,7 @@ pub mod stats;
 pub mod time;
 
 pub use dist::{arrivals_with_cv, Exponential, Gamma, HyperExp, LogNormal, Pareto, PoissonProcess};
+pub use fxhash::FxHashMap;
 pub use parallel::{par_map, par_map_owned};
 pub use queue::EventQueue;
 pub use rng::SimRng;

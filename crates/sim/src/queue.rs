@@ -74,8 +74,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Like [`EventQueue::new`] but with heap space for `capacity` events
-    /// reserved up front, so a run whose arrival count is known in advance
-    /// never reallocates mid-simulation.
+    /// reserved up front, so a loop that knows how many events it holds at
+    /// once never reallocates mid-simulation.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
@@ -122,6 +122,19 @@ impl<E> EventQueue<E> {
     /// The current simulation clock: the timestamp of the last popped event.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Advances the clock to `at` without popping, for a caller that merges
+    /// this queue with another time-ordered source (an arrival cursor) and
+    /// has just taken an event from that source: later pushes in the past
+    /// clamp to `at`, exactly as if the event had been popped from here.
+    /// The clock never moves backwards.
+    pub fn advance_to(&mut self, at: SimTime) {
+        debug_assert!(
+            self.peek_time().is_none_or(|t| at <= t),
+            "clock advanced past a pending event"
+        );
+        self.now = self.now.max(at);
     }
 
     /// Number of pending events.
@@ -185,6 +198,19 @@ mod tests {
         q.push(SimTime::from_secs(1), "b");
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn advance_to_moves_the_clamp_but_never_backwards() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(9), "later");
+        q.advance_to(SimTime::from_secs(5));
+        assert_eq!(q.now(), SimTime::from_secs(5));
+        q.push(SimTime::from_secs(1), "clamped");
+        q.advance_to(SimTime::from_secs(3));
+        assert_eq!(q.now(), SimTime::from_secs(5), "clock never rewinds");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(5), "clamped")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(9), "later")));
     }
 
     #[test]

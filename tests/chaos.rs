@@ -12,8 +12,9 @@ use std::sync::{Arc, Mutex};
 
 use aquatope::alloc::{AquatopeRm, AquatopeRmConfig, ResourceManager, SimEvaluator};
 use aquatope::faas::prelude::*;
+use aquatope::faas::sim::WorkflowJob;
 use aquatope::faas::types::{ConfigSpace, ResourceConfig};
-use aquatope::telemetry::{diff_jsonl, Fanout, InvariantChecker, Recorder, Telemetry};
+use aquatope::telemetry::{diff_jsonl, Fanout, InvariantChecker, Recorder, SimEvent, Telemetry};
 use aquatope::workflows::apps;
 use proptest::prelude::*;
 
@@ -439,4 +440,258 @@ fn straggler_pruning_beats_ablation_on_clean_p99() {
         p99_pruned <= qos,
         "the pruned pick must actually meet QoS on the clean cluster: {p99_pruned:.3}s"
     );
+}
+
+/// The faulted `ml_pipeline` workload of `tests/thread_determinism.rs`
+/// under the provider-default pool, with a recorder and the invariant
+/// checker on the run's own sink: returns `(events, checker)`.
+fn sharded_faulted_run(shards: usize) -> (Vec<SimEvent>, Arc<Mutex<InvariantChecker>>) {
+    let mut registry = FunctionRegistry::new();
+    let app = apps::ml_pipeline(&mut registry);
+    let rec = Arc::new(Mutex::new(Recorder::unbounded()));
+    let checker = Arc::new(Mutex::new(InvariantChecker::new(4, 65_536.0)));
+    let tel = Telemetry::new(Arc::new(Mutex::new(Fanout::new(vec![
+        rec.clone() as aquatope::telemetry::SharedSink,
+        checker.clone() as aquatope::telemetry::SharedSink,
+    ]))));
+    let plan = FaultPlan::from_seed(
+        77,
+        FaultRates {
+            boot_fail: 0.10,
+            crash: 0.06,
+            straggler: 0.12,
+            handoff_delay: 0.08,
+            ..FaultRates::default()
+        },
+    );
+    let retry = RetryPolicy {
+        task_timeout: Some(SimDuration::from_secs(30)),
+        ..RetryPolicy::default()
+    };
+    let mut sim = FaasSim::builder()
+        .workers(4, 40.0, 65_536)
+        .registry(registry)
+        .noise(NoiseModel::production())
+        .seed(13)
+        .faults(plan)
+        .retry_policy(retry)
+        .telemetry(tel)
+        .shards(shards)
+        .build();
+    let configs = StageConfigs::uniform(&app.dag, ResourceConfig::default());
+    let arrivals: Vec<SimTime> = (1..=25u64).map(|i| SimTime::from_secs(i * 9)).collect();
+    let job = WorkflowJob::new(app.dag.clone(), configs, arrivals);
+    let mut controller = FixedPrewarm::provider_default();
+    sim.run(&[job], &mut controller, SimTime::from_secs(400));
+    let events = rec.lock().unwrap().events();
+    (events, checker)
+}
+
+/// Every emitter of a sharded state must write to the shard's own
+/// recorder, which the driver merges time-sorted into the run's sink at
+/// the end. An emitter that bypasses it (retries once did) reaches the
+/// sink from worker threads ahead of the faults that caused it: the
+/// checker then sees retries without a prior fault and time running
+/// backwards.
+#[test]
+fn sharded_faulted_trace_is_clean_and_time_sorted() {
+    for shards in [1usize, 2, 4] {
+        let (events, checker) = sharded_faulted_run(shards);
+        let retries = events
+            .iter()
+            .filter(|e| matches!(e, SimEvent::InvocationRetried { .. }))
+            .count();
+        assert!(retries > 0, "shards={shards}: the plan must force retries");
+        for pair in events.windows(2) {
+            assert!(
+                pair[0].at() <= pair[1].at(),
+                "shards={shards}: trace steps back from {:?} to {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
+        checker.lock().unwrap().assert_ok();
+    }
+}
+
+/// A faulted single-job run with recorder attached; `arrivals` may reach
+/// past `horizon`.
+fn counted_run(
+    shape: u8,
+    sim_seed: u64,
+    rates: FaultRates,
+    arrivals: &[SimTime],
+    horizon: SimTime,
+) -> (WorkflowDag, Vec<SimEvent>, RunReport) {
+    let (registry, fns) = registry3();
+    let dag = random_dag(shape, 3, &fns);
+    let (tel, rec) = Telemetry::recording();
+    // One retry only, so crashes, boot failures and timeouts exhaust it
+    // often enough to reject instances.
+    let retry = RetryPolicy {
+        max_retries: 1,
+        task_timeout: Some(SimDuration::from_secs(20)),
+        ..RetryPolicy::default()
+    };
+    let mut sim = FaasSim::builder()
+        .workers(WORKERS, 24.0, MEM_MB)
+        .registry(registry)
+        .noise(NoiseModel::production())
+        .seed(sim_seed)
+        .faults(FaultPlan::from_seed(sim_seed ^ 0xC0FFEE, rates))
+        .retry_policy(retry)
+        .telemetry(tel)
+        .build();
+    let configs = StageConfigs::uniform(&dag, ResourceConfig::default());
+    let report = sim.run_workflow_trace(&dag, &configs, arrivals, horizon);
+    let events = rec.lock().unwrap().events();
+    (dag, events, report)
+}
+
+/// What a trace says about each instance of a single-job run: how many
+/// of its stages completed, and whether some dispatched stage is still
+/// short of task completions.
+#[derive(Default, Clone)]
+struct InstanceRecount {
+    stages_complete: usize,
+    /// `(tasks, completions)` per dispatched stage.
+    dispatched: std::collections::BTreeMap<usize, (u32, u32)>,
+}
+
+fn recount(events: &[SimEvent]) -> std::collections::BTreeMap<usize, InstanceRecount> {
+    let mut out = std::collections::BTreeMap::<usize, InstanceRecount>::new();
+    for e in events {
+        match *e {
+            SimEvent::StageDispatch {
+                instance,
+                stage,
+                tasks,
+                ..
+            } => {
+                out.entry(instance)
+                    .or_default()
+                    .dispatched
+                    .entry(stage)
+                    .or_default()
+                    .0 = tasks
+            }
+            SimEvent::TaskComplete {
+                instance, stage, ..
+            } => {
+                out.entry(instance)
+                    .or_default()
+                    .dispatched
+                    .entry(stage)
+                    .or_default()
+                    .1 += 1
+            }
+            SimEvent::StageComplete { instance, .. } => {
+                out.entry(instance).or_default().stages_complete += 1
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// `unfinished` and `rejected` are counters kept as the run goes (arrivals
+/// fired minus workflow records; a bump when an instance is first
+/// rejected), not scans over per-instance state. Recount both from the
+/// trace, on runs with crashes, boot failures, timeouts, exhausted
+/// retries, work in flight at the horizon and arrivals beyond it.
+#[test]
+fn unfinished_and_rejected_match_a_recount_from_the_trace() {
+    let rates = FaultRates {
+        boot_fail: 0.15,
+        crash: 0.20,
+        straggler: 0.25,
+        straggler_factor: 40.0,
+        handoff_delay: 0.10,
+        ..FaultRates::default()
+    };
+    let last = 30u64 * 4;
+    // Thirty arrivals 4 s apart, then three the horizon never reaches.
+    let arrivals: Vec<SimTime> = (1..=30u64)
+        .map(|i| SimTime::from_secs(i * 4))
+        .chain((1..=3u64).map(|i| SimTime::from_secs(100_000 + i)))
+        .collect();
+    let (mut rejected_total, mut in_flight_total) = (0, 0);
+    for seed in 0..12u64 {
+        let shape = (seed % 3) as u8;
+        // Cut mid-run: the last arrivals are still in flight.
+        let cut = SimTime::from_secs(last - 10);
+        let (dag, events, report) = counted_run(shape, seed, rates.clone(), &arrivals, cut);
+        let fired = arrivals.iter().filter(|t| **t <= cut).count();
+        let seen = recount(&events);
+        let complete = seen
+            .values()
+            .filter(|i| i.stages_complete == dag.num_stages())
+            .count();
+        assert_eq!(report.workflows.len(), complete, "seed {seed}");
+        assert_eq!(report.unfinished, fired - complete, "seed {seed}");
+        assert!(report.rejected <= report.unfinished, "seed {seed}");
+        in_flight_total += report.unfinished - report.rejected;
+
+        // Run to quiescence: every dispatched task has then completed or
+        // exhausted its retries, so the rejected instances are exactly
+        // those with a dispatched stage short of completions — and
+        // nothing else is unfinished.
+        let settle = SimTime::from_secs(last + 3_600);
+        let (dag, events, report) = counted_run(shape, seed, rates.clone(), &arrivals, settle);
+        let seen = recount(&events);
+        let stuck = seen
+            .values()
+            .filter(|i| i.dispatched.values().any(|(tasks, done)| done < tasks))
+            .count();
+        let complete = seen
+            .values()
+            .filter(|i| i.stages_complete == dag.num_stages())
+            .count();
+        assert_eq!(
+            report.unfinished, report.rejected,
+            "seed {seed}: not quiescent"
+        );
+        assert_eq!(report.rejected, stuck, "seed {seed}");
+        assert_eq!(report.workflows.len(), complete, "seed {seed}");
+        assert_eq!(report.unfinished + complete, 30, "seed {seed}");
+        rejected_total += report.rejected;
+    }
+    assert!(rejected_total > 0, "the plan must exhaust some retries");
+    assert!(in_flight_total > 0, "the cut must catch work in flight");
+}
+
+/// The sequential loop recycles an instance's bookkeeping slot once its
+/// workflow record is written. A recycled slot must start from zero: each
+/// record's counters equal what the invocation list says about that
+/// instance alone, even when faults inflate a predecessor's counters.
+/// (Boot failures are off: a task waiting on a failed boot is counted as
+/// scheduled without ever producing an invocation record.)
+#[test]
+fn recycled_slots_do_not_leak_counters_into_workflow_records() {
+    let rates = FaultRates {
+        crash: 0.15,
+        straggler: 0.2,
+        handoff_delay: 0.1,
+        ..FaultRates::default()
+    };
+    let arrivals: Vec<SimTime> = (1..=60u64).map(|i| SimTime::from_secs(i * 5)).collect();
+    let horizon = SimTime::from_secs(60 * 5 + 600);
+    for seed in 0..6u64 {
+        let (_, _, report) = counted_run((seed % 3) as u8, seed, rates.clone(), &arrivals, horizon);
+        assert!(report.workflows.len() > 30, "seed {seed}: most complete");
+        let attempts = |w: &WorkflowRecord| w.invocations;
+        let fewest = report.workflows.iter().map(attempts).min();
+        let most = report.workflows.iter().map(attempts).max();
+        assert!(fewest < most, "seed {seed}: retries must inflate some");
+        for w in &report.workflows {
+            let own: Vec<_> = report
+                .invocations
+                .iter()
+                .filter(|r| r.workflow_instance == w.instance)
+                .collect();
+            assert_eq!(w.invocations as usize, own.len(), "seed {seed} {w:?}");
+            let cold = own.iter().filter(|r| r.cold).count();
+            assert_eq!(w.cold_starts as usize, cold, "seed {seed} {w:?}");
+        }
+    }
 }

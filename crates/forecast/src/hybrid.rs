@@ -14,7 +14,7 @@
 //! passes → predictive mean and variance.
 
 use aqua_linalg::Matrix;
-use aqua_nn::{mse, Adam, EncoderDecoder, Mlp, Parameterized, Seq2SeqConfig};
+use aqua_nn::{mse_into, Adam, EncoderDecoder, Mlp, Parameterized, Seq2SeqConfig};
 use aqua_sim::SimRng;
 
 use crate::point::{counts, Forecast, SeriesPoint, EXTERNAL_FEATURE_DIM};
@@ -175,14 +175,16 @@ impl HybridBayesian {
     /// a larger batch is a different model, not a faster one.
     const PRETRAIN_BATCH: usize = 1;
 
-    fn recent_tail(window: &[Vec<f64>]) -> Vec<f64> {
-        let n = window.len();
-        (0..Self::RECENT_TAIL)
-            .map(|k| {
-                let idx = n.saturating_sub(k + 1);
-                window[idx][0]
-            })
-            .collect()
+    /// Windows per frozen-encoder rollout when stage 2 extracts its
+    /// latents: enough lanes to fill the GEMM tiles, few enough that the
+    /// rollout's working set (≈ 100 KiB at the pool's default widths)
+    /// leaves a fit's peak memory where it was.
+    const LATENT_CHUNK: usize = 32;
+
+    /// The last [`Self::RECENT_TAIL`] normalized counts of a `len`-step
+    /// window, newest first; `at(t)` is the count at step `t`.
+    fn recent_tail(len: usize, at: impl Fn(usize) -> f64) -> [f64; Self::RECENT_TAIL] {
+        std::array::from_fn(|k| at(len.saturating_sub(k + 1)))
     }
 
     fn standardize(&self, input: &mut [f64]) {
@@ -215,7 +217,7 @@ impl HybridBayesian {
         let mut feats = next_point.external_features();
         self.mask_features(&mut feats);
         input.extend_from_slice(&feats);
-        input.extend_from_slice(&Self::recent_tail(&window));
+        input.extend_from_slice(&Self::recent_tail(window.len(), |t| window[t][0]));
         self.standardize(&mut input);
         let last = window.last().expect("non-empty window")[0];
         ((last + self.mlp.forward(&input)[0]) * self.scale).max(0.0)
@@ -263,24 +265,35 @@ impl Predictor for HybridBayesian {
         // variational dropout still regularizes encoder pre-training).
         let span_minutes = train.last().expect("non-empty").minute - train[0].minute;
         self.use_weekly = span_minutes >= 7 * 24 * 60;
-        let mut inputs = Vec::new();
-        let mut targets = Vec::new();
-        for s in 0..norm.len() - w {
-            let window: Vec<Vec<f64>> = norm[s..s + w].iter().map(|v| vec![*v]).collect();
-            let mut input = self.encoder_decoder.encode(&window, false, &mut rng);
-            let mut feats = train[s + w].external_features();
-            self.mask_features(&mut feats);
-            input.extend_from_slice(&feats);
-            input.extend_from_slice(&Self::recent_tail(&window));
-            inputs.push(input);
-            // The network predicts the *delta* from the last observation:
-            // deltas are near-stationary, the naive forecast becomes the
-            // zero function, and any learned structure (calendar phase,
-            // latent dynamics) improves on that floor.
-            targets.push(norm[s + w] - norm[s + w - 1]);
+        // The frozen encoder takes a chunk of windows per rollout, a lane
+        // each; the engine is batch-size invariant, so every latent has the
+        // bits of its own one-lane `encode`.
+        let starts: Vec<usize> = (0..norm.len() - w).collect();
+        let dim = self.mlp.in_dim();
+        let mut inputs = Vec::with_capacity(starts.len());
+        let mut targets = Vec::with_capacity(starts.len());
+        for chunk in starts.chunks(Self::LATENT_CHUNK) {
+            let steps: Vec<Matrix> = (0..w)
+                .map(|t| Matrix::from_fn(chunk.len(), 1, |b, _| norm[chunk[b] + t]))
+                .collect();
+            let z = self.encoder_decoder.encode_batch(&steps);
+            for (b, &s) in chunk.iter().enumerate() {
+                let mut input = Vec::with_capacity(dim);
+                input.extend_from_slice(z.row(b));
+                let mut feats = train[s + w].external_features();
+                self.mask_features(&mut feats);
+                input.extend_from_slice(&feats);
+                input.extend_from_slice(&Self::recent_tail(w, |t| norm[s + t]));
+                inputs.push(input);
+                // The network predicts the *delta* from the last
+                // observation: deltas are near-stationary, the naive
+                // forecast becomes the zero function, and any learned
+                // structure (calendar phase, latent dynamics) improves on
+                // that floor.
+                targets.push(norm[s + w] - norm[s + w - 1]);
+            }
         }
         // Fit the input standardization on the training inputs.
-        let dim = inputs[0].len();
         let n = inputs.len() as f64;
         self.input_mean = vec![0.0; dim];
         self.input_std = vec![0.0; dim];
@@ -323,7 +336,8 @@ impl Predictor for HybridBayesian {
                 let cache = self.mlp.forward_train_batch(&x, &mut rng);
                 let mut d = Matrix::zeros(chunk.len(), 1);
                 for (r, &i) in chunk.iter().enumerate() {
-                    let (_, g) = mse(cache.output.row(r), &[targets[i]]);
+                    let mut g = [0.0];
+                    mse_into(cache.output.row(r), &[targets[i]], &mut g);
                     d[(r, 0)] = g[0] / chunk.len() as f64;
                 }
                 self.mlp.backward_batch(&cache, &d);
@@ -374,7 +388,7 @@ impl Predictor for HybridBayesian {
         let last = window.last().expect("non-empty window")[0];
         let mut base_input = z;
         base_input.extend_from_slice(&features);
-        base_input.extend_from_slice(&Self::recent_tail(&window));
+        base_input.extend_from_slice(&Self::recent_tail(window.len(), |t| window[t][0]));
         self.standardize(&mut base_input);
         // All T MC-dropout passes share the input and the weights, so they
         // run as ONE batched forward over T broadcast rows; masks are

@@ -67,8 +67,8 @@ impl VanillaLstm {
     }
 
     fn predict_norm(&mut self, input: &[Vec<f64>]) -> f64 {
-        // Arena-based inference step: no per-step caches, no RNG (inference
-        // mode never draws masks).
+        // Unrecorded rollout: no per-step activations kept, no RNG
+        // (inference mode never draws masks).
         let res = self.lstm.forward_infer(input, None);
         self.head.forward(&res.last_output)[0]
     }

@@ -43,6 +43,14 @@ const MR_WIDE: usize = 8;
 /// Register-tile width in f64 columns (two AVX2 lanes / four SSE2 lanes).
 const NR: usize = 8;
 
+/// Panels a single-row tile spans ([`tile_row`]) in the AVX2 / AVX-512
+/// instantiations, where a panel is two / one vector registers and a lone
+/// row would otherwise leave the adder waiting on two / one dependent
+/// chains. The baseline instantiation passes 1: its four 2×f64 chains per
+/// panel already cover the add latency, and sixteen accumulators would
+/// spill its register file.
+const ROW_PANELS: usize = 4;
+
 /// `out = a · b` for row-major `a (m×p)` and `b (p×n)`, overwriting `out`.
 ///
 /// Per output element the contraction runs in increasing-`p` order from
@@ -79,7 +87,7 @@ pub fn gemm_acc(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], out: &mut [f
             return;
         }
     }
-    gemm_acc_tiled::<MR, false>(m, n, p, a, b, out);
+    gemm_acc_tiled::<MR, 1, false>(m, n, p, a, b, out);
 }
 
 /// `out -= a · b` — the subtracting form of [`gemm_acc`], the trailing
@@ -111,7 +119,7 @@ pub fn gemm_sub_acc(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], out: &mu
             return;
         }
     }
-    gemm_acc_tiled::<MR, true>(m, n, p, a, b, out);
+    gemm_acc_tiled::<MR, 1, true>(m, n, p, a, b, out);
 }
 
 /// AVX-512 re-instantiation: an `NR = 8` panel is exactly one zmm lane
@@ -119,7 +127,7 @@ pub fn gemm_sub_acc(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], out: &mu
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn gemm_acc_avx512(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-    gemm_acc_tiled::<MR_WIDE, false>(m, n, p, a, b, out);
+    gemm_acc_tiled::<MR_WIDE, ROW_PANELS, false>(m, n, p, a, b, out);
 }
 
 /// The same tiled kernel re-instantiated with AVX2 codegen enabled. AVX2
@@ -129,7 +137,7 @@ unsafe fn gemm_acc_avx512(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], ou
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_acc_avx2(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-    gemm_acc_tiled::<MR, false>(m, n, p, a, b, out);
+    gemm_acc_tiled::<MR, ROW_PANELS, false>(m, n, p, a, b, out);
 }
 
 /// AVX-512 re-instantiation of the subtracting kernel; see
@@ -137,7 +145,7 @@ unsafe fn gemm_acc_avx2(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], out:
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn gemm_sub_acc_avx512(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-    gemm_acc_tiled::<MR_WIDE, true>(m, n, p, a, b, out);
+    gemm_acc_tiled::<MR_WIDE, ROW_PANELS, true>(m, n, p, a, b, out);
 }
 
 /// AVX2 re-instantiation of the subtracting kernel; see
@@ -145,7 +153,7 @@ unsafe fn gemm_sub_acc_avx512(m: usize, n: usize, p: usize, a: &[f64], b: &[f64]
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_sub_acc_avx2(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-    gemm_acc_tiled::<MR, true>(m, n, p, a, b, out);
+    gemm_acc_tiled::<MR, ROW_PANELS, true>(m, n, p, a, b, out);
 }
 
 /// Register-blocked accumulation: `MAXR×NR` output tiles live in local
@@ -156,7 +164,7 @@ unsafe fn gemm_sub_acc_avx2(m: usize, n: usize, p: usize, a: &[f64], b: &[f64], 
 /// decomposition, greedy 8/4/2/1 over the row chunk, cannot affect bits).
 /// `SUB` flips every accumulation to a subtraction ([`gemm_sub_acc`]).
 #[inline(always)]
-fn gemm_acc_tiled<const MAXR: usize, const SUB: bool>(
+fn gemm_acc_tiled<const MAXR: usize, const ROW: usize, const SUB: bool>(
     m: usize,
     n: usize,
     p: usize,
@@ -169,6 +177,14 @@ fn gemm_acc_tiled<const MAXR: usize, const SUB: bool>(
     while i < m {
         let mr = (m - i).min(MAXR);
         let mut j = 0;
+        if mr == 1 && ROW > 1 {
+            // A lone row has one accumulator per panel: run `ROW` panels
+            // side by side so their add chains overlap.
+            while j + ROW * NR <= n_main {
+                tile_row::<ROW, SUB>(i, j, n, p, a, b, out);
+                j += ROW * NR;
+            }
+        }
         while j < n_main {
             let mut r = i;
             let mut rem = mr;
@@ -261,6 +277,57 @@ fn tile_nn<const R: usize, const SUB: bool>(
         for (l, v) in acc_r.iter().enumerate() {
             // SAFETY: covered by the `out` assert above.
             unsafe { *out.get_unchecked_mut((i + r) * n + j + l) = *v };
+        }
+    }
+}
+
+/// One `1×(ROW·NR)` register tile of `out ± a · b`: [`tile_nn`] for a
+/// single row, widened across panels because a lone row offers no other
+/// independent accumulators to hide the add latency behind. Each output
+/// element still accumulates over `k` in order from its current value.
+#[inline(always)]
+fn tile_row<const ROW: usize, const SUB: bool>(
+    i: usize,
+    j: usize,
+    n: usize,
+    p: usize,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+) {
+    let w = ROW * NR;
+    assert!(i * n + j + w <= out.len(), "out tile in bounds");
+    assert!(
+        p == 0 || (p - 1) * n + j + w <= b.len(),
+        "b panel in bounds"
+    );
+    assert!((i + 1) * p <= a.len(), "a row in bounds");
+    let mut acc = [[0.0f64; NR]; ROW];
+    for (q, acc_q) in acc.iter_mut().enumerate() {
+        for (l, v) in acc_q.iter_mut().enumerate() {
+            // SAFETY: covered by the `out` assert above.
+            *v = unsafe { *out.get_unchecked(i * n + j + q * NR + l) };
+        }
+    }
+    for k in 0..p {
+        // SAFETY: covered by the `a` assert above.
+        let av = unsafe { *a.get_unchecked(i * p + k) };
+        for (q, acc_q) in acc.iter_mut().enumerate() {
+            for (l, v) in acc_q.iter_mut().enumerate() {
+                // SAFETY: covered by the `b` assert above.
+                let bv = unsafe { *b.get_unchecked(k * n + j + q * NR + l) };
+                if SUB {
+                    *v -= av * bv;
+                } else {
+                    *v += av * bv;
+                }
+            }
+        }
+    }
+    for (q, acc_q) in acc.iter().enumerate() {
+        for (l, v) in acc_q.iter().enumerate() {
+            // SAFETY: covered by the `out` assert above.
+            unsafe { *out.get_unchecked_mut(i * n + j + q * NR + l) = *v };
         }
     }
 }
@@ -626,6 +693,38 @@ mod tests {
                         want.to_bits(),
                         "{m}x{n} ({i},{j})"
                     );
+                }
+            }
+        }
+    }
+
+    /// A row chunk of one row (`m = 1`, or the tail of `m mod MR = 1`)
+    /// takes [`tile_row`] across every full group of `ROW_PANELS` panels,
+    /// then single panels, then the scalar tail — adding and subtracting.
+    #[test]
+    fn lone_rows_accumulate_in_k_order_across_wide_tiles() {
+        let w = ROW_PANELS * NR;
+        for &m in &[1usize, MR + 1, MR_WIDE + 1] {
+            for &n in &[w, w + NR + 3, 2 * w + 1] {
+                for &p in &[1usize, 13] {
+                    let a = arb(m * p, 17);
+                    let b = arb(p * n, 18);
+                    let init = arb(m * n, 19);
+                    let (mut added, mut subbed) = (init.clone(), init.clone());
+                    gemm_acc(m, n, p, &a, &b, &mut added);
+                    gemm_sub_acc(m, n, p, &a, &b, &mut subbed);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let (mut plus, mut minus) = (init[i * n + j], init[i * n + j]);
+                            for k in 0..p {
+                                plus += a[i * p + k] * b[k * n + j];
+                                minus -= a[i * p + k] * b[k * n + j];
+                            }
+                            let at = format!("{m}x{n} p={p} ({i},{j})");
+                            assert_eq!(added[i * n + j].to_bits(), plus.to_bits(), "{at}");
+                            assert_eq!(subbed[i * n + j].to_bits(), minus.to_bits(), "{at}");
+                        }
+                    }
                 }
             }
         }

@@ -27,5 +27,6 @@ pub use chol::{Cholesky, NotPositiveDefiniteError};
 pub use gemm::{col_sum_acc, gemm, gemm_acc, gemm_sub_acc, gemm_tn, pack_transpose};
 pub use matrix::Matrix;
 pub use stats::{
-    mean, normal_cdf, normal_pdf, normal_quantile, quantile, sample_std, sample_var, smape,
+    mean, normal_cdf, normal_pdf, normal_quantile, quantile, quantile_sorted, sample_std,
+    sample_var, smape, sorted,
 };

@@ -31,14 +31,36 @@ pub fn sample_std(xs: &[f64]) -> f64 {
 
 /// Empirical quantile with linear interpolation, `q ∈ [0, 1]`.
 ///
+/// Sorts a copy per call; a caller reading several quantiles of one sample
+/// sorts once with [`sorted`] and reads them with [`quantile_sorted`].
+///
 /// # Panics
 ///
-/// Panics if `xs` is empty or `q` is outside `[0, 1]`.
+/// Panics if `xs` is empty or holds a NaN, or `q` is outside `[0, 1]`.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    assert!(!xs.is_empty(), "quantile of an empty slice");
-    assert!((0.0..=1.0).contains(&q), "q must be in [0, 1]");
+    quantile_sorted(&sorted(xs), q)
+}
+
+/// Ascending copy of `xs`, the order [`quantile_sorted`] interpolates over.
+///
+/// # Panics
+///
+/// Panics if `xs` holds a NaN.
+pub fn sorted(xs: &[f64]) -> Vec<f64> {
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    sorted
+}
+
+/// [`quantile`] of a sample already in [`sorted`] order.
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty or `q` is outside `[0, 1]`.
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "quantile of an empty slice");
+    assert!((0.0..=1.0).contains(&q), "q must be in [0, 1]");
+    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "sample not sorted");
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -188,6 +210,42 @@ mod tests {
         assert_eq!(quantile(&xs, 0.0), 1.0);
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
+    }
+
+    /// The pre-split `quantile`, sort and interpolation in one body.
+    fn quantile_oracle(xs: &[f64], q: f64) -> f64 {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let w = pos - lo as f64;
+            sorted[lo] * (1.0 - w) + sorted[hi] * w
+        }
+    }
+
+    #[test]
+    fn quantile_sorted_reads_what_quantile_reads() {
+        for n in [1usize, 2, 3, 1_000] {
+            // Awkward mantissas with duplicates (values repeat every 7).
+            let xs: Vec<f64> = (0..n)
+                .map(|i| ((i % 7) as f64 * 1.37).sin() * 3.0 + (i / 7 % 3) as f64 * 0.1)
+                .collect();
+            let once = sorted(&xs);
+            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+                let want = quantile_oracle(&xs, q).to_bits();
+                assert_eq!(quantile(&xs, q).to_bits(), want, "n={n} q={q}");
+                assert_eq!(quantile_sorted(&once, q).to_bits(), want, "n={n} q={q}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in quantile input")]
+    fn quantile_rejects_nan() {
+        quantile(&[1.0, f64::NAN, 0.5], 0.5);
     }
 
     #[test]

@@ -98,45 +98,123 @@ impl Adam {
     }
 
     /// Applies one update step using the gradients accumulated in `model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` does not present the parameter blocks the first
+    /// step saw: a block of another length, or fewer or more blocks (which
+    /// would leave moments stale or attach them to the wrong weights).
     pub fn step(&mut self, model: &mut dyn Parameterized) {
         self.t += 1;
         let t = self.t as f64;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-        let (lr, beta1, beta2, eps, clip, wd) = (
-            self.lr,
-            self.beta1,
-            self.beta2,
-            self.eps,
-            self.clip,
-            self.weight_decay,
-        );
+        let k = StepScalars {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            clip: self.clip,
+            weight_decay: self.weight_decay,
+            bc1: 1.0 - self.beta1.powf(t),
+            bc2: 1.0 - self.beta2.powf(t),
+        };
+        let first = self.t == 1;
         let mut idx = 0;
         let m = &mut self.m;
         let v = &mut self.v;
         model.visit_params(&mut |w, g| {
-            if m.len() <= idx {
+            if first {
                 m.push(vec![0.0; w.len()]);
                 v.push(vec![0.0; w.len()]);
             }
-            assert_eq!(
-                m[idx].len(),
-                w.len(),
+            assert!(
+                idx < m.len() && m[idx].len() == w.len(),
                 "model structure changed between steps"
             );
-            for k in 0..w.len() {
-                let mut grad = g[k];
-                if let Some(c) = clip {
-                    grad = grad.clamp(-c, c);
-                }
-                m[idx][k] = beta1 * m[idx][k] + (1.0 - beta1) * grad;
-                v[idx][k] = beta2 * v[idx][k] + (1.0 - beta2) * grad * grad;
-                let mhat = m[idx][k] / bc1;
-                let vhat = v[idx][k] / bc2;
-                w[k] -= lr * (mhat / (vhat.sqrt() + eps) + wd * w[k]);
-            }
+            update_block(&k, w, g, &mut m[idx], &mut v[idx]);
             idx += 1;
         });
+        assert_eq!(idx, self.m.len(), "model structure changed between steps");
+    }
+}
+
+/// The scalars of one optimizer step, shared by every parameter block.
+#[derive(Debug, Clone, Copy)]
+struct StepScalars {
+    lr: f64,
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
+    /// Elementwise gradient clip to `[-c, c]`, `c > 0`.
+    clip: Option<f64>,
+    weight_decay: f64,
+    /// Bias corrections `1 − βᵗ` of this step.
+    bc1: f64,
+    bc2: f64,
+}
+
+/// One Adam update of a parameter block: weights `w`, gradients `g` and
+/// the two moment blocks `m`, `v`, element by element.
+///
+/// The arithmetic contract (DESIGN.md "BNN engine & bit-identity
+/// contract"): every element runs the expression tree of
+/// [`update_block_impl`], the scalar loop's, with the clip branch hoisted
+/// out of the loop. Handing the compiler four equal-length slices is the
+/// whole optimisation; the loop is divider-bound, so wider-lane
+/// instantiations measured no faster (EXPERIMENTS.md) and there are none.
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length.
+fn update_block(k: &StepScalars, w: &mut [f64], g: &[f64], m: &mut [f64], v: &mut [f64]) {
+    match k.clip {
+        Some(c) => update_block_impl::<true>(k, c, w, g, m, v),
+        None => update_block_impl::<false>(k, 0.0, w, g, m, v),
+    }
+}
+
+fn update_block_impl<const CLIP: bool>(
+    k: &StepScalars,
+    c: f64,
+    w: &mut [f64],
+    g: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+) {
+    let n = w.len();
+    assert!(
+        g.len() == n && m.len() == n && v.len() == n,
+        "parameter block length mismatch"
+    );
+    let StepScalars {
+        lr,
+        beta1,
+        beta2,
+        eps,
+        weight_decay: wd,
+        bc1,
+        bc2,
+        ..
+    } = *k;
+    for (((wk, &gk), mk), vk) in w.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+        let mut grad = gk;
+        if CLIP {
+            // `f64::clamp(-c, c)` spelled out (its bounds assert hoisted
+            // to `Adam::with_clip`): a NaN gradient fails both comparisons
+            // and stays NaN.
+            if grad < -c {
+                grad = -c;
+            }
+            if grad > c {
+                grad = c;
+            }
+        }
+        // No reciprocal-multiply: `/ bc` is a division here because it is
+        // one in the scalar loop these bits were recorded under.
+        *mk = beta1 * *mk + (1.0 - beta1) * grad;
+        *vk = beta2 * *vk + (1.0 - beta2) * grad * grad;
+        let mhat = *mk / bc1;
+        let vhat = *vk / bc2;
+        *wk -= lr * (mhat / (vhat.sqrt() + eps) + wd * *wk);
     }
 }
 
@@ -185,6 +263,52 @@ mod tests {
         // gradient must not produce NaN/inf.
         assert!(q.x[0].is_finite());
         assert!(q.x[0] < 0.0);
+    }
+
+    /// A model that stops visiting its second block.
+    struct Shrinking {
+        blocks: [Quad; 2],
+        visit: usize,
+    }
+
+    impl Parameterized for Shrinking {
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+            for q in &mut self.blocks[..self.visit] {
+                f(&mut q.x, &mut q.g);
+            }
+        }
+    }
+
+    fn two_blocks() -> Shrinking {
+        let quad = || Quad {
+            x: vec![1.0; 3],
+            g: vec![0.5; 3],
+        };
+        Shrinking {
+            blocks: [quad(), quad()],
+            visit: 2,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "model structure changed")]
+    fn rejects_a_model_that_visits_fewer_blocks() {
+        let mut model = two_blocks();
+        let mut adam = Adam::new(0.1);
+        adam.step(&mut model);
+        model.visit = 1;
+        adam.step(&mut model);
+    }
+
+    #[test]
+    #[should_panic(expected = "model structure changed")]
+    fn rejects_a_model_that_visits_more_blocks() {
+        let mut model = two_blocks();
+        model.visit = 1;
+        let mut adam = Adam::new(0.1);
+        adam.step(&mut model);
+        model.visit = 2;
+        adam.step(&mut model);
     }
 
     #[test]

@@ -120,17 +120,28 @@ pub fn sigmoid(x: f64) -> f64 {
 ///
 /// Panics if the slices differ in length or are empty.
 pub fn mse(pred: &[f64], target: &[f64]) -> (f64, Vec<f64>) {
+    let mut grad = vec![0.0; pred.len()];
+    let loss = mse_into(pred, target, &mut grad);
+    (loss, grad)
+}
+
+/// [`mse`] writing the gradient into `grad` and returning the loss.
+///
+/// # Panics
+///
+/// Panics if the three slices differ in length or are empty.
+pub fn mse_into(pred: &[f64], target: &[f64], grad: &mut [f64]) -> f64 {
     assert_eq!(pred.len(), target.len(), "length mismatch");
+    assert_eq!(pred.len(), grad.len(), "length mismatch");
     assert!(!pred.is_empty(), "empty loss input");
     let n = pred.len() as f64;
-    let mut grad = vec![0.0; pred.len()];
     let mut loss = 0.0;
     for i in 0..pred.len() {
         let d = pred[i] - target[i];
         loss += d * d;
         grad[i] = 2.0 * d / n;
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// Checks the gradients `model` has accumulated against central finite

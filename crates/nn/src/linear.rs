@@ -3,6 +3,7 @@
 use aqua_linalg::{col_sum_acc, gemm, gemm_tn, pack_transpose, Matrix};
 use aqua_sim::SimRng;
 
+use crate::lstm::grown;
 use crate::Parameterized;
 
 /// A dense affine layer `y = W x + b` with accumulated gradients.
@@ -83,24 +84,25 @@ impl Linear {
     /// Panics if `x.cols() != in_dim`.
     pub fn forward_batch(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "input dimension mismatch");
-        let bsz = x.rows();
-        let mut wt = vec![0.0; self.w.len()];
-        pack_transpose(self.out_dim, self.in_dim, &self.w, &mut wt);
-        let mut y = Matrix::zeros(bsz, self.out_dim);
-        gemm(
-            bsz,
-            self.out_dim,
-            self.in_dim,
-            x.as_slice(),
-            &wt,
-            y.as_mut_slice(),
-        );
-        for r in 0..bsz {
-            for (v, b) in y.row_mut(r).iter_mut().zip(&self.b) {
+        let mut y = Matrix::zeros(x.rows(), self.out_dim);
+        self.forward_rows(x.rows(), x.as_slice(), &mut Vec::new(), y.as_mut_slice());
+        y
+    }
+
+    /// [`Linear::forward_batch`] on flat row-major buffers: `y (B×out)`
+    /// receives the result, `wt` is scratch for the packed transposed
+    /// weights (grown once, re-packed on every call — the weights may have
+    /// moved).
+    pub(crate) fn forward_rows(&self, bsz: usize, x: &[f64], wt: &mut Vec<f64>, y: &mut [f64]) {
+        assert_eq!(x.len(), bsz * self.in_dim, "input dimension mismatch");
+        let wt = grown(wt, self.w.len());
+        pack_transpose(self.out_dim, self.in_dim, &self.w, wt);
+        gemm(bsz, self.out_dim, self.in_dim, x, wt, y);
+        for row in y.chunks_exact_mut(self.out_dim) {
+            for (v, b) in row.iter_mut().zip(&self.b) {
                 *v += b;
             }
         }
-        y
     }
 
     /// Backward pass: accumulates weight/bias gradients for the recorded
@@ -116,26 +118,17 @@ impl Linear {
         assert_eq!(x.cols(), self.in_dim, "input dimension mismatch");
         assert_eq!(dy.cols(), self.out_dim, "gradient dimension mismatch");
         assert_eq!(x.rows(), dy.rows(), "batch size mismatch");
-        let bsz = x.rows();
-        col_sum_acc(bsz, self.out_dim, dy.as_slice(), &mut self.gb);
-        gemm_tn(
-            bsz,
-            self.out_dim,
-            self.in_dim,
-            dy.as_slice(),
-            x.as_slice(),
-            &mut self.gw,
-        );
-        let mut dx = Matrix::zeros(bsz, self.in_dim);
-        gemm(
-            bsz,
-            self.in_dim,
-            self.out_dim,
-            dy.as_slice(),
-            &self.w,
-            dx.as_mut_slice(),
-        );
+        let mut dx = Matrix::zeros(x.rows(), self.in_dim);
+        self.backward_rows(x.rows(), x.as_slice(), dy.as_slice(), dx.as_mut_slice());
         dx
+    }
+
+    /// [`Linear::backward_batch`] on flat row-major buffers: `dx (B×in)`
+    /// receives `dL/dX`.
+    pub(crate) fn backward_rows(&mut self, bsz: usize, x: &[f64], dy: &[f64], dx: &mut [f64]) {
+        col_sum_acc(bsz, self.out_dim, dy, &mut self.gb);
+        gemm_tn(bsz, self.out_dim, self.in_dim, dy, x, &mut self.gw);
+        gemm(bsz, self.in_dim, self.out_dim, dy, &self.w, dx);
     }
 }
 

@@ -12,6 +12,14 @@
 //! lane-major, and weight gradients accumulate lane-major/timestep-
 //! descending. `tests/batched_equiv.rs` holds the scalar textbook
 //! reference those bits are asserted against.
+//!
+//! Every rollout runs on an [`LstmTape`] and every BPTT on an
+//! [`LstmBptt`]: flat buffers that hold the packed weights, the states,
+//! the recorded activations and the gradient scratch. The public calls
+//! build fresh ones and copy matrices out; a training loop keeps one pair
+//! per network and reuses it for every step, so a steady-state step
+//! allocates nothing. Which of the two owns the buffers cannot change a
+//! bit: the kernels, their operands and their order are the same.
 
 use aqua_linalg::{col_sum_acc, gemm, gemm_tn, pack_transpose, Matrix};
 use aqua_sim::SimRng;
@@ -123,25 +131,171 @@ impl Lstm {
     pub fn top_hidden(&self) -> usize {
         self.layers.last().expect("at least one layer").hidden
     }
+}
 
-    /// Hidden width of layer `l`.
-    pub fn hidden_of(&self, l: usize) -> usize {
-        self.layers[l].hidden
+/// Grows `buf` to at least `len` elements and returns the first `len`.
+/// Contents are whatever the last user left: callers write before they read.
+pub(crate) fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// One layer's share of an [`LstmTape`].
+#[derive(Debug, Clone, Default)]
+struct LayerTape {
+    /// Packed transposed weights `Wxᵀ: I×4H` and `Whᵀ: H×4H`, so the
+    /// forward products `X · Wᵀ` run as plain [`gemm`] calls with
+    /// unit-stride inner loops.
+    wxt: Vec<f64>,
+    wht: Vec<f64>,
+    /// (Masked) hidden and cell state per slot, `B×H` each; slot 0 is the
+    /// initial state, step `t` reads slot `t` and writes slot `t + 1`.
+    h: Vec<f64>,
+    c: Vec<f64>,
+    /// Activated gates per recorded step, `B×4H` each (one block, reused,
+    /// when the rollout is not recorded).
+    gates: Vec<f64>,
+    /// `tanh(c)` per recorded step, `B×H` each.
+    tanh_c: Vec<f64>,
+    /// Variational mask, `B×H` (row = lane); all-ones outside training.
+    mask: Vec<f64>,
+}
+
+/// Working set and record of one rollout: packed weights, per-slot states
+/// and — for a recorded rollout — every activation the backward pass
+/// reads. A recorded rollout keeps `steps + 1` state slots; an unrecorded
+/// one alternates between two. [`Lstm::begin`] sizes it (growing, never
+/// shrinking, so a reused tape stops allocating) and packs the weights as
+/// they are now; begin again after an optimizer step.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LstmTape {
+    batch: usize,
+    steps: usize,
+    /// Steps advanced so far.
+    done: usize,
+    recorded: bool,
+    /// Whether the masks were drawn (training / MC dropout) or are ones.
+    masked: bool,
+    /// Layer-0 input per recorded step: `B×I`, or one shared `I`-wide row.
+    x0: Vec<f64>,
+    x_rows: usize,
+    /// Input-contribution scratch `X · Wxᵀ`, `B×4H` of the widest layer.
+    zx: Vec<f64>,
+    layers: Vec<LayerTape>,
+}
+
+impl LayerTape {
+    /// Elements of one `B×H` state block (the mask is exactly one).
+    fn state_len(&self) -> usize {
+        self.mask.len()
     }
 }
 
-/// Working set of one rollout's step kernel, reused across every
-/// (step, layer) pair: the packed transposed weights (`Wxᵀ: I×4H`,
-/// `Whᵀ: H×4H` per layer, so the forward products `X · Wᵀ` run as plain
-/// [`gemm`] calls with unit-stride inner loops) and the gate scratch
-/// arenas. The packing is a pure data-layout transform of the weights as
-/// they are now; build a fresh arena after an optimizer step.
-#[derive(Debug)]
-pub(crate) struct StepArena {
-    packed: Vec<(Vec<f64>, Vec<f64>)>,
-    zx: Vec<f64>,
-    zh: Vec<f64>,
-    tanh_c: Vec<f64>,
+impl LstmTape {
+    /// State slot holding the states after `s` steps.
+    fn slot(&self, s: usize) -> usize {
+        if self.recorded {
+            s
+        } else {
+            s % 2
+        }
+    }
+
+    /// `(h, c)` of layer `l` before the first step, to be overwritten with
+    /// a non-zero initial state between [`Lstm::begin`] and the first step.
+    pub(crate) fn init_mut(&mut self, l: usize) -> (&mut [f64], &mut [f64]) {
+        let lt = &mut self.layers[l];
+        let n = lt.state_len();
+        (&mut lt.h[..n], &mut lt.c[..n])
+    }
+
+    /// (Masked) hidden state of layer `l` after `s` steps, `B×H`.
+    pub(crate) fn h(&self, l: usize, s: usize) -> &[f64] {
+        let n = self.layers[l].state_len();
+        &self.layers[l].h[self.slot(s) * n..][..n]
+    }
+
+    /// Cell state of layer `l` after `s` steps, `B×H`.
+    fn c(&self, l: usize, s: usize) -> &[f64] {
+        let n = self.layers[l].state_len();
+        &self.layers[l].c[self.slot(s) * n..][..n]
+    }
+
+    /// Top-layer output of the latest step, `B×H_top`.
+    pub(crate) fn last_output(&self) -> &[f64] {
+        self.h(self.layers.len() - 1, self.done)
+    }
+
+    /// Overwrites every buffer with NaN, so a step that reads what an
+    /// earlier step left behind cannot go unnoticed.
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self) {
+        let LstmTape { x0, zx, layers, .. } = self;
+        let per_layer = layers.iter_mut().flat_map(|l| {
+            let LayerTape {
+                wxt,
+                wht,
+                h,
+                c,
+                gates,
+                tanh_c,
+                mask,
+            } = l;
+            [wxt, wht, h, c, gates, tanh_c, mask]
+        });
+        for buf in per_layer.chain([x0, zx]) {
+            buf.fill(f64::NAN);
+        }
+    }
+}
+
+/// Gradient buffers of one BPTT over a recorded [`LstmTape`]: the caller
+/// fills the incoming gradients after [`Lstm::begin_backward`] zeroed
+/// them, [`Lstm::backward`] leaves the outgoing ones.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LstmBptt {
+    /// In: gradient w.r.t. the top-layer output per step, `T×B×H_top`.
+    pub(crate) d_outputs: Vec<f64>,
+    /// In: gradient into each layer's final `h` / `c` (`B×H`); out: the
+    /// gradient w.r.t. its initial state.
+    pub(crate) dh: Vec<Vec<f64>>,
+    pub(crate) dc: Vec<Vec<f64>>,
+    /// Out: gradient w.r.t. each input step, `T×B×I`.
+    d_inputs: Vec<f64>,
+    /// `dz` per layer, `T×B×4H` step-major, kept for the deferred weight
+    /// accumulation.
+    dz: Vec<Vec<f64>>,
+    /// Gradient handed from layer `l` down to layer `l − 1`, `B×I_l`.
+    dx: Vec<Vec<f64>>,
+    /// Flattened (lane-major, t-descending) `dz`, inputs and previous
+    /// hidden states of one layer.
+    dzf: Vec<f64>,
+    xf: Vec<f64>,
+    hf: Vec<f64>,
+}
+
+impl LstmBptt {
+    /// See [`LstmTape::poison`].
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self) {
+        let LstmBptt {
+            d_outputs,
+            dh,
+            dc,
+            d_inputs,
+            dz,
+            dx,
+            dzf,
+            xf,
+            hf,
+        } = self;
+        let nested = dh.iter_mut().chain(dc).chain(dz).chain(dx);
+        for buf in nested.chain([d_outputs, d_inputs, dzf, xf, hf]) {
+            buf.fill(f64::NAN);
+        }
+    }
 }
 
 /// Per-step element-wise inputs for [`lstm_gates`], bundled so the dispatch
@@ -302,25 +456,11 @@ fn lstm_gates_impl(
     }
 }
 
-/// One layer's cached step activations (all `B×dim`).
-#[derive(Debug, Clone)]
-pub(crate) struct BatchStepCache {
-    x: Matrix,
-    h_prev: Matrix,
-    c_prev: Matrix,
-    /// Activated gates, `B×4H`.
-    gates: Matrix,
-    tanh_c: Matrix,
-}
-
-/// Everything the batched backward pass needs from one batched rollout.
+/// A batched rollout as the public calls hand it out: the states and
+/// outputs as matrices, and the tape [`Lstm::backward_seq_batch`] reads.
 #[derive(Debug, Clone)]
 pub struct BatchSeqCache {
-    batch: usize,
-    /// `caches[layer][step]`; empty when the rollout was not recorded.
-    caches: Vec<Vec<BatchStepCache>>,
-    /// Variational masks, one `B×H` matrix per layer (row = lane).
-    masks: Vec<Matrix>,
+    tape: LstmTape,
     /// Final (masked) hidden state per layer, `B×H`.
     pub final_h: Vec<Matrix>,
     /// Final cell state per layer, `B×H`.
@@ -353,98 +493,131 @@ pub struct InferResult {
 }
 
 impl Lstm {
-    /// One zeroed `B×H` matrix per layer.
-    fn zero_states(&self, batch: usize) -> Vec<Matrix> {
-        let zeros = |l: &LstmLayer| Matrix::zeros(batch, l.hidden);
-        self.layers.iter().map(zeros).collect()
-    }
-
-    /// Packs the current weights and sizes the scratch for `batch` lanes.
-    pub(crate) fn arena(&self, batch: usize) -> StepArena {
-        let pack = |l: &LstmLayer| {
-            let mut wxt = vec![0.0; l.wx.len()];
-            pack_transpose(4 * l.hidden, l.input_dim, &l.wx, &mut wxt);
-            let mut wht = vec![0.0; l.wh.len()];
-            pack_transpose(4 * l.hidden, l.hidden, &l.wh, &mut wht);
-            (wxt, wht)
-        };
+    /// Readies `tape` for a rollout of `steps` steps over `batch` lanes:
+    /// sizes it, packs the current weights, zeroes the initial states and
+    /// settles the masks. With `train = Some(rng)` each lane draws one
+    /// variational mask per layer for the whole sequence, lane-major (lane
+    /// `b`'s per-layer masks before lane `b + 1`'s) — the order one-lane
+    /// calls draw them; otherwise masks are all-ones and no randomness is
+    /// consumed.
+    pub(crate) fn begin(
+        &self,
+        tape: &mut LstmTape,
+        batch: usize,
+        steps: usize,
+        record: bool,
+        train: Option<&mut SimRng>,
+    ) {
+        assert!(batch > 0, "empty batch");
+        assert!(steps > 0, "empty sequence");
+        tape.batch = batch;
+        tape.steps = steps;
+        tape.done = 0;
+        tape.recorded = record;
+        tape.masked = train.is_some();
+        let slots = if record { steps + 1 } else { 2 };
+        let kept = if record { steps } else { 1 };
         let widest = self.layers.iter().map(|l| l.hidden).max();
-        let lanes = batch * widest.expect("at least one layer");
-        StepArena {
-            packed: self.layers.iter().map(pack).collect(),
-            zx: vec![0.0; 4 * lanes],
-            zh: vec![0.0; 4 * lanes],
-            tanh_c: vec![0.0; lanes],
+        grown(
+            &mut tape.zx,
+            batch * 4 * widest.expect("at least one layer"),
+        );
+        tape.layers
+            .resize_with(self.layers.len(), LayerTape::default);
+        for (layer, lt) in self.layers.iter().zip(&mut tape.layers) {
+            let (hdim, idim) = (layer.hidden, layer.input_dim);
+            let n = batch * hdim;
+            pack_transpose(
+                4 * hdim,
+                idim,
+                &layer.wx,
+                grown(&mut lt.wxt, layer.wx.len()),
+            );
+            pack_transpose(
+                4 * hdim,
+                hdim,
+                &layer.wh,
+                grown(&mut lt.wht, layer.wh.len()),
+            );
+            grown(&mut lt.h, slots * n)[..n].fill(0.0);
+            grown(&mut lt.c, slots * n)[..n].fill(0.0);
+            grown(&mut lt.gates, kept * 4 * n);
+            if record {
+                grown(&mut lt.tanh_c, kept * n);
+            }
+            lt.mask.resize(n, 1.0);
+            if train.is_none() {
+                lt.mask.fill(1.0);
+            }
+        }
+        if let Some(rng) = train {
+            for b in 0..batch {
+                for (layer, lt) in self.layers.iter().zip(&mut tape.layers) {
+                    let row = &mut lt.mask[b * layer.hidden..(b + 1) * layer.hidden];
+                    self.dropout.sample_mask_into(row, rng);
+                }
+            }
         }
     }
 
-    /// Advances every layer one step **in place** for the `B` lanes of `h`
-    /// and `c` — the one step kernel under training, MC rollouts and
-    /// inference. `x` is the layer-0 input, `B×I` row-major or one `I`-wide
-    /// row shared by every lane; `masks = None` is the all-ones case;
-    /// `record` receives one [`BatchStepCache`] per layer for the backward
-    /// pass.
-    pub(crate) fn step_batch(
-        &self,
-        x: &[f64],
-        h: &mut [Matrix],
-        c: &mut [Matrix],
-        masks: Option<&[Matrix]>,
-        arena: &mut StepArena,
-        mut record: Option<&mut [Vec<BatchStepCache>]>,
-    ) {
-        let batch = h[0].rows();
+    /// Advances every layer one step for the `B` lanes of `tape` — the one
+    /// step kernel under training, MC rollouts and inference. `x` is the
+    /// layer-0 input, `B×I` row-major or one `I`-wide row shared by every
+    /// lane (the same presentation at every step of a rollout).
+    pub(crate) fn step(&self, tape: &mut LstmTape, x: &[f64]) {
+        assert!(tape.done < tape.steps, "rollout already complete");
+        let (batch, t) = (tape.batch, tape.done);
+        let (prev, cur) = (tape.slot(t), tape.slot(t + 1));
+        let idim0 = self.layers[0].input_dim;
+        if t == 0 {
+            tape.x_rows = if x.len() == idim0 { 1 } else { batch };
+        }
+        assert_eq!(x.len(), tape.x_rows * idim0, "input width mismatch");
+        if tape.recorded {
+            grown(&mut tape.x0, tape.steps * x.len())[t * x.len()..][..x.len()].copy_from_slice(x);
+        }
         for (l, layer) in self.layers.iter().enumerate() {
             let (hdim, idim) = (layer.hidden, layer.input_dim);
-            let h4 = 4 * hdim;
-            let (wxt, wht) = &arena.packed[l];
+            let (h4, n) = (4 * hdim, batch * hdim);
+            let (below, at) = tape.layers.split_at_mut(l);
+            let lt = &mut at[0];
 
             // Input contribution zx = X · Wxᵀ, X being the step input or the
             // layer below's freshly updated (masked) hidden state. A shared
             // input yields one identical 4H row for every lane — computed
             // once, broadcast in the gate loop.
-            let x_in = if l == 0 { x } else { h[l - 1].as_slice() };
-            assert!(
-                x_in.len() == batch * idim || (l == 0 && x_in.len() == idim),
-                "input width mismatch"
-            );
+            let x_in = match below.last() {
+                None => x,
+                Some(b) => &b.h[cur * batch * idim..][..batch * idim],
+            };
             let x_rows = x_in.len() / idim;
-            gemm(x_rows, h4, idim, x_in, wxt, &mut arena.zx[..x_rows * h4]);
-            // Recurrent contribution zh = H_prev · Whᵀ.
-            let zh = &mut arena.zh[..batch * h4];
-            gemm(batch, h4, hdim, h[l].as_slice(), wht, zh);
+            gemm(x_rows, h4, idim, x_in, &lt.wxt, &mut tape.zx[..x_rows * h4]);
+            // Recurrent contribution zh = H_prev · Whᵀ, straight into the
+            // block the activated gates are kept in.
+            let block = if tape.recorded { t } else { 0 };
+            let gates = &mut lt.gates[block * 4 * n..][..4 * n];
+            gemm(batch, h4, hdim, &lt.h[prev * n..][..n], &lt.wht, gates);
 
-            let before = record.as_ref().map(|_| {
-                let x = Matrix::from_vec(batch, idim, x_in.repeat(batch / x_rows));
-                (x, h[l].clone(), c[l].clone())
-            });
-            // Gate math — the fused element-wise stage; tanh(c) is only
-            // kept when the backward pass will want it.
-            let tanh_c = &mut arena.tanh_c[..batch * hdim];
+            // Gate math — the fused element-wise stage, in place on the new
+            // slot's cell state; tanh(c) is only kept when the backward
+            // pass will want it.
+            lt.c.copy_within(prev * n..(prev + 1) * n, cur * n);
             lstm_gates(
                 &GateCtx {
                     batch,
                     hdim,
-                    zx: &arena.zx,
+                    zx: &tape.zx,
                     shared0: x_rows < batch,
                     bias: &layer.b,
-                    masks: masks.map(|m| m[l].as_slice()),
+                    masks: tape.masked.then_some(&lt.mask),
                 },
-                zh,
-                c[l].as_mut_slice(),
-                h[l].as_mut_slice(),
-                before.is_some().then_some(&mut *tanh_c),
+                gates,
+                &mut lt.c[cur * n..][..n],
+                &mut lt.h[cur * n..][..n],
+                tape.recorded.then(|| &mut lt.tanh_c[t * n..][..n]),
             );
-            if let (Some(caches), Some((x, h_prev, c_prev))) = (record.as_deref_mut(), before) {
-                caches[l].push(BatchStepCache {
-                    x,
-                    h_prev,
-                    c_prev,
-                    gates: Matrix::from_vec(batch, h4, zh.to_vec()),
-                    tanh_c: Matrix::from_vec(batch, hdim, tanh_c.to_vec()),
-                });
-            }
         }
+        tape.done += 1;
     }
 
     /// Sequence rollout: advances `batch` lanes together from the initial
@@ -458,10 +631,9 @@ impl Lstm {
     /// identically: masks are pre-drawn lane-major (lane `b`'s per-layer
     /// masks before lane `b+1`'s), the order one-lane calls draw them.
     ///
-    /// `record = true` keeps per-step activation caches for
-    /// [`Lstm::backward_seq_batch`]; inference callers pass `false` and
-    /// skip all cache allocation (only the final step's output is then
-    /// retained in `outputs`).
+    /// `record = true` keeps per-step activations for
+    /// [`Lstm::backward_seq_batch`]; inference callers pass `false` (only
+    /// the final step's output is then retained in `outputs`).
     ///
     /// # Panics
     ///
@@ -475,7 +647,6 @@ impl Lstm {
         record: bool,
         rng: &mut SimRng,
     ) -> BatchSeqCache {
-        assert!(batch > 0, "empty batch");
         let steps: Vec<&[f64]> = match xs {
             BatchInput::Shared(seq) => seq.iter().map(Vec::as_slice).collect(),
             BatchInput::PerLane(ms) => {
@@ -484,64 +655,180 @@ impl Lstm {
                 ms.iter().map(Matrix::as_slice).collect()
             }
         };
-        assert!(!steps.is_empty(), "empty sequence");
-
-        // Masks pre-drawn lane-major: identical RNG consumption to `batch`
-        // one-lane calls (each draws layer 0, 1, ... in turn).
-        let mut masks = self.zero_states(batch);
-        if train {
-            for b in 0..batch {
-                for m in &mut masks {
-                    self.dropout.sample_mask_into(m.row_mut(b), rng);
-                }
-            }
-        } else {
-            for m in &mut masks {
-                m.as_mut_slice().fill(1.0);
+        let mut tape = LstmTape::default();
+        self.begin(&mut tape, batch, steps.len(), record, train.then_some(rng));
+        if let Some((h0, c0)) = init {
+            for l in 0..self.layers.len() {
+                let (h, c) = tape.init_mut(l);
+                h.copy_from_slice(h0[l].as_slice());
+                c.copy_from_slice(c0[l].as_slice());
             }
         }
-        let (mut h, mut c) = match init {
-            Some((h0, c0)) => (h0.to_vec(), c0.to_vec()),
-            None => (self.zero_states(batch), self.zero_states(batch)),
-        };
-
-        let mut arena = self.arena(batch);
-        let mut caches = vec![Vec::new(); self.layers.len()];
-        let mut outputs = Vec::with_capacity(steps.len());
-        for (t, x) in steps.iter().enumerate() {
-            self.step_batch(
-                x,
-                &mut h,
-                &mut c,
-                train.then_some(masks.as_slice()),
-                &mut arena,
-                record.then_some(caches.as_mut_slice()),
-            );
-            if record || t + 1 == steps.len() {
-                outputs.push(h.last().expect("at least one layer").clone());
-            }
+        for x in &steps {
+            self.step(&mut tape, x);
         }
 
+        let state =
+            |l: usize, m: &[f64]| Matrix::from_vec(batch, self.layers[l].hidden, m.to_vec());
+        let layers = 0..self.layers.len();
+        let top = self.layers.len() - 1;
+        let first_kept = if record { 1 } else { steps.len() };
         BatchSeqCache {
-            batch,
-            caches,
-            masks,
-            final_h: h,
-            final_c: c,
-            outputs,
+            final_h: layers
+                .clone()
+                .map(|l| state(l, tape.h(l, steps.len())))
+                .collect(),
+            final_c: layers.map(|l| state(l, tape.c(l, steps.len()))).collect(),
+            outputs: (first_kept..=steps.len())
+                .map(|s| state(top, tape.h(top, s)))
+                .collect(),
+            tape,
         }
     }
 
-    /// BPTT over a recorded rollout. `d_outputs[t]` is the gradient w.r.t.
-    /// the top-layer output at step `t` (zero matrices are fine); `d_final`
-    /// optionally adds gradients flowing into every layer's final `(h, c)`
-    /// (the encoder's final state feeds the decoder).
+    /// Sizes `bptt` for a BPTT over `tape` and zeroes every incoming
+    /// gradient (`d_outputs`, `dh`, `dc`), for the caller to fill in.
+    pub(crate) fn begin_backward(&self, bptt: &mut LstmBptt, tape: &LstmTape) {
+        assert!(
+            tape.recorded && tape.done == tape.steps,
+            "rollout was not recorded (forward_seq_batch record = false)"
+        );
+        let (batch, steps) = (tape.batch, tape.steps);
+        let top = self.top_hidden();
+        grown(&mut bptt.d_outputs, steps * batch * top).fill(0.0);
+        grown(&mut bptt.d_inputs, steps * batch * self.layers[0].input_dim);
+        for buf in [&mut bptt.dh, &mut bptt.dc, &mut bptt.dz, &mut bptt.dx] {
+            buf.resize_with(self.layers.len(), Vec::new);
+        }
+        for (l, layer) in self.layers.iter().enumerate() {
+            let n = batch * layer.hidden;
+            for state in [&mut bptt.dh[l], &mut bptt.dc[l]] {
+                state.resize(n, 0.0);
+                state.fill(0.0);
+            }
+            grown(&mut bptt.dz[l], steps * 4 * n);
+            grown(&mut bptt.dx[l], batch * layer.input_dim);
+        }
+    }
+
+    /// BPTT over the recorded `tape`, between [`Lstm::begin_backward`] (and
+    /// the caller's writes to the incoming gradients) and the caller's
+    /// reads of `dh` / `dc` / the input gradients.
     ///
     /// Weight gradients are accumulated **lane-major, timestep-descending**
     /// — deferred until all per-step `dz` blocks exist, then contracted
     /// with one in-order [`gemm_tn`] per layer. That is, bit for bit, the
     /// order in which `B` one-lane calls accumulate: example by example,
     /// each walking its steps backwards.
+    pub(crate) fn backward(&mut self, tape: &LstmTape, bptt: &mut LstmBptt) {
+        let (batch, steps) = (tape.batch, tape.steps);
+        let num_layers = self.layers.len();
+        let LstmBptt {
+            d_outputs,
+            dh,
+            dc,
+            d_inputs,
+            dz,
+            dx,
+            dzf,
+            xf,
+            hf,
+        } = bptt;
+        let top_n = batch * self.top_hidden();
+        let in_n = batch * self.layers[0].input_dim;
+
+        for t in (0..steps).rev() {
+            for l in (0..num_layers).rev() {
+                let layer = &self.layers[l];
+                let (hdim, idim) = (layer.hidden, layer.input_dim);
+                let (h4, n) = (4 * hdim, batch * hdim);
+                let dnext = match dx.get(l + 1) {
+                    None => &d_outputs[t * top_n..][..top_n],
+                    Some(from_above) => &from_above[..n],
+                };
+                for (a, b) in dh[l].iter_mut().zip(dnext) {
+                    *a += b;
+                }
+                let lt = &tape.layers[l];
+                let dz_t = &mut dz[l][t * 4 * n..][..4 * n];
+                for b in 0..batch {
+                    let row = b * hdim..(b + 1) * hdim;
+                    let dh_row = &dh[l][row.clone()];
+                    let dc_row = &mut dc[l][row.clone()];
+                    let m_row = &lt.mask[row.clone()];
+                    let tc = &lt.tanh_c[t * n..][row.clone()];
+                    let gates = &lt.gates[t * 4 * n..][b * h4..(b + 1) * h4];
+                    let (i_r, rest) = gates.split_at(hdim);
+                    let (f_r, rest) = rest.split_at(hdim);
+                    let (g_r, o_r) = rest.split_at(hdim);
+                    let cp = &tape.c(l, t)[row];
+                    let dz_row = &mut dz_t[b * h4..(b + 1) * h4];
+                    for k in 0..hdim {
+                        // The textbook cell backward, one expression tree
+                        // for every batch size.
+                        let dh_raw = dh_row[k] * m_row[k];
+                        let do_ = dh_raw * tc[k];
+                        let dct = dh_raw * o_r[k] * (1.0 - tc[k] * tc[k]) + dc_row[k];
+                        let di = dct * g_r[k];
+                        let df = dct * cp[k];
+                        let dg = dct * i_r[k];
+                        dc_row[k] = dct * f_r[k];
+                        dz_row[k] = di * i_r[k] * (1.0 - i_r[k]);
+                        dz_row[hdim + k] = df * f_r[k] * (1.0 - f_r[k]);
+                        dz_row[2 * hdim + k] = dg * (1.0 - g_r[k] * g_r[k]);
+                        dz_row[3 * hdim + k] = do_ * o_r[k] * (1.0 - o_r[k]);
+                    }
+                }
+                // dX = dZ · Wx and dH_prev = dZ · Wh: the contraction runs
+                // over the 4H gate rows in order — the scalar r-loop order.
+                let dx_t = match l {
+                    0 => &mut d_inputs[t * in_n..][..in_n],
+                    _ => &mut dx[l][..batch * idim],
+                };
+                gemm(batch, idim, h4, dz_t, &layer.wx, dx_t);
+                gemm(batch, hdim, h4, dz_t, &layer.wh, &mut dh[l]);
+            }
+        }
+
+        // Deferred weight gradients: flatten (lane-major, t-descending) and
+        // contract rows in order, so each gradient element accumulates its
+        // contributions exactly as B one-lane backward passes would.
+        for (l, layer) in self.layers.iter_mut().enumerate() {
+            let (hdim, idim) = (layer.hidden, layer.input_dim);
+            let h4 = 4 * hdim;
+            let rows = batch * steps;
+            let dzf = grown(dzf, rows * h4);
+            let xf = grown(xf, rows * idim);
+            let hf = grown(hf, rows * hdim);
+            let mut rr = 0;
+            for b in 0..batch {
+                for t in (0..steps).rev() {
+                    let dz_t = &dz[l][t * batch * h4..];
+                    dzf[rr * h4..(rr + 1) * h4].copy_from_slice(&dz_t[b * h4..(b + 1) * h4]);
+                    // The step's input: the layer below's fresh output, or
+                    // the (possibly shared) layer-0 input row.
+                    let x_t = match l {
+                        0 => &tape.x0[t * tape.x_rows * idim..][(b % tape.x_rows) * idim..],
+                        _ => &tape.h(l - 1, t + 1)[b * idim..],
+                    };
+                    xf[rr * idim..(rr + 1) * idim].copy_from_slice(&x_t[..idim]);
+                    let h_prev = &tape.h(l, t)[b * hdim..(b + 1) * hdim];
+                    hf[rr * hdim..(rr + 1) * hdim].copy_from_slice(h_prev);
+                    rr += 1;
+                }
+            }
+            gemm_tn(rows, h4, idim, dzf, xf, &mut layer.gwx);
+            gemm_tn(rows, h4, hdim, dzf, hf, &mut layer.gwh);
+            col_sum_acc(rows, h4, dzf, &mut layer.gb);
+        }
+    }
+
+    /// BPTT over a recorded rollout. `d_outputs[t]` is the gradient w.r.t.
+    /// the top-layer output at step `t` (zero matrices are fine); `d_final`
+    /// optionally adds gradients flowing into every layer's final `(h, c)`
+    /// (the encoder's final state feeds the decoder). Weight gradients
+    /// accumulate lane-major, timestep-descending — the order of `B`
+    /// one-lane calls.
     ///
     /// # Panics
     ///
@@ -552,146 +839,64 @@ impl Lstm {
         d_outputs: &[Matrix],
         d_final: Option<BatchLayerStates<'_>>,
     ) -> BatchSeqGrads {
-        let steps = cache.outputs.len();
+        let tape = &cache.tape;
+        let mut bptt = LstmBptt::default();
+        self.begin_backward(&mut bptt, tape);
+        let (batch, steps) = (tape.batch, tape.steps);
         assert_eq!(d_outputs.len(), steps, "gradient/step count mismatch");
-        assert!(
-            cache.caches.iter().all(|cv| cv.len() == steps),
-            "rollout was not recorded (forward_seq_batch record = false)"
-        );
-        let batch = cache.batch;
-        let num_layers = self.layers.len();
+        let top_n = batch * self.top_hidden();
+        for (dst, src) in bptt.d_outputs.chunks_exact_mut(top_n).zip(d_outputs) {
+            dst.copy_from_slice(src.as_slice());
+        }
+        if let Some((dhf, dcf)) = d_final {
+            for l in 0..self.layers.len() {
+                bptt.dh[l].copy_from_slice(dhf[l].as_slice());
+                bptt.dc[l].copy_from_slice(dcf[l].as_slice());
+            }
+        }
+        self.backward(tape, &mut bptt);
 
-        let (mut dh, mut dc) = match d_final {
-            Some((dhf, dcf)) => (dhf.to_vec(), dcf.to_vec()),
-            None => (self.zero_states(batch), self.zero_states(batch)),
+        let idim = self.layers[0].input_dim;
+        let states = |vs: &[Vec<f64>]| -> Vec<Matrix> {
+            let hidden = self.layers.iter().map(|l| l.hidden);
+            let mats = hidden
+                .zip(vs)
+                .map(|(h, v)| Matrix::from_vec(batch, h, v.clone()));
+            mats.collect()
         };
-
-        // dz per (layer, step), kept t-descending for the deferred weight
-        // accumulation below.
-        let mut dz_store: Vec<Vec<Matrix>> = vec![Vec::with_capacity(steps); num_layers];
-        let mut dxs_rev: Vec<Matrix> = Vec::with_capacity(steps);
-
-        for t in (0..steps).rev() {
-            let mut dnext = d_outputs[t].clone();
-            for l in (0..num_layers).rev() {
-                let layer = &self.layers[l];
-                let hdim = layer.hidden;
-                let idim = layer.input_dim;
-                let h4 = 4 * hdim;
-                for (a, b) in dh[l].as_mut_slice().iter_mut().zip(dnext.as_slice()) {
-                    *a += b;
-                }
-                let sc = &cache.caches[l][t];
-                let mask = &cache.masks[l];
-                let mut dz = Matrix::zeros(batch, h4);
-                let mut dc_prev = Matrix::zeros(batch, hdim);
-                for b in 0..batch {
-                    let dh_row = dh[l].row(b);
-                    let dc_row = dc[l].row(b);
-                    let m_row = mask.row(b);
-                    let tc = sc.tanh_c.row(b);
-                    let (i_r, rest) = sc.gates.row(b).split_at(hdim);
-                    let (f_r, rest) = rest.split_at(hdim);
-                    let (g_r, o_r) = rest.split_at(hdim);
-                    let cp = sc.c_prev.row(b);
-                    let dz_row = dz.row_mut(b);
-                    let dcp_row = dc_prev.row_mut(b);
-                    for k in 0..hdim {
-                        // The textbook cell backward, one expression tree
-                        // for every batch size.
-                        let dh_raw = dh_row[k] * m_row[k];
-                        let do_ = dh_raw * tc[k];
-                        let dct = dh_raw * o_r[k] * (1.0 - tc[k] * tc[k]) + dc_row[k];
-                        let di = dct * g_r[k];
-                        let df = dct * cp[k];
-                        let dg = dct * i_r[k];
-                        dcp_row[k] = dct * f_r[k];
-                        dz_row[k] = di * i_r[k] * (1.0 - i_r[k]);
-                        dz_row[hdim + k] = df * f_r[k] * (1.0 - f_r[k]);
-                        dz_row[2 * hdim + k] = dg * (1.0 - g_r[k] * g_r[k]);
-                        dz_row[3 * hdim + k] = do_ * o_r[k] * (1.0 - o_r[k]);
-                    }
-                }
-                // dX = dZ · Wx and dH_prev = dZ · Wh: the contraction runs
-                // over the 4H gate rows in order — the scalar r-loop order.
-                let dzs = dz.as_slice();
-                let mut dx = Matrix::zeros(batch, idim);
-                gemm(batch, idim, h4, dzs, &layer.wx, dx.as_mut_slice());
-                dh[l] = Matrix::zeros(batch, hdim);
-                gemm(batch, hdim, h4, dzs, &layer.wh, dh[l].as_mut_slice());
-                dc[l] = dc_prev;
-                dz_store[l].push(dz);
-                dnext = dx;
-            }
-            dxs_rev.push(dnext);
-        }
-        dxs_rev.reverse();
-
-        // Deferred weight gradients: flatten (lane-major, t-descending) and
-        // contract rows in order, so each gradient element accumulates its
-        // contributions exactly as B one-lane backward passes would.
-        for (l, layer) in self.layers.iter_mut().enumerate() {
-            let hdim = layer.hidden;
-            let idim = layer.input_dim;
-            let h4 = 4 * hdim;
-            let rows = batch * steps;
-            let mut dzf = vec![0.0; rows * h4];
-            let mut xf = vec![0.0; rows * idim];
-            let mut hf = vec![0.0; rows * hdim];
-            let mut rr = 0;
-            for b in 0..batch {
-                for (ti, dz) in dz_store[l].iter().enumerate() {
-                    // dz_store[l][ti] holds step `steps - 1 - ti`.
-                    let t = steps - 1 - ti;
-                    dzf[rr * h4..(rr + 1) * h4].copy_from_slice(dz.row(b));
-                    let sc = &cache.caches[l][t];
-                    xf[rr * idim..(rr + 1) * idim].copy_from_slice(sc.x.row(b));
-                    hf[rr * hdim..(rr + 1) * hdim].copy_from_slice(sc.h_prev.row(b));
-                    rr += 1;
-                }
-            }
-            gemm_tn(rows, h4, idim, &dzf, &xf, &mut layer.gwx);
-            gemm_tn(rows, h4, hdim, &dzf, &hf, &mut layer.gwh);
-            col_sum_acc(rows, h4, &dzf, &mut layer.gb);
-        }
-
         BatchSeqGrads {
-            d_inputs: dxs_rev,
-            d_init_h: dh,
-            d_init_c: dc,
+            d_inputs: bptt.d_inputs[..steps * batch * idim]
+                .chunks_exact(batch * idim)
+                .map(|dx| Matrix::from_vec(batch, idim, dx.to_vec()))
+                .collect(),
+            d_init_h: states(&bptt.dh),
+            d_init_c: states(&bptt.dc),
         }
     }
 
     /// Inference-only rollout of one sequence: no step caches, no RNG —
     /// a one-lane [`Lstm::forward_seq_batch`] with `train = false`.
     pub fn forward_infer(&self, xs: &[Vec<f64>], init: Option<LayerStates<'_>>) -> InferResult {
-        let init_m = init.map(|(h0, c0)| {
-            let wrap = |vs: &[Vec<f64>]| {
-                vs.iter()
-                    .map(|v| Matrix::from_vec(1, v.len(), v.clone()))
-                    .collect::<Vec<_>>()
-            };
-            (wrap(h0), wrap(c0))
-        });
-        // No randomness is consumed with train = false.
-        let mut rng = SimRng::seed(0);
-        let cache = self.forward_seq_batch(
-            1,
-            BatchInput::Shared(xs),
-            init_m.as_ref().map(|(h, c)| (h.as_slice(), c.as_slice())),
-            false,
-            false,
-            &mut rng,
-        );
+        let mut tape = LstmTape::default();
+        self.begin(&mut tape, 1, xs.len(), false, None);
+        if let Some((h0, c0)) = init {
+            for l in 0..self.layers.len() {
+                let (h, c) = tape.init_mut(l);
+                h.copy_from_slice(&h0[l]);
+                c.copy_from_slice(&c0[l]);
+            }
+        }
+        for x in xs {
+            self.step(&mut tape, x);
+        }
+        let layers = 0..self.layers.len();
         InferResult {
-            final_h: cache.final_h.iter().map(|m| m.row(0).to_vec()).collect(),
-            final_c: cache.final_c.iter().map(|m| m.row(0).to_vec()).collect(),
-            last_output: cache
-                .outputs
-                .last()
-                .expect("non-empty sequence")
-                .row(0)
-                .to_vec(),
+            final_h: layers
+                .clone()
+                .map(|l| tape.h(l, xs.len()).to_vec())
+                .collect(),
+            final_c: layers.map(|l| tape.c(l, xs.len()).to_vec()).collect(),
+            last_output: tape.last_output().to_vec(),
         }
     }
 }

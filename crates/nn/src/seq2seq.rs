@@ -13,8 +13,8 @@ use aqua_sim::SimRng;
 use crate::adam::Adam;
 use crate::fastmath;
 use crate::linear::Linear;
-use crate::lstm::{BatchInput, Lstm};
-use crate::{mse, Parameterized};
+use crate::lstm::{grown, Lstm, LstmBptt, LstmTape};
+use crate::{mse_into, Parameterized};
 
 /// One training example: an input window and its target horizon, both as
 /// step-major sequences of feature vectors.
@@ -59,6 +59,68 @@ pub struct EncoderDecoder {
     bridges_c: Vec<Linear>,
     decoder: Lstm,
     out: Linear,
+}
+
+/// Every buffer one teacher-forced training step touches: the two
+/// networks' tapes and BPTT scratch, the bridge and output-layer
+/// activations, and the packed-weight scratch of the dense layers.
+/// [`EncoderDecoder::train_batched`] keeps one for all its steps; buffers
+/// grow to the largest chunk seen and every step writes what it reads, so
+/// a reused workspace and a fresh one give the same bits.
+#[derive(Debug, Default)]
+struct TrainWorkspace {
+    enc: LstmTape,
+    enc_bptt: LstmBptt,
+    dec: LstmTape,
+    dec_bptt: LstmBptt,
+    /// Encoder input of the current step gathered lane-major, `B×I`.
+    x_step: Vec<f64>,
+    /// Packed transposed weights of whichever dense layer runs next.
+    wt: Vec<f64>,
+    /// Pre-tanh bridge outputs per decoder layer, `B×H` each.
+    pre_h: Vec<Vec<f64>>,
+    pre_c: Vec<Vec<f64>>,
+    /// Decoder outputs flattened lane-major, t-ascending (row `b·T + t`),
+    /// the out layer's predictions for them, and the two gradients.
+    out_in: Vec<f64>,
+    preds: Vec<f64>,
+    d_preds: Vec<f64>,
+    d_out_in: Vec<f64>,
+    /// What one bridge sends back to `Z`, and the running gradient w.r.t.
+    /// `Z`.
+    dz_part: Vec<f64>,
+    dz: Vec<f64>,
+}
+
+impl TrainWorkspace {
+    /// Overwrites every buffer with NaN (see `LstmTape::poison`).
+    #[cfg(test)]
+    fn poison(&mut self) {
+        let TrainWorkspace {
+            enc,
+            enc_bptt,
+            dec,
+            dec_bptt,
+            x_step,
+            wt,
+            pre_h,
+            pre_c,
+            out_in,
+            preds,
+            d_preds,
+            d_out_in,
+            dz_part,
+            dz,
+        } = self;
+        enc.poison();
+        dec.poison();
+        enc_bptt.poison();
+        dec_bptt.poison();
+        let flat = [x_step, wt, out_in, preds, d_preds, d_out_in, dz_part, dz];
+        for buf in pre_h.iter_mut().chain(pre_c).chain(flat) {
+            buf.fill(f64::NAN);
+        }
+    }
 }
 
 impl EncoderDecoder {
@@ -124,15 +186,44 @@ impl EncoderDecoder {
     ///
     /// Panics if `xs` is empty or any step has the wrong width.
     pub fn encode(&self, xs: &[Vec<f64>], stochastic: bool, rng: &mut SimRng) -> Vec<f64> {
-        let cache =
-            self.encoder
-                .forward_seq_batch(1, BatchInput::Shared(xs), None, stochastic, false, rng);
-        cache
-            .final_h
-            .last()
-            .expect("encoder layers")
-            .row(0)
-            .to_vec()
+        let steps = xs.iter().map(Vec::as_slice);
+        let tape = self.run_encoder(1, steps, stochastic.then_some(rng));
+        tape.last_output().to_vec()
+    }
+
+    /// Unrecorded encoder rollout over `batch` lanes — the one rollout
+    /// under [`EncoderDecoder::encode`], [`EncoderDecoder::encode_batch`]
+    /// and the forecasts. Each step is `batch×input_dim` row-major or one
+    /// row shared by every lane; `train` draws the lanes' dropout masks.
+    /// The latents are the tape's `last_output`.
+    fn run_encoder<'a>(
+        &self,
+        batch: usize,
+        steps: impl ExactSizeIterator<Item = &'a [f64]>,
+        train: Option<&mut SimRng>,
+    ) -> LstmTape {
+        let mut tape = LstmTape::default();
+        self.encoder
+            .begin(&mut tape, batch, steps.len(), false, train);
+        for x in steps {
+            self.encoder.step(&mut tape, x);
+        }
+        tape
+    }
+
+    /// Deterministic latents (dropout off) of `B` equally long windows in
+    /// one rollout: `xs` is step-major, one `B×input_dim` matrix per step,
+    /// and row `b` of the `B×latent` result is bit-identical to
+    /// [`EncoderDecoder::encode`]`(window b, false, ..)` — the engine is
+    /// batch-size invariant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is empty or the steps disagree in shape.
+    pub fn encode_batch(&self, xs: &[Matrix]) -> Matrix {
+        let batch = xs.first().expect("empty sequence").rows();
+        let tape = self.run_encoder(batch, xs.iter().map(Matrix::as_slice), None);
+        Matrix::from_vec(batch, self.latent_dim(), tape.last_output().to_vec())
     }
 
     /// Autoregressive multi-step forecast of the next `k` steps
@@ -167,7 +258,7 @@ impl EncoderDecoder {
     }
 
     /// Shared rollout: encode all lanes at once, bridge, then step the
-    /// decoder through the horizon out of one arena.
+    /// decoder through the horizon on one tape.
     fn rollout_batch(
         &self,
         xs: &[Vec<f64>],
@@ -176,39 +267,35 @@ impl EncoderDecoder {
         stochastic: bool,
         rng: &mut SimRng,
     ) -> Vec<Vec<Vec<f64>>> {
-        let enc = self.encoder.forward_seq_batch(
-            passes,
-            BatchInput::Shared(xs),
-            None,
-            stochastic,
-            false,
-            rng,
-        );
-        let z = enc.final_h.last().expect("encoder layers");
-        let bridge_all = |bridges: &[Linear]| -> Vec<Matrix> {
-            bridges
-                .iter()
-                .map(|b| {
-                    let mut m = b.forward_batch(z);
-                    fastmath::tanh_mut(m.as_mut_slice());
-                    m
-                })
-                .collect()
-        };
-        let mut h = bridge_all(&self.bridges_h);
-        let mut c = bridge_all(&self.bridges_c);
+        let steps = xs.iter().map(Vec::as_slice);
+        let enc = self.run_encoder(passes, steps, stochastic.then_some(rng));
+        let mut preds = vec![Vec::with_capacity(k); passes];
+        if k == 0 {
+            return preds;
+        }
+        let z = enc.last_output();
+        let mut dec = LstmTape::default();
+        self.decoder.begin(&mut dec, passes, k, false, None);
+        let mut wt = Vec::new();
+        for (l, (bh, bc)) in self.bridges_h.iter().zip(&self.bridges_c).enumerate() {
+            let (h0, c0) = dec.init_mut(l);
+            for (bridge, state) in [(bh, h0), (bc, c0)] {
+                bridge.forward_rows(passes, z, &mut wt, state);
+                fastmath::tanh_mut(state);
+            }
+        }
 
-        let mut arena = self.decoder.arena(passes);
         // The decoder consumes zeros at every horizon step: one row, shared
         // by every lane, serves the whole rollout.
-        let zero = vec![0.0; self.config.input_dim];
-        let mut preds = vec![Vec::with_capacity(k); passes];
+        let in_dim = self.config.input_dim;
+        let zero = vec![0.0; in_dim];
+        let mut y = vec![0.0; passes * in_dim];
         for _ in 0..k {
-            self.decoder
-                .step_batch(&zero, &mut h, &mut c, None, &mut arena, None);
-            let y = self.out.forward_batch(h.last().expect("decoder layers"));
-            for (b, lane) in preds.iter_mut().enumerate() {
-                lane.push(y.row(b).to_vec());
+            self.decoder.step(&mut dec, &zero);
+            self.out
+                .forward_rows(passes, dec.last_output(), &mut wt, &mut y);
+            for (lane, row) in preds.iter_mut().zip(y.chunks_exact(in_dim)) {
+                lane.push(row.to_vec());
             }
         }
         preds
@@ -226,6 +313,16 @@ impl EncoderDecoder {
     /// Panics if the batch is empty, the windows have differing lengths, or
     /// any target horizon mismatches the configuration.
     pub fn accumulate_batch(&mut self, examples: &[&SeqPair], rng: &mut SimRng) -> f64 {
+        self.accumulate_in(&mut TrainWorkspace::default(), examples, rng)
+    }
+
+    /// [`EncoderDecoder::accumulate_batch`] on the caller's workspace.
+    fn accumulate_in(
+        &mut self,
+        ws: &mut TrainWorkspace,
+        examples: &[&SeqPair],
+        rng: &mut SimRng,
+    ) -> f64 {
         let bsz = examples.len();
         assert!(bsz > 0, "empty batch");
         let steps = examples[0].0.len();
@@ -235,119 +332,118 @@ impl EncoderDecoder {
         }
         let in_dim = self.config.input_dim;
         let horizon = self.config.horizon;
+        let dec_layers = self.decoder.num_layers();
 
         // --- forward ---
-        let enc_xs: Vec<Matrix> = (0..steps)
-            .map(|t| {
-                let mut m = Matrix::zeros(bsz, in_dim);
-                for (b, (xs, _)) in examples.iter().enumerate() {
-                    m.row_mut(b).copy_from_slice(&xs[t]);
-                }
-                m
-            })
-            .collect();
-        let enc_cache = self.encoder.forward_seq_batch(
-            bsz,
-            BatchInput::PerLane(&enc_xs),
-            None,
-            true,
-            true,
-            rng,
-        );
-        let z = enc_cache.final_h.last().expect("encoder layers").clone();
+        self.encoder
+            .begin(&mut ws.enc, bsz, steps, true, Some(&mut *rng));
+        for t in 0..steps {
+            let x = grown(&mut ws.x_step, bsz * in_dim);
+            for (row, (xs, _)) in x.chunks_exact_mut(in_dim).zip(examples) {
+                row.copy_from_slice(&xs[t]);
+            }
+            self.encoder.step(&mut ws.enc, x);
+        }
+        let z = ws.enc.last_output();
 
-        // Bridge (record pre-tanh for backprop).
-        let pre_h: Vec<Matrix> = self.bridges_h.iter().map(|b| b.forward_batch(&z)).collect();
-        let pre_c: Vec<Matrix> = self.bridges_c.iter().map(|b| b.forward_batch(&z)).collect();
-        let tanh_of = |m: &Matrix| {
-            let mut t = m.clone();
-            fastmath::tanh_mut(t.as_mut_slice());
-            t
-        };
-        let h0: Vec<Matrix> = pre_h.iter().map(tanh_of).collect();
-        let c0: Vec<Matrix> = pre_c.iter().map(tanh_of).collect();
+        // Bridge (record pre-tanh for backprop) into the decoder's initial
+        // states.
+        self.decoder.begin(&mut ws.dec, bsz, horizon, true, None);
+        ws.pre_h.resize_with(dec_layers, Vec::new);
+        ws.pre_c.resize_with(dec_layers, Vec::new);
+        for l in 0..dec_layers {
+            let (h0, c0) = ws.dec.init_mut(l);
+            for (bridge, pre, state) in [
+                (&self.bridges_h[l], &mut ws.pre_h[l], h0),
+                (&self.bridges_c[l], &mut ws.pre_c[l], c0),
+            ] {
+                let pre = grown(pre, state.len());
+                bridge.forward_rows(bsz, z, &mut ws.wt, pre);
+                state.copy_from_slice(pre);
+                fastmath::tanh_mut(state);
+            }
+        }
 
         // Decoder inputs are zeros: every bit of information must flow
         // through the latent Z and the bridged states, otherwise teacher
         // forcing lets the decoder copy its inputs and Z learns nothing.
-        let dec_inputs = vec![Matrix::zeros(bsz, in_dim); horizon];
-        let dec_cache = self.decoder.forward_seq_batch(
-            bsz,
-            BatchInput::PerLane(&dec_inputs),
-            Some((&h0, &c0)),
-            false,
-            true,
-            rng,
-        );
+        let zero_in = grown(&mut ws.x_step, bsz * in_dim);
+        zero_in.fill(0.0);
+        for _ in 0..horizon {
+            self.decoder.step(&mut ws.dec, zero_in);
+        }
 
         // Output projection: flatten the decoder outputs lane-major and
         // t-ascending (row `b·T + t`) so the out layer's gradient
         // contraction visits (example, step) in the sequential order.
         let top = self.decoder.top_hidden();
-        let mut out_in = Matrix::zeros(bsz * horizon, top);
-        for b in 0..bsz {
-            for (t, step_out) in dec_cache.outputs.iter().enumerate() {
-                out_in
-                    .row_mut(b * horizon + t)
-                    .copy_from_slice(step_out.row(b));
+        let dec_top = dec_layers - 1;
+        let rows = bsz * horizon;
+        let out_in = grown(&mut ws.out_in, rows * top);
+        for t in 0..horizon {
+            let step_out = ws.dec.h(dec_top, t + 1);
+            for b in 0..bsz {
+                out_in[(b * horizon + t) * top..][..top]
+                    .copy_from_slice(&step_out[b * top..(b + 1) * top]);
             }
         }
-        let preds = self.out.forward_batch(&out_in);
+        let preds = grown(&mut ws.preds, rows * in_dim);
+        self.out.forward_rows(rows, out_in, &mut ws.wt, preds);
         let mut loss = 0.0;
-        let mut d_preds = Matrix::zeros(bsz * horizon, in_dim);
+        let d_preds = grown(&mut ws.d_preds, rows * in_dim);
         for (b, (_, ys)) in examples.iter().enumerate() {
             let mut ex_loss = 0.0;
             for (t, target) in ys.iter().enumerate() {
-                let (l, d_pred) = mse(preds.row(b * horizon + t), target);
-                ex_loss += l / horizon as f64;
-                for (dst, g) in d_preds.row_mut(b * horizon + t).iter_mut().zip(&d_pred) {
-                    *dst = g / horizon as f64;
+                let at = (b * horizon + t) * in_dim..(b * horizon + t + 1) * in_dim;
+                let d_pred = &mut d_preds[at.clone()];
+                ex_loss += mse_into(&preds[at], target, d_pred) / horizon as f64;
+                for g in d_pred {
+                    *g /= horizon as f64;
                 }
             }
             loss += ex_loss;
         }
 
         // --- backward ---
-        let d_out_in = self.out.backward_batch(&out_in, &d_preds);
-        let d_dec: Vec<Matrix> = (0..horizon)
-            .map(|t| {
-                let mut m = Matrix::zeros(bsz, top);
-                for b in 0..bsz {
-                    m.row_mut(b).copy_from_slice(d_out_in.row(b * horizon + t));
-                }
-                m
-            })
-            .collect();
-        let dec_grads = self.decoder.backward_seq_batch(&dec_cache, &d_dec, None);
+        let d_out_in = grown(&mut ws.d_out_in, rows * top);
+        self.out.backward_rows(rows, out_in, d_preds, d_out_in);
+        self.decoder.begin_backward(&mut ws.dec_bptt, &ws.dec);
+        for t in 0..horizon {
+            let d_dec = &mut ws.dec_bptt.d_outputs[t * bsz * top..][..bsz * top];
+            for b in 0..bsz {
+                d_dec[b * top..(b + 1) * top]
+                    .copy_from_slice(&d_out_in[(b * horizon + t) * top..][..top]);
+            }
+        }
+        self.decoder.backward(&ws.dec, &mut ws.dec_bptt);
 
         // Through the tanh bridges into Z.
-        let mut dz = Matrix::zeros(bsz, z.cols());
-        let mut bridge_back = |bridges: &mut [Linear], d_init: &[Matrix], pre: &[Matrix]| {
+        let dz = grown(&mut ws.dz, z.len());
+        dz.fill(0.0);
+        for (bridges, d_init, pre) in [
+            (&mut self.bridges_h, &mut ws.dec_bptt.dh, &ws.pre_h),
+            (&mut self.bridges_c, &mut ws.dec_bptt.dc, &ws.pre_c),
+        ] {
             for (l, bridge) in bridges.iter_mut().enumerate() {
-                let mut d_pre = d_init[l].clone();
-                for (g, p) in d_pre.as_mut_slice().iter_mut().zip(pre[l].as_slice()) {
+                // The decoder's initial-state gradient becomes, in place,
+                // the gradient w.r.t. the bridge's pre-activation.
+                let d_pre = &mut d_init[l];
+                for (g, p) in d_pre.iter_mut().zip(&pre[l][..]) {
                     let t = fastmath::tanh(*p);
                     *g *= 1.0 - t * t;
                 }
-                let dzb = bridge.backward_batch(&z, &d_pre);
-                for (a, b) in dz.as_mut_slice().iter_mut().zip(dzb.as_slice()) {
+                let dz_part = grown(&mut ws.dz_part, z.len());
+                bridge.backward_rows(bsz, z, d_pre, dz_part);
+                for (a, b) in dz.iter_mut().zip(&*dz_part) {
                     *a += b;
                 }
             }
-        };
-        bridge_back(&mut self.bridges_h, &dec_grads.d_init_h, &pre_h);
-        bridge_back(&mut self.bridges_c, &dec_grads.d_init_c, &pre_c);
+        }
 
         // Into the encoder: gradient lands on the final top-layer hidden.
-        let num_enc = self.encoder.num_layers();
-        let mut dh_final: Vec<Matrix> = (0..num_enc)
-            .map(|l| Matrix::zeros(bsz, self.encoder.hidden_of(l)))
-            .collect();
-        let dc_final = dh_final.clone();
-        dh_final[num_enc - 1] = dz;
-        let zero_outputs = vec![Matrix::zeros(bsz, self.encoder.top_hidden()); steps];
-        self.encoder
-            .backward_seq_batch(&enc_cache, &zero_outputs, Some((&dh_final, &dc_final)));
+        self.encoder.begin_backward(&mut ws.enc_bptt, &ws.enc);
+        ws.enc_bptt.dh[self.encoder.num_layers() - 1].copy_from_slice(dz);
+        self.encoder.backward(&ws.enc, &mut ws.enc_bptt);
 
         loss
     }
@@ -357,7 +453,8 @@ impl EncoderDecoder {
     /// examples in a fresh shuffle, one Adam step (clip 1.0) per chunk of up
     /// to `batch_size`; `batch_size` sets the optimizer trajectory, so it
     /// is part of the model, not a speed setting. Windows within a chunk
-    /// must share a length.
+    /// must share a length. One workspace serves every step: after the
+    /// first, a step allocates nothing.
     pub fn train_batched(
         &mut self,
         dataset: &[SeqPair],
@@ -371,14 +468,19 @@ impl EncoderDecoder {
         let mut adam = Adam::new(lr).with_clip(1.0);
         let mut history = Vec::with_capacity(epochs);
         let mut order: Vec<usize> = (0..dataset.len()).collect();
+        let mut ws = TrainWorkspace::default();
+        let mut refs: Vec<&SeqPair> = Vec::with_capacity(batch_size.min(dataset.len()));
         for _ in 0..epochs {
             rng.shuffle(&mut order);
             let mut epoch_loss = 0.0;
             for chunk in order.chunks(batch_size) {
                 self.zero_grad();
-                let refs: Vec<&SeqPair> = chunk.iter().map(|&i| &dataset[i]).collect();
-                epoch_loss += self.accumulate_batch(&refs, rng);
+                refs.clear();
+                refs.extend(chunk.iter().map(|&i| &dataset[i]));
+                epoch_loss += self.accumulate_in(&mut ws, &refs, rng);
                 adam.step(self);
+                #[cfg(test)]
+                ws.poison();
             }
             history.push(epoch_loss / dataset.len() as f64);
         }
@@ -471,6 +573,55 @@ mod tests {
         }
     }
 
+    /// `train_batched` (one workspace for every step, NaN-poisoned between
+    /// steps in this build) against its own loop written with the per-step
+    /// call, which builds a fresh workspace each time: same weights, same
+    /// loss history, same RNG state — with dropout masks drawn, at one
+    /// example per step and at sixteen (two full chunks and a ragged 8).
+    #[test]
+    fn workspace_reuse_matches_a_fresh_workspace_per_step() {
+        let data = sine_dataset(40, 8, 2);
+        let mut cfg = tiny_config();
+        cfg.dropout = 0.3;
+        for batch in [1, 16] {
+            let mut rng = SimRng::seed(11);
+            let mut reused = EncoderDecoder::new(cfg.clone(), &mut rng);
+            let mut fresh = reused.clone();
+            let mut rng_fresh = rng.clone();
+            let epochs = 3;
+            let history = reused.train_batched(&data, epochs, 5e-3, batch, &mut rng);
+
+            let mut adam = Adam::new(5e-3).with_clip(1.0);
+            let mut order: Vec<usize> = (0..data.len()).collect();
+            let mut history_fresh = Vec::new();
+            for _ in 0..epochs {
+                rng_fresh.shuffle(&mut order);
+                let mut epoch_loss = 0.0;
+                for chunk in order.chunks(batch) {
+                    fresh.zero_grad();
+                    let refs: Vec<&SeqPair> = chunk.iter().map(|&i| &data[i]).collect();
+                    epoch_loss += fresh.accumulate_batch(&refs, &mut rng_fresh);
+                    adam.step(&mut fresh);
+                }
+                history_fresh.push(epoch_loss / data.len() as f64);
+            }
+
+            assert!(rng == rng_fresh, "batch {batch}: RNG streams diverged");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&history), bits(&history_fresh), "batch {batch}: loss");
+            let mut weights = [Vec::new(), Vec::new()];
+            for (model, out) in [&mut reused, &mut fresh].into_iter().zip(&mut weights) {
+                model.visit_params(&mut |w, _| out.extend_from_slice(w));
+            }
+            assert!(weights[0].iter().all(|w| w.is_finite()), "batch {batch}");
+            assert_eq!(
+                bits(&weights[0]),
+                bits(&weights[1]),
+                "batch {batch}: weights"
+            );
+        }
+    }
+
     #[test]
     fn latent_has_configured_width() {
         let mut rng = SimRng::seed(3);
@@ -478,6 +629,26 @@ mod tests {
         assert_eq!(model.latent_dim(), 8);
         let z = model.encode(&[vec![0.1], vec![0.2]], false, &mut rng);
         assert_eq!(z.len(), 8);
+    }
+
+    /// Lane `b` of a batched latent extraction has the bits of window
+    /// `b`'s own `encode`, dropout configured or not.
+    #[test]
+    fn encode_batch_matches_encode_lane_by_lane() {
+        let mut rng = SimRng::seed(6);
+        let mut cfg = tiny_config();
+        cfg.dropout = 0.3;
+        let model = EncoderDecoder::new(cfg, &mut rng);
+        let windows: Vec<Vec<Vec<f64>>> = sine_dataset(5, 7, 2).into_iter().map(|p| p.0).collect();
+        let steps: Vec<Matrix> = (0..7)
+            .map(|t| Matrix::from_fn(windows.len(), 1, |b, _| windows[b][t][0]))
+            .collect();
+        let z = model.encode_batch(&steps);
+        for (b, window) in windows.iter().enumerate() {
+            let one = model.encode(window, false, &mut rng);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(z.row(b)), bits(&one), "lane {b}");
+        }
     }
 
     #[test]

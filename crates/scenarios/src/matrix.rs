@@ -139,6 +139,7 @@ pub fn evaluate_cell(
         .filter(|w| w.instance < inst.n_primary)
         .map(|w| w.latency().as_secs_f64())
         .collect();
+    let finished = aqua_linalg::sorted(&finished);
     let violated = report
         .workflows
         .iter()
@@ -165,11 +166,12 @@ pub fn evaluate_cell(
     }
 }
 
-fn quantile_or_zero(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
+/// Quantile of an ascending sample, 0 for an empty one.
+fn quantile_or_zero(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
         0.0
     } else {
-        aqua_linalg::quantile(xs, q)
+        aqua_linalg::quantile_sorted(sorted, q)
     }
 }
 

@@ -140,12 +140,13 @@ impl LatencySummary {
         if xs.is_empty() {
             return LatencySummary::default();
         }
+        let sorted = aqua_linalg::sorted(xs);
         LatencySummary {
             count: xs.len(),
             mean: aqua_linalg::mean(xs),
-            p50: aqua_linalg::quantile(xs, 0.5),
-            p90: aqua_linalg::quantile(xs, 0.9),
-            p99: aqua_linalg::quantile(xs, 0.99),
+            p50: aqua_linalg::quantile_sorted(&sorted, 0.5),
+            p90: aqua_linalg::quantile_sorted(&sorted, 0.9),
+            p99: aqua_linalg::quantile_sorted(&sorted, 0.99),
             max: xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
         }
     }
@@ -217,6 +218,19 @@ mod tests {
         assert!((s.p50 - 50.5).abs() < 1e-9);
         assert!((s.p99 - 99.01).abs() < 1e-9);
         assert_eq!(s.max, 100.0);
+    }
+
+    /// One sort serves all three percentiles and reads what three
+    /// `quantile` calls read, on an unsorted sample with duplicates.
+    #[test]
+    fn latency_summary_percentiles_are_quantile_bits() {
+        let xs: Vec<f64> = (0..1_000)
+            .map(|i| ((i * 37 % 101) as f64 * 0.73).sin().abs() * 4.0)
+            .collect();
+        let s = LatencySummary::of(&xs);
+        for (got, q) in [(s.p50, 0.5), (s.p90, 0.9), (s.p99, 0.99)] {
+            assert_eq!(got.to_bits(), aqua_linalg::quantile(&xs, q).to_bits());
+        }
     }
 
     #[test]

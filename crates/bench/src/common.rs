@@ -1,7 +1,8 @@
 //! Shared experiment infrastructure: scale control, table printing, JSON
 //! output, and workload construction.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use aqua_faas::{FaasSim, FunctionRegistry, NoiseModel};
 use aqua_sim::{SimRng, SimTime};
@@ -35,39 +36,6 @@ impl Scale {
     }
 }
 
-/// Peak resident set size of this process in MiB (`VmHWM`), or 0.0 when
-/// `/proc` is unavailable.
-pub fn peak_rss_mb() -> f64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            if let Some(kb) = rest
-                .split_whitespace()
-                .next()
-                .and_then(|v| v.parse::<f64>().ok())
-            {
-                return kb / 1024.0;
-            }
-        }
-    }
-    0.0
-}
-
-/// Median wall-clock nanoseconds of `reps` timed runs of `f`.
-pub fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> u64 {
-    let mut times: Vec<u128> = (0..reps)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2] as u64
-}
-
 /// Prints a fixed-width table with a title.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -96,32 +64,26 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes an experiment's JSON record under the *workspace's*
-/// `target/experiments/`, wherever below the workspace root the binary was
-/// started.
-pub fn write_json(name: &str, value: &serde_json::Value) {
-    let target = std::env::var("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            // Walk up from CWD to the workspace root (marked by Cargo.lock).
-            let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-            loop {
-                if dir.join("Cargo.lock").exists() {
-                    break dir.join("target");
-                }
-                if !dir.pop() {
-                    break PathBuf::from("target");
-                }
-            }
-        });
-    let dir = target.join("experiments");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        if let Ok(s) = serde_json::to_string_pretty(value) {
-            if std::fs::write(&path, s).is_ok() {
-                println!("\n[json] {}", path.display());
-            }
+/// Writes `value` as pretty-printed JSON to `path` — relative paths are
+/// taken from the workspace root, wherever the binary was started —
+/// creating missing parent directories, and returns the path written.
+/// Errors carry that path.
+pub fn write_json(path: impl AsRef<Path>, value: &serde_json::Value) -> io::Result<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crate sits two levels below the workspace root");
+    let path = root.join(path);
+    let write = || {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
         }
+        let body = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
+        std::fs::write(&path, body + "\n")
+    };
+    match write() {
+        Ok(()) => Ok(path),
+        Err(e) => Err(io::Error::new(e.kind(), format!("{}: {e}", path.display()))),
     }
 }
 
@@ -188,5 +150,23 @@ mod tests {
         let arr = azure_like_arrivals(30, 5.0, 2);
         assert!(!arr.is_empty());
         assert!(arr.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn write_json_reports_failure_and_round_trips_success() {
+        let dir = std::env::temp_dir().join(format!("aqua-bench-write-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let value = serde_json::json!({ "name": "fig18", "rows": [1, 2.5, "x"] });
+
+        let path = write_json(dir.join("nested/record.json"), &value).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, serde_json::to_string_pretty(&value).unwrap() + "\n");
+
+        let file = dir.join("plain-file");
+        std::fs::write(&file, "").unwrap();
+        let err = write_json(file.join("record.json"), &value).unwrap_err();
+        assert!(err.to_string().contains("plain-file"), "{err}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

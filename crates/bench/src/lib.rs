@@ -25,10 +25,7 @@ pub mod fig15;
 pub mod fig16;
 pub mod fig17;
 pub mod fig18;
-pub mod gp_bench;
 pub mod matrix;
-pub mod sim_bench;
-pub mod svc_bench;
 pub mod table1;
 
 pub use common::{write_json, Scale};

@@ -61,7 +61,6 @@ pub use function::{FunctionRegistry, FunctionSpec};
 pub use interference::NoiseModel;
 pub use metrics::{InvocationRecord, RunReport, WorkflowRecord};
 pub use runtime::{BootTicket, ContainerRuntime, RuntimeStats, SimContainerRuntime};
-pub use shard::last_parallel_slack;
 pub use sim::{
     replacement_target, FaasSim, FaasSimBuilder, FixedPrewarm, FnWindowStats, PoolDecision,
     PoolObservation, PrewarmController, WorkflowJob,

@@ -84,8 +84,9 @@ pub struct RunReport {
     /// Reserved (provisioned) memory in MiB sampled at every pool tick —
     /// the Fig. 11 time series.
     pub pool_snapshots: Vec<(SimTime, f64)>,
-    /// Discrete events processed by the run's event loop(s) — the
-    /// numerator of the BENCH_SIM events/sec throughput metric.
+    /// Discrete events processed by the run's event loop(s) — what
+    /// `aqua-benchmark` reports as `faas.events` and divides wall time by
+    /// for `faas.ns_per_event`.
     #[serde(default)]
     pub events_processed: u64,
 }

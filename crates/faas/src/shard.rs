@@ -34,8 +34,6 @@
 //! statistically equivalent but not event-for-event identical to `n = 1`,
 //! because fault/noise streams fork per shard and handoffs quantize.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use aqua_sim::{par_map_owned, SimDuration, SimTime};
 use aqua_telemetry::{SimEvent, Telemetry};
 
@@ -57,21 +55,6 @@ const SYNC_QUANTUM_SECS: u64 = 2;
 fn floor_to_quantum(t: SimTime) -> SimTime {
     let q = 1_000_000 * SYNC_QUANTUM_SECS;
     SimTime::from_micros(t.as_micros() / q * q)
-}
-
-/// Parallelizable slack of the most recent sharded run in this process,
-/// in microseconds: the per-window sum over shards of advance time minus
-/// the per-window maximum, accumulated across all windows.
-static LAST_PARALLEL_SLACK_MICROS: AtomicU64 = AtomicU64::new(0);
-
-/// Wall-clock time the most recent sharded run spent advancing shards
-/// that could have overlapped with the slowest shard of the same window,
-/// had each shard run on its own core. `wall - slack` is the run's
-/// critical path: the wall-clock a host with at least `shards` idle cores
-/// approaches. Purely observational — it never influences simulation
-/// results — and only meaningful right after a `shards >= 2` run.
-pub fn last_parallel_slack() -> std::time::Duration {
-    std::time::Duration::from_micros(LAST_PARALLEL_SLACK_MICROS.load(Ordering::Relaxed))
 }
 
 /// Runs `jobs` under `controller` across `params.shards` parallel event
@@ -108,7 +91,6 @@ pub(crate) fn run_sharded(
     let quantum = SimDuration::from_secs(SYNC_QUANTUM_SECS);
     let mut next_tick = SimTime::ZERO + params.tick;
     let mut pool_snapshots: Vec<(SimTime, f64)> = Vec::new();
-    let mut slack_secs = 0.0f64;
 
     loop {
         let min_peek = shards.iter().filter_map(|s| s.agenda.next_time()).min();
@@ -126,21 +108,10 @@ pub(crate) fn run_sharded(
         // Advance every shard to the bound in parallel. Each shard is a
         // deterministic sequential loop over its own state, so the result
         // is identical for any thread count.
-        let timed = par_map_owned(std::mem::take(&mut shards), |_, mut st| {
-            let t0 = std::time::Instant::now();
+        shards = par_map_owned(std::mem::take(&mut shards), |_, mut st| {
             st.advance_until(bound, horizon);
-            (st, t0.elapsed().as_secs_f64())
+            st
         });
-        let (mut sum, mut max) = (0.0f64, 0.0f64);
-        shards = timed
-            .into_iter()
-            .map(|(st, dt)| {
-                sum += dt;
-                max = max.max(dt);
-                st
-            })
-            .collect();
-        slack_secs += sum - max;
 
         // Exchange cross-shard handoffs at the boundary, in (sender shard,
         // emission order) — a total order, independent of host scheduling.
@@ -218,36 +189,16 @@ pub(crate) fn run_sharded(
 
     // Per-shard epilogue — resource-integral finalization and dense
     // per-instance counter folds — is shard-local, so it runs in the same
-    // parallel regime as the windows (and earns the same overlap credit).
-    let timed = par_map_owned(std::mem::take(&mut shards), |_, mut st| {
-        let t0 = std::time::Instant::now();
+    // parallel regime as the windows.
+    let (shards, folds): (Vec<_>, Vec<_>) = par_map_owned(shards, |_, mut st| {
         st.cluster.finalize(horizon);
         let fold = st.instance_fold();
-        ((st, fold), t0.elapsed().as_secs_f64())
-    });
-    let (mut sum, mut max) = (0.0f64, 0.0f64);
-    let mut folds = Vec::with_capacity(n);
-    shards = timed
-        .into_iter()
-        .map(|((st, fold), dt)| {
-            sum += dt;
-            max = max.max(dt);
-            folds.push(fold);
-            st
-        })
-        .collect();
-    slack_secs += sum - max;
+        (st, fold)
+    })
+    .into_iter()
+    .unzip();
 
-    let report = merge_reports(
-        params,
-        shards,
-        folds,
-        recorders,
-        pool_snapshots,
-        &mut slack_secs,
-    );
-    LAST_PARALLEL_SLACK_MICROS.store((slack_secs * 1e6) as u64, Ordering::Relaxed);
-    report
+    merge_reports(params, shards, folds, recorders, pool_snapshots)
 }
 
 /// Folds the per-shard run states into one [`RunReport`] and replays the
@@ -258,7 +209,6 @@ fn merge_reports(
     folds: Vec<(Vec<u32>, Vec<u32>, Vec<bool>)>,
     recorders: Vec<Option<std::sync::Arc<std::sync::Mutex<aqua_telemetry::Recorder>>>>,
     pool_snapshots: Vec<(SimTime, f64)>,
-    slack_secs: &mut f64,
 ) -> RunReport {
     let n = shards.len();
     let mut report = RunReport {
@@ -284,7 +234,7 @@ fn merge_reports(
     // Workflow records carry true completion times that can trail a
     // shard's clock by up to one handoff window, so they get a stable
     // sort (cheap: the concatenation is nearly sorted).
-    report.invocations = merge_sorted(inv_lists, |r| r.started, slack_secs);
+    report.invocations = merge_sorted(inv_lists, |r| r.started);
     for mut wf in wf_lists {
         report.workflows.append(&mut wf);
     }
@@ -341,37 +291,18 @@ fn merge_reports(
 /// `(key, list index)` — time-major, ties resolved in shard order, exactly
 /// the order a stable sort of the concatenation would produce. Uses a
 /// bottom-up pairwise merge tree; each round's merges are independent, so
-/// they run through [`par_map_owned`] and the overlapped time is credited
-/// to `slack_secs` like any other shard-parallel work.
-fn merge_sorted<T: Send, K: Ord>(
-    mut lists: Vec<Vec<T>>,
-    key: impl Fn(&T) -> K + Sync,
-    slack_secs: &mut f64,
-) -> Vec<T> {
+/// they run through [`par_map_owned`].
+fn merge_sorted<T: Send, K: Ord>(mut lists: Vec<Vec<T>>, key: impl Fn(&T) -> K + Sync) -> Vec<T> {
     while lists.len() > 1 {
         let mut pairs = Vec::with_capacity(lists.len().div_ceil(2));
         let mut it = lists.into_iter();
         while let Some(a) = it.next() {
             pairs.push((a, it.next()));
         }
-        let timed = par_map_owned(pairs, |_, (a, b)| {
-            let t0 = std::time::Instant::now();
-            let merged = match b {
-                Some(b) => merge_pair(a, b, &key),
-                None => a,
-            };
-            (merged, t0.elapsed().as_secs_f64())
+        lists = par_map_owned(pairs, |_, (a, b)| match b {
+            Some(b) => merge_pair(a, b, &key),
+            None => a,
         });
-        let (mut sum, mut max) = (0.0f64, 0.0f64);
-        lists = timed
-            .into_iter()
-            .map(|(m, dt)| {
-                sum += dt;
-                max = max.max(dt);
-                m
-            })
-            .collect();
-        *slack_secs += sum - max;
     }
     lists.pop().unwrap_or_default()
 }

@@ -22,9 +22,6 @@
 //! * [`ControlPlane`] — the service itself: admission → warm pool →
 //!   execution → completion bookkeeping, policy/filler/refit ticks, and
 //!   graceful shutdown that drains in-flight work.
-//! * [`driver`] — an open-loop load driver replaying
-//!   [`aqua_workflows::azure`] traces at full speed and measuring the
-//!   sustained wall-clock invocation rate.
 //!
 //! # Example
 //!
@@ -60,14 +57,12 @@
 //! ```
 
 pub mod admission;
-pub mod driver;
 pub mod reactor;
 pub mod refit;
 pub mod service;
 pub mod warm_pool;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats};
-pub use driver::{drive, drive_tenanted, DriverReport};
 pub use reactor::Reactor;
 pub use refit::{RefitScheduler, RefitStats};
 pub use service::{

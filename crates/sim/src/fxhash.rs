@@ -4,7 +4,7 @@
 //! ids they mint themselves (instance counters, container ids, execution
 //! attempt numbers). The standard library's default SipHash is
 //! DoS-resistant but costs tens of nanoseconds per lookup — measurable
-//! when the load driver pushes over a hundred thousand invocations per
+//! when the control plane serves over a hundred thousand invocations per
 //! second through two or three map operations each. These keys are
 //! process-internal (never attacker-controlled), so a multiply-rotate
 //! hash in the Firefox `FxHasher` family is safe and several times

@@ -6,8 +6,9 @@
 //! single-function apps plus a tail of short chains, and per-app Poisson
 //! arrivals. The generator is deliberately split from the simulation
 //! engine: it emits plain [`WorkflowJob`]s that any simulator
-//! configuration — sequential or sharded — replays byte-identically, so
-//! the same workload feeds both ends of the BENCH_SIM scaling curve.
+//! configuration — sequential or sharded — and the live control plane
+//! replay byte-identically, so `aqua-benchmark`'s `sim_azure` and
+//! `svc_azure` workloads see the same trace.
 //!
 //! # Examples
 //!
@@ -43,7 +44,7 @@ pub struct AzureScaleConfig {
 }
 
 impl AzureScaleConfig {
-    /// The full BENCH_SIM workload: ≥ 1 M function invocations over
+    /// The full `sim_azure` / `svc_azure` trace: ≥ 1 M function invocations over
     /// ≥ 1 k functions in one simulated hour.
     pub fn full() -> Self {
         AzureScaleConfig {

@@ -11,7 +11,8 @@
 //! * [`loadgen`] — open-loop workload assembly (the Locust role) and
 //!   per-window concurrency series extraction for training predictors.
 //! * [`azure`] — cluster-scale Azure-like workload synthesis (~1 k apps
-//!   with Zipf popularity) feeding the BENCH_SIM throughput gate.
+//!   with Zipf popularity), the trace of `aqua-benchmark`'s `sim_azure`
+//!   and `svc_azure` workloads.
 //!
 //! # Examples
 //!

@@ -2,8 +2,9 @@
 //! drains in-flight work (with and without predictive rejection in the
 //! admission path), the filler task replenishes under injected boot
 //! failures while respecting the boot semaphore, a zero-rate fault plan
-//! is a strict no-op on service behavior, and a zero-budget predictive
-//! config is bit-identical to a plane without the feature.
+//! is a strict no-op on service behavior, a zero-budget predictive
+//! config is bit-identical to a plane without the feature, and a plane
+//! over an Azure-shaped trace drains clean and replays identically.
 
 use aquatope::faas::{
     FaultPlan, FaultRates, FunctionRegistry, FunctionSpec, QosClass, ResourceConfig, StageConfigs,
@@ -14,6 +15,7 @@ use aquatope::service::{
     ControlPlane, PredictiveConfig, ServiceConfig, ServiceReport, WarmPoolConfig,
 };
 use aquatope::sim::{SimDuration, SimTime};
+use aquatope::workflows::azure::{azure_scale, AzureScaleConfig};
 
 /// `apps` single-stage jobs, each with `n` arrivals spread over ~n/2 s.
 fn workload(apps: usize, n: usize) -> (FunctionRegistry, Vec<WorkflowJob>) {
@@ -269,4 +271,56 @@ fn zero_rate_fault_plan_is_a_noop() {
     assert_eq!(a.pool, b.pool);
     assert_eq!(a.runtime, b.runtime);
     assert_eq!(a.admission, b.admission);
+}
+
+/// A plane over the Azure-shaped trace `azure`, shutting down when its
+/// arrivals end.
+fn azure_run(azure: &AzureScaleConfig) -> ServiceReport {
+    let wl = azure_scale(azure);
+    let cfg = ServiceConfig {
+        run_for: SimDuration::from_secs(azure.minutes * 60),
+        ..ServiceConfig::default()
+    };
+    ControlPlane::new(
+        wl.registry,
+        wl.jobs,
+        Box::new(HistogramPolicy::default()),
+        &FaultPlan::disabled(),
+        cfg,
+    )
+    .run()
+}
+
+#[test]
+fn azure_trace_completes_and_drains_clean() {
+    let azure = AzureScaleConfig {
+        apps: 24,
+        minutes: 2,
+        total_rpm: 600.0,
+        ..AzureScaleConfig::smoke()
+    };
+    let report = azure_run(&azure);
+    assert!(report.completed > 0, "workload must make progress");
+    assert_eq!(report.live_containers_at_exit, 0);
+    assert_eq!(report.stranded_instances, 0);
+    assert!(
+        report.sim_horizon >= SimTime::from_secs(120),
+        "drain runs at least to the shutdown horizon"
+    );
+}
+
+#[test]
+fn azure_trace_replays_identically() {
+    let azure = AzureScaleConfig {
+        apps: 12,
+        minutes: 1,
+        total_rpm: 300.0,
+        ..AzureScaleConfig::smoke()
+    };
+    let a = azure_run(&azure);
+    let b = azure_run(&azure);
+    assert_eq!(a.completed, b.completed);
+    assert_eq!(a.events_processed, b.events_processed);
+    assert_eq!(a.latency, b.latency);
+    assert_eq!(a.runtime, b.runtime);
 }

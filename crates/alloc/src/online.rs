@@ -15,15 +15,25 @@
 //! bounded over an unbounded run.
 //!
 //! Inputs are `(config ∈ [0,1]³, t ∈ [0,1])`: the normalized resource
-//! coordinates plus a normalized-time coordinate. The time coordinate
-//! both models drift (recent observations dominate nearby predictions)
-//! and keeps the kernel matrix non-singular when the same configuration
-//! is observed repeatedly — the usual failure mode of an online GP fed
-//! production traffic.
+//! coordinates plus a normalized-time coordinate, `t = at_secs /
+//! time_horizon` clamped to 1. Within the first horizon the time
+//! coordinate models drift (recent observations dominate nearby
+//! predictions) and spreads repeated observations of one configuration
+//! apart, which keeps the exact tier's kernel matrix factorable. Past the
+//! horizon it saturates at 1.0, and every later observation of a
+//! configuration is the *same* input point: an app that runs one
+//! configuration then sees a window of duplicates. On `svc_overload`
+//! (360-minute cells) a sparse-tier rebuild sees ≈ 2 800 rows holding on
+//! average ≈ 510 distinct points, and in two rebuilds of three exactly
+//! one; its 64 inducing points average ≈ 23 distinct ones, because
+//! greedy selection, once every distinct point is chosen, keeps taking
+//! row 0 again. The sparse tier stays factorable through the jitter its
+//! factorizations add, and singular exact-tier appends are counted in
+//! [`OnlineModelStats::rejected`].
 
 use std::collections::HashMap;
 
-use aqua_gp::{Gp, GpConfig, SparseGp};
+use aqua_gp::{DtcBasis, Gp, GpConfig, SparseGp};
 
 /// One buffered observation: normalized input coordinates and an observed
 /// latency (seconds).
@@ -54,11 +64,13 @@ pub struct TierSwitch {
     pub inducing: usize,
 }
 
-/// The fitted model behind one application, on either tier.
+/// The fitted model behind one application, on either tier. The sparse
+/// tier carries the fit state it is rebuilt from, whose rows are the
+/// app's training window.
 #[derive(Debug, Clone)]
 enum TierGp {
     Exact(Gp),
-    Sparse(SparseGp),
+    Sparse(SparseGp, Box<DtcBasis>),
 }
 
 /// Per-application online model state.
@@ -70,9 +82,10 @@ struct AppModel {
     staleness: u64,
     /// Warm-up observations held until there are enough to fit.
     warmup: Vec<PendingObs>,
-    /// The observations currently inside the training window, mirrored
-    /// outside the GP so a tier switch or sparse rebuild can refit from
-    /// raw data. Kept in lockstep with the exact tier's training set.
+    /// The observations currently inside the exact tier's training
+    /// window, mirrored outside the GP so a tier switch can refit from
+    /// raw data. Kept in lockstep with the exact tier's training set and
+    /// handed to the sparse tier's [`DtcBasis`] at the switch.
     history: Vec<PendingObs>,
     /// Appends absorbed on the sparse tier since its last full rebuild.
     sparse_appends: usize,
@@ -237,8 +250,12 @@ impl OnlineLatencyModel {
     /// keeping the newest half. A refit that leaves the exact tier's
     /// training set above the tier threshold rebuilds the model as a
     /// [`SparseGp`] inheriting the exact tier's kernel; the transition is
-    /// recorded for [`OnlineLatencyModel::drain_tier_switches`]. Returns
-    /// the number of observations absorbed.
+    /// recorded for [`OnlineLatencyModel::drain_tier_switches`]. On the
+    /// sparse tier every `refit_every`-th absorb and every compaction
+    /// rebuilds the model from the app's [`DtcBasis`], which extends its
+    /// fold over the new rows while the inducing set provably holds and
+    /// re-derives it otherwise — the same bits either way. Returns the
+    /// number of observations absorbed.
     pub fn refit(&mut self, app: usize) -> usize {
         let Some(model) = self.apps.get_mut(&app) else {
             return 0;
@@ -285,17 +302,14 @@ impl OnlineLatencyModel {
                         }
                     }
                     if gp.len() > self.tier_threshold {
-                        let xs: Vec<Vec<f64>> = model.history.iter().map(|o| o.x.clone()).collect();
-                        let ys: Vec<f64> = model.history.iter().map(|o| o.latency).collect();
                         // Inherit the exact tier's selected kernel — the
                         // sparse fit is pure linear algebra, no search.
-                        if let Ok(sparse) = SparseGp::fit_points(
-                            &xs,
-                            &ys,
-                            *gp.kernel(),
-                            self.config.noise,
-                            self.inducing,
-                        ) {
+                        let mut basis =
+                            DtcBasis::new(*gp.kernel(), self.config.noise, self.inducing);
+                        for o in &model.history {
+                            basis.push(&o.x, o.latency);
+                        }
+                        if let Ok(sparse) = basis.fit() {
                             self.switches.push(TierSwitch {
                                 app,
                                 train: sparse.len(),
@@ -303,38 +317,30 @@ impl OnlineLatencyModel {
                             });
                             self.stats.tier_switches += 1;
                             model.sparse_appends = 0;
-                            model.model = Some(TierGp::Sparse(sparse));
+                            model.history = Vec::new();
+                            model.model = Some(TierGp::Sparse(sparse, Box::new(basis)));
                         }
                     }
                 }
-                Some(TierGp::Sparse(sgp)) => {
+                Some(TierGp::Sparse(sgp, basis)) => {
                     sgp.absorb(&obs.x, obs.latency);
+                    basis.push(&obs.x, obs.latency);
                     absorbed += 1;
-                    model.history.push(obs);
                     model.sparse_appends += 1;
-                    let compact = model.history.len() > self.window;
+                    let compact = basis.len() > self.window;
                     let rebuild_due = self.config.refit_every > 0
                         && model.sparse_appends >= self.config.refit_every;
                     if compact {
-                        let drop = model.history.len() - self.window / 2;
-                        model.history.drain(..drop);
+                        basis.drop_front(basis.len() - self.window / 2);
                         self.stats.compactions += 1;
                     }
                     if compact || rebuild_due {
-                        // Full rebuild from the raw window: re-selects
-                        // inducing points and re-standardizes the target,
-                        // so absorb's frozen standardization tracks drift
-                        // at a bounded cadence. On failure the absorbed
-                        // model stands.
-                        let xs: Vec<Vec<f64>> = model.history.iter().map(|o| o.x.clone()).collect();
-                        let ys: Vec<f64> = model.history.iter().map(|o| o.latency).collect();
-                        if let Ok(next) = SparseGp::fit_points(
-                            &xs,
-                            &ys,
-                            *sgp.kernel(),
-                            self.config.noise,
-                            self.inducing,
-                        ) {
+                        // Rebuild over the raw window: the basis keeps or
+                        // re-selects the inducing points and re-standardizes
+                        // the target, so absorb's frozen standardization
+                        // tracks drift at a bounded cadence. On failure the
+                        // absorbed model stands.
+                        if let Ok(next) = basis.fit() {
                             *sgp = next;
                             model.sparse_appends = 0;
                         }
@@ -356,7 +362,7 @@ impl OnlineLatencyModel {
         x.push((at_secs / self.time_horizon).clamp(0.0, 1.0));
         Some(match model {
             TierGp::Exact(gp) => gp.predict(&x),
-            TierGp::Sparse(sgp) => sgp.predict(&x),
+            TierGp::Sparse(sgp, _) => sgp.predict(&x),
         })
     }
 
@@ -364,7 +370,7 @@ impl OnlineLatencyModel {
     pub fn model_size(&self, app: usize) -> usize {
         self.apps.get(&app).map_or(0, |m| match &m.model {
             Some(TierGp::Exact(gp)) => gp.len(),
-            Some(TierGp::Sparse(sgp)) => sgp.len(),
+            Some(TierGp::Sparse(sgp, _)) => sgp.len(),
             None => 0,
         })
     }
@@ -374,7 +380,7 @@ impl OnlineLatencyModel {
     pub fn tier(&self, app: usize) -> Option<SurrogateTier> {
         self.apps.get(&app).and_then(|m| match m.model {
             Some(TierGp::Exact(_)) => Some(SurrogateTier::Exact),
-            Some(TierGp::Sparse(_)) => Some(SurrogateTier::Sparse),
+            Some(TierGp::Sparse(..)) => Some(SurrogateTier::Sparse),
             None => None,
         })
     }

@@ -47,4 +47,4 @@ pub use anomaly::detect_anomalies;
 pub use gp::{Gp, GpConfig, GpError};
 pub use kernel::{euclidean, unit_factors, Matern52};
 pub use qmc::Halton;
-pub use surrogate::{SparseGp, SparseGpConfig, Surrogate};
+pub use surrogate::{DtcBasis, SparseGp, SparseGpConfig, Surrogate};

@@ -12,7 +12,9 @@
 //! time (the `n × m` cross-kernel matrix is built by the blocked
 //! [`aqua_linalg::gemm`] engine with runtime SIMD dispatch); predictions,
 //! posterior sampling, and fantasy conditioning are O(m²) regardless of
-//! how many observations the model has absorbed.
+//! how many observations the model has absorbed. A caller that refits a
+//! growing window keeps a [`DtcBasis`], which pays the O(n) work only for
+//! rows appended since its last fit while the inducing set holds.
 //!
 //! # Accuracy contract
 //!
@@ -136,7 +138,7 @@ impl Default for SparseGpConfig {
 /// * variance: `k(x,x) − k_u(x)ᵀ K_uu⁻¹ k_u(x) + σ² k_u(x)ᵀ A⁻¹ k_u(x)`
 ///
 /// `A`'s Cholesky factor grows by one rank-1 update
-/// ([`Cholesky::rank_one_update`], O(m²)) per absorbed or fantasized
+/// ([`Cholesky::rank_one_update_in_place`], O(m²)) per absorbed or fantasized
 /// observation, so the model never refactors on the hot path.
 #[derive(Debug, Clone)]
 pub struct SparseGp {
@@ -190,37 +192,312 @@ fn sq_norm(x: &[f64]) -> f64 {
     acc
 }
 
-/// Greedy farthest-point selection: start from row 0, repeatedly add the
-/// row with the largest distance to the chosen set, ties toward the
-/// lowest index. Deterministic, O(n·m) distance evaluations.
-fn select_inducing(x: &Matrix, m: usize) -> Vec<usize> {
-    let n = x.rows();
+/// Row `i` of a flat row-major matrix with rows `d` wide.
+#[inline]
+fn row(x: &[f64], d: usize, i: usize) -> &[f64] {
+    &x[i * d..(i + 1) * d]
+}
+
+/// Greedy farthest-point selection over the `n` rows of flat `x`: start
+/// from row 0, repeatedly add the row with the largest distance to the
+/// chosen set, ties toward the lowest index. Deterministic, O(n·m)
+/// distance evaluations. Returns the chosen rows and, per step `j ≥ 1`,
+/// the distance that won it (`gaps[j - 1]`).
+fn select_inducing(x: &[f64], d: usize, n: usize, m: usize) -> (Vec<usize>, Vec<f64>) {
     let m = m.min(n);
     let mut chosen = Vec::with_capacity(m);
+    let mut gaps = Vec::with_capacity(m.saturating_sub(1));
     if m == 0 {
-        return chosen;
+        return (chosen, gaps);
     }
     chosen.push(0);
     // min_d[i]: distance from row i to the nearest chosen row so far.
-    let mut min_d: Vec<f64> = (0..n).map(|i| euclidean(x.row(i), x.row(0))).collect();
+    let mut min_d: Vec<f64> = (0..n)
+        .map(|i| euclidean(row(x, d, i), row(x, d, 0)))
+        .collect();
     while chosen.len() < m {
         let mut best = 0;
         let mut best_d = f64::NEG_INFINITY;
-        for (i, &d) in min_d.iter().enumerate() {
-            if d > best_d {
-                best_d = d;
+        for (i, &dist) in min_d.iter().enumerate() {
+            if dist > best_d {
+                best_d = dist;
                 best = i;
             }
         }
         chosen.push(best);
+        gaps.push(best_d);
         for (i, md) in min_d.iter_mut().enumerate() {
-            let d = euclidean(x.row(i), x.row(best));
-            if d < *md {
-                *md = d;
+            let dist = euclidean(row(x, d, i), row(x, d, best));
+            if dist < *md {
+                *md = dist;
             }
         }
     }
-    chosen
+    (chosen, gaps)
+}
+
+/// What a [`DtcBasis`] derived from the greedy selection over its first
+/// `rows` rows. It stays valid, and can be extended, for as long as no
+/// earlier row changes and no appended row would win a greedy step.
+#[derive(Debug, Clone)]
+struct Folded {
+    /// Rows `K_fu` and `a` cover.
+    rows: usize,
+    /// Selected row indices, and the distance that won each step after
+    /// the first (see [`select_inducing`]).
+    chosen: Vec<usize>,
+    gaps: Vec<f64>,
+    /// Inducing inputs `U` (`m × d`), their packed transpose for the
+    /// `X·Uᵀ` gemm, and their squared norms.
+    u: Matrix,
+    ut: Vec<f64>,
+    unorms: Vec<f64>,
+    /// `K_uu` plus the jitter `chol_uu` needed, and that factor.
+    kuu: Matrix,
+    chol_uu: Cholesky,
+    /// `A = σ² K_uu + K_fuᵀ K_fu` over the covered rows.
+    a: Matrix,
+}
+
+/// The reusable fit state behind a [`SparseGp`]: the training rows with
+/// their norms and targets, the greedy inducing selection with the
+/// distance that won each step, `U`, the jittered `K_uu` and its factor,
+/// the `n × m` cross-kernel `K_fu` and the partial
+/// `A = σ² K_uu + K_fuᵀ K_fu`.
+///
+/// Rows are appended with [`DtcBasis::push`] and retired from the front
+/// with [`DtcBasis::drop_front`]; [`DtcBasis::fit`] returns the model over
+/// every row held. [`SparseGp::fit`] is a basis built over all rows and
+/// fit once, so the two share one derivation.
+///
+/// # Rebuild contract
+///
+/// A fit checks the rows appended since the last one. Greedy selection
+/// is unchanged iff, at every step `j`, each appended row's running
+/// minimum distance to `chosen[0..j]` is at most the distance that won
+/// step `j`: appended rows come after every earlier row, and the scan
+/// takes the first strict maximum, so an equal distance never wins. When
+/// the selection holds, only the appended rows' `K_fu` entries are
+/// computed, and `gemm_tn` continues into the cached `A` — it contracts
+/// rows in order starting from the value in its output, so old rows then
+/// new rows round exactly as all rows at once. `b = K_fuᵀ y_std` is
+/// recomputed over all rows, because the target standardization moves.
+/// Otherwise (an appended row wins a step, the front of the window moved,
+/// fewer rows than the requested inducing count were held, or the last
+/// derivation failed) everything is derived again, reusing the `K_fu`
+/// buffer. Both paths give the bits a from-scratch
+/// [`SparseGp::fit`] over the same rows gives.
+#[derive(Debug, Clone)]
+pub struct DtcBasis {
+    kernel: Matern52,
+    /// DTC noise `σ²`, floored as [`SparseGp::fit`] documents.
+    sigma2: f64,
+    /// Requested inducing-set size (capped at the row count).
+    inducing: usize,
+    /// Row width, fixed by the first row.
+    d: usize,
+    /// Training rows (flat, row-major), squared norms and targets.
+    x: Vec<f64>,
+    xnorms: Vec<f64>,
+    y: Vec<f64>,
+    /// `K_fu` over the folded rows, row-major `rows × m`. Kept across
+    /// re-derivations as a buffer.
+    kfu: Vec<f64>,
+    /// `None` until the first fit, after a front drop, or after a failed
+    /// derivation.
+    folded: Option<Folded>,
+}
+
+impl DtcBasis {
+    /// An empty basis for the given kernel, noise and inducing-set size.
+    pub fn new(kernel: Matern52, noise: f64, inducing: usize) -> Self {
+        DtcBasis {
+            kernel,
+            sigma2: noise.max(1e-9),
+            inducing,
+            d: 0,
+            x: Vec::new(),
+            xnorms: Vec::new(),
+            y: Vec::new(),
+            kfu: Vec::new(),
+            folded: None,
+        }
+    }
+
+    /// Number of training rows held.
+    pub fn len(&self) -> usize {
+        self.y.len()
+    }
+
+    /// True if no rows are held.
+    pub fn is_empty(&self) -> bool {
+        self.y.is_empty()
+    }
+
+    /// Appends one training row; folded into the model at the next
+    /// [`DtcBasis::fit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` differs in width from the first row.
+    pub fn push(&mut self, x: &[f64], y: f64) {
+        if self.y.is_empty() {
+            self.d = x.len();
+        }
+        assert_eq!(x.len(), self.d, "ragged training points");
+        self.x.extend_from_slice(x);
+        self.xnorms.push(sq_norm(x));
+        self.y.push(y);
+    }
+
+    /// Retires the `k` oldest rows (all of them if fewer are held). The
+    /// next fit re-derives: selection starts from the first row.
+    pub fn drop_front(&mut self, k: usize) {
+        let k = k.min(self.len());
+        self.x.drain(..k * self.d);
+        self.xnorms.drain(..k);
+        self.y.drain(..k);
+        self.folded = None;
+    }
+
+    /// The DTC model over every row held, extending the cached fold when
+    /// the greedy selection provably holds and re-deriving it otherwise
+    /// (see the type's rebuild contract).
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseGp::fit`].
+    pub fn fit(&mut self) -> Result<SparseGp, GpError> {
+        let folded = self.refold()?;
+        let model = self.model(&folded);
+        self.folded = Some(folded);
+        model
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        row(&self.x, self.d, i)
+    }
+
+    /// A fold covering every row: the cached one extended when it holds,
+    /// a fresh derivation otherwise.
+    fn refold(&mut self) -> Result<Folded, GpError> {
+        let n = self.len();
+        if n < 2 || self.inducing < 2 {
+            return Err(GpError::InsufficientData);
+        }
+        match self.folded.take() {
+            Some(mut f) if self.holds(&f) => {
+                self.fold_rows(&mut f);
+                Ok(f)
+            }
+            _ => self.derive(),
+        }
+    }
+
+    /// Whether greedy selection over all rows picks `f.chosen` again.
+    fn holds(&self, f: &Folded) -> bool {
+        f.chosen.len() == self.inducing.min(self.len())
+            && (f.rows..self.len()).all(|r| {
+                let x = self.row(r);
+                let mut md = euclidean(x, self.row(f.chosen[0]));
+                for (&c, &gap) in f.chosen[1..].iter().zip(&f.gaps) {
+                    if md > gap {
+                        return false;
+                    }
+                    let dist = euclidean(x, self.row(c));
+                    if dist < md {
+                        md = dist;
+                    }
+                }
+                true
+            })
+    }
+
+    /// Selects the inducing set over all rows, factors `K_uu` and folds
+    /// every row into a fresh `A`.
+    fn derive(&mut self) -> Result<Folded, GpError> {
+        let (n, d) = (self.len(), self.d);
+        let (chosen, gaps) = select_inducing(&self.x, d, n, self.inducing);
+        let m = chosen.len();
+        let mut udata = Vec::with_capacity(m * d);
+        for &i in &chosen {
+            udata.extend_from_slice(self.row(i));
+        }
+        let u = Matrix::from_vec(m, d, udata);
+
+        // K_uu from direct pairwise distances (m², small).
+        let mut kuu = Matrix::from_fn(m, m, |i, j| self.kernel.eval(u.row(i), u.row(j)));
+        let chol_uu = Cholesky::new_with_jitter(&kuu).map_err(|_| GpError::SingularKernel)?;
+        // Record the jitter K_uu actually carries so A is built from the
+        // same (factorable) matrix the uu-solves see.
+        kuu.add_diagonal(chol_uu.jitter());
+
+        let unorms = chosen.iter().map(|&i| self.xnorms[i]).collect();
+        let mut ut = vec![0.0; d * m];
+        pack_transpose(m, d, u.as_slice(), &mut ut);
+        let a = Matrix::from_fn(m, m, |i, j| self.sigma2 * kuu[(i, j)]);
+        let mut f = Folded {
+            rows: 0,
+            chosen,
+            gaps,
+            u,
+            ut,
+            unorms,
+            kuu,
+            chol_uu,
+            a,
+        };
+        self.fold_rows(&mut f);
+        Ok(f)
+    }
+
+    /// Folds rows `f.rows..` into `f`: their `K_fu` rows through the
+    /// blocked gemm engine (squared distances from norms plus one `X·Uᵀ`
+    /// product, kernel applied elementwise), then `A += K_fuᵀ K_fu` over
+    /// them by the in-order `gemm_tn` kernel.
+    fn fold_rows(&mut self, f: &mut Folded) {
+        let (n, d, m) = (self.len(), self.d, f.chosen.len());
+        let from = f.rows;
+        self.kfu.resize(n * m, 0.0);
+        let new = &mut self.kfu[from * m..];
+        gemm(n - from, m, d, &self.x[from * d..], &f.ut, new);
+        for (krow, &xn) in new.chunks_exact_mut(m).zip(&self.xnorms[from..]) {
+            for (k, &un) in krow.iter_mut().zip(&f.unorms) {
+                let sq = normed_sq_dist(xn, un, *k);
+                *k = self.kernel.eval_dist(sq.sqrt());
+            }
+        }
+        gemm_tn(n - from, m, m, new, new, f.a.as_mut_slice());
+        f.rows = n;
+    }
+
+    /// The model over a fold covering every row: `b = K_fuᵀ y_std` under
+    /// the current standardization, then `A`'s factor and the weights.
+    fn model(&self, f: &Folded) -> Result<SparseGp, GpError> {
+        let (n, m) = (self.len(), f.chosen.len());
+        let (y_mean, y_scale, y_std) = standardize(&self.y);
+        let mut b = vec![0.0; m];
+        gemm_tn(n, m, 1, &self.kfu, &y_std, &mut b);
+        let chol_a = Cholesky::new_with_jitter(&f.a).map_err(|_| GpError::SingularKernel)?;
+        let w = chol_a.solve_vec(&b);
+        let support_chol = SparseGp::support_factor(&f.kuu, &chol_a, self.sigma2);
+        Ok(SparseGp {
+            u: f.u.clone(),
+            inducing_idx: f.chosen.clone(),
+            unorms: f.unorms.clone(),
+            kernel: self.kernel,
+            noise: self.sigma2,
+            chol_uu: f.chol_uu.clone(),
+            chol_a,
+            b,
+            w,
+            support_chol,
+            kuu: f.kuu.clone(),
+            y_mean,
+            y_scale,
+            n_obs: n,
+        })
+    }
 }
 
 impl SparseGp {
@@ -228,13 +505,15 @@ impl SparseGp {
     /// and noise (e.g. inherited from the exact GP at a tier switch).
     /// `m` inducing points are selected greedily; `m ≥ n` degenerates to
     /// the full training set, where the DTC posterior equals the exact
-    /// GP's.
+    /// GP's. The noise is floored at `1e-9`. This is a [`DtcBasis`] over
+    /// all rows, fit once; keep the basis instead to refit a growing row
+    /// set without starting over.
     ///
     /// # Errors
     ///
-    /// [`GpError::InsufficientData`] for fewer than 2 points or
-    /// mismatched lengths; [`GpError::SingularKernel`] if a factorization
-    /// fails even with jitter.
+    /// [`GpError::InsufficientData`] for fewer than 2 points, fewer than 2
+    /// inducing points or mismatched lengths; [`GpError::SingularKernel`]
+    /// if a factorization fails even with jitter.
     pub fn fit(
         x: &Matrix,
         y: &[f64],
@@ -242,70 +521,14 @@ impl SparseGp {
         noise: f64,
         m: usize,
     ) -> Result<Self, GpError> {
-        let n = x.rows();
-        if n < 2 || n != y.len() || m < 2 {
+        if x.rows() != y.len() {
             return Err(GpError::InsufficientData);
         }
-        let (y_mean, y_scale, y_std) = standardize(y);
-        let inducing_idx = select_inducing(x, m);
-        let m = inducing_idx.len();
-        let d = x.cols();
-        let mut udata = Vec::with_capacity(m * d);
-        for &i in &inducing_idx {
-            udata.extend_from_slice(x.row(i));
+        let mut basis = DtcBasis::new(kernel, noise, m);
+        for (i, &yi) in y.iter().enumerate() {
+            basis.push(x.row(i), yi);
         }
-        let u = Matrix::from_vec(m, d, udata);
-
-        // K_uu from direct pairwise distances (m², small).
-        let mut kuu = Matrix::from_fn(m, m, |i, j| kernel.eval(u.row(i), u.row(j)));
-        let chol_uu = Cholesky::new_with_jitter(&kuu).map_err(|_| GpError::SingularKernel)?;
-        // Record the jitter K_uu actually carries so A is built from the
-        // same (factorable) matrix the uu-solves see.
-        kuu.add_diagonal(chol_uu.jitter());
-
-        // K_fu (n × m) through the blocked gemm engine: squared
-        // distances from norms + one X·Uᵀ product, kernel applied
-        // elementwise.
-        let xnorms: Vec<f64> = (0..n).map(|i| sq_norm(x.row(i))).collect();
-        let unorms: Vec<f64> = inducing_idx.iter().map(|&i| xnorms[i]).collect();
-        let mut ut = vec![0.0; d * m];
-        pack_transpose(m, d, u.as_slice(), &mut ut);
-        let mut kfu = vec![0.0; n * m];
-        gemm(n, m, d, x.as_slice(), &ut, &mut kfu);
-        for i in 0..n {
-            for j in 0..m {
-                let sq = normed_sq_dist(xnorms[i], unorms[j], kfu[i * m + j]);
-                kfu[i * m + j] = kernel.eval_dist(sq.sqrt());
-            }
-        }
-
-        // A = σ² K_uu + K_fuᵀ K_fu, contracted over the n rows by the
-        // in-order gemm_tn kernel; b = K_fuᵀ y.
-        let sigma2 = noise.max(1e-9);
-        let mut a = Matrix::from_fn(m, m, |i, j| sigma2 * kuu[(i, j)]);
-        gemm_tn(n, m, m, &kfu, &kfu, a.as_mut_slice());
-        let mut b = vec![0.0; m];
-        gemm_tn(n, m, 1, &kfu, &y_std, &mut b);
-
-        let chol_a = Cholesky::new_with_jitter(&a).map_err(|_| GpError::SingularKernel)?;
-        let w = chol_a.solve_vec(&b);
-        let support_chol = Self::support_factor(&kuu, &chol_a, sigma2);
-        Ok(SparseGp {
-            u,
-            inducing_idx,
-            unorms,
-            kernel,
-            noise: sigma2,
-            chol_uu,
-            chol_a,
-            b,
-            w,
-            support_chol,
-            kuu,
-            y_mean,
-            y_scale,
-            n_obs: n,
-        })
+        basis.fit()
     }
 
     /// Fits the sparse tier end to end: selects kernel hyperparameters by
@@ -321,8 +544,8 @@ impl SparseGp {
         if n < 2 || n != y.len() {
             return Err(GpError::InsufficientData);
         }
-        let idx = select_inducing(x, config.inducing);
         let d = x.cols();
+        let (idx, _) = select_inducing(x.as_slice(), d, n, config.inducing);
         let mut sub_x = Vec::with_capacity(idx.len() * d);
         let mut sub_y = Vec::with_capacity(idx.len());
         for &i in &idx {
@@ -528,7 +751,7 @@ impl SparseGp {
     pub fn absorb(&mut self, x: &[f64], y: f64) {
         let kx = self.kstar(x);
         let y_std = (y - self.y_mean) / self.y_scale;
-        self.chol_a = self.chol_a.rank_one_update(&kx);
+        self.chol_a.rank_one_update_in_place(&kx);
         for (bi, ki) in self.b.iter_mut().zip(&kx) {
             *bi += ki * y_std;
         }
@@ -628,14 +851,66 @@ mod tests {
     #[test]
     fn inducing_selection_is_deterministic_and_distinct() {
         let (x, _) = dataset(40, 3, 1);
-        let a = select_inducing(&x, 12);
-        let b = select_inducing(&x, 12);
+        let (a, gaps) = select_inducing(x.as_slice(), 3, 40, 12);
+        let (b, _) = select_inducing(x.as_slice(), 3, 40, 12);
         assert_eq!(a, b);
+        assert_eq!(
+            gaps.len(),
+            11,
+            "one winning distance per step after the first"
+        );
+        assert!(
+            gaps.windows(2).all(|g| g[1] <= g[0]),
+            "farthest-point gaps never grow: {gaps:?}"
+        );
         let mut uniq = a.clone();
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), 12, "indices must be distinct");
         assert_eq!(a[0], 0, "selection starts at row 0");
+    }
+
+    /// One fit of `basis`, which must carry a from-scratch fit's bits;
+    /// true if it extended the cached fold rather than re-deriving it.
+    fn fit_matches_scratch(basis: &mut DtcBasis) -> bool {
+        let extends = basis.folded.as_ref().is_some_and(|f| basis.holds(f));
+        let model = basis.fit().unwrap();
+        let x = Matrix::from_vec(basis.len(), basis.d, basis.x.clone());
+        let scratch = SparseGp::fit(&x, &basis.y, basis.kernel, 0.01, basis.inducing).unwrap();
+        assert_eq!(model.inducing_indices(), scratch.inducing_indices());
+        for i in 0..x.rows() {
+            let (got, want) = (model.predict(x.row(i)), scratch.predict(x.row(i)));
+            assert_eq!(got.0.to_bits(), want.0.to_bits(), "mean at row {i}");
+            assert_eq!(got.1.to_bits(), want.1.to_bits(), "var at row {i}");
+        }
+        extends
+    }
+
+    #[test]
+    fn basis_extends_while_selection_holds_and_rederives_otherwise() {
+        let (x, y) = dataset(40, 3, 29);
+        let mut basis = DtcBasis::new(Matern52::new(0.5, 1.0), 0.01, 8);
+        let push = |basis: &mut DtcBasis, rows: std::ops::Range<usize>, dy: f64| {
+            for i in rows {
+                basis.push(x.row(i), y[i] + dy);
+            }
+        };
+        push(&mut basis, 0..30, 0.0);
+        assert!(!fit_matches_scratch(&mut basis));
+        // Copies of held rows are never farther from a chosen prefix than
+        // the row that won that step.
+        push(&mut basis, 0..10, 0.25);
+        assert!(fit_matches_scratch(&mut basis));
+        assert!(fit_matches_scratch(&mut basis));
+        // A point outside the unit cube beats the first recorded gap.
+        basis.push(&[3.0, -2.0, 3.0], 1.0);
+        assert!(!fit_matches_scratch(&mut basis));
+        push(&mut basis, 30..40, 0.0);
+        fit_matches_scratch(&mut basis);
+        // Selection starts from the first row, which just changed.
+        basis.drop_front(7);
+        assert!(!fit_matches_scratch(&mut basis));
+        assert_eq!(basis.len(), 44);
     }
 
     #[test]

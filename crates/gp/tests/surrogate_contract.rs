@@ -8,9 +8,11 @@
 //! across the gemm-blocked batch path and the scalar pointwise path —
 //! the same to_bits contract `batched_equiv` enforces for the NN engine,
 //! and what keeps golden traces byte-stable now that kernel matrices are
-//! built through `aqua-linalg` gemm.
+//! built through `aqua-linalg` gemm. A `DtcBasis` refit after appends
+//! and front drops must equal a from-scratch sparse fit bit for bit,
+//! whichever of its two paths (extend or re-derive) it took.
 
-use aqua_gp::{Gp, GpConfig, Matern52, SparseGp, Surrogate};
+use aqua_gp::{DtcBasis, Gp, GpConfig, Matern52, SparseGp, Surrogate};
 use aqua_sim::SimRng;
 use proptest::prelude::*;
 
@@ -151,6 +153,81 @@ proptest! {
             let (mo, vo) = Surrogate::predict(&eobs, q);
             prop_assert_eq!(mf.to_bits(), mo.to_bits());
             prop_assert_eq!(vf.to_bits(), vo.to_bits());
+        }
+    }
+
+    /// A `DtcBasis` refit after any sequence of appends and front drops
+    /// is a from-scratch `SparseGp::fit` over the rows it holds, bit for
+    /// bit: inducing indices, pointwise and batch posteriors, and support
+    /// samples. Appends mix copies of a few recurring points (the
+    /// saturated-clock regime, where the selection holds and the fold
+    /// extends) with fresh points that can win a greedy step.
+    #[test]
+    fn prop_incremental_basis_matches_scratch_fit(seed in 0u64..1000,
+                                                  d in 2usize..4,
+                                                  m in 4usize..12,
+                                                  ls in 0.3f64..1.5) {
+        let mut rng = SimRng::seed(seed);
+        let kernel = Matern52::new(ls, 1.0);
+        let pool = queries(6, d, seed ^ 0x2468);
+        let qs = queries(5, d, seed ^ 0x1357);
+        let z: Vec<Vec<f64>> = (0..3)
+            .map(|_| (0..m).map(|_| rng.standard_normal()).collect())
+            .collect();
+        let mut basis = DtcBasis::new(kernel, 1e-3, m);
+        let (mut xs, mut ys): (Vec<Vec<f64>>, Vec<f64>) = (Vec::new(), Vec::new());
+        for _ in 0..12 {
+            match rng.below(6) {
+                0 => {
+                    let k = rng.below(8).min(xs.len());
+                    basis.drop_front(k);
+                    xs.drain(..k);
+                    ys.drain(..k);
+                }
+                op => {
+                    for _ in 0..1 + rng.below(10) {
+                        let x = if op == 1 {
+                            (0..d).map(|_| rng.uniform_range(-0.3, 1.3)).collect()
+                        } else {
+                            pool[rng.below(pool.len())].clone()
+                        };
+                        let y = x.iter().sum::<f64>() + rng.normal(0.0, 0.1);
+                        basis.push(&x, y);
+                        xs.push(x);
+                        ys.push(y);
+                    }
+                }
+            }
+            let scratch = SparseGp::fit_points(&xs, &ys, kernel, 1e-3, m);
+            let (inc, scratch) = match (basis.fit(), scratch) {
+                (Ok(inc), Ok(scratch)) => (inc, scratch),
+                (inc, scratch) => {
+                    prop_assert_eq!(inc.err(), scratch.err());
+                    continue;
+                }
+            };
+            prop_assert_eq!(inc.inducing_indices(), scratch.inducing_indices());
+            for q in &qs {
+                let (a, b) = (inc.predict(q), scratch.predict(q));
+                prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
+                prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+            }
+            let (ba, bb) = (inc.predict_batch(&qs), scratch.predict_batch(&qs));
+            for (a, b) in ba.iter().zip(&bb) {
+                prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
+                prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+            }
+            let support = inc.support_size();
+            let zs: Vec<Vec<f64>> = z.iter().map(|r| r[..support].to_vec()).collect();
+            let (sa, sb) = (
+                inc.posterior_samples_at_support(&zs),
+                scratch.posterior_samples_at_support(&zs),
+            );
+            for (ra, rb) in sa.iter().zip(&sb) {
+                for (a, b) in ra.iter().zip(rb) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
         }
     }
 

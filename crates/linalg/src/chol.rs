@@ -374,9 +374,21 @@ impl Cholesky {
     ///
     /// Panics if `v.len() != dim()`.
     pub fn rank_one_update(&self, v: &[f64]) -> Cholesky {
+        let mut next = self.clone();
+        next.rank_one_update_in_place(v);
+        next
+    }
+
+    /// [`Cholesky::rank_one_update`] applied to this factor itself, so a
+    /// caller that keeps only the updated factor copies nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != dim()`.
+    pub fn rank_one_update_in_place(&mut self, v: &[f64]) {
         let n = self.dim();
         assert_eq!(v.len(), n, "dimension mismatch");
-        let mut l = self.l.clone();
+        let l = &mut self.l;
         let mut w = v.to_vec();
         for k in 0..n {
             let lkk = l[(k, k)];
@@ -390,10 +402,6 @@ impl Cholesky {
                 w[i] = c * w[i] - s * lik;
                 l[(i, k)] = lik;
             }
-        }
-        Cholesky {
-            l,
-            jitter: self.jitter,
         }
     }
 

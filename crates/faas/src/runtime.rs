@@ -18,9 +18,7 @@
 //! graceful service shutdown is correct exactly when the ledger drains to
 //! zero, which is what the service's shutdown path asserts.
 
-use std::collections::HashMap;
-
-use aqua_sim::{SimDuration, SimRng};
+use aqua_sim::{FxHashMap, SimDuration, SimRng};
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::function::FunctionRegistry;
@@ -91,7 +89,7 @@ pub struct SimContainerRuntime {
     exec_rng: SimRng,
     faults: FaultState,
     next_id: u64,
-    live: HashMap<ContainerId, FunctionId>,
+    live: FxHashMap<ContainerId, FunctionId>,
     stats: RuntimeStats,
 }
 
@@ -117,7 +115,7 @@ impl SimContainerRuntime {
             exec_rng: root.fork("svc-exec"),
             faults: FaultState::new(faults),
             next_id: 0,
-            live: HashMap::new(),
+            live: FxHashMap::default(),
             stats: RuntimeStats::default(),
         }
     }

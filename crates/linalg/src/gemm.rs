@@ -412,16 +412,44 @@ fn gemm_tn_tiled<const MAXR: usize>(
             }
             j += NR;
         }
-        for r in i..i + mr {
-            for j in n_main..n {
-                let mut acc = out[r * n + j];
-                for k in 0..p {
-                    acc += a[k * m + r] * b[k * n + j];
+        i += mr;
+    }
+    if n_main < n {
+        tail_tn(p, m, n, n_main, a, b, out);
+    }
+}
+
+/// Output rows a [`tail_tn`] strip accumulates at once.
+const STRIP: usize = 64;
+
+/// The `n mod NR` remainder columns of [`gemm_tn`]. For each of them and
+/// each strip of up to [`STRIP`] output rows, `a` is walked row by row
+/// (unit stride) into a strip of accumulators — one pass over the strip's
+/// columns of `a`, where a loop per output row would walk `a` down a column
+/// at stride `m` once per row. Each output element still receives its
+/// contributions one `mul`+`add` per `k`, in increasing `k`, from its
+/// initial value.
+#[inline(always)]
+fn tail_tn(p: usize, m: usize, n: usize, n_main: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+    let mut acc = [0.0f64; STRIP];
+    let mut i = 0;
+    while i < m {
+        let w = (m - i).min(STRIP);
+        for j in n_main..n {
+            for (r, v) in acc[..w].iter_mut().enumerate() {
+                *v = out[(i + r) * n + j];
+            }
+            for k in 0..p {
+                let bv = b[k * n + j];
+                for (v, &av) in acc[..w].iter_mut().zip(&a[k * m + i..k * m + i + w]) {
+                    *v += av * bv;
                 }
-                out[r * n + j] = acc;
+            }
+            for (r, v) in acc[..w].iter().enumerate() {
+                out[(i + r) * n + j] = *v;
             }
         }
-        i += mr;
+        i += w;
     }
 }
 
@@ -749,6 +777,38 @@ mod tests {
                         want.to_bits(),
                         "{m}x{n} ({i},{j})"
                     );
+                }
+            }
+        }
+    }
+
+    /// The `n mod NR` remainder columns walk `a` row by row into a strip
+    /// of accumulators; every remainder width must give the bits of the
+    /// strided per-row loop the strip replaced, for `m` below, at and
+    /// across the strip width, from a nonzero initial `out`.
+    #[test]
+    fn gemm_tn_tail_matches_the_strided_loop() {
+        for n in (1..NR).chain([NR + 3]) {
+            for &m in &[1usize, 3, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 5] {
+                for &p in &[1usize, 7, 40] {
+                    let a = arb(p * m, 20);
+                    let b = arb(p * n, 21);
+                    let init = arb(m * n, 22);
+                    let mut out = init.clone();
+                    gemm_tn(p, m, n, &a, &b, &mut out);
+                    for r in 0..m {
+                        for j in 0..n {
+                            let mut want = init[r * n + j];
+                            for k in 0..p {
+                                want += a[k * m + r] * b[k * n + j];
+                            }
+                            assert_eq!(
+                                out[r * n + j].to_bits(),
+                                want.to_bits(),
+                                "p={p} m={m} n={n} ({r},{j})"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -28,5 +28,5 @@ pub use gemm::{col_sum_acc, gemm, gemm_acc, gemm_sub_acc, gemm_tn, pack_transpos
 pub use matrix::Matrix;
 pub use stats::{
     mean, normal_cdf, normal_pdf, normal_quantile, quantile, quantile_sorted, sample_std,
-    sample_var, smape, sorted,
+    sample_var, select_quantiles, smape, sorted,
 };

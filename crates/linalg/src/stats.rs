@@ -29,16 +29,85 @@ pub fn sample_std(xs: &[f64]) -> f64 {
     sample_var(xs).sqrt()
 }
 
-/// Empirical quantile with linear interpolation, `q ∈ [0, 1]`.
-///
-/// Sorts a copy per call; a caller reading several quantiles of one sample
-/// sorts once with [`sorted`] and reads them with [`quantile_sorted`].
+/// Empirical quantile with linear interpolation, `q ∈ [0, 1]`: bit for bit
+/// what [`quantile_sorted`] reads from [`sorted`]`(xs)`, found by selection
+/// on a copy ([`select_quantiles`]) instead of a full sort.
 ///
 /// # Panics
 ///
 /// Panics if `xs` is empty or holds a NaN, or `q` is outside `[0, 1]`.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    quantile_sorted(&sorted(xs), q)
+    let [v] = select_quantiles(&mut xs.to_vec(), [q]);
+    v
+}
+
+/// The quantiles `qs` of `xs`, each bit for bit what [`quantile_sorted`]
+/// reads from [`sorted`]`(xs)`, from order statistics placed by
+/// `select_nth_unstable` — O(n) per distinct rank instead of a sort.
+/// Reorders `xs`.
+///
+/// Values that compare equal share their bits, so it cannot matter which
+/// of them selection puts at a rank — except `-0.0` and `+0.0`, which
+/// compare equal and where the stable sort keeps input order. A sample
+/// holding both falls back to that sort.
+///
+/// # Panics
+///
+/// As [`quantile`]: if `xs` is empty or (with two or more samples) holds a
+/// NaN, or any `q` is outside `[0, 1]`.
+pub fn select_quantiles<const N: usize>(xs: &mut [f64], qs: [f64; N]) -> [f64; N] {
+    let (mut nan, mut pos_zero, mut neg_zero) = (false, false, false);
+    for &x in xs.iter() {
+        nan |= x.is_nan();
+        pos_zero |= x == 0.0 && x.is_sign_positive();
+        neg_zero |= x == 0.0 && x.is_sign_negative();
+    }
+    // A sort of two or more samples compares each one, so it meets any NaN.
+    assert!(!(nan && xs.len() > 1), "NaN in quantile input");
+    assert!(!xs.is_empty(), "quantile of an empty slice");
+    assert!(
+        qs.iter().all(|q| (0.0..=1.0).contains(q)),
+        "q must be in [0, 1]"
+    );
+    if pos_zero && neg_zero {
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+        return qs.map(|q| quantile_sorted(xs, q));
+    }
+    let mut ranks = qs.map(|q| {
+        let (lo, hi, _) = rank_pos(xs.len(), q);
+        [lo, hi]
+    });
+    // Sorted pairs flatten to ascending ranks (`hi` is `lo` or `lo + 1`).
+    ranks.sort_unstable();
+    // Each selection runs on what lies above the previous rank, so it
+    // leaves that rank's order statistic in place.
+    let mut from = 0;
+    for r in ranks.into_iter().flatten() {
+        if r >= from {
+            xs[from..].select_nth_unstable_by(r - from, f64::total_cmp);
+            from = r + 1;
+        }
+    }
+    qs.map(|q| interpolate(xs, q))
+}
+
+/// The two ranks [`quantile_sorted`] interpolates between for `q` in a
+/// sample of `n`, and the fractional position between them.
+fn rank_pos(n: usize, q: f64) -> (usize, usize, f64) {
+    let pos = q * (n - 1) as f64;
+    (pos.floor() as usize, pos.ceil() as usize, pos)
+}
+
+/// Linear interpolation between the order statistics at the ranks of `q`,
+/// read from a slice where at least those two ranks hold their values.
+fn interpolate(ranked: &[f64], q: f64) -> f64 {
+    let (lo, hi, pos) = rank_pos(ranked.len(), q);
+    if lo == hi {
+        ranked[lo]
+    } else {
+        let w = pos - lo as f64;
+        ranked[lo] * (1.0 - w) + ranked[hi] * w
+    }
 }
 
 /// Ascending copy of `xs`, the order [`quantile_sorted`] interpolates over.
@@ -61,15 +130,7 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of an empty slice");
     assert!((0.0..=1.0).contains(&q), "q must be in [0, 1]");
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "sample not sorted");
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = pos - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
+    interpolate(sorted, q)
 }
 
 /// Standard normal probability density function.

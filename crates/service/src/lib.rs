@@ -66,6 +66,7 @@ pub use admission::{Admission, AdmissionConfig, AdmissionStats};
 pub use reactor::Reactor;
 pub use refit::{RefitScheduler, RefitStats};
 pub use service::{
-    ControlPlane, PredictiveConfig, ServiceConfig, ServiceReport, SvcEvent, TenantReport,
+    ControlPlane, InstanceRef, PredictiveConfig, ServiceConfig, ServiceReport, SvcEvent,
+    TenantReport,
 };
 pub use warm_pool::{Acquired, BootPurpose, WarmPoolConfig, WarmPoolManager, WarmPoolStats};

@@ -2,7 +2,7 @@
 //!
 //! No tokio, no OS timers: the reactor is a virtual-clock timer wheel
 //! over the simulation engine's [`EventQueue`] — the same future-event
-//! list (binary heap, FIFO on ties) that makes whole-simulation replays
+//! list (time order, FIFO on ties) that makes whole-simulation replays
 //! reproducible. The control plane runs as an ordinary event loop:
 //!
 //! ```text

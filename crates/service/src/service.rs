@@ -34,7 +34,7 @@ use aqua_faas::{
     SimContainerRuntime, StageConfigs, TenantId, TenantPlan, WorkflowDag, WorkflowJob,
 };
 use aqua_pool::LivePoolSignal;
-use aqua_sim::{FxHashMap, LatencySummary, SimDuration, SimTime};
+use aqua_sim::{LatencySummary, SimDuration, SimTime};
 use aqua_telemetry::{EventSink, LiveSink, LiveStats, ShedReason, SimEvent};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats};
@@ -55,8 +55,8 @@ pub enum SvcEvent {
     BootFailed { container: ContainerId },
     /// One task execution finished on `container`.
     ExecDone {
-        wf: u64,
-        stage: usize,
+        wf: InstanceRef,
+        stage: u32,
         container: ContainerId,
     },
     /// Cut a pool-signal window and run the pre-warm policy.
@@ -217,8 +217,21 @@ struct JobState {
     completions: u64,
 }
 
+/// A handle on an in-flight workflow instance: its slot in the plane's
+/// instance slab, plus the low 32 bits of its sequential id, which debug
+/// builds check on every access (see [`InstanceSlab`] for why a live
+/// handle never meets a recycled slot).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstanceRef {
+    slot: u32,
+    tag: u32,
+}
+
 /// One in-flight workflow instance.
+#[derive(Default)]
 struct WfInstance {
+    /// Sequential instance id, as telemetry reports it.
+    id: u64,
     job: usize,
     admitted_at: SimTime,
     /// Tasks left per stage.
@@ -226,9 +239,75 @@ struct WfInstance {
     /// Unmet dependencies per stage.
     deps_left: Vec<u32>,
     stages_left: u32,
-    /// Tasks dispatched or queued and not yet retired.
+    /// Pending-queue entries plus in-flight `ExecDone` events of this
+    /// instance: its tasks dispatched or queued and not yet retired.
     outstanding: u32,
     aborted: bool,
+}
+
+/// In-flight workflow instances in recycled slots. A freed slot keeps its
+/// `remaining`/`deps_left` buffers, so once every slot has held the
+/// longest workflow, admitting one allocates nothing.
+///
+/// **Invariant.** A slot is freed only when its instance has completed or
+/// been aborted *and* `outstanding == 0`. Every pending-queue entry and
+/// every in-flight `ExecDone` holding an [`InstanceRef`] is counted in
+/// `outstanding` until it is retired, so no handle outlives its instance
+/// and none can reach a slot that was recycled under it.
+#[derive(Default)]
+struct InstanceSlab {
+    slots: Vec<WfInstance>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl InstanceSlab {
+    /// Takes a slot for instance `id` of `job` (whose DAG is `dag`).
+    fn admit(&mut self, id: u64, job: usize, dag: &WorkflowDag, now: SimTime) -> InstanceRef {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(WfInstance::default());
+            (self.slots.len() - 1) as u32
+        });
+        let inst = &mut self.slots[slot as usize];
+        inst.id = id;
+        inst.job = job;
+        inst.admitted_at = now;
+        inst.remaining.clear();
+        inst.remaining.extend(dag.stages().map(|s| s.tasks));
+        inst.deps_left.clear();
+        inst.deps_left
+            .extend(dag.stages().map(|s| s.deps.len() as u32));
+        inst.stages_left = dag.num_stages() as u32;
+        inst.outstanding = 0;
+        inst.aborted = false;
+        InstanceRef {
+            slot,
+            tag: id as u32,
+        }
+    }
+
+    fn get(&self, wf: InstanceRef) -> &WfInstance {
+        let inst = &self.slots[wf.slot as usize];
+        debug_assert_eq!(inst.id as u32, wf.tag, "handle on a recycled slot");
+        inst
+    }
+
+    fn get_mut(&mut self, wf: InstanceRef) -> &mut WfInstance {
+        let inst = &mut self.slots[wf.slot as usize];
+        debug_assert_eq!(inst.id as u32, wf.tag, "handle on a recycled slot");
+        inst
+    }
+
+    /// Hands the slot back; see the invariant above.
+    fn free(&mut self, wf: InstanceRef) {
+        debug_assert_eq!(self.get(wf).outstanding, 0, "freed with work in flight");
+        self.free.push(wf.slot);
+    }
+
+    /// Instances still in flight.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// The long-running AQUATOPE control plane.
@@ -242,11 +321,11 @@ pub struct ControlPlane {
     model: OnlineLatencyModel,
     refit: RefitScheduler,
     jobs: Vec<JobState>,
-    instances: FxHashMap<u64, WfInstance>,
+    instances: InstanceSlab,
     next_instance: u64,
     /// Per-function queues of `(instance, stage)` tasks waiting for a
     /// container.
-    pending: Vec<VecDeque<(u64, usize)>>,
+    pending: Vec<VecDeque<(InstanceRef, u32)>>,
     /// Tasks across all `pending` queues: the front door's congestion gate
     /// reads this instead of scanning every queue per arrival.
     pending_tasks: usize,
@@ -255,7 +334,11 @@ pub struct ControlPlane {
     starved_flag: Vec<bool>,
     draining: bool,
     telemetry: Option<LiveSink<Box<dyn EventSink + Send>>>,
+    /// Completion latencies, seconds, in completion order.
     latencies: Vec<f64>,
+    /// The tenant of each entry of `latencies`: per-tenant samples are read
+    /// back from the one store at the end of the run, not kept twice.
+    latency_tenants: Vec<u32>,
     completed: u64,
     rejected: u64,
     skipped_in_drain: u64,
@@ -263,8 +346,6 @@ pub struct ControlPlane {
     /// Tenancy: QoS classes plus the job → tenant map. Defaults to one
     /// unlimited tenant, which reproduces the untenanted plane exactly.
     plan: TenantPlan,
-    /// Per-tenant completion latencies, seconds.
-    tenant_latencies: Vec<Vec<f64>>,
     /// Per-tenant completed-but-late counts.
     tenant_qos_misses: Vec<u64>,
     /// Predictive checks left in the current policy window.
@@ -332,7 +413,7 @@ impl ControlPlane {
             model: OnlineLatencyModel::service_default(),
             refit: RefitScheduler::new(cfg.refit_interval, cfg.refit_budget),
             jobs,
-            instances: FxHashMap::default(),
+            instances: InstanceSlab::default(),
             next_instance: 0,
             pending: (0..functions).map(|_| VecDeque::new()).collect(),
             pending_tasks: 0,
@@ -341,11 +422,11 @@ impl ControlPlane {
             draining: false,
             telemetry: None,
             latencies: Vec::new(),
+            latency_tenants: Vec::new(),
             completed: 0,
             rejected: 0,
             skipped_in_drain: 0,
             invocations_executed: 0,
-            tenant_latencies: vec![Vec::new()],
             tenant_qos_misses: vec![0],
             predictive_left,
             plan,
@@ -388,7 +469,6 @@ impl ControlPlane {
             let shares: Vec<f64> = plan.classes.iter().map(|c| c.memory_share_mb).collect();
             self.pool.set_tenancy(fn_tenant, shares);
         }
-        self.tenant_latencies = vec![Vec::new(); plan.tenants()];
         self.tenant_qos_misses = vec![0; plan.tenants()];
         self.plan = plan;
         self
@@ -468,8 +548,8 @@ impl ControlPlane {
                 container,
             } => {
                 let f = {
-                    let job = self.instances.get(&wf).expect("exec-done orphan").job;
-                    self.jobs[job].dag.stage(stage).function
+                    let job = self.instances.get(wf).job;
+                    self.jobs[job].dag.stage(stage as usize).function
                 };
                 self.pool.release(container, now);
                 self.signal.on_complete(f);
@@ -606,24 +686,12 @@ impl ControlPlane {
                 instance: id,
             });
         }
-        let dag = &self.jobs[job].dag;
-        self.instances.insert(
-            id,
-            WfInstance {
-                job,
-                admitted_at: now,
-                remaining: dag.stages().map(|s| s.tasks).collect(),
-                deps_left: dag.stages().map(|s| s.deps.len() as u32).collect(),
-                stages_left: dag.num_stages() as u32,
-                outstanding: 0,
-                aborted: false,
-            },
-        );
+        let wf = self.instances.admit(id, job, &self.jobs[job].dag, now);
         // Indexed loop: `dispatch_stage` needs `&mut self`, and cloning the
         // root list here would put an allocation on every admission.
         for r in 0..self.jobs[job].roots.len() {
             let s = self.jobs[job].roots[r];
-            if !self.dispatch_stage(id, s, now) {
+            if !self.dispatch_stage(wf, s, now) {
                 break;
             }
         }
@@ -631,18 +699,14 @@ impl ControlPlane {
 
     /// Dispatches every task of one stage. Returns `false` when the
     /// instance was aborted part-way (a task was shed).
-    fn dispatch_stage(&mut self, wf: u64, stage: usize, now: SimTime) -> bool {
+    fn dispatch_stage(&mut self, wf: InstanceRef, stage: usize, now: SimTime) -> bool {
         let (f, tasks) = {
-            let job = self
-                .instances
-                .get(&wf)
-                .expect("dispatch for gone instance")
-                .job;
+            let job = self.instances.get(wf).job;
             let s = self.jobs[job].dag.stage(stage);
             (s.function, s.tasks)
         };
         for _ in 0..tasks {
-            if !self.dispatch_task(wf, stage, f, now) {
+            if !self.dispatch_task(wf, stage as u32, f, now) {
                 return false;
             }
         }
@@ -651,7 +715,7 @@ impl ControlPlane {
 
     /// Dispatches one task: warm container, else demand boot, else queue,
     /// else shed (aborting the instance). Returns `false` on shed.
-    fn dispatch_task(&mut self, wf: u64, stage: usize, f: FunctionId, now: SimTime) -> bool {
+    fn dispatch_task(&mut self, wf: InstanceRef, stage: u32, f: FunctionId, now: SimTime) -> bool {
         self.signal.on_dispatch(f);
         match self.pool.acquire(f, now) {
             Acquired::Warm(id) => {
@@ -668,7 +732,7 @@ impl ControlPlane {
                 true
             }
             Acquired::NoCapacity => {
-                let job = self.instances.get(&wf).expect("dispatch orphan").job;
+                let job = self.instances.get(wf).job;
                 let tenant = self.plan.job_tenants[job];
                 if self.admission.may_queue(tenant, self.pending[f.0].len()) {
                     self.bump_outstanding(wf);
@@ -693,17 +757,14 @@ impl ControlPlane {
         }
     }
 
-    fn bump_outstanding(&mut self, wf: u64) {
-        self.instances
-            .get_mut(&wf)
-            .expect("outstanding bump for gone instance")
-            .outstanding += 1;
+    fn bump_outstanding(&mut self, wf: InstanceRef) {
+        self.instances.get_mut(wf).outstanding += 1;
     }
 
     fn start_exec(
         &mut self,
-        wf: u64,
-        stage: usize,
+        wf: InstanceRef,
+        stage: u32,
         f: FunctionId,
         container: ContainerId,
         now: SimTime,
@@ -761,8 +822,7 @@ impl ControlPlane {
                 return;
             };
             self.pending_tasks -= 1;
-            let alive = self.instances.get(&wf).map(|i| !i.aborted).unwrap_or(false);
-            if !alive {
+            if self.instances.get(wf).aborted {
                 // Dead waiter: retire it without consuming a container.
                 self.signal.on_complete(f);
                 self.retire_aborted_task(wf);
@@ -818,24 +878,21 @@ impl ControlPlane {
 
     /// Retires one outstanding task of an aborted instance, finishing the
     /// instance when its last task drains.
-    fn retire_aborted_task(&mut self, wf: u64) {
+    fn retire_aborted_task(&mut self, wf: InstanceRef) {
         let (done, job) = {
-            let inst = self
-                .instances
-                .get_mut(&wf)
-                .expect("retire for gone instance");
+            let inst = self.instances.get_mut(wf);
             inst.outstanding -= 1;
             (inst.aborted && inst.outstanding == 0, inst.job)
         };
         if done {
-            self.instances.remove(&wf);
+            self.instances.free(wf);
             self.admission.finish(self.plan.job_tenants[job]);
         }
     }
 
-    fn abort(&mut self, wf: u64) {
+    fn abort(&mut self, wf: InstanceRef) {
         let (finish_now, job) = {
-            let inst = self.instances.get_mut(&wf).expect("abort of gone instance");
+            let inst = self.instances.get_mut(wf);
             if inst.aborted {
                 return;
             }
@@ -844,17 +901,15 @@ impl ControlPlane {
         };
         self.rejected += 1;
         if finish_now {
-            self.instances.remove(&wf);
+            self.instances.free(wf);
             self.admission.finish(self.plan.job_tenants[job]);
         }
     }
 
-    fn task_complete(&mut self, wf: u64, stage: usize, now: SimTime) {
+    fn task_complete(&mut self, wf: InstanceRef, stage: u32, now: SimTime) {
+        let stage = stage as usize;
         let (aborted, stage_done, wf_done, job) = {
-            let inst = self
-                .instances
-                .get_mut(&wf)
-                .expect("completion for gone instance");
+            let inst = self.instances.get_mut(wf);
             if inst.aborted {
                 (true, false, false, inst.job)
             } else {
@@ -872,13 +927,17 @@ impl ControlPlane {
             return;
         }
         if wf_done {
-            let inst = self.instances.remove(&wf).expect("double completion");
+            let (id, admitted_at) = {
+                let inst = self.instances.get(wf);
+                (inst.id, inst.admitted_at)
+            };
+            self.instances.free(wf);
             let tenant = self.plan.job_tenants[job];
             self.admission.finish(tenant);
             self.completed += 1;
-            let latency = (now - inst.admitted_at).as_secs_f64();
+            let latency = (now - admitted_at).as_secs_f64();
             self.latencies.push(latency);
-            self.tenant_latencies[tenant.0].push(latency);
+            self.latency_tenants.push(tenant.0 as u32);
             if latency > self.plan.classes[tenant.0].slo_secs() {
                 self.tenant_qos_misses[tenant.0] += 1;
             }
@@ -887,7 +946,7 @@ impl ControlPlane {
                     at: now,
                     tenant: tenant.0,
                     workflow: job,
-                    instance: wf,
+                    instance: id,
                     latency_secs: latency,
                 });
             }
@@ -907,12 +966,11 @@ impl ControlPlane {
         for di in 0..self.jobs[job].dependents[stage].len() {
             let d = self.jobs[job].dependents[stage][di];
             let ready = {
-                let Some(inst) = self.instances.get_mut(&wf) else {
-                    break;
-                };
-                if inst.aborted {
-                    break;
-                }
+                // A dispatch that aborts the instance returns `false` and
+                // ends the loop (the abort may free the slot), so here the
+                // instance is live.
+                let inst = self.instances.get_mut(wf);
+                debug_assert!(!inst.aborted);
                 inst.deps_left[d] -= 1;
                 inst.deps_left[d] == 0
             };
@@ -923,21 +981,35 @@ impl ControlPlane {
     }
 
     fn finish(mut self) -> ServiceReport {
-        let stranded = self.instances.len();
+        let stranded = self.instances.live();
         let cost_gb_s = self.pool.memory_gb_seconds(self.reactor.now());
         let swept = self.pool.shutdown_sweep(self.reactor.now());
         let live = self.pool.live_containers();
         if let Some(t) = &mut self.telemetry {
             t.flush();
         }
+        // Each tenant's sample, in completion order, through one buffer;
+        // then the global sample, which the summary reorders in place.
+        let mut sample = Vec::new();
         let tenants = (0..self.plan.tenants())
-            .map(|t| TenantReport {
-                admission: self.admission.tenant_stats(TenantId(t)),
-                latency: LatencySummary::of(&self.tenant_latencies[t]),
-                qos_misses: self.tenant_qos_misses[t],
-                slo_secs: self.plan.classes[t].slo_secs(),
+            .map(|t| {
+                sample.clear();
+                sample.extend(
+                    self.latencies
+                        .iter()
+                        .zip(&self.latency_tenants)
+                        .filter(|&(_, &of)| of as usize == t)
+                        .map(|(&l, _)| l),
+                );
+                TenantReport {
+                    admission: self.admission.tenant_stats(TenantId(t)),
+                    latency: LatencySummary::of_in_place(&mut sample),
+                    qos_misses: self.tenant_qos_misses[t],
+                    slo_secs: self.plan.classes[t].slo_secs(),
+                }
             })
             .collect();
+        let latency = LatencySummary::of_in_place(&mut self.latencies);
         ServiceReport {
             sim_horizon: self.reactor.now(),
             events_processed: self.reactor.processed(),
@@ -945,7 +1017,7 @@ impl ControlPlane {
             rejected_workflows: self.rejected,
             arrivals_skipped_in_drain: self.skipped_in_drain,
             invocations_executed: self.invocations_executed,
-            latency: LatencySummary::of(&self.latencies),
+            latency,
             admission: self.admission.stats(),
             pool: self.pool.stats(),
             runtime: self.pool.runtime_stats(),

@@ -75,6 +75,16 @@ pub enum BootPurpose {
     Prewarm,
 }
 
+/// What a container the pool does not hold idle is doing (idle ones sit
+/// in their function's ring instead).
+#[derive(Debug, Clone, Copy)]
+enum Lease {
+    /// Booting, for this purpose.
+    Booting(BootPurpose),
+    /// Running a task.
+    Busy,
+}
+
 /// Result of asking the pool for a container.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Acquired {
@@ -173,10 +183,9 @@ pub struct WarmPoolManager {
     runtime: Box<dyn ContainerRuntime>,
     pools: Vec<FnPool>,
     configs: Vec<ResourceConfig>,
-    /// Purpose of each in-flight boot, keyed by container id.
-    boot_purpose: FxHashMap<aqua_faas::ContainerId, (FunctionId, BootPurpose)>,
-    /// Busy containers and the function they serve.
-    busy: FxHashMap<aqua_faas::ContainerId, FunctionId>,
+    /// Booting and busy containers: the function each serves and what it
+    /// is doing.
+    leases: FxHashMap<aqua_faas::ContainerId, (FunctionId, Lease)>,
     /// Pre-warm boots currently in flight (semaphore counter).
     prewarm_inflight: usize,
     reserved_memory_mb: f64,
@@ -215,8 +224,7 @@ impl WarmPoolManager {
             runtime,
             pools,
             configs,
-            boot_purpose: FxHashMap::default(),
-            busy: FxHashMap::default(),
+            leases: FxHashMap::default(),
             prewarm_inflight: 0,
             reserved_memory_mb: 0.0,
             fn_tenant: Vec::new(),
@@ -279,7 +287,7 @@ impl WarmPoolManager {
     pub fn acquire(&mut self, f: FunctionId, now: SimTime) -> Acquired {
         self.advance_mem_clock(now);
         if let Some(id) = self.pools[f.0].pop_newest() {
-            self.busy.insert(id, f);
+            self.leases.insert(id, (f, Lease::Busy));
             self.stats.warm_hits += 1;
             return Acquired::Warm(id);
         }
@@ -297,10 +305,9 @@ impl WarmPoolManager {
 
     /// Returns a busy container to the idle pool.
     pub fn release(&mut self, container: aqua_faas::ContainerId, now: SimTime) {
-        let f = self
-            .busy
-            .remove(&container)
-            .expect("release of a container that is not busy");
+        let Some((f, Lease::Busy)) = self.leases.remove(&container) else {
+            panic!("release of a container that is not busy");
+        };
         self.pools[f.0].push_idle(container, now);
     }
 
@@ -311,10 +318,9 @@ impl WarmPoolManager {
         container: aqua_faas::ContainerId,
         now: SimTime,
     ) -> (FunctionId, BootPurpose) {
-        let (f, purpose) = self
-            .boot_purpose
-            .remove(&container)
-            .expect("boot-done for unknown container");
+        let Some((f, Lease::Booting(purpose))) = self.leases.remove(&container) else {
+            panic!("boot-done for a container that is not booting");
+        };
         self.finish_boot_accounting(f, purpose);
         self.pools[f.0].push_idle(container, now);
         (f, purpose)
@@ -329,10 +335,9 @@ impl WarmPoolManager {
         now: SimTime,
     ) -> FunctionId {
         self.advance_mem_clock(now);
-        let (f, purpose) = self
-            .boot_purpose
-            .remove(&container)
-            .expect("boot-failed for unknown container");
+        let Some((f, Lease::Booting(purpose))) = self.leases.remove(&container) else {
+            panic!("boot-failed for a container that is not booting");
+        };
         self.finish_boot_accounting(f, purpose);
         self.free_container(f);
         assert!(self.runtime.kill(container), "failed boot not on ledger");
@@ -435,13 +440,10 @@ impl WarmPoolManager {
         }
         // Anything still booting or busy after a drained loop is a bug;
         // sweep it so the ledger ends clean, and count it.
-        for (id, (f, purpose)) in std::mem::take(&mut self.boot_purpose) {
-            self.finish_boot_accounting(f, purpose);
-            self.free_container(f);
-            let _ = self.runtime.kill(id);
-            killed += 1;
-        }
-        for (id, f) in std::mem::take(&mut self.busy) {
+        for (id, (f, lease)) in std::mem::take(&mut self.leases) {
+            if let Lease::Booting(purpose) = lease {
+                self.finish_boot_accounting(f, purpose);
+            }
             self.free_container(f);
             let _ = self.runtime.kill(id);
             killed += 1;
@@ -564,7 +566,8 @@ impl WarmPoolManager {
         let ticket = self.runtime.boot(f, &cfg);
         self.reserved_memory_mb += cfg.memory_mb;
         self.pools[f.0].booting += 1;
-        self.boot_purpose.insert(ticket.container, (f, purpose));
+        self.leases
+            .insert(ticket.container, (f, Lease::Booting(purpose)));
         match purpose {
             BootPurpose::Demand => self.stats.demand_boots += 1,
             BootPurpose::Prewarm => {

@@ -1,7 +1,7 @@
 //! Discrete-event simulation engine underpinning the AQUATOPE reproduction.
 //!
 //! The engine is intentionally small and deterministic: a monotonic
-//! [`SimTime`] clock, a binary-heap [`EventQueue`] with stable FIFO ordering
+//! [`SimTime`] clock, a heap-based [`EventQueue`] with stable FIFO ordering
 //! for simultaneous events, and seeded random-number streams plus the
 //! probability distributions the FaaS simulator and workload generators need.
 //!

@@ -137,17 +137,27 @@ impl LatencySummary {
     /// Summarizes `xs`. An empty sample reports all-zero statistics so
     /// callers (e.g. a run that shed every request) need no special case.
     pub fn of(xs: &[f64]) -> Self {
+        LatencySummary::of_in_place(&mut xs.to_vec())
+    }
+
+    /// [`LatencySummary::of`] without the copy, for a caller done with
+    /// the sample: the mean and max are folded in the sample's own order,
+    /// then the percentiles are selected in place
+    /// ([`aqua_linalg::select_quantiles`]), which reorders `xs`.
+    pub fn of_in_place(xs: &mut [f64]) -> Self {
         if xs.is_empty() {
             return LatencySummary::default();
         }
-        let sorted = aqua_linalg::sorted(xs);
+        let mean = aqua_linalg::mean(xs);
+        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let [p50, p90, p99] = aqua_linalg::select_quantiles(xs, [0.5, 0.9, 0.99]);
         LatencySummary {
             count: xs.len(),
-            mean: aqua_linalg::mean(xs),
-            p50: aqua_linalg::quantile_sorted(&sorted, 0.5),
-            p90: aqua_linalg::quantile_sorted(&sorted, 0.9),
-            p99: aqua_linalg::quantile_sorted(&sorted, 0.99),
-            max: xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            mean,
+            p50,
+            p90,
+            p99,
+            max,
         }
     }
 }
@@ -220,8 +230,8 @@ mod tests {
         assert_eq!(s.max, 100.0);
     }
 
-    /// One sort serves all three percentiles and reads what three
-    /// `quantile` calls read, on an unsorted sample with duplicates.
+    /// One pass of selections serves all three percentiles and reads what
+    /// three `quantile` calls read, on an unsorted sample with duplicates.
     #[test]
     fn latency_summary_percentiles_are_quantile_bits() {
         let xs: Vec<f64> = (0..1_000)

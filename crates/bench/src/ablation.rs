@@ -5,14 +5,13 @@
 //! * **noise awareness** (anomaly pruning + noisy EI + fixed-noise GPs) on
 //!   vs off, under production noise.
 
-use aqua_alloc::{AquatopeRm, AquatopeRmConfig, ResourceManager, SimEvaluator};
-use aqua_faas::types::ConfigSpace;
+use aqua_alloc::{AquatopeRm, AquatopeRmConfig, ResourceManager};
 use aqua_faas::NoiseModel;
 use aqua_linalg::mean;
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{cluster_sim, print_table, Scale};
+use crate::common::{print_table, sim_evaluator, Scale};
 
 /// Runs the ablations and returns the JSON record.
 pub fn run(scale: Scale) -> serde_json::Value {
@@ -61,12 +60,12 @@ pub fn run(scale: Scale) -> serde_json::Value {
         // on the platform, so rounds = bootstrap + (budget − bootstrap)/q.
         let rounds = cfg.bootstrap + (budget - cfg.bootstrap).div_ceil(cfg.batch.max(1));
         for seed in 0..seeds {
-            let mut eval = SimEvaluator::new(
-                cluster_sim(registry.clone(), NoiseModel::production(), 77 + seed),
-                app.dag.clone(),
-                ConfigSpace::default(),
+            let mut eval = sim_evaluator(
+                &registry,
+                &app.dag,
+                NoiseModel::production(),
                 samples,
-                true,
+                77 + seed,
             );
             let out = AquatopeRm::with_config(seed, cfg.clone()).optimize(&mut eval, qos, budget);
             if let Some((_, cost, _)) = out.best {

@@ -4,7 +4,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use aqua_faas::{FaasSim, FunctionRegistry, NoiseModel};
+use aqua_alloc::{OracleSearch, ResourceManager, SimEvaluator};
+use aqua_faas::types::ConfigSpace;
+use aqua_faas::{FaasSim, FunctionRegistry, NoiseModel, StageConfigs, WorkflowDag};
 use aqua_sim::{SimRng, SimTime};
 use aqua_workflows::{apps, App, RateTraceConfig};
 
@@ -95,6 +97,37 @@ pub fn cluster_sim(registry: FunctionRegistry, noise: NoiseModel, seed: u64) -> 
         .noise(noise)
         .seed(seed)
         .build()
+}
+
+/// An evaluator for `dag` on the standard cluster: the default
+/// configuration space, `samples` profiling runs per configuration, warm
+/// starts.
+pub(crate) fn sim_evaluator(
+    registry: &FunctionRegistry,
+    dag: &WorkflowDag,
+    noise: NoiseModel,
+    samples: usize,
+    seed: u64,
+) -> SimEvaluator {
+    let sim = cluster_sim(registry.clone(), noise, seed);
+    SimEvaluator::new(sim, dag.clone(), ConfigSpace::default(), samples, true)
+}
+
+/// The offline reference every resource-manager figure scores against:
+/// [`OracleSearch`] at budget 500 on a quiet cluster (two samples per
+/// configuration). Returns the best feasible configuration and its cost.
+pub(crate) fn oracle(
+    registry: &FunctionRegistry,
+    dag: &WorkflowDag,
+    qos: f64,
+    seed: u64,
+) -> (StageConfigs, f64) {
+    let mut eval = sim_evaluator(registry, dag, NoiseModel::quiet(), 2, seed);
+    let (configs, cost, _) = OracleSearch::default()
+        .optimize(&mut eval, qos, 500)
+        .best
+        .expect("oracle must find a feasible configuration");
+    (configs, cost)
 }
 
 /// Builds all five applications into one registry.

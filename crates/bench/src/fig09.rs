@@ -7,10 +7,10 @@
 
 use aqua_faas::sim::WorkflowJob;
 use aqua_faas::types::ResourceConfig;
-use aqua_faas::{NoiseModel, PrewarmController, StageConfigs};
+use aqua_faas::{FixedPrewarm, NoiseModel, PrewarmController, StageConfigs};
 use aqua_pool::{
     AquatopePool, AquatopePoolConfig, FaasCachePolicy, HistogramPolicy, IceBreakerPolicy,
-    KeepAlivePolicy, ReactiveAutoscale,
+    ReactiveAutoscale,
 };
 use aqua_sim::{SimRng, SimTime};
 use aqua_workflows::{apps, App};
@@ -142,7 +142,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
     }
 
     let policies: Vec<(&str, Box<dyn PrewarmController>)> = vec![
-        ("Keep", Box::new(KeepAlivePolicy::provider_default())),
+        ("Keep", Box::new(FixedPrewarm::provider_default())),
         ("Autoscale", Box::new(ReactiveAutoscale::new())),
         ("Hist", Box::new(HistogramPolicy::new())),
         ("FaaSCache", Box::new(FaasCachePolicy::new())),

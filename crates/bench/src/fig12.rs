@@ -4,38 +4,12 @@
 //! Paper shape: Aquatope converges fastest and to the lowest cost at every
 //! budget level; Random/Autoscale plateau high; CLITE lands in between.
 
-use aqua_alloc::{
-    AquatopeRm, AutoscaleRm, Clite, OracleSearch, RandomSearch, ResourceManager, SearchOutcome,
-    SimEvaluator,
-};
-use aqua_faas::types::ConfigSpace;
+use aqua_alloc::{AquatopeRm, AutoscaleRm, Clite, RandomSearch, ResourceManager, SearchOutcome};
 use aqua_faas::NoiseModel;
 use aqua_workflows::{apps, App};
 use serde_json::json;
 
-use crate::common::{cluster_sim, print_table, Scale};
-
-/// Builds the evaluator for one app.
-pub(crate) fn app_evaluator(
-    app: &App,
-    registry: &aqua_faas::FunctionRegistry,
-    samples: usize,
-    seed: u64,
-) -> SimEvaluator {
-    let sim = cluster_sim(registry.clone(), NoiseModel::production(), seed);
-    SimEvaluator::new(sim, app.dag.clone(), ConfigSpace::default(), samples, true)
-}
-
-/// Oracle cost for one app (coordinate descent on a low-noise evaluator).
-pub(crate) fn oracle_cost(app: &App, registry: &aqua_faas::FunctionRegistry, seed: u64) -> f64 {
-    let sim = cluster_sim(registry.clone(), NoiseModel::quiet(), seed);
-    let mut eval = SimEvaluator::new(sim, app.dag.clone(), ConfigSpace::default(), 2, true);
-    OracleSearch::default()
-        .optimize(&mut eval, app.qos.as_secs_f64(), 500)
-        .best
-        .map(|b| b.1)
-        .expect("oracle must find a feasible configuration")
-}
+use crate::common::{oracle, print_table, sim_evaluator, Scale};
 
 /// The five evaluated workflows, each in its own registry.
 pub(crate) fn five_workflows() -> Vec<(aqua_faas::FunctionRegistry, App)> {
@@ -60,7 +34,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
     let mut records = Vec::new();
     for (registry, app) in five_workflows() {
         let qos = app.qos.as_secs_f64();
-        let oracle = oracle_cost(&app, &registry, 0xF1612);
+        let (_, oracle_cost) = oracle(&registry, &app.dag, qos, 0xF1612);
 
         // Seed-averaged convergence curves (search stochasticity is large
         // at these budgets; the paper also averages repeated trials).
@@ -68,12 +42,18 @@ pub fn run(scale: Scale) -> serde_json::Value {
         let mut counts = vec![vec![0usize; checkpoints.len()]; manager_names.len()];
         for seed in 0..seeds {
             let mut run = |rm: &mut dyn ResourceManager, mi: usize| {
-                let mut eval = app_evaluator(&app, &registry, samples, 0xF1612 + seed);
+                let mut eval = sim_evaluator(
+                    &registry,
+                    &app.dag,
+                    NoiseModel::production(),
+                    samples,
+                    0xF1612 + seed,
+                );
                 let outcome: SearchOutcome = rm.optimize(&mut eval, qos, budget);
                 for (ci, &frac) in checkpoints.iter().enumerate() {
                     let k = ((budget as f64) * frac).round() as usize;
                     if let Some(c) = outcome.best_cost_after(k.max(1), qos) {
-                        sums[mi][ci] += 100.0 * c / oracle;
+                        sums[mi][ci] += 100.0 * c / oracle_cost;
                         counts[mi][ci] += 1;
                     }
                 }
@@ -109,8 +89,9 @@ pub fn run(scale: Scale) -> serde_json::Value {
             &["Manager", "20%", "40%", "60%", "80%", "100%"],
             &rows,
         );
-        records
-            .push(json!({ "workflow": app.kind.name(), "curves": curves, "oracle_cost": oracle }));
+        records.push(
+            json!({ "workflow": app.kind.name(), "curves": curves, "oracle_cost": oracle_cost }),
+        );
     }
     json!({ "experiment": "fig12", "budget": budget, "workflows": records })
 }

@@ -4,15 +4,14 @@
 //! Paper shape: Aquatope within ~5% of oracle on average, using 25–62%
 //! less CPU and 18–51% less memory than the second-best manager.
 
-use aqua_alloc::{AquatopeRm, AutoscaleRm, Clite, OracleSearch, RandomSearch, ResourceManager};
-use aqua_faas::types::ConfigSpace;
+use aqua_alloc::{AquatopeRm, AutoscaleRm, Clite, RandomSearch, ResourceManager};
 use aqua_faas::{NoiseModel, StageConfigs};
 use aqua_linalg::mean;
 use aqua_workflows::App;
 use serde_json::json;
 
-use crate::common::{cluster_sim, print_table, Scale};
-use crate::fig12::{app_evaluator, five_workflows};
+use crate::common::{cluster_sim, oracle, print_table, sim_evaluator, Scale};
+use crate::fig12::five_workflows;
 
 /// Measures the chosen configuration's warm-path CPU and memory time per
 /// invocation (averaged over profiling samples) on a quiet cluster.
@@ -40,21 +39,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
     for (registry, app) in five_workflows() {
         let qos = app.qos.as_secs_f64();
         // Oracle reference CPU/memory time.
-        let oracle_cfg = {
-            let sim = cluster_sim(registry.clone(), NoiseModel::quiet(), 0xF1613);
-            let mut eval = aqua_alloc::SimEvaluator::new(
-                sim,
-                app.dag.clone(),
-                ConfigSpace::default(),
-                2,
-                true,
-            );
-            OracleSearch::default()
-                .optimize(&mut eval, qos, 500)
-                .best
-                .expect("oracle feasible")
-                .0
-        };
+        let (oracle_cfg, _) = oracle(&registry, &app.dag, qos, 0xF1613);
         let (oracle_cpu, oracle_mem) = measure(&app, &registry, &oracle_cfg, 0xF1613);
 
         let mut cpu_pct = vec![Vec::new(); manager_names.len()];
@@ -68,7 +53,8 @@ pub fn run(scale: Scale) -> serde_json::Value {
                 Box::new(AquatopeRm::new(seed)),
             ];
             for (mi, mut rm) in managers.into_iter().enumerate() {
-                let mut eval = app_evaluator(&app, &registry, samples, seed);
+                let mut eval =
+                    sim_evaluator(&registry, &app.dag, NoiseModel::production(), samples, seed);
                 let out = rm.optimize(&mut eval, qos, budget);
                 if let Some((cfg, _, _)) = out.best {
                     let (cpu, mem) = measure(&app, &registry, &cfg, seed);

@@ -12,14 +12,13 @@
 //! and excluded from the cost average, as in the paper (where every
 //! compared manager meets QoS).
 
-use aqua_alloc::{AquatopeRm, Clite, OracleSearch, ResourceManager, SimEvaluator};
-use aqua_faas::types::ConfigSpace;
+use aqua_alloc::{AquatopeRm, Clite, ResourceManager};
 use aqua_faas::{FunctionRegistry, FunctionSpec, NoiseModel, StageConfigs, WorkflowDag};
 use aqua_linalg::mean;
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{cluster_sim, print_table, Scale};
+use crate::common::{cluster_sim, oracle, print_table, sim_evaluator, Scale};
 
 /// True mean (latency, cost) of a configuration under `noise`, measured
 /// with many samples.
@@ -56,28 +55,12 @@ fn compare(
     seeds: u64,
     base_seed: u64,
 ) -> Comparison {
-    let oracle_cfg = {
-        let sim = cluster_sim(registry.clone(), NoiseModel::quiet(), base_seed);
-        let mut eval = SimEvaluator::new(sim, dag.clone(), ConfigSpace::default(), 2, true);
-        OracleSearch::default()
-            .optimize(&mut eval, qos, 500)
-            .best
-            .expect("oracle feasible")
-            .0
-    };
+    let (oracle_cfg, _) = oracle(registry, dag, qos, base_seed);
     let (_, oracle_cost) = ground_truth(registry, dag, &oracle_cfg, noise, base_seed);
 
     let mut stats = [(0.0, 0usize, 0usize), (0.0, 0, 0)]; // (cost sum, n, violations)
     for seed in 0..seeds {
-        let eval_for = |sd: u64| {
-            SimEvaluator::new(
-                cluster_sim(registry.clone(), noise, sd),
-                dag.clone(),
-                ConfigSpace::default(),
-                samples,
-                true,
-            )
-        };
+        let eval_for = |sd: u64| sim_evaluator(registry, dag, noise, samples, sd);
         let runs: [(usize, Option<StageConfigs>); 2] = [
             (
                 0,

@@ -7,14 +7,13 @@
 //! Chosen configurations are re-validated with fresh samples and averaged
 //! over seeds; QoS-violating picks are excluded and counted.
 
-use aqua_alloc::{AquatopeRm, Clite, OracleSearch, ResourceManager, SimEvaluator};
-use aqua_faas::types::ConfigSpace;
+use aqua_alloc::{AquatopeRm, Clite, ResourceManager};
 use aqua_faas::{NoiseModel, StageConfigs};
 use aqua_linalg::mean;
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{cluster_sim, print_table, Scale};
+use crate::common::{cluster_sim, oracle, print_table, sim_evaluator, Scale};
 
 /// Runs the experiment and returns its JSON record.
 pub fn run(scale: Scale) -> serde_json::Value {
@@ -28,15 +27,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
     let qos = app.qos.as_secs_f64();
 
     // Oracle configuration under quiet conditions (the offline reference).
-    let oracle_cfg: StageConfigs = {
-        let sim = cluster_sim(registry.clone(), NoiseModel::quiet(), 0xF1615);
-        let mut eval = SimEvaluator::new(sim, app.dag.clone(), ConfigSpace::default(), 2, true);
-        OracleSearch::default()
-            .optimize(&mut eval, qos, 500)
-            .best
-            .expect("oracle feasible")
-            .0
-    };
+    let (oracle_cfg, _) = oracle(&registry, &app.dag, qos, 0xF1615);
 
     let truth = |configs: &StageConfigs, noise: NoiseModel, seed: u64| -> (f64, f64) {
         let mut sim = cluster_sim(registry.clone(), noise, seed);
@@ -47,7 +38,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
         )
     };
 
-    let manager_names = ["CLITE", "AquaLite", "Aquatope"];
     let mut rows = Vec::new();
     let mut records = Vec::new();
     for (li, &level) in levels.iter().enumerate() {
@@ -59,15 +49,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
         let mut viols = [0usize; 3];
         for seed in 0..seeds {
             let base = 0xF1615 + li as u64 * 100 + seed;
-            let eval_for = |sd: u64| {
-                SimEvaluator::new(
-                    cluster_sim(registry.clone(), noise, sd),
-                    app.dag.clone(),
-                    ConfigSpace::default(),
-                    samples,
-                    true,
-                )
-            };
+            let eval_for = |sd: u64| sim_evaluator(&registry, &app.dag, noise, samples, sd);
             let picks: [Option<StageConfigs>; 3] = [
                 Clite::new(base)
                     .optimize(&mut eval_for(base), qos, budget)
@@ -115,7 +97,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
             "clite_pct": pct(0), "aqualite_pct": pct(1), "aquatope_pct": pct(2),
             "violations": { "clite": viols[0], "aqualite": viols[1], "aquatope": viols[2] },
         }));
-        let _ = manager_names;
     }
     print_table(
         "Fig. 15: true execution cost (% oracle) vs noise level — (n) = QoS-violating picks",

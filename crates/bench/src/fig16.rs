@@ -5,13 +5,12 @@
 //! change point, the anomaly detector fires, and ~20 new samples restore a
 //! near-optimal configuration.
 
-use aqua_alloc::{AquatopeRm, OracleSearch, ResourceManager, SimEvaluator};
-use aqua_faas::types::ConfigSpace;
+use aqua_alloc::{AquatopeRm, ResourceManager};
 use aqua_faas::{FunctionRegistry, NoiseModel};
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{cluster_sim, print_table, Scale};
+use crate::common::{oracle, print_table, sim_evaluator, Scale};
 
 /// Builds the video app with inputs scaled by `input_scale` (larger inputs
 /// mean proportionally more compute per stage).
@@ -45,44 +44,18 @@ pub fn run(scale: Scale) -> serde_json::Value {
     let (reg_a, app_a) = video_app(1.0);
     let qos_a = app_a.qos.as_secs_f64();
     let mut rm = AquatopeRm::new(0xF16);
-    let mut eval_a = SimEvaluator::new(
-        cluster_sim(reg_a.clone(), NoiseModel::production(), 1),
-        app_a.dag.clone(),
-        ConfigSpace::default(),
-        samples,
-        true,
-    );
+    let mut eval_a = sim_evaluator(&reg_a, &app_a.dag, NoiseModel::production(), samples, 1);
     let out_a = rm.optimize(&mut eval_a, qos_a, phase_budget);
 
     // Phase B: input size/format change.
     let (reg_b, app_b) = video_app(input_scale);
     let qos_b = app_b.qos.as_secs_f64();
-    let mut eval_b = SimEvaluator::new(
-        cluster_sim(reg_b.clone(), NoiseModel::production(), 2),
-        app_b.dag.clone(),
-        ConfigSpace::default(),
-        samples,
-        true,
-    );
+    let mut eval_b = sim_evaluator(&reg_b, &app_b.dag, NoiseModel::production(), samples, 2);
     let out_b = rm.optimize(&mut eval_b, qos_b, phase_budget);
 
     // Oracle for each phase.
-    let oracle_of = |reg: &FunctionRegistry, dag: &aqua_faas::WorkflowDag, qos: f64| {
-        let mut eval = SimEvaluator::new(
-            cluster_sim(reg.clone(), NoiseModel::quiet(), 3),
-            dag.clone(),
-            ConfigSpace::default(),
-            2,
-            true,
-        );
-        OracleSearch::default()
-            .optimize(&mut eval, qos, 500)
-            .best
-            .expect("oracle feasible")
-            .1
-    };
-    let oracle_a = oracle_of(&reg_a, &app_a.dag, qos_a);
-    let oracle_b = oracle_of(&reg_b, &app_b.dag, qos_b);
+    let (_, oracle_a) = oracle(&reg_a, &app_a.dag, qos_a, 3);
+    let (_, oracle_b) = oracle(&reg_b, &app_b.dag, qos_b, 3);
 
     // Performance trajectory: best-so-far cost as % oracle (inverted to
     // the paper's "performance" axis: oracle/best × 100).

@@ -169,7 +169,7 @@ mod tests {
     fn configs_cover_the_required_matrix() {
         for cfg in [MatrixConfig::full(), MatrixConfig::smoke()] {
             assert!(cfg.scenarios.len() >= 5);
-            assert!(cfg.policies.len() >= 6);
+            assert!(cfg.policies.len() >= 5);
             assert!(cfg.seeds.len() >= 3);
         }
         assert!(MatrixConfig::full().seeds.len() >= 5);

@@ -1,13 +1,11 @@
 //! Time-series predictors for serverless invocation patterns.
 //!
 //! This crate implements every prediction model compared in the paper's
-//! Table 1 plus the models inside the cold-start baselines:
+//! Table 1 plus the model inside the IceBreaker cold-start baseline:
 //!
 //! * [`NaiveLast`] — "fixed Keep-Alive": the last window's count is the
 //!   forecast for the next.
 //! * [`Arima`] — the classic ARIMA model used by *Serverless in the Wild*.
-//! * [`HoltWinters`] — double exponential smoothing (extension baseline).
-//! * [`Theta`] — the Theta method, another of §4.2's classic baselines.
 //! * [`VanillaLstm`] — an LSTM without external features or uncertainty.
 //! * [`FourierPredictor`] — IceBreaker's Fourier-extrapolation model.
 //! * [`HybridBayesian`] — AQUATOPE's hybrid Bayesian NN: LSTM
@@ -34,21 +32,17 @@
 pub mod arima;
 pub mod eval;
 pub mod fourier;
-pub mod holt;
 pub mod hybrid;
 pub mod naive;
 pub mod point;
-pub mod theta;
 pub mod vanilla_lstm;
 
 pub use arima::Arima;
 pub use eval::{smape_eval, EvalReport};
 pub use fourier::FourierPredictor;
-pub use holt::HoltWinters;
 pub use hybrid::{HybridBayesian, HybridConfig};
 pub use naive::NaiveLast;
 pub use point::{Forecast, SeriesPoint, TriggerKind};
-pub use theta::Theta;
 pub use vanilla_lstm::VanillaLstm;
 
 /// A model that forecasts the next window's container count from history.

@@ -18,10 +18,12 @@
 //! code (each `add` waits on the previous one) into a throughput-bound
 //! kernel the compiler vectorizes across columns — without changing a
 //! single bit of any output element. On x86-64 the kernels are additionally
-//! instantiated under `#[target_feature(enable = "avx2")]` behind a runtime
-//! CPU check: AVX2 widens the lanes to 4×f64 while every operation stays a
-//! plain IEEE-754 `mul`/`add` (FMA is a separate feature and is never
-//! enabled), so the wide path is bit-identical to the portable one.
+//! instantiated under `#[target_feature(enable = "avx512f")]` and
+//! `#[target_feature(enable = "avx2")]`, picked in that order by a runtime
+//! CPU check: AVX-512 widens the lanes to 8×f64 (with taller `MR_WIDE`
+//! tiles) and AVX2 to 4×f64, while every operation stays a plain IEEE-754
+//! `mul`/`add` (FMA is a separate feature and is never enabled), so every
+//! wide path is bit-identical to the portable one.
 //!
 //! Weights stored row-major as `out×in` are consumed via
 //! [`pack_transpose`], so the forward product `X · Wᵀ` becomes a plain

@@ -14,8 +14,9 @@
 //!   on every platform.
 //! * **Branch-free**: range handling via `clamp`, never `if`, so the
 //!   slice variants auto-vectorize (and are re-instantiated under
-//!   `avx2` behind a runtime check, like the GEMM kernels; FMA stays
-//!   off, so lane width cannot change results).
+//!   `avx512f` and `avx2`, picked in that order by a runtime check, like
+//!   the GEMM kernels; FMA stays off, so lane width cannot change
+//!   results).
 //! * **NN-grade accuracy**: `exp` is a degree-13 Taylor kernel after
 //!   two-part Cody–Waite reduction — relative error ≲ 1e-15, absolute
 //!   error of `tanh`/`sigmoid` ≲ 4e-15. The composed forms differ from

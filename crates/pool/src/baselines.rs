@@ -1,4 +1,5 @@
-//! Keep-alive, autoscaling, FaaSCache, and IceBreaker pool baselines.
+//! Autoscaling, FaaSCache, and IceBreaker pool baselines. The fixed
+//! keep-alive baseline is [`aqua_faas::FixedPrewarm`].
 
 use std::collections::HashMap;
 
@@ -7,44 +8,6 @@ use aqua_forecast::{FourierPredictor, Predictor};
 use aqua_sim::SimDuration;
 
 use crate::to_series;
-
-/// Fixed keep-alive, no pre-warming — the provider default the paper's
-/// Fig. 9 calls "Keep" (10 minutes by default).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeepAlivePolicy {
-    keep_alive: SimDuration,
-}
-
-impl KeepAlivePolicy {
-    /// The usual 10-minute keep-alive.
-    pub fn provider_default() -> Self {
-        KeepAlivePolicy {
-            keep_alive: SimDuration::from_secs(600),
-        }
-    }
-
-    /// A custom keep-alive duration.
-    pub fn new(keep_alive: SimDuration) -> Self {
-        KeepAlivePolicy { keep_alive }
-    }
-}
-
-impl PrewarmController for KeepAlivePolicy {
-    fn tick(&mut self, obs: &PoolObservation) -> Vec<PoolDecision> {
-        obs.stats
-            .iter()
-            .map(|s| PoolDecision {
-                function: s.function,
-                // No pre-warming — but boots lost to faults in this window
-                // are replaced, else a lossy node silently drains the pool.
-                // With `shrink: true` any overshoot is reclaimed next tick.
-                prewarm_target: replacement_target(None, s.failed_boots),
-                keep_alive: self.keep_alive,
-                shrink: true,
-            })
-            .collect()
-    }
-}
 
 /// OpenWhisk-style reactive stem-cell autoscaling: scale the warm pool up
 /// quickly toward observed demand plus head-room, and decay it slowly —
@@ -219,6 +182,7 @@ mod tests {
     use super::*;
     use aqua_faas::cluster::ClusterSnapshot;
     use aqua_faas::sim::FnWindowStats;
+    use aqua_faas::FixedPrewarm;
     use aqua_sim::SimTime;
 
     fn obs(peaks: &[u32]) -> PoolObservation {
@@ -252,7 +216,7 @@ mod tests {
 
     #[test]
     fn keep_alive_never_prewarms() {
-        let mut p = KeepAlivePolicy::provider_default();
+        let mut p = FixedPrewarm::provider_default();
         let d = p.tick(&obs(&[5]));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].prewarm_target, None);
@@ -320,7 +284,7 @@ mod tests {
         // Each policy must provision at least the capacity lost to boot
         // failures in the window, on top of its base target.
         let policies: Vec<(&str, Box<dyn PrewarmController>)> = vec![
-            ("keep", Box::new(KeepAlivePolicy::provider_default())),
+            ("keep", Box::new(FixedPrewarm::provider_default())),
             ("autoscale", Box::new(ReactiveAutoscale::new())),
             ("faascache", Box::new(FaasCachePolicy::new())),
             ("icebreaker", Box::new(IceBreakerPolicy::new())),
@@ -341,7 +305,7 @@ mod tests {
     fn zero_failures_keep_pure_caches_passive() {
         // The no-fault path must stay a strict no-op: pure keep-alive
         // policies still emit no pre-warm target at all.
-        let mut keep = KeepAlivePolicy::provider_default();
+        let mut keep = FixedPrewarm::provider_default();
         let mut cache = FaasCachePolicy::new();
         assert_eq!(keep.tick(&obs(&[4]))[0].prewarm_target, None);
         assert_eq!(cache.tick(&obs(&[4]))[0].prewarm_target, None);

@@ -1,10 +1,10 @@
 //! Pre-warmed-container-pool policies.
 //!
 //! Every cold-start mitigation compared in the paper's §8.1, implemented
-//! against the simulator's [`PrewarmController`] interface:
+//! against the simulator's [`PrewarmController`] interface. The fixed
+//! 10-minute keep-alive of most providers (the paper's "Keep") is
+//! [`aqua_faas::FixedPrewarm`]; this crate holds the rest:
 //!
-//! * [`KeepAlivePolicy`] — the fixed 10-minute keep-alive of most
-//!   providers (no pre-warming).
 //! * [`ReactiveAutoscale`] — OpenWhisk's reactive stem-cell autoscaling.
 //! * [`FaasCachePolicy`] — FaaSCache's greedy-dual caching: containers are
 //!   kept until memory pressure evicts them (LRU fallback in the
@@ -17,14 +17,11 @@
 //! * [`AquaLitePool`] — the ablation without uncertainty (paper's
 //!   "AquaLite").
 //!
-//! Plus two learning-based competitors beyond the paper's line-up:
+//! Plus one competitor beyond the paper's line-up:
 //!
 //! * [`SlackAwarePolicy`] — Fifer-style slack-aware batching/queueing:
 //!   per-stage slack from the workflow deadline decides which functions
 //!   defer pre-warming entirely and which get bucketed proactive boots.
-//! * [`RlPoolPolicy`] — a tabular Q-learning agent per function over
-//!   discretized utilization/demand/rate states and pre-warm deltas, with
-//!   deterministic seeded exploration.
 //!
 //! All predictive policies observe the same per-window statistics and keep
 //! per-function history; none peeks at the future trace. Every policy
@@ -35,14 +32,12 @@
 pub mod aquatope;
 pub mod baselines;
 pub mod histogram;
-pub mod rl;
 pub mod service;
 pub mod slack;
 
 pub use aquatope::{AquaLitePool, AquatopePool, AquatopePoolConfig};
-pub use baselines::{FaasCachePolicy, IceBreakerPolicy, KeepAlivePolicy, ReactiveAutoscale};
+pub use baselines::{FaasCachePolicy, IceBreakerPolicy, ReactiveAutoscale};
 pub use histogram::HistogramPolicy;
-pub use rl::{RlConfig, RlPoolPolicy};
 pub use service::LivePoolSignal;
 pub use slack::{SlackAwarePolicy, SlackConfig};
 

@@ -2,9 +2,9 @@
 //!
 //! The paper's §8 compares AQUATOPE against one baseline at a time on one
 //! workload at a time. This crate makes the comparison systematic: a
-//! *scenario matrix* runs every policy (the paper's line-up plus the
-//! slack-aware, RL, and oracle competitors from `aqua-pool`) over every
-//! workload regime (diurnal, bursty, CV-swept, fault-injected,
+//! *scenario matrix* runs every policy (fixed keep-alive, histogram and
+//! AQUATOPE from the paper's line-up, plus the slack-aware policy and a
+//! clairvoyant oracle) over every workload regime (diurnal, bursty, CV-swept, fault-injected,
 //! noisy-neighbor) over N seeds, and reduces each cell to QoS-violation
 //! rate, provisioned cost, latency quantiles, and cold-start ratio with
 //! seed-replicate confidence intervals.

@@ -32,7 +32,7 @@ pub struct MatrixConfig {
 
 impl MatrixConfig {
     /// The committed `MATRIX_REPORT.json` configuration: all 5 scenarios ×
-    /// all 6 policies × 6 seeds at 90 minutes — long enough for the
+    /// all 5 policies × 6 seeds at 90 minutes — long enough for the
     /// AQUATOPE cells to leave reactive warm-up and train their models,
     /// and enough replicates that a clean sweep reaches sign-test
     /// significance (two-sided p = 2/2⁶ ≈ 0.031; 5 seeds bottom out at
@@ -505,6 +505,6 @@ mod tests {
         let mean = c.mean();
         let by_hand = c.metric(|m| m.qos_violation_rate).iter().sum::<f64>() / 2.0;
         assert!((mean.qos_violation_rate - by_hand).abs() < 1e-12);
-        assert!(r.cell("diurnal", "rl").is_none());
+        assert!(r.cell("diurnal", "histogram").is_none());
     }
 }

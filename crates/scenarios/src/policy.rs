@@ -1,21 +1,20 @@
 //! The policy zoo: the columns of the evaluation matrix.
 //!
 //! [`PolicyKind`] names every competitor and knows how to build it for a
-//! given [`ScenarioInstance`]. Five are real contenders (fixed keep-alive,
-//! histogram, AQUATOPE, slack-aware, tabular RL); the sixth is
-//! [`OraclePrewarm`], a deliberately clairvoyant upper bound that reads
-//! the arrival trace and provisions next-window demand exactly. No real
-//! policy can see the future, so the oracle's QoS-violation rate anchors
-//! the top of the sanity ordering every matrix run is checked against.
+//! given [`ScenarioInstance`]. Four are real contenders (fixed keep-alive,
+//! histogram, AQUATOPE, slack-aware); the fifth is [`OraclePrewarm`], a
+//! deliberately clairvoyant upper bound that reads the arrival trace and
+//! provisions next-window demand exactly. No real policy can see the
+//! future, so the oracle's QoS-violation rate anchors the top of the
+//! sanity ordering every matrix run is checked against.
 
 use std::collections::HashMap;
 
-use aqua_faas::{replacement_target, FunctionId, PoolDecision, PoolObservation, PrewarmController};
-use aqua_forecast::HybridConfig;
-use aqua_pool::{
-    AquatopePool, AquatopePoolConfig, HistogramPolicy, KeepAlivePolicy, RlConfig, RlPoolPolicy,
-    SlackAwarePolicy, SlackConfig,
+use aqua_faas::{
+    replacement_target, FixedPrewarm, FunctionId, PoolDecision, PoolObservation, PrewarmController,
 };
+use aqua_forecast::HybridConfig;
+use aqua_pool::{AquatopePool, AquatopePoolConfig, HistogramPolicy, SlackAwarePolicy, SlackConfig};
 use aqua_sim::SimDuration;
 
 use crate::scenario::ScenarioInstance;
@@ -31,20 +30,17 @@ pub enum PolicyKind {
     Aquatope,
     /// Fifer-style slack-aware deferral with bucketed boots.
     SlackAware,
-    /// Tabular Q-learning over pre-warm deltas.
-    Rl,
     /// Clairvoyant upper bound: provisions the true next-window demand.
     Oracle,
 }
 
 impl PolicyKind {
     /// Every policy, in matrix column order.
-    pub const ALL: [PolicyKind; 6] = [
+    pub const ALL: [PolicyKind; 5] = [
         PolicyKind::Fixed,
         PolicyKind::Histogram,
         PolicyKind::Aquatope,
         PolicyKind::SlackAware,
-        PolicyKind::Rl,
         PolicyKind::Oracle,
     ];
 
@@ -55,7 +51,6 @@ impl PolicyKind {
             PolicyKind::Histogram => "histogram",
             PolicyKind::Aquatope => "aquatope",
             PolicyKind::SlackAware => "slack_aware",
-            PolicyKind::Rl => "rl",
             PolicyKind::Oracle => "oracle",
         }
     }
@@ -63,7 +58,7 @@ impl PolicyKind {
     /// Builds the controller for one scenario instance.
     pub fn build(self, inst: &ScenarioInstance) -> Box<dyn PrewarmController> {
         match self {
-            PolicyKind::Fixed => Box::new(KeepAlivePolicy::provider_default()),
+            PolicyKind::Fixed => Box::new(FixedPrewarm::provider_default()),
             PolicyKind::Histogram => Box::new(HistogramPolicy::new()),
             PolicyKind::Aquatope => {
                 let dags: Vec<_> = inst.jobs.iter().map(|j| &j.dag).collect();
@@ -82,7 +77,6 @@ impl PolicyKind {
                     &inst.registry,
                 ))
             }
-            PolicyKind::Rl => Box::new(RlPoolPolicy::new(RlConfig::default())),
             PolicyKind::Oracle => Box::new(OraclePrewarm::new(inst)),
         }
     }

@@ -2,17 +2,17 @@
 //!
 //! Generates an Azure-like diurnal trace, extracts the per-minute
 //! container-count series, and compares the prediction error (SMAPE) of
-//! the naive keep-alive model, ARIMA, Holt-Winters, the Fourier model
-//! (IceBreaker), a vanilla LSTM, and AQUATOPE's hybrid Bayesian NN — which
-//! also reports its uncertainty.
+//! the naive keep-alive model, ARIMA, the Fourier model (IceBreaker), a
+//! vanilla LSTM, and AQUATOPE's hybrid Bayesian NN — which also reports
+//! its uncertainty.
 //!
 //! ```sh
 //! cargo run --release --example coldstart_forecast
 //! ```
 
 use aquatope::forecast::{
-    smape_eval, Arima, FourierPredictor, HoltWinters, HybridBayesian, HybridConfig, NaiveLast,
-    Predictor, SeriesPoint, TriggerKind, VanillaLstm,
+    smape_eval, Arima, FourierPredictor, HybridBayesian, HybridConfig, NaiveLast, Predictor,
+    SeriesPoint, TriggerKind, VanillaLstm,
 };
 use aquatope::prelude::*;
 use aquatope::workflows::RateTraceConfig;
@@ -44,7 +44,6 @@ fn main() {
     let mut models: Vec<Box<dyn Predictor>> = vec![
         Box::new(NaiveLast::new()),
         Box::new(Arima::new(12, 1)),
-        Box::new(HoltWinters::new(0.5, 0.2)),
         Box::new(FourierPredictor::new(8, 256)),
         Box::new(VanillaLstm::with_seed(24, 3, 9)),
         Box::new(HybridBayesian::new(HybridConfig::default())),

@@ -3,8 +3,8 @@
 //! Azure-like series.
 
 use aquatope::forecast::{
-    smape_eval, Arima, FourierPredictor, HoltWinters, HybridBayesian, HybridConfig, NaiveLast,
-    Predictor, SeriesPoint, Theta, TriggerKind, VanillaLstm,
+    smape_eval, Arima, FourierPredictor, HybridBayesian, HybridConfig, NaiveLast, Predictor,
+    SeriesPoint, TriggerKind, VanillaLstm,
 };
 use aquatope::prelude::*;
 use aquatope::workflows::RateTraceConfig;
@@ -29,8 +29,6 @@ fn all_models() -> Vec<Box<dyn Predictor>> {
     vec![
         Box::new(NaiveLast::new()),
         Box::new(Arima::new(8, 1)),
-        Box::new(HoltWinters::new(0.5, 0.2)),
-        Box::new(Theta::new(0.4)),
         Box::new(FourierPredictor::new(6, 128)),
         Box::new(VanillaLstm::with_seed(16, 1, 3)),
         Box::new(HybridBayesian::new(HybridConfig {

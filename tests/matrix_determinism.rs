@@ -21,7 +21,7 @@ fn small_matrix_json(shards: usize) -> String {
             ScenarioSpec::new(ScenarioKind::Bursty, 15, 3.0),
             ScenarioSpec::new(ScenarioKind::Faulted, 15, 3.0),
         ],
-        policies: vec![PolicyKind::Fixed, PolicyKind::Rl, PolicyKind::Oracle],
+        policies: vec![PolicyKind::Fixed, PolicyKind::Histogram, PolicyKind::Oracle],
         seeds: vec![3, 4],
         shards,
     };

@@ -1,6 +1,6 @@
 //! Trait-level contract tests over *every* pre-warm pool policy — the
-//! paper's line-up plus the slack-aware, RL, and oracle competitors from
-//! the policy zoo. Each policy must, for any window statistics:
+//! paper's line-up plus the slack-aware and oracle competitors from the
+//! policy zoo. Each policy must, for any window statistics:
 //!
 //! * return exactly one decision per observed function with sane values,
 //! * honor the `failed_boots` replacement lift (every policy routes its
@@ -17,11 +17,12 @@ use std::collections::HashMap;
 use aquatope::faas::cluster::ClusterSnapshot;
 use aquatope::faas::sim::FnWindowStats;
 use aquatope::faas::{
-    FunctionId, FunctionRegistry, FunctionSpec, PoolObservation, PrewarmController, WorkflowDag,
+    FixedPrewarm, FunctionId, FunctionRegistry, FunctionSpec, PoolObservation, PrewarmController,
+    WorkflowDag,
 };
 use aquatope::pool::{
     AquatopePool, AquatopePoolConfig, FaasCachePolicy, HistogramPolicy, IceBreakerPolicy,
-    KeepAlivePolicy, ReactiveAutoscale, RlConfig, RlPoolPolicy, SlackAwarePolicy, SlackConfig,
+    ReactiveAutoscale, SlackAwarePolicy, SlackConfig,
 };
 use aquatope::prelude::*;
 use aquatope::scenarios::OraclePrewarm;
@@ -95,14 +96,13 @@ fn all_policies() -> Vec<(&'static str, Box<dyn PrewarmController>)> {
         })
         .collect();
     vec![
-        ("keep", Box::new(KeepAlivePolicy::provider_default())),
+        ("keep", Box::new(FixedPrewarm::provider_default())),
         ("autoscale", Box::new(ReactiveAutoscale::new())),
         ("hist", Box::new(HistogramPolicy::new())),
         ("faascache", Box::new(FaasCachePolicy::new())),
         ("icebreaker", Box::new(IceBreakerPolicy::new())),
         ("aquatope", Box::new(AquatopePool::new(cfg, &[]))),
         ("slack", Box::new(slack)),
-        ("rl", Box::new(RlPoolPolicy::new(RlConfig::default()))),
         (
             "oracle",
             Box::new(OraclePrewarm::from_schedule(

@@ -1,9 +1,11 @@
 //! Integration tests of the cold-start stack: trace generation → simulator
 //! → pool policies.
 
+use std::collections::HashMap;
+
 use aquatope::faas::prelude::*;
 use aquatope::faas::types::ResourceConfig;
-use aquatope::pool::{AquatopePool, AquatopePoolConfig, IceBreakerPolicy, KeepAlivePolicy};
+use aquatope::pool::{AquatopePool, AquatopePoolConfig, IceBreakerPolicy};
 use aquatope::prelude::*;
 use aquatope::workflows::{apps, make_job, RateTraceConfig};
 
@@ -33,7 +35,11 @@ fn replay(controller: &mut dyn PrewarmController, seed: u64) -> (f64, f64) {
 
 #[test]
 fn predictive_pools_reduce_cold_starts_vs_keep_alive() {
-    let (keep_cold, _) = replay(&mut KeepAlivePolicy::new(SimDuration::from_secs(120)), 11);
+    let mut keep = FixedPrewarm {
+        keep_alive: SimDuration::from_secs(120),
+        targets: HashMap::new(),
+    };
+    let (keep_cold, _) = replay(&mut keep, 11);
     let (ice_cold, _) = replay(&mut IceBreakerPolicy::new(), 11);
     assert!(
         ice_cold <= keep_cold,
@@ -60,7 +66,7 @@ fn aquatope_pool_handles_periodic_load() {
     let mut pool = AquatopePool::new(cfg, &[&dag]);
     let (cold, _mem) = replay(&mut pool, 13);
     // The provider-default 10-minute keep-alive on this trace:
-    let (keep_cold, _) = replay(&mut KeepAlivePolicy::provider_default(), 13);
+    let (keep_cold, _) = replay(&mut FixedPrewarm::provider_default(), 13);
     assert!(
         cold <= keep_cold + 0.05,
         "Aquatope pool {cold:.3} vs provider keep-alive {keep_cold:.3}"
@@ -82,7 +88,7 @@ fn trace_statistics_flow_into_simulation() {
         .registry(registry)
         .noise(NoiseModel::quiet())
         .build();
-    let mut keep = KeepAlivePolicy::provider_default();
+    let mut keep = FixedPrewarm::provider_default();
     let report = sim.run(&[job], &mut keep, SimTime::from_secs(1200));
     assert_eq!(report.workflows.len() + report.unfinished, n);
 }

@@ -8,8 +8,11 @@
 //!   bit-for-bit (same arrival stream by construction),
 //! * the **sanity ordering** on every scenario: the clairvoyant oracle
 //!   never violates QoS more than AQUATOPE, which never violates more
-//!   than the fixed keep-alive, each up to the replicate CI widths, and
-//! * the statistical layer's verdicts on the same matrix.
+//!   than the fixed keep-alive, each up to the replicate CI widths,
+//! * the statistical layer's verdicts on the same matrix, and
+//! * the committed `MATRIX_REPORT.json` naming exactly the policy zoo.
+
+use std::collections::BTreeSet;
 
 use aquatope::faas::FaultRates;
 use aquatope::scenarios::{
@@ -17,7 +20,7 @@ use aquatope::scenarios::{
     run_matrix, MatrixConfig, PolicyKind, ScenarioKind, ScenarioSpec,
 };
 
-/// The golden configuration: 2 scenarios × 3 cheap policies × 2 seeds at
+/// The golden configuration: 2 scenarios × 2 cheap policies × 2 seeds at
 /// 30 minutes. No neural nets involved, so it runs in milliseconds and
 /// blesses identically everywhere.
 fn golden_config() -> MatrixConfig {
@@ -26,7 +29,7 @@ fn golden_config() -> MatrixConfig {
             ScenarioSpec::new(ScenarioKind::Diurnal, 30, 3.0),
             ScenarioSpec::new(ScenarioKind::Faulted, 30, 3.0),
         ],
-        policies: vec![PolicyKind::Fixed, PolicyKind::SlackAware, PolicyKind::Rl],
+        policies: vec![PolicyKind::Fixed, PolicyKind::SlackAware],
         seeds: vec![11, 12],
         shards: 1,
     }
@@ -68,7 +71,11 @@ fn zero_rate_faulted_cells_match_clean_counterparts() {
     // invisible.
     let clean = ScenarioSpec::new(ScenarioKind::Diurnal, 20, 3.0);
     let faulted = ScenarioSpec::new(ScenarioKind::Faulted, 20, 3.0);
-    for policy in [PolicyKind::Fixed, PolicyKind::SlackAware, PolicyKind::Rl] {
+    for policy in [
+        PolicyKind::Fixed,
+        PolicyKind::SlackAware,
+        PolicyKind::Histogram,
+    ] {
         for seed in [1u64, 9] {
             let a = evaluate(&clean, policy, seed);
             let b = evaluate_with_rates(&faulted, policy, seed, FaultRates::default());
@@ -122,4 +129,44 @@ fn statistical_layer_verdicts_on_the_sanity_matrix() {
     );
     let rev = report.compare("faulted", "fixed", "oracle").unwrap();
     assert!(!rev.a_beats_b(0.05));
+}
+
+#[test]
+fn committed_matrix_report_names_exactly_the_zoo() {
+    // Reads the record, reruns nothing: a zoo change that leaves the
+    // committed report stale fails here. The vendored JSON shim only
+    // writes, so the pretty-printed record is read by its key layout.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("MATRIX_REPORT.json");
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let zoo: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
+    let stale = "MATRIX_REPORT.json is stale; regenerate with \
+                 `cargo run -p aqua-bench --release -- matrix --mode service`";
+
+    let sim = between(&text, "\"sim\": {", "\"service\": {");
+    let listed: Vec<&str> = between(sim, "\"policies\": [", "]")
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .collect();
+    assert_eq!(listed, zoo, "sim.policies: {stale}");
+
+    let service = between(&text, "\"service\": {", "\"drift\": [");
+    let cells: BTreeSet<&str> = service
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("\"policy\": \""))
+        .map(|v| v.trim_end_matches([',', '"']))
+        .collect();
+    assert_eq!(cells, zoo.into_iter().collect(), "service.cells: {stale}");
+}
+
+/// The text of `text` after the first `from` and before the next `to`.
+fn between<'a>(text: &'a str, from: &str, to: &str) -> &'a str {
+    let start = text
+        .find(from)
+        .unwrap_or_else(|| panic!("no `{from}` in the record"))
+        + from.len();
+    let len = text[start..]
+        .find(to)
+        .unwrap_or_else(|| panic!("no `{to}` after `{from}`"));
+    &text[start..start + len]
 }

@@ -48,15 +48,6 @@ pub struct AquatopeRmConfig {
     /// Disable all noise-awareness (anomaly pruning, noisy EI) — the
     /// *AquaLite* ablation of Fig. 15.
     pub noise_aware: bool,
-    /// Reuse cached surrogates across BO iterations, appending fresh
-    /// observations via the rank-1 [`Gp::extend`] path instead of
-    /// refitting from scratch. Off by default: the exact full-refit path
-    /// re-selects hyperparameters every iteration, while this one only
-    /// re-selects every [`AquatopeRmConfig::refit_every`] appends.
-    pub incremental_refit: bool,
-    /// Hyperparameter re-selection cadence of the incremental path
-    /// (forwarded to [`GpConfig::refit_every`]; 0 = never re-select).
-    pub refit_every: usize,
 }
 
 impl Default for AquatopeRmConfig {
@@ -71,25 +62,8 @@ impl Default for AquatopeRmConfig {
             sliding_window: 12,
             change_detection: true,
             noise_aware: true,
-            incremental_refit: false,
-            refit_every: 8,
         }
     }
-}
-
-/// Full-data surrogates kept alive between [`AquatopeRm::fit_models`]
-/// calls for the incremental-refit path, together with the state that
-/// must match for an extension to be valid.
-#[derive(Debug, Clone)]
-struct SurrogateCache {
-    cost: Gp,
-    lat: Gp,
-    /// How many leading observations the cached GPs cover.
-    n_obs: usize,
-    /// Winsorization caps the cached targets were computed with; a cap
-    /// change retroactively alters old targets, so it invalidates.
-    lat_cap: f64,
-    cost_cap: f64,
 }
 
 /// The customized-BO resource manager. Observations persist across
@@ -107,8 +81,6 @@ pub struct AquatopeRm {
     halton: Option<Halton>,
     /// Evaluations performed across all optimize calls (event numbering).
     evaluations: usize,
-    /// Cached full-data surrogates (incremental-refit path only).
-    surrogate_cache: Option<SurrogateCache>,
     telemetry: Telemetry,
 }
 
@@ -127,7 +99,6 @@ impl AquatopeRm {
             changes_detected: 0,
             halton: None,
             evaluations: 0,
-            surrogate_cache: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -167,7 +138,7 @@ impl AquatopeRm {
     }
 
     /// Fits the two surrogates on the non-anomalous observations.
-    fn fit_models(&mut self, qos: f64) -> Option<(Gp, Gp)> {
+    fn fit_models(&self, qos: f64) -> Option<(Gp, Gp)> {
         if self.observations.len() < 2 {
             return None;
         }
@@ -188,28 +159,20 @@ impl AquatopeRm {
                 f64::INFINITY
             }
         };
-        let gp_cfg = GpConfig {
-            refit_every: self.config.refit_every,
-            ..GpConfig::with_noise(self.config.noise)
-        };
-        let (cost_gp, lat_gp) = if self.config.incremental_refit {
-            self.cached_surrogates(lat_cap, cost_cap, &gp_cfg)?
-        } else {
-            let xs: Vec<Vec<f64>> = self.observations.iter().map(|s| s.u.clone()).collect();
-            let lats: Vec<f64> = self
-                .observations
-                .iter()
-                .map(|s| s.latency.min(lat_cap))
-                .collect();
-            let costs: Vec<f64> = self
-                .observations
-                .iter()
-                .map(|s| s.cost.min(cost_cap))
-                .collect();
-            let lat_gp = Gp::fit(xs.clone(), lats, gp_cfg.clone()).ok()?;
-            let cost_gp = Gp::fit(xs, costs, gp_cfg).ok()?;
-            (cost_gp, lat_gp)
-        };
+        let gp_cfg = GpConfig::with_noise(self.config.noise);
+        let xs: Vec<Vec<f64>> = self.observations.iter().map(|s| s.u.clone()).collect();
+        let lats: Vec<f64> = self
+            .observations
+            .iter()
+            .map(|s| s.latency.min(lat_cap))
+            .collect();
+        let costs: Vec<f64> = self
+            .observations
+            .iter()
+            .map(|s| s.cost.min(cost_cap))
+            .collect();
+        let lat_gp = Gp::fit(xs.clone(), lats, gp_cfg.clone()).ok()?;
+        let cost_gp = Gp::fit(xs, costs, gp_cfg).ok()?;
 
         if !self.config.noise_aware {
             return Some((cost_gp, lat_gp));
@@ -228,63 +191,6 @@ impl AquatopeRm {
         let cost_clean = cost_gp.refit_subset(&keep).ok()?;
         let lat_clean = lat_gp.refit_subset(&keep).ok()?;
         Some((cost_clean, lat_clean))
-    }
-
-    /// Returns full-data surrogates from the incremental cache, appending
-    /// any observations the cache has not seen via the rank-1
-    /// [`Gp::extend`] path. Any mismatch (cap change, observation drain,
-    /// extension failure) falls back to a from-scratch fit that reseeds
-    /// the cache.
-    fn cached_surrogates(
-        &mut self,
-        lat_cap: f64,
-        cost_cap: f64,
-        gp_cfg: &GpConfig,
-    ) -> Option<(Gp, Gp)> {
-        if let Some(mut cache) = self.surrogate_cache.take() {
-            if cache.lat_cap == lat_cap
-                && cache.cost_cap == cost_cap
-                && cache.n_obs <= self.observations.len()
-            {
-                // Extend both GPs per observation; a single failure drops
-                // the (now possibly lopsided) cache and rebuilds below.
-                let extended = self.observations[cache.n_obs..].iter().all(|s| {
-                    cache
-                        .lat
-                        .extend(s.u.clone(), s.latency.min(lat_cap))
-                        .is_ok()
-                        && cache.cost.extend(s.u.clone(), s.cost.min(cost_cap)).is_ok()
-                });
-                if extended {
-                    cache.n_obs = self.observations.len();
-                    let models = (cache.cost.clone(), cache.lat.clone());
-                    self.surrogate_cache = Some(cache);
-                    return Some(models);
-                }
-            }
-        }
-        let xs: Vec<Vec<f64>> = self.observations.iter().map(|s| s.u.clone()).collect();
-        let lats: Vec<f64> = self
-            .observations
-            .iter()
-            .map(|s| s.latency.min(lat_cap))
-            .collect();
-        let costs: Vec<f64> = self
-            .observations
-            .iter()
-            .map(|s| s.cost.min(cost_cap))
-            .collect();
-        let lat = Gp::fit(xs.clone(), lats, gp_cfg.clone()).ok()?;
-        let cost = Gp::fit(xs, costs, gp_cfg.clone()).ok()?;
-        let models = (cost.clone(), lat.clone());
-        self.surrogate_cache = Some(SurrogateCache {
-            cost,
-            lat,
-            n_obs: self.observations.len(),
-            lat_cap,
-            cost_cap,
-        });
-        Some(models)
     }
 
     /// Generates the iteration's candidate pool: fresh Halton coverage
@@ -341,8 +247,6 @@ impl AquatopeRm {
             let keep_from =
                 self.observations.len() - self.config.sliding_window.min(self.observations.len());
             self.observations.drain(..keep_from);
-            // The cached surrogates were fit on drained samples.
-            self.surrogate_cache = None;
             self.changes_detected += 1;
         }
     }
@@ -606,73 +510,6 @@ mod tests {
             "behaviour change should be detected after the workload swap"
         );
         assert!(rm.observations().len() <= 6 + 12, "sliding window applied");
-    }
-
-    #[test]
-    fn incremental_refit_finds_feasible_configuration() {
-        let (mut eval, qos) = make_eval(40);
-        let mut rm = AquatopeRm::with_config(
-            1,
-            AquatopeRmConfig {
-                incremental_refit: true,
-                refit_every: 4,
-                ..AquatopeRmConfig::default()
-            },
-        );
-        let out = rm.optimize(&mut eval, qos, 24);
-        let (_, cost, lat) = out.best.expect("feasible config expected");
-        assert!(lat <= qos);
-        assert!(cost > 0.0);
-        let cache = rm.surrogate_cache.as_ref().expect("cache populated");
-        assert_eq!(cache.n_obs, rm.observations().len());
-        assert_eq!(cache.lat.len(), rm.observations().len());
-    }
-
-    #[test]
-    fn incremental_cache_invalidated_by_window_drain() {
-        let (mut eval, qos) = make_eval(70);
-        let mut rm = AquatopeRm::with_config(
-            3,
-            AquatopeRmConfig {
-                incremental_refit: true,
-                sliding_window: 6,
-                ..AquatopeRmConfig::default()
-            },
-        );
-        rm.optimize(&mut eval, qos, 18);
-        assert!(rm.surrogate_cache.is_some());
-
-        // A drastically heavier workload triggers the sliding-window
-        // drain, which must drop the cache (it covers drained samples)
-        // and then rebuild it on the new window.
-        let (mut eval2, _) = {
-            let mut registry2 = aqua_faas::FunctionRegistry::new();
-            let heavy_a = registry2.register(
-                aqua_faas::FunctionSpec::new("a2")
-                    .with_work_ms(2_000.0)
-                    .with_exec_cv(0.02),
-            );
-            let heavy_b = registry2.register(
-                aqua_faas::FunctionSpec::new("b2")
-                    .with_work_ms(1_500.0)
-                    .with_exec_cv(0.02),
-            );
-            let heavy_dag = aqua_faas::WorkflowDag::chain("tiny", vec![heavy_a, heavy_b]);
-            let heavy_sim = aqua_faas::FaasSim::builder()
-                .workers(4, 40.0, 131_072)
-                .registry(registry2)
-                .noise(aqua_faas::NoiseModel::quiet())
-                .seed(72)
-                .build();
-            (
-                SimEvaluator::new(heavy_sim, heavy_dag, ConfigSpace::default(), 2, true),
-                6.0,
-            )
-        };
-        rm.optimize(&mut eval2, 6.0, 12);
-        assert!(rm.changes_detected() >= 1, "workload swap detected");
-        let cache = rm.surrogate_cache.as_ref().expect("cache rebuilt");
-        assert_eq!(cache.n_obs, rm.observations().len());
     }
 
     #[test]

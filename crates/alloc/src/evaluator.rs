@@ -92,21 +92,6 @@ impl SimEvaluator {
     pub fn dag(&self) -> &WorkflowDag {
         &self.dag
     }
-
-    /// Replaces the workflow (used to model behaviour change, Fig. 16).
-    pub fn set_dag(&mut self, dag: WorkflowDag) {
-        assert_eq!(
-            dag.num_stages(),
-            self.dag.num_stages(),
-            "stage count must be stable"
-        );
-        self.dag = dag;
-    }
-
-    /// Replaces the backing simulator (e.g. to raise the noise level).
-    pub fn set_sim(&mut self, sim: FaasSim) {
-        self.sim = sim;
-    }
 }
 
 impl ConfigEvaluator for SimEvaluator {

@@ -7,6 +7,7 @@ use std::path::{Path, PathBuf};
 use aqua_alloc::{OracleSearch, ResourceManager, SimEvaluator};
 use aqua_faas::types::ConfigSpace;
 use aqua_faas::{FaasSim, FunctionRegistry, NoiseModel, StageConfigs, WorkflowDag};
+use aqua_linalg::mean;
 use aqua_sim::{SimRng, SimTime};
 use aqua_workflows::{apps, App, RateTraceConfig};
 
@@ -128,6 +129,61 @@ pub(crate) fn oracle(
         .best
         .expect("oracle must find a feasible configuration");
     (configs, cost)
+}
+
+/// The true mean `(latency, cost)` of a configuration under `noise`: the
+/// mean of 16 fresh warm-start profiling runs. The RM figures re-validate
+/// every pick with it, because under heavy noise a manager can believe a
+/// configuration is feasible when its true mean latency violates QoS.
+pub(crate) fn revalidate(
+    registry: &FunctionRegistry,
+    dag: &WorkflowDag,
+    configs: &StageConfigs,
+    noise: NoiseModel,
+    seed: u64,
+) -> (f64, f64) {
+    let mut sim = cluster_sim(registry.clone(), noise, seed);
+    let raw = sim.profile_config(dag, configs, 16, true, 1.0, 1.0);
+    (
+        mean(&raw.iter().map(|s| s.0).collect::<Vec<_>>()),
+        mean(&raw.iter().map(|s| s.1).collect::<Vec<_>>()),
+    )
+}
+
+/// One manager's re-validated picks scored against the oracle. A pick
+/// whose true latency is within 1.05 × QoS adds its true cost as % of the
+/// oracle's; any other pick, and a search that picked nothing, counts as a
+/// QoS violation.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PickScore {
+    pct_sum: f64,
+    scored: usize,
+    /// Picks that violated QoS (or were missing).
+    pub(crate) violations: usize,
+}
+
+impl PickScore {
+    /// Scores one pick's [`revalidate`]d `(latency, cost)`, or a missing
+    /// pick (`None`).
+    pub(crate) fn add(&mut self, truth: Option<(f64, f64)>, qos: f64, oracle_cost: f64) {
+        match truth {
+            Some((lat, cost)) if lat <= qos * 1.05 => {
+                self.pct_sum += 100.0 * cost / oracle_cost;
+                self.scored += 1;
+            }
+            _ => self.violations += 1,
+        }
+    }
+
+    /// Mean true cost of the qualifying picks, % of oracle; NaN if none
+    /// qualified.
+    pub(crate) fn pct(&self) -> f64 {
+        if self.scored > 0 {
+            self.pct_sum / self.scored as f64
+        } else {
+            f64::NAN
+        }
+    }
 }
 
 /// Builds all five applications into one registry.

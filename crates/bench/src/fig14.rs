@@ -14,36 +14,12 @@
 
 use aqua_alloc::{AquatopeRm, Clite, ResourceManager};
 use aqua_faas::{FunctionRegistry, FunctionSpec, NoiseModel, StageConfigs, WorkflowDag};
-use aqua_linalg::mean;
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{cluster_sim, oracle, print_table, sim_evaluator, Scale};
+use crate::common::{oracle, print_table, revalidate, sim_evaluator, PickScore, Scale};
 
-/// True mean (latency, cost) of a configuration under `noise`, measured
-/// with many samples.
-fn ground_truth(
-    registry: &FunctionRegistry,
-    dag: &WorkflowDag,
-    configs: &StageConfigs,
-    noise: NoiseModel,
-    seed: u64,
-) -> (f64, f64) {
-    let mut sim = cluster_sim(registry.clone(), noise, seed);
-    let raw = sim.profile_config(dag, configs, 16, true, 1.0, 1.0);
-    (
-        mean(&raw.iter().map(|s| s.0).collect::<Vec<_>>()),
-        mean(&raw.iter().map(|s| s.1).collect::<Vec<_>>()),
-    )
-}
-
-struct Comparison {
-    clite_pct: f64,
-    aqua_pct: f64,
-    clite_viol: usize,
-    aqua_viol: usize,
-}
-
+/// CLITE's and Aquatope's scores, in that order.
 #[allow(clippy::too_many_arguments)]
 fn compare(
     registry: &FunctionRegistry,
@@ -54,58 +30,29 @@ fn compare(
     samples: usize,
     seeds: u64,
     base_seed: u64,
-) -> Comparison {
+) -> [PickScore; 2] {
     let (oracle_cfg, _) = oracle(registry, dag, qos, base_seed);
-    let (_, oracle_cost) = ground_truth(registry, dag, &oracle_cfg, noise, base_seed);
+    let (_, oracle_cost) = revalidate(registry, dag, &oracle_cfg, noise, base_seed);
 
-    let mut stats = [(0.0, 0usize, 0usize), (0.0, 0, 0)]; // (cost sum, n, violations)
+    let mut scores = [PickScore::default(); 2];
     for seed in 0..seeds {
         let eval_for = |sd: u64| sim_evaluator(registry, dag, noise, samples, sd);
-        let runs: [(usize, Option<StageConfigs>); 2] = [
-            (
-                0,
-                Clite::new(base_seed + seed)
-                    .optimize(&mut eval_for(base_seed + seed), qos, budget)
-                    .best
-                    .map(|b| b.0),
-            ),
-            (
-                1,
-                AquatopeRm::new(base_seed + seed)
-                    .optimize(&mut eval_for(base_seed + seed), qos, budget)
-                    .best
-                    .map(|b| b.0),
-            ),
+        let picks: [Option<StageConfigs>; 2] = [
+            Clite::new(base_seed + seed)
+                .optimize(&mut eval_for(base_seed + seed), qos, budget)
+                .best
+                .map(|b| b.0),
+            AquatopeRm::new(base_seed + seed)
+                .optimize(&mut eval_for(base_seed + seed), qos, budget)
+                .best
+                .map(|b| b.0),
         ];
-        for (mi, cfg) in runs {
-            match cfg {
-                Some(cfg) => {
-                    let (lat, cost) = ground_truth(registry, dag, &cfg, noise, 999 + seed);
-                    if lat <= qos * 1.05 {
-                        stats[mi].0 += 100.0 * cost / oracle_cost;
-                        stats[mi].1 += 1;
-                    } else {
-                        stats[mi].2 += 1;
-                    }
-                }
-                None => stats[mi].2 += 1,
-            }
+        for (score, pick) in scores.iter_mut().zip(picks) {
+            let truth = pick.map(|cfg| revalidate(registry, dag, &cfg, noise, 999 + seed));
+            score.add(truth, qos, oracle_cost);
         }
     }
-    Comparison {
-        clite_pct: if stats[0].1 > 0 {
-            stats[0].0 / stats[0].1 as f64
-        } else {
-            f64::NAN
-        },
-        aqua_pct: if stats[1].1 > 0 {
-            stats[1].0 / stats[1].1 as f64
-        } else {
-            f64::NAN
-        },
-        clite_viol: stats[0].2,
-        aqua_viol: stats[1].2,
-    }
+    scores
 }
 
 /// Runs the experiment and returns its JSON record.
@@ -120,7 +67,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
     for n in [1usize, 3, 5] {
         let mut registry = FunctionRegistry::new();
         let app = apps::chain(&mut registry, n);
-        let c = compare(
+        let [clite, aqua] = compare(
             &registry,
             &app.dag,
             app.qos.as_secs_f64(),
@@ -132,12 +79,12 @@ pub fn run(scale: Scale) -> serde_json::Value {
         );
         rows_a.push(vec![
             n.to_string(),
-            format!("{:.0}% ({})", c.clite_pct, c.clite_viol),
-            format!("{:.0}% ({})", c.aqua_pct, c.aqua_viol),
+            format!("{:.0}% ({})", clite.pct(), clite.violations),
+            format!("{:.0}% ({})", aqua.pct(), aqua.violations),
         ]);
         rec_a.push(json!({
-            "stages": n, "clite_pct": c.clite_pct, "aquatope_pct": c.aqua_pct,
-            "clite_violations": c.clite_viol, "aquatope_violations": c.aqua_viol,
+            "stages": n, "clite_pct": clite.pct(), "aquatope_pct": aqua.pct(),
+            "clite_violations": clite.violations, "aquatope_violations": aqua.violations,
         }));
     }
     print_table(
@@ -162,7 +109,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
         );
         let dag = WorkflowDag::chain("noisy", vec![f]);
         let qos = 0.9;
-        let c = compare(
+        let [clite, aqua] = compare(
             &registry,
             &dag,
             qos,
@@ -174,12 +121,12 @@ pub fn run(scale: Scale) -> serde_json::Value {
         );
         rows_b.push(vec![
             format!("{cv:.1}"),
-            format!("{:.0}% ({})", c.clite_pct, c.clite_viol),
-            format!("{:.0}% ({})", c.aqua_pct, c.aqua_viol),
+            format!("{:.0}% ({})", clite.pct(), clite.violations),
+            format!("{:.0}% ({})", aqua.pct(), aqua.violations),
         ]);
         rec_b.push(json!({
-            "exec_cv": cv, "clite_pct": c.clite_pct, "aquatope_pct": c.aqua_pct,
-            "clite_violations": c.clite_viol, "aquatope_violations": c.aqua_viol,
+            "exec_cv": cv, "clite_pct": clite.pct(), "aquatope_pct": aqua.pct(),
+            "clite_violations": clite.violations, "aquatope_violations": aqua.violations,
         }));
     }
     print_table(

@@ -9,11 +9,10 @@
 
 use aqua_alloc::{AquatopeRm, Clite, ResourceManager};
 use aqua_faas::{NoiseModel, StageConfigs};
-use aqua_linalg::mean;
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{cluster_sim, oracle, print_table, sim_evaluator, Scale};
+use crate::common::{oracle, print_table, revalidate, sim_evaluator, PickScore, Scale};
 
 /// Runs the experiment and returns its JSON record.
 pub fn run(scale: Scale) -> serde_json::Value {
@@ -29,24 +28,14 @@ pub fn run(scale: Scale) -> serde_json::Value {
     // Oracle configuration under quiet conditions (the offline reference).
     let (oracle_cfg, _) = oracle(&registry, &app.dag, qos, 0xF1615);
 
-    let truth = |configs: &StageConfigs, noise: NoiseModel, seed: u64| -> (f64, f64) {
-        let mut sim = cluster_sim(registry.clone(), noise, seed);
-        let raw = sim.profile_config(&app.dag, configs, 16, true, 1.0, 1.0);
-        (
-            mean(&raw.iter().map(|s| s.0).collect::<Vec<_>>()),
-            mean(&raw.iter().map(|s| s.1).collect::<Vec<_>>()),
-        )
-    };
-
     let mut rows = Vec::new();
     let mut records = Vec::new();
     for (li, &level) in levels.iter().enumerate() {
         let noise = NoiseModel::background_jobs(level);
-        let (_, oracle_cost) = truth(&oracle_cfg, noise, 0xF1615 + li as u64);
+        let (_, oracle_cost) =
+            revalidate(&registry, &app.dag, &oracle_cfg, noise, 0xF1615 + li as u64);
 
-        let mut sums = [0.0f64; 3];
-        let mut counts = [0usize; 3];
-        let mut viols = [0usize; 3];
+        let mut scores = [PickScore::default(); 3];
         for seed in 0..seeds {
             let base = 0xF1615 + li as u64 * 100 + seed;
             let eval_for = |sd: u64| sim_evaluator(&registry, &app.dag, noise, samples, sd);
@@ -64,38 +53,27 @@ pub fn run(scale: Scale) -> serde_json::Value {
                     .best
                     .map(|b| b.0),
             ];
-            for (mi, pick) in picks.into_iter().enumerate() {
-                match pick {
-                    Some(cfg) => {
-                        let (lat, cost) = truth(&cfg, noise, 7_000 + seed);
-                        if lat <= qos * 1.05 {
-                            sums[mi] += 100.0 * cost / oracle_cost;
-                            counts[mi] += 1;
-                        } else {
-                            viols[mi] += 1;
-                        }
-                    }
-                    None => viols[mi] += 1,
-                }
+            for (score, pick) in scores.iter_mut().zip(picks) {
+                let truth =
+                    pick.map(|cfg| revalidate(&registry, &app.dag, &cfg, noise, 7_000 + seed));
+                score.add(truth, qos, oracle_cost);
             }
         }
-        let pct = |mi: usize| {
-            if counts[mi] > 0 {
-                sums[mi] / counts[mi] as f64
-            } else {
-                f64::NAN
-            }
-        };
+        let [clite, aqualite, aquatope] = scores;
         rows.push(vec![
             format!("{level:.0}"),
-            format!("{:.0}% ({})", pct(0), viols[0]),
-            format!("{:.0}% ({})", pct(1), viols[1]),
-            format!("{:.0}% ({})", pct(2), viols[2]),
+            format!("{:.0}% ({})", clite.pct(), clite.violations),
+            format!("{:.0}% ({})", aqualite.pct(), aqualite.violations),
+            format!("{:.0}% ({})", aquatope.pct(), aquatope.violations),
         ]);
         records.push(json!({
             "noise_level": level,
-            "clite_pct": pct(0), "aqualite_pct": pct(1), "aquatope_pct": pct(2),
-            "violations": { "clite": viols[0], "aqualite": viols[1], "aquatope": viols[2] },
+            "clite_pct": clite.pct(), "aqualite_pct": aqualite.pct(), "aquatope_pct": aquatope.pct(),
+            "violations": {
+                "clite": clite.violations,
+                "aqualite": aqualite.violations,
+                "aquatope": aquatope.violations,
+            },
         }));
     }
     print_table(

@@ -1,21 +1,13 @@
-//! The AQUATOPE controller's batch-run driver: plan per-app resources,
-//! then run the workload mix under the dynamic pre-warmed pool.
-//!
-//! All *decisions* (resource-manager search, fallback plans, pool-policy
-//! construction) live in [`crate::decision::DecisionEngine`]; this module
-//! only hosts them for batch simulation runs.
+//! The AQUATOPE controller's shared pieces: the workload type, the
+//! simulator every planning and online phase runs on, and the per-app QoS
+//! verdict over a mixed run. The plan-then-replay loop itself is
+//! [`crate::run_framework`] with [`crate::Framework::Aquatope`].
 
-use aqua_faas::fault::{FaultPlan, RetryPolicy};
-use aqua_faas::sim::WorkflowJob;
 use aqua_faas::{FaasSim, FunctionRegistry, NoiseModel};
 use aqua_sim::SimTime;
 use aqua_workflows::App;
 
 use crate::config::{AquatopeConfig, ClusterSpec};
-use crate::decision::DecisionEngine;
-use crate::report::EndToEndReport;
-
-pub use crate::decision::AppPlan;
 
 /// One application plus its invocation trace.
 #[derive(Debug, Clone)]
@@ -26,46 +18,20 @@ pub struct Workload {
     pub arrivals: Vec<SimTime>,
 }
 
-/// The AQUATOPE controller (Fig. 1).
+/// The AQUATOPE controller (Fig. 1): builds the simulated cluster that
+/// both the resource manager's profiling and the online replay run on.
 #[derive(Debug, Clone)]
-pub struct Aquatope {
-    engine: DecisionEngine,
-    faults: FaultPlan,
-    retry: RetryPolicy,
-}
+pub struct Aquatope;
 
 impl Aquatope {
-    /// Creates a controller.
-    pub fn new(config: AquatopeConfig) -> Self {
-        Aquatope {
-            engine: DecisionEngine::new(config),
-            faults: FaultPlan::disabled(),
-            retry: RetryPolicy::default(),
-        }
+    /// Creates a controller. The simulator it builds depends only on the
+    /// cluster spec and noise model, so `config` is not consulted.
+    pub fn new(_config: AquatopeConfig) -> Self {
+        Aquatope
     }
 
-    /// Injects deterministic faults into every simulation this controller
-    /// builds (profiling and online execution alike), with the given
-    /// retry/timeout policy. With [`FaultPlan::disabled`] this is a strict
-    /// no-op.
-    pub fn with_faults(mut self, faults: FaultPlan, retry: RetryPolicy) -> Self {
-        self.faults = faults;
-        self.retry = retry;
-        self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AquatopeConfig {
-        self.engine.config()
-    }
-
-    /// The decision engine this controller hosts.
-    pub fn engine(&self) -> &DecisionEngine {
-        &self.engine
-    }
-
-    /// Builds the simulator for a cluster spec (shared by plan/execute so
-    /// profiling sees the same environment as the online run).
+    /// Builds the simulator for a cluster spec (shared by planning and the
+    /// online replay so profiling sees the same environment as the run).
     pub fn make_sim(
         &self,
         registry: &FunctionRegistry,
@@ -81,74 +47,7 @@ impl Aquatope {
             .registry(registry.clone())
             .noise(noise)
             .seed(cluster.seed)
-            .faults(self.faults.clone())
-            .retry_policy(self.retry.clone())
             .build()
-    }
-
-    /// Runs the container resource manager for one application, returning
-    /// the selected per-stage configuration. Falls back to a generous
-    /// configuration if the search finds nothing feasible.
-    pub fn plan_app(
-        &self,
-        registry: &FunctionRegistry,
-        app: &App,
-        cluster: ClusterSpec,
-    ) -> AppPlan {
-        let sim = self.make_sim(registry, cluster, NoiseModel::production());
-        self.engine.plan_app(sim, app)
-    }
-
-    /// Plans every application.
-    pub fn plan(
-        &self,
-        registry: &FunctionRegistry,
-        workloads: &[Workload],
-        cluster: ClusterSpec,
-    ) -> Vec<AppPlan> {
-        workloads
-            .iter()
-            .map(|w| self.plan_app(registry, &w.app, cluster))
-            .collect()
-    }
-
-    /// Executes the workload mix with the given plans under the dynamic
-    /// pre-warmed container pool.
-    pub fn execute(
-        &self,
-        registry: &FunctionRegistry,
-        workloads: &[Workload],
-        plans: &[AppPlan],
-        cluster: ClusterSpec,
-        horizon: SimTime,
-    ) -> EndToEndReport {
-        assert_eq!(workloads.len(), plans.len(), "one plan per workload");
-        let mut sim = self.make_sim(registry, cluster, NoiseModel::production());
-        let jobs: Vec<WorkflowJob> = workloads
-            .iter()
-            .zip(plans)
-            .map(|(w, p)| {
-                WorkflowJob::new(w.app.dag.clone(), p.configs.clone(), w.arrivals.clone())
-            })
-            .collect();
-        let dags: Vec<&aqua_faas::WorkflowDag> = workloads.iter().map(|w| &w.app.dag).collect();
-        let mut pool = self.engine.make_pool(&dags);
-        let raw = sim.run(&jobs, &mut pool, horizon);
-        let violation = violation_rate(&raw, workloads, horizon);
-        let cfg = self.engine.config();
-        EndToEndReport::from_run(raw, violation, cfg.price_cpu, cfg.price_mem)
-    }
-
-    /// Full pipeline: plan, then execute.
-    pub fn run(
-        &mut self,
-        registry: &FunctionRegistry,
-        workloads: &[Workload],
-        cluster: ClusterSpec,
-        horizon: SimTime,
-    ) -> EndToEndReport {
-        let plans = self.plan(registry, workloads, cluster);
-        self.execute(registry, workloads, &plans, cluster, horizon)
     }
 }
 
@@ -187,6 +86,8 @@ pub fn violation_rate(raw: &aqua_faas::RunReport, workloads: &[Workload], horizo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_framework, run_framework_traced, Framework};
+    use aqua_telemetry::{SimEvent, Telemetry};
     use aqua_workflows::apps;
 
     fn small_workload(n: usize, gap_secs: u64) -> (FunctionRegistry, Workload) {
@@ -200,27 +101,50 @@ mod tests {
 
     #[test]
     fn plan_produces_feasible_configs() {
+        // The planning phase reports every profiled configuration as a
+        // `BoIteration`: the search spends its whole budget and profiles
+        // at least one configuration within QoS.
         let (registry, w) = small_workload(5, 30);
-        let controller = Aquatope::new(AquatopeConfig::fast());
-        let plan = controller.plan_app(&registry, &w.app, ClusterSpec::default());
-        assert_eq!(plan.configs.len(), w.app.dag.num_stages());
+        let config = AquatopeConfig::fast();
+        let (telemetry, rec) = Telemetry::recording();
+        run_framework_traced(
+            Framework::Aquatope,
+            &registry,
+            std::slice::from_ref(&w),
+            ClusterSpec::default(),
+            SimTime::from_secs(300),
+            &config,
+            &[],
+            telemetry,
+        );
+        let latencies: Vec<f64> = rec
+            .lock()
+            .unwrap()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                SimEvent::BoIteration { latency, .. } => Some(latency),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(latencies.len(), config.search_budget);
+        let qos = w.app.qos.as_secs_f64();
         assert!(
-            plan.expected_latency.is_nan() || plan.expected_latency <= w.app.qos.as_secs_f64(),
-            "planned latency {} vs QoS {}",
-            plan.expected_latency,
-            w.app.qos.as_secs_f64()
+            latencies.iter().any(|&l| l <= qos),
+            "no profiled latency within QoS {qos}: {latencies:?}"
         );
     }
 
     #[test]
     fn end_to_end_run_completes_instances() {
         let (registry, w) = small_workload(30, 20);
-        let mut controller = Aquatope::new(AquatopeConfig::fast());
-        let report = controller.run(
+        let report = run_framework(
+            Framework::Aquatope,
             &registry,
             std::slice::from_ref(&w),
             ClusterSpec::default(),
             SimTime::from_secs(900),
+            &AquatopeConfig::fast(),
         );
         assert!(
             report.completed >= 25,

@@ -9,8 +9,9 @@
 //! | [`Framework::Aquatope`] | hybrid-Bayesian dynamic pool | customized BO |
 //! | [`Framework::AquatopeRmOnly`] | provider keep-alive (no pool) | customized BO — the Fig. 17 ablation |
 
-use aqua_alloc::{AutoscaleRm, Clite, ConfigEvaluator, ResourceManager, SimEvaluator};
+use aqua_alloc::{AutoscaleRm, Clite, ResourceManager, SimEvaluator};
 use aqua_faas::sim::WorkflowJob;
+use aqua_faas::types::ConfigSpace;
 use aqua_faas::{
     FixedPrewarm, FunctionId, FunctionRegistry, NoiseModel, PrewarmController, StageConfigs,
 };
@@ -111,7 +112,7 @@ pub fn run_framework_traced(
     telemetry: Telemetry,
 ) -> EndToEndReport {
     // --- Planning phase: pick per-stage configs for every app. ---
-    let controller = Aquatope::new(config.clone());
+    let controller = Aquatope;
     let plans: Vec<StageConfigs> = workloads
         .iter()
         .map(|w| {
@@ -142,14 +143,7 @@ pub fn run_framework_traced(
             };
             match outcome.best {
                 Some((configs, _, _)) => configs,
-                None => {
-                    let dim = eval.dim();
-                    let mut u = vec![1.0; dim];
-                    for s in 0..dim / 3 {
-                        u[3 * s + 2] = 0.0;
-                    }
-                    StageConfigs::decode(&config.space, &u)
-                }
+                None => fallback_configs(&config.space, w.app.dag.num_stages()),
             }
         })
         .collect();
@@ -214,6 +208,16 @@ pub fn run_framework_traced(
     EndToEndReport::from_run(raw, violation, config.price_cpu, config.price_mem)
 }
 
+/// The max-resources plan used when a search finds nothing feasible:
+/// every stage at the top of the space with concurrency 1.
+fn fallback_configs(space: &ConfigSpace, stages: usize) -> StageConfigs {
+    let mut u = vec![1.0; 3 * stages];
+    for s in 0..stages {
+        u[3 * s + 2] = 0.0;
+    }
+    StageConfigs::decode(space, &u)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +228,18 @@ mod tests {
         let app = apps::chain(&mut registry, 2);
         let arrivals = (1..40u64).map(|i| SimTime::from_secs(i * 15)).collect();
         (registry, vec![Workload { app, arrivals }])
+    }
+
+    #[test]
+    fn fallback_plan_is_generous_and_sequential() {
+        let space = AquatopeConfig::fast().space;
+        let plan = fallback_configs(&space, 3);
+        assert_eq!(plan.len(), 3);
+        for cfg in plan.iter() {
+            assert_eq!(cfg.cpu, space.cpu.1);
+            assert_eq!(cfg.memory_mb, space.memory_mb.1);
+            assert_eq!(cfg.concurrency, 1);
+        }
     }
 
     #[test]

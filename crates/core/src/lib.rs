@@ -16,7 +16,7 @@
 //! # Examples
 //!
 //! ```no_run
-//! use aquatope_core::{Aquatope, AquatopeConfig, ClusterSpec, Workload};
+//! use aquatope_core::{run_framework, AquatopeConfig, ClusterSpec, Framework, Workload};
 //! use aqua_faas::FunctionRegistry;
 //! use aqua_workflows::apps;
 //! use aqua_sim::SimTime;
@@ -27,23 +27,26 @@
 //!     app,
 //!     arrivals: (1..200).map(|i| SimTime::from_secs(6 * i)).collect(),
 //! };
-//! let mut aquatope = Aquatope::new(AquatopeConfig::fast());
-//! let report = aquatope.run(&registry, &[workload], ClusterSpec::default(), SimTime::from_secs(1800));
+//! let report = run_framework(
+//!     Framework::Aquatope,
+//!     &registry,
+//!     &[workload],
+//!     ClusterSpec::default(),
+//!     SimTime::from_secs(1800),
+//!     &AquatopeConfig::fast(),
+//! );
 //! println!("QoS violations: {:.1}%", 100.0 * report.qos_violation_rate);
 //! ```
 
 pub mod config;
 pub mod controller;
-pub mod decision;
 pub mod frameworks;
 pub mod report;
 
 pub use config::{AquatopeConfig, ClusterSpec};
-pub use controller::{AppPlan, Aquatope, Workload};
-pub use decision::DecisionEngine;
+pub use controller::{Aquatope, Workload};
 pub use frameworks::{run_framework, run_framework_traced, run_framework_with_history, Framework};
 pub use report::EndToEndReport;
 
 pub use aqua_alloc::{AquatopeRm, AquatopeRmConfig};
-pub use aqua_faas::{FaultPlan, FaultRates, RetryPolicy};
 pub use aqua_pool::{AquatopePool, AquatopePoolConfig};

@@ -140,11 +140,6 @@ impl Cluster {
         }
     }
 
-    /// Number of workers.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Live container count.
     pub fn num_containers(&self) -> usize {
         self.containers.len()

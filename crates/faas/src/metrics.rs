@@ -112,20 +112,6 @@ impl RunReport {
             / self.workflows.len() as f64
     }
 
-    /// Latency quantile (`q ∈ [0,1]`) over completed workflows, seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no completed workflows.
-    pub fn latency_quantile_secs(&self, q: f64) -> f64 {
-        let lats: Vec<f64> = self
-            .workflows
-            .iter()
-            .map(|w| w.latency().as_secs_f64())
-            .collect();
-        aqua_linalg::quantile(&lats, q)
-    }
-
     /// Fraction of workflows whose end-to-end latency exceeded `qos`
     /// (unfinished instances count as violations).
     pub fn qos_violation_rate(&self, qos: SimDuration) -> f64 {

@@ -124,19 +124,6 @@ impl SimContainerRuntime {
     pub fn registry(&self) -> &FunctionRegistry {
         &self.registry
     }
-
-    /// The function a live container serves, if the id is on the ledger.
-    pub fn function_of(&self, container: ContainerId) -> Option<FunctionId> {
-        self.live.get(&container).copied()
-    }
-
-    /// Live container ids in ledger order (sorted; for deterministic
-    /// shutdown sweeps).
-    pub fn live_ids(&self) -> Vec<ContainerId> {
-        let mut ids: Vec<ContainerId> = self.live.keys().copied().collect();
-        ids.sort();
-        ids
-    }
 }
 
 impl ContainerRuntime for SimContainerRuntime {

@@ -41,6 +41,7 @@ use crate::cluster::ClusterSnapshot;
 use crate::metrics::RunReport;
 use crate::sim::{
     FaasSimBuilder, FnWindowStats, PoolObservation, PrewarmController, RunState, WorkflowJob,
+    POOL_TICK,
 };
 
 /// Synchronization quantum: cross-shard handoffs quantize to at most one
@@ -89,7 +90,7 @@ pub(crate) fn run_sharded(
     }
 
     let quantum = SimDuration::from_secs(SYNC_QUANTUM_SECS);
-    let mut next_tick = SimTime::ZERO + params.tick;
+    let mut next_tick = SimTime::ZERO + POOL_TICK;
     let mut pool_snapshots: Vec<(SimTime, f64)> = Vec::new();
 
     loop {
@@ -171,7 +172,7 @@ pub(crate) fn run_sharded(
             pool_snapshots.push((now, cluster.reserved_memory_mb));
             let obs = PoolObservation {
                 now,
-                window: params.tick,
+                window: POOL_TICK,
                 stats,
                 cluster,
             };
@@ -183,7 +184,7 @@ pub(crate) fn run_sharded(
                 st.clear_window();
                 st.drain_pending(now);
             }
-            next_tick += params.tick;
+            next_tick += POOL_TICK;
         }
     }
 

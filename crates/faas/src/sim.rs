@@ -1,8 +1,8 @@
 //! The discrete-event FaaS simulation driver.
 //!
 //! [`FaasSim`] replays workflow arrival traces over a [`Cluster`], invoking
-//! a pluggable [`PrewarmController`] every pool-adjustment interval (1 min
-//! by default, the paper's container keep-alive timescale).
+//! a pluggable [`PrewarmController`] every pool-adjustment interval (1 min,
+//! the paper's container keep-alive timescale).
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -25,7 +25,7 @@ pub struct FnWindowStats {
     pub function: FunctionId,
     /// Invocations that became runnable during the window.
     pub invocations: u32,
-    /// Peak number of simultaneously busy containers during the window.
+    /// Peak outstanding tasks (demand, not containers) during the window.
     pub peak_concurrency: u32,
     /// Containers currently booting.
     pub booting: u32,
@@ -112,14 +112,6 @@ impl FixedPrewarm {
         FixedPrewarm {
             keep_alive: SimDuration::from_secs(600),
             targets: HashMap::new(),
-        }
-    }
-
-    /// A profiling policy that holds `targets` warm containers forever.
-    pub fn pinned(targets: HashMap<FunctionId, usize>) -> Self {
-        FixedPrewarm {
-            keep_alive: SimDuration::from_secs(1_000_000),
-            targets,
         }
     }
 }
@@ -333,6 +325,9 @@ impl Agenda {
     }
 }
 
+/// Interval between pool-controller ticks.
+pub(crate) const POOL_TICK: SimDuration = SimDuration::from_secs(60);
+
 /// Slot-table mark: the instance has not been touched yet.
 const UNSEEN: u32 = u32::MAX;
 /// Slot-table mark: the instance completed and its slot was handed back.
@@ -408,7 +403,6 @@ pub struct FaasSimBuilder {
     pub(crate) registry: FunctionRegistry,
     pub(crate) noise: NoiseModel,
     pub(crate) seed: u64,
-    pub(crate) tick: SimDuration,
     pub(crate) telemetry: Telemetry,
     pub(crate) faults: FaultPlan,
     pub(crate) retry: RetryPolicy,
@@ -424,7 +418,6 @@ impl Default for FaasSimBuilder {
             registry: FunctionRegistry::new(),
             noise: NoiseModel::production(),
             seed: 42,
-            tick: SimDuration::from_secs(60),
             telemetry: Telemetry::disabled(),
             faults: FaultPlan::disabled(),
             retry: RetryPolicy::default(),
@@ -457,13 +450,6 @@ impl FaasSimBuilder {
     /// Seeds all stochastic components.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the pool-adjustment interval (default 60 s).
-    pub fn tick_interval(mut self, tick: SimDuration) -> Self {
-        assert!(!tick.is_zero(), "tick interval must be positive");
-        self.tick = tick;
         self
     }
 
@@ -522,16 +508,6 @@ impl FaasSim {
     /// Replaces the telemetry sink for subsequent runs.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.params.telemetry = telemetry;
-    }
-
-    /// Replaces the fault plan for subsequent runs.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.params.faults = plan;
-    }
-
-    /// Replaces the retry/timeout policy for subsequent runs.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.params.retry = retry;
     }
 
     /// The registry this simulator was built with.
@@ -740,7 +716,11 @@ pub(crate) struct RunState<'a> {
     /// tasks outstanding (runnable or executing), independent of how many
     /// containers actually served them — the signal pool policies must
     /// see, otherwise under-provisioning suppresses its own evidence.
-    /// Dense over function ids.
+    /// Sampled only when a task starts, and reset to 0 at every tick, so
+    /// a window in which no new task of a function starts reports 0 even
+    /// while carried-over tasks still run. (The live plane's
+    /// `LivePoolSignal` restarts the peak at the carried-over in-flight
+    /// level instead.) Dense over function ids.
     window_peak: Vec<u32>,
     /// Currently outstanding tasks per function (dense over function ids).
     demand_now: Vec<i64>,
@@ -861,7 +841,7 @@ impl<'a> RunState<'a> {
         }
         let mut agenda = Agenda::new(arrivals);
         if !sharded {
-            agenda.push(SimTime::ZERO + params.tick, Event::PoolTick);
+            agenda.push(SimTime::ZERO + POOL_TICK, Event::PoolTick);
         }
         let (rng, faults) = if sharded {
             (
@@ -1526,7 +1506,7 @@ impl<'a> RunState<'a> {
             .collect();
         let obs = PoolObservation {
             now,
-            window: self.params.tick,
+            window: POOL_TICK,
             stats,
             cluster: self.cluster.snapshot(),
         };
@@ -1538,7 +1518,7 @@ impl<'a> RunState<'a> {
             self.apply_decision(&d, now);
         }
         self.clear_window();
-        let next = now + self.params.tick;
+        let next = now + POOL_TICK;
         if next <= horizon {
             self.agenda.push(next, Event::PoolTick);
         }
@@ -1723,6 +1703,28 @@ mod tests {
             !report.invocations[0].cold,
             "pre-warmed container should serve warm"
         );
+    }
+
+    /// A task running through a whole window with no new task beside it
+    /// leaves that window's peak at 0 while its container reads busy
+    /// (`aqua_pool::LivePoolSignal` reads 1 for the same window).
+    #[test]
+    fn window_peak_restarts_at_zero_over_carried_over_work() {
+        struct Record(Vec<(u32, u32)>);
+        impl PrewarmController for Record {
+            fn tick(&mut self, obs: &PoolObservation) -> Vec<PoolDecision> {
+                self.0
+                    .push((obs.stats[0].peak_concurrency, obs.stats[0].busy));
+                Vec::new()
+            }
+        }
+        // 200 s of work arriving at 30 s runs through the ticks at 60 s,
+        // 120 s and 180 s.
+        let (mut sim, dag, configs) = setup(200_000.0);
+        let job = WorkflowJob::new(dag, configs, vec![SimTime::from_secs(30)]);
+        let mut rec = Record(Vec::new());
+        sim.run(&[job], &mut rec, SimTime::from_secs(180));
+        assert_eq!(rec.0, [(1, 1), (0, 1), (0, 1)]);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl Arima {
         (self.p, self.d)
     }
 
-    /// Fitted coefficients `[c, phi_1..phi_p]`.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coeffs
-    }
-
     fn fit_series(&mut self, series: &[f64]) {
         let z = difference(series, self.d);
         let n = z.len();

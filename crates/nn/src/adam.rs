@@ -91,12 +91,6 @@ impl Adam {
         self.lr
     }
 
-    /// Overrides the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f64) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one update step using the gradients accumulated in `model`.
     ///
     /// # Panics

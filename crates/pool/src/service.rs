@@ -15,8 +15,7 @@
 //! policy in the zoo is service-hosted for free: the policies only ever
 //! see `PoolObservation`, which this module produces bit-compatibly.
 
-use aqua_faas::{ClusterSnapshot, FnWindowStats, PoolObservation};
-use aqua_faas::{FunctionId, ResourceConfig};
+use aqua_faas::{ClusterSnapshot, FnWindowStats, FunctionId, PoolObservation};
 use aqua_sim::{SimDuration, SimTime};
 
 /// Accumulates live per-function window statistics and cuts
@@ -131,17 +130,14 @@ impl LivePoolSignal {
         self.obs.cluster.containers = containers;
         self.invocations.iter_mut().for_each(|v| *v = 0);
         self.failed_boots.iter_mut().for_each(|v| *v = 0);
-        // Peak concurrency restarts from the carried-over in-flight level,
-        // exactly as the simulator's window accounting does.
+        // Peak concurrency restarts from the carried-over in-flight level.
+        // The simulator's window peak restarts from 0 instead, so a window
+        // with carried-over work and no new dispatch reads `in_flight` here
+        // and 0 there (`window_peak_restarts_at_zero_over_carried_over_work`
+        // in `aqua_faas::sim`).
         self.peak.copy_from_slice(&self.in_flight);
         self.window_start = now;
         &self.obs
-    }
-
-    /// Memory one container of `config` reserves — the unit the service
-    /// uses to maintain `reserved_memory_mb` for [`LivePoolSignal::observe`].
-    pub fn container_memory_mb(config: &ResourceConfig) -> f64 {
-        config.memory_mb
     }
 
     /// Number of functions tracked.
@@ -151,8 +147,8 @@ impl LivePoolSignal {
 
     /// The default control-window length the service ticks policies at:
     /// a fine-grained 1 s window suited to reactive policies and the
-    /// per-window predictive-veto budget. The batch simulator's default
-    /// pool tick is 60 s — services hosting *forecasting* policies
+    /// per-window predictive-veto budget. The batch simulator's pool
+    /// tick is 60 s — services hosting *forecasting* policies
     /// (histogram, AQUATOPE) that were tuned against sim runs should set
     /// their window to match, or per-window demand shrinks 60-fold.
     pub fn default_window() -> SimDuration {
@@ -194,6 +190,7 @@ mod tests {
         assert_eq!(obs2.stats[0].invocations, 0);
         assert_eq!(obs2.stats[0].failed_boots, 0);
         assert_eq!(obs2.stats[0].busy, 1, "in-flight carries across windows");
+        // Unlike the simulator's window peak, which restarts at 0.
         assert_eq!(
             obs2.stats[0].peak_concurrency, 1,
             "peak restarts at carry-over"

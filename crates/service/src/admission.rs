@@ -176,11 +176,6 @@ impl Admission {
         self.classes.len()
     }
 
-    /// The QoS class of one tenant.
-    pub fn class(&self, tenant: TenantId) -> &QosClass {
-        &self.classes[tenant.0]
-    }
-
     /// Global counter snapshot.
     pub fn stats(&self) -> AdmissionStats {
         self.stats

@@ -73,15 +73,6 @@ impl SocialGraph {
         self.edges
     }
 
-    /// Degree of vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of bounds.
-    pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
-    }
-
     /// Neighbors of `v`.
     ///
     /// # Panics

@@ -3,13 +3,13 @@
 //! Builds the ML-pipeline workflow, lets the controller (1) search for a
 //! cost-minimal per-stage resource configuration that meets the end-to-end
 //! QoS and (2) replay a bursty invocation trace under the dynamic
-//! pre-warmed container pool — then prints the plan and the run metrics.
+//! pre-warmed container pool — then prints the run metrics.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use aquatope::core::{Aquatope, AquatopeConfig, ClusterSpec, Workload};
+use aquatope::core::{run_framework, AquatopeConfig, ClusterSpec, Framework, Workload};
 use aquatope::faas::FunctionRegistry;
 use aquatope::prelude::*;
 use aquatope::workflows::{apps, RateTraceConfig};
@@ -38,33 +38,19 @@ fn main() {
         trace.arrivals.len()
     );
 
-    // 3. Plan resources with the customized-BO manager.
-    let controller = Aquatope::new(AquatopeConfig::fast());
-    let cluster = ClusterSpec::default();
-    let plan = controller.plan_app(&registry, &app, cluster);
-    println!(
-        "plan: {} evaluations → expected latency {:.2} s, cost {:.2}",
-        plan.search_evaluations, plan.expected_latency, plan.expected_cost
-    );
-    for (i, cfg) in plan.configs.iter().enumerate() {
-        let spec = registry.spec(app.dag.stage(i).function);
-        println!(
-            "  stage {i} ({:<24}) → {:.2} CPU, {:>6.0} MiB, concurrency {}",
-            spec.name, cfg.cpu, cfg.memory_mb, cfg.concurrency
-        );
-    }
-
-    // 4. Replay the trace under the dynamic pre-warmed pool.
+    // 3. Plan per-stage resources with the customized-BO manager, then
+    //    replay the trace under the dynamic pre-warmed pool.
     let workload = Workload {
         app,
         arrivals: trace.arrivals,
     };
-    let report = controller.execute(
+    let report = run_framework(
+        Framework::Aquatope,
         &registry,
         std::slice::from_ref(&workload),
-        &[plan],
-        cluster,
+        ClusterSpec::default(),
         SimTime::from_secs(32 * 60),
+        &AquatopeConfig::fast(),
     );
     println!("run : {report}");
     println!("cost: {:.1} (CPU·s + GB·s)", report.execution_cost);

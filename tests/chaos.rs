@@ -5,8 +5,7 @@
 //! Also holds the faulted golden trace (`tests/golden/ml_pipeline_faulted
 //! .jsonl` — regenerate with `BLESS=1 cargo test --test chaos`), the
 //! strict no-op check (an all-zero fault plan must not move a single
-//! byte of the fault-free trace), differential same-seed replays, and the
-//! `incremental_refit` on/off equivalence under faults.
+//! byte of the fault-free trace) and differential same-seed replays.
 
 use std::sync::{Arc, Mutex};
 
@@ -342,53 +341,6 @@ fn faulted_tiny_evaluator(seed: u64, plan: FaultPlan) -> (SimEvaluator, f64) {
         SimEvaluator::new(sim, dag, ConfigSpace::default(), 3, true),
         qos,
     )
-}
-
-/// `incremental_refit` on/off must walk the exact same search under
-/// faults: identical evaluation histories and identical final picks.
-/// `refit_every: 1` makes the rank-1 extend path re-select
-/// hyperparameters on every append, which is bitwise-equal to the
-/// from-scratch fit (see `gp::extend_with_refit_matches_fit_bitwise`).
-#[test]
-fn incremental_refit_equivalent_under_faults() {
-    let plan = FaultPlan::from_seed(
-        5,
-        FaultRates {
-            straggler: 0.2,
-            straggler_factor: 5.0,
-            ..FaultRates::default()
-        },
-    );
-    let run = |incremental: bool| {
-        let (mut eval, qos) = faulted_tiny_evaluator(3, plan.clone());
-        let mut rm = AquatopeRm::with_config(
-            17,
-            AquatopeRmConfig {
-                incremental_refit: incremental,
-                refit_every: 1,
-                ..AquatopeRmConfig::default()
-            },
-        );
-        rm.optimize(&mut eval, qos, 24)
-    };
-    let slow = run(false);
-    let fast = run(true);
-    assert_eq!(
-        slow.history.len(),
-        fast.history.len(),
-        "same budget must spend the same evaluations"
-    );
-    for (i, (s, f)) in slow.history.iter().zip(&fast.history).enumerate() {
-        assert_eq!(s.u, f.u, "evaluation {i} diverged in candidate");
-        assert_eq!(s.latency, f.latency, "evaluation {i} diverged in latency");
-        assert_eq!(s.cost, f.cost, "evaluation {i} diverged in cost");
-    }
-    let pick = |o: &aquatope::alloc::SearchOutcome| o.best.clone().map(|(c, _, _)| c);
-    assert_eq!(
-        pick(&slow),
-        pick(&fast),
-        "incremental refit changed the final configuration under faults"
-    );
 }
 
 /// End-to-end anomaly-pruning benefit: profile through a simulator whose

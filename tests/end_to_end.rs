@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full AQUATOPE pipeline on real
 //! application workloads.
 
-use aquatope::core::{run_framework, Aquatope, AquatopeConfig, ClusterSpec, Framework, Workload};
+use aquatope::core::{run_framework, AquatopeConfig, ClusterSpec, Framework, Workload};
 use aquatope::faas::FunctionRegistry;
 use aquatope::prelude::*;
 use aquatope::workflows::{apps, RateTraceConfig};
@@ -21,12 +21,13 @@ fn full_pipeline_meets_qos_on_ml_pipeline() {
         app,
         arrivals: trace_arrivals(20, 6.0, 1),
     };
-    let mut controller = Aquatope::new(AquatopeConfig::fast());
-    let report = controller.run(
+    let report = run_framework(
+        Framework::Aquatope,
         &registry,
         std::slice::from_ref(&workload),
         ClusterSpec::default(),
         SimTime::from_secs(22 * 60),
+        &AquatopeConfig::fast(),
     );
     assert!(report.completed > 100, "completed {}", report.completed);
     assert!(
@@ -51,12 +52,13 @@ fn mixed_workload_all_apps_complete() {
             arrivals: trace_arrivals(15, 3.0, 3),
         },
     ];
-    let mut controller = Aquatope::new(AquatopeConfig::fast());
-    let report = controller.run(
+    let report = run_framework(
+        Framework::Aquatope,
         &registry,
         &workloads,
         ClusterSpec::default(),
         SimTime::from_secs(17 * 60),
+        &AquatopeConfig::fast(),
     );
     let arrived: usize = workloads.iter().map(|w| w.arrivals.len()).sum();
     assert!(
@@ -121,21 +123,19 @@ fn reports_are_deterministic_given_seeds() {
     };
     let (r1, w1) = build();
     let (r2, w2) = build();
-    let mut c1 = Aquatope::new(AquatopeConfig::fast());
-    let mut c2 = Aquatope::new(AquatopeConfig::fast());
     let horizon = SimTime::from_secs(12 * 60);
-    let a = c1.run(
-        &r1,
-        std::slice::from_ref(&w1),
-        ClusterSpec::default(),
-        horizon,
-    );
-    let b = c2.run(
-        &r2,
-        std::slice::from_ref(&w2),
-        ClusterSpec::default(),
-        horizon,
-    );
+    let run = |registry, workload| {
+        run_framework(
+            Framework::Aquatope,
+            registry,
+            std::slice::from_ref(workload),
+            ClusterSpec::default(),
+            horizon,
+            &AquatopeConfig::fast(),
+        )
+    };
+    let a = run(&r1, &w1);
+    let b = run(&r2, &w2);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.cold_start_rate, b.cold_start_rate);
     assert_eq!(a.cpu_core_seconds, b.cpu_core_seconds);

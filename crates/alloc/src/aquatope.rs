@@ -26,25 +26,24 @@ use aqua_telemetry::{SimEvent, Telemetry};
 use crate::evaluator::ConfigEvaluator;
 use crate::{outcome_from_history, ResourceManager, SearchOutcome, SearchStep};
 
-/// Tunables of [`AquatopeRm`].
+/// Halton-spread configurations evaluated before the surrogates are fit.
+pub const BOOTSTRAP: usize = 5;
+/// Candidate pool size per iteration (Halton + local perturbations).
+const CANDIDATES: usize = 72;
+/// QMC samples for the noisy-EI integral.
+const QMC_SAMPLES: usize = 16;
+/// Confidence level of the leave-one-out anomaly pruner.
+const ANOMALY_CONFIDENCE: f64 = 0.95;
+/// Observations kept when a behaviour change is detected.
+const SLIDING_WINDOW: usize = 12;
+
+/// The switches of [`AquatopeRm`] that the paper's ablations vary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AquatopeRmConfig {
-    /// Random configurations used to warm up the surrogates.
-    pub bootstrap: usize,
     /// Batch size per BO iteration (paper: 3).
     pub batch: usize,
-    /// Candidate pool size per iteration (Halton + local perturbations).
-    pub candidates: usize,
-    /// QMC samples for the noisy-EI integral.
-    pub qmc_samples: usize,
     /// Fixed observation-noise variance for both GPs (standardized units).
     pub noise: f64,
-    /// Confidence level of the leave-one-out anomaly pruner.
-    pub anomaly_confidence: f64,
-    /// Observations kept when a behaviour change is detected.
-    pub sliding_window: usize,
-    /// Enable behaviour-change detection / sliding-window retraining.
-    pub change_detection: bool,
     /// Disable all noise-awareness (anomaly pruning, noisy EI) — the
     /// *AquaLite* ablation of Fig. 15.
     pub noise_aware: bool,
@@ -53,14 +52,8 @@ pub struct AquatopeRmConfig {
 impl Default for AquatopeRmConfig {
     fn default() -> Self {
         AquatopeRmConfig {
-            bootstrap: 5,
             batch: 3,
-            candidates: 72,
-            qmc_samples: 16,
             noise: 0.05,
-            anomaly_confidence: 0.95,
-            sliding_window: 12,
-            change_detection: true,
             noise_aware: true,
         }
     }
@@ -178,8 +171,8 @@ impl AquatopeRm {
             return Some((cost_gp, lat_gp));
         }
         // Prune non-Gaussian outliers flagged on either surrogate.
-        let mut bad: Vec<usize> = detect_anomalies(&lat_gp, self.config.anomaly_confidence);
-        bad.extend(detect_anomalies(&cost_gp, self.config.anomaly_confidence));
+        let mut bad: Vec<usize> = detect_anomalies(&lat_gp, ANOMALY_CONFIDENCE);
+        bad.extend(detect_anomalies(&cost_gp, ANOMALY_CONFIDENCE));
         bad.sort_unstable();
         bad.dedup();
         if bad.is_empty() || bad.len() + 2 > self.observations.len() {
@@ -197,7 +190,7 @@ impl AquatopeRm {
     /// plus local perturbations of the best feasible point.
     fn candidates(&mut self, dim: usize, qos: f64) -> Vec<Vec<f64>> {
         let halton = self.halton.get_or_insert_with(|| Halton::new(dim.min(32)));
-        let mut cands = halton.points(self.config.candidates);
+        let mut cands = halton.points(CANDIDATES);
         // Exploit around the best feasible points at two perturbation
         // radii (local refinement matters in the quantized config space).
         let mut feasible: Vec<&SearchStep> = self
@@ -208,7 +201,7 @@ impl AquatopeRm {
         feasible.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite"));
         for best in feasible.iter().take(3) {
             for sigma in [0.05, 0.12] {
-                for _ in 0..(self.config.candidates / 12).max(2) {
+                for _ in 0..(CANDIDATES / 12).max(2) {
                     let perturbed: Vec<f64> = best
                         .u
                         .iter()
@@ -224,7 +217,7 @@ impl AquatopeRm {
     /// Checks whether the latest batch contradicts the model (behaviour
     /// change); if so, truncates to the sliding window.
     fn detect_change(&mut self, lat_gp: &Gp, batch: &[SearchStep]) {
-        if !self.config.change_detection || batch.len() < 2 {
+        if batch.len() < 2 {
             return;
         }
         let surprises = batch
@@ -240,12 +233,9 @@ impl AquatopeRm {
             })
             .count();
         // Majority of the batch contradicting the model ⇒ behaviour change.
-        if surprises * 2 >= batch.len().max(1)
-            && self.observations.len() > self.config.sliding_window
-        {
+        if surprises * 2 >= batch.len().max(1) && self.observations.len() > SLIDING_WINDOW {
             // Keep only the most recent window of samples.
-            let keep_from =
-                self.observations.len() - self.config.sliding_window.min(self.observations.len());
+            let keep_from = self.observations.len() - SLIDING_WINDOW;
             self.observations.drain(..keep_from);
             self.changes_detected += 1;
         }
@@ -268,7 +258,7 @@ impl ResourceManager for AquatopeRm {
         let mut spent = 0;
 
         // Bootstrap with Halton-spread random configurations.
-        while self.observations.len() < self.config.bootstrap && spent < budget {
+        while self.observations.len() < BOOTSTRAP && spent < budget {
             let mut u = self
                 .halton
                 .get_or_insert_with(|| Halton::new(dim.min(32)))
@@ -306,7 +296,7 @@ impl ResourceManager for AquatopeRm {
                     let cands = self.candidates(dim, qos_secs);
                     let nei = NeiConfig {
                         qmc_samples: if self.config.noise_aware {
-                            self.config.qmc_samples
+                            QMC_SAMPLES
                         } else {
                             1
                         },
@@ -468,13 +458,7 @@ mod tests {
     #[test]
     fn change_detection_slides_window() {
         let (mut eval, qos) = make_eval(70);
-        let mut rm = AquatopeRm::with_config(
-            3,
-            AquatopeRmConfig {
-                sliding_window: 6,
-                ..AquatopeRmConfig::default()
-            },
-        );
+        let mut rm = AquatopeRm::new(3);
         rm.optimize(&mut eval, qos, 18);
         assert_eq!(
             rm.changes_detected(),
@@ -509,7 +493,10 @@ mod tests {
             rm.changes_detected() >= 1,
             "behaviour change should be detected after the workload swap"
         );
-        assert!(rm.observations().len() <= 6 + 12, "sliding window applied");
+        assert!(
+            rm.observations().len() <= SLIDING_WINDOW + 12,
+            "sliding window applied"
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! * **noise awareness** (anomaly pruning + noisy EI + fixed-noise GPs) on
 //!   vs off, under production noise.
 
+use aqua_alloc::aquatope::BOOTSTRAP;
 use aqua_alloc::{AquatopeRm, AquatopeRmConfig, ResourceManager};
 use aqua_faas::NoiseModel;
 use aqua_linalg::mean;
@@ -46,7 +47,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
                 batch: 1,
                 noise_aware: false,
                 noise: 1e-6,
-                ..AquatopeRmConfig::default()
             },
         ),
     ];
@@ -58,7 +58,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
         let mut feasible = 0usize;
         // Profiling rounds ≈ wall-clock: a batch of q evaluates in parallel
         // on the platform, so rounds = bootstrap + (budget − bootstrap)/q.
-        let rounds = cfg.bootstrap + (budget - cfg.bootstrap).div_ceil(cfg.batch.max(1));
+        let rounds = BOOTSTRAP + (budget - BOOTSTRAP).div_ceil(cfg.batch.max(1));
         for seed in 0..seeds {
             let mut eval = sim_evaluator(
                 &registry,

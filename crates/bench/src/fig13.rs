@@ -28,6 +28,16 @@ fn measure(
     (cpu, mem)
 }
 
+/// Mean % of oracle over a manager's feasible repeats; NaN (written as
+/// `null`) when it found nothing feasible in any repeat, never 0 %.
+fn mean_pct(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        f64::NAN
+    } else {
+        mean(xs)
+    }
+}
+
 /// Runs the experiment and returns its JSON record.
 pub fn run(scale: Scale) -> serde_json::Value {
     let budget = scale.pick(30, 60);
@@ -68,12 +78,9 @@ pub fn run(scale: Scale) -> serde_json::Value {
             .iter()
             .enumerate()
             .map(|(mi, name)| {
-                let fmt = |xs: &[f64]| {
-                    if xs.is_empty() {
-                        "infeasible".to_string()
-                    } else {
-                        format!("{:.0}%", mean(xs))
-                    }
+                let fmt = |xs: &[f64]| match mean_pct(xs) {
+                    pct if pct.is_nan() => "infeasible".to_string(),
+                    pct => format!("{pct:.0}%"),
                 };
                 vec![name.to_string(), fmt(&cpu_pct[mi]), fmt(&mem_pct[mi])]
             })
@@ -90,9 +97,24 @@ pub fn run(scale: Scale) -> serde_json::Value {
         records.push(json!({
             "workflow": app.kind.name(),
             "managers": manager_names,
-            "cpu_pct_of_oracle": cpu_pct.iter().map(|v| mean(v)).collect::<Vec<_>>(),
-            "mem_pct_of_oracle": mem_pct.iter().map(|v| mean(v)).collect::<Vec<_>>(),
+            "cpu_pct_of_oracle": cpu_pct.iter().map(|v| mean_pct(v)).collect::<Vec<_>>(),
+            "mem_pct_of_oracle": mem_pct.iter().map(|v| mean_pct(v)).collect::<Vec<_>>(),
         }));
     }
     json!({ "experiment": "fig13", "workflows": records })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_manager_with_no_feasible_pick_is_recorded_as_null() {
+        assert_eq!(mean_pct(&[90.0, 110.0]), 100.0);
+        let record = json!({ "cpu_pct_of_oracle": vec![mean_pct(&[80.0]), mean_pct(&[])] });
+        assert_eq!(
+            serde_json::to_string(&record).expect("record serializes"),
+            r#"{"cpu_pct_of_oracle":[80.0,null]}"#
+        );
+    }
 }

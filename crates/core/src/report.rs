@@ -1,10 +1,9 @@
 //! End-to-end run reports.
 
 use aqua_faas::RunReport;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate outcome of an end-to-end run (the Fig. 18 metrics).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EndToEndReport {
     /// Fraction of workflow instances that violated their QoS.
     pub qos_violation_rate: f64,

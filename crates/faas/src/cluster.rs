@@ -3,13 +3,12 @@
 
 use aqua_sim::{FxHashMap, SimDuration, SimTime};
 use aqua_telemetry::{EvictionReason, SimEvent, Telemetry};
-use serde::{Deserialize, Serialize};
 
 use crate::container::{Container, ContainerState};
 use crate::types::{ContainerId, FunctionId, ResourceConfig, WorkerId};
 
 /// One invoker server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Worker {
     id: WorkerId,
     cpu_capacity: f64,
@@ -24,7 +23,7 @@ impl Worker {
 }
 
 /// Aggregate cluster state handed to pool policies each tick.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// Total memory reserved by containers, MiB.
     pub reserved_memory_mb: f64,

@@ -1,12 +1,11 @@
 //! Container instances and their lifecycle states.
 
 use aqua_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::types::{ContainerId, FunctionId, ResourceConfig, WorkerId};
 
 /// Lifecycle state of a container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerState {
     /// Cold boot in progress (runtime setup + init code).
     Booting,
@@ -17,7 +16,7 @@ pub enum ContainerState {
 }
 
 /// One container instance hosted on a worker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Container {
     /// Unique id within the run.
     pub id: ContainerId,

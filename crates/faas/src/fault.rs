@@ -28,6 +28,12 @@ use std::collections::HashMap;
 use aqua_sim::{SimDuration, SimRng};
 use aqua_telemetry::FaultKind;
 
+/// Mean delay of a delayed stage handoff, milliseconds (each draw jitters
+/// it by ×0.5–1.5).
+const HANDOFF_DELAY_MS: f64 = 2000.0;
+/// Base backoff before a retry; attempt `k` waits `RETRY_BACKOFF · 2^(k-1)`.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(500);
+
 /// Per-class fault probabilities and magnitudes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRates {
@@ -43,15 +49,13 @@ pub struct FaultRates {
     /// execution time (the straggler runs `straggler_factor`× longer).
     pub straggler_factor: f64,
     /// Probability that a stage handoff (parent stage complete → dependent
-    /// stage dispatch) is delayed.
+    /// stage dispatch) is delayed, by about 2 s.
     pub handoff_delay: f64,
-    /// Delay applied to a delayed handoff, milliseconds.
-    pub handoff_delay_ms: f64,
 }
 
 impl Default for FaultRates {
-    /// All rates zero; magnitudes at representative defaults (4× straggler
-    /// slowdown, 2 s handoff delay) so enabling a rate alone is meaningful.
+    /// All rates zero; the straggler slowdown at a representative 4× so
+    /// enabling that rate alone is meaningful.
     fn default() -> Self {
         FaultRates {
             boot_fail: 0.0,
@@ -59,7 +63,6 @@ impl Default for FaultRates {
             straggler: 0.0,
             straggler_factor: 4.0,
             handoff_delay: 0.0,
-            handoff_delay_ms: 2000.0,
         }
     }
 }
@@ -225,7 +228,7 @@ impl FaultState {
         if self.handoff.fire(self.rates.handoff_delay) {
             let jitter = 0.5 + self.handoff.rng.uniform();
             Some(SimDuration::from_secs_f64(
-                self.rates.handoff_delay_ms * jitter / 1000.0,
+                HANDOFF_DELAY_MS * jitter / 1000.0,
             ))
         } else {
             None
@@ -241,8 +244,6 @@ pub struct RetryPolicy {
     /// exhausts them is **rejected** and its workflow instance never
     /// completes.
     pub max_retries: u32,
-    /// Base backoff before a retry; attempt `k` waits `backoff · 2^k`.
-    pub backoff: SimDuration,
     /// Per-invocation timeout: an attempt running longer is cancelled
     /// (its slot freed) and retried. `None` disables timeouts.
     pub task_timeout: Option<SimDuration>,
@@ -254,7 +255,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 2,
-            backoff: SimDuration::from_millis(500),
             task_timeout: None,
         }
     }
@@ -264,7 +264,7 @@ impl RetryPolicy {
     /// Backoff before retry attempt `attempt` (1-based), exponential with
     /// a capped exponent.
     pub fn backoff_for(&self, attempt: u32) -> SimDuration {
-        self.backoff * (1u64 << attempt.saturating_sub(1).min(10))
+        RETRY_BACKOFF * (1u64 << attempt.saturating_sub(1).min(10))
     }
 }
 

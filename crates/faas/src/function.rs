@@ -1,7 +1,6 @@
 //! Function specifications and the resource-dependent latency model.
 
 use aqua_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::interference::NoiseModel;
 use crate::types::{FunctionId, ResourceConfig};
@@ -19,7 +18,7 @@ use crate::types::{FunctionId, ResourceConfig};
 ///   (dependency download, model loading) that itself consumes resources —
 ///   the cold/warm asymmetry that motivates jointly solving pre-warming and
 ///   allocation (§2.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionSpec {
     /// Human-readable name.
     pub name: String,
@@ -152,7 +151,7 @@ impl FunctionSpec {
 }
 
 /// Registry mapping [`FunctionId`]s to specs for one simulation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FunctionRegistry {
     specs: Vec<FunctionSpec>,
 }

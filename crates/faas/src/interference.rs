@@ -9,10 +9,9 @@
 //! "noise level" scales the frequency and intensity of those bursts.
 
 use aqua_sim::{LogNormal, Pareto, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Execution-time noise model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Extra Gaussian-ish CV added on top of each function's intrinsic CV.
     pub gaussian_cv: f64,

@@ -1,12 +1,11 @@
 //! Per-invocation and per-workflow records plus run-level summaries.
 
 use aqua_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::types::FunctionId;
 
 /// Outcome of one function invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvocationRecord {
     /// Function invoked.
     pub function: FunctionId,
@@ -41,7 +40,7 @@ impl InvocationRecord {
 }
 
 /// Outcome of one workflow instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowRecord {
     /// Index of the instance in arrival order.
     pub instance: usize,
@@ -63,7 +62,7 @@ impl WorkflowRecord {
 }
 
 /// Everything a simulation run produced.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Every invocation, in completion order.
     pub invocations: Vec<InvocationRecord>,
@@ -87,7 +86,6 @@ pub struct RunReport {
     /// Discrete events processed by the run's event loop(s) — what
     /// `aqua-benchmark` reports as `faas.events` and divides wall time by
     /// for `faas.ns_per_event`.
-    #[serde(default)]
     pub events_processed: u64,
 }
 

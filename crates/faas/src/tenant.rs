@@ -7,12 +7,10 @@
 //! vocabulary so a "noisy neighbor" means the same thing whether a cell
 //! runs in the batch simulator or against the live reactor.
 
-use serde::{Deserialize, Serialize};
-
 use aqua_sim::SimDuration;
 
 /// Index of a tenant sharing the control plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub usize);
 
 /// A tenant's QoS class: the latency promise the plane makes to it and

@@ -1,25 +1,23 @@
 //! Identifier newtypes and the per-function resource configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::workflow::WorkflowDag;
 
 /// Index of a registered function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FunctionId(pub usize);
 
 /// Index of a worker server (invoker).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WorkerId(pub usize);
 
 /// Unique id of a container instance over a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(pub u64);
 
 /// Per-function resource allocation: the knobs AQUATOPE's resource manager
 /// optimizes, matching the interface of major FaaS providers (§5.1):
 /// CPU, memory, and container concurrency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceConfig {
     /// CPU cores allocated to the container (fractional allowed).
     pub cpu: f64,
@@ -74,7 +72,7 @@ impl ResourceConfig {
 
 /// The bounds of the resource configuration space used by the resource
 /// managers (search space of the BO engine).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfigSpace {
     /// Minimum / maximum CPU cores.
     pub cpu: (f64, f64),
@@ -135,7 +133,7 @@ impl ConfigSpace {
 }
 
 /// Resource configuration for every stage of a workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageConfigs {
     configs: Vec<ResourceConfig>,
 }

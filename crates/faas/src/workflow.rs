@@ -6,12 +6,10 @@
 //! This models the composition mechanisms of §2.1 (chaining, fan-out /
 //! fan-in, and arbitrary combinations).
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::FunctionId;
 
 /// One execution stage of a workflow.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stage {
     /// The function this stage invokes.
     pub function: FunctionId,
@@ -54,7 +52,7 @@ impl Stage {
 /// assert_eq!(dag.num_stages(), 3);
 /// assert_eq!(dag.stage(1).tasks, 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkflowDag {
     name: String,
     stages: Vec<Stage>,

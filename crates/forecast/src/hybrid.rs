@@ -48,8 +48,7 @@ pub struct HybridConfig {
 impl Default for HybridConfig {
     /// Laptop-scale defaults that keep the paper's architecture shape
     /// (stacked encoder/decoder, 3-layer tanh MLP, MC dropout) while
-    /// training in seconds. Use [`HybridConfig::paper_scale`] for the full
-    /// 64/16 widths.
+    /// training in seconds.
     fn default() -> Self {
         HybridConfig {
             window: 24,
@@ -62,18 +61,6 @@ impl Default for HybridConfig {
             train_epochs: 12,
             mc_passes: 40,
             seed: 0xA00A,
-        }
-    }
-}
-
-impl HybridConfig {
-    /// The paper's full-size architecture (2×64 encoder, 2×16 decoder).
-    pub fn paper_scale() -> Self {
-        HybridConfig {
-            enc_hidden: vec![64, 64],
-            dec_hidden: vec![16, 16],
-            mlp_hidden: vec![64, 32],
-            ..Self::default()
         }
     }
 }
@@ -480,13 +467,6 @@ mod tests {
         let f = model.forecast(&series[..150]);
         assert!(f.std > 0.0, "MC dropout must yield nonzero predictive std");
         assert!(f.mean >= 0.0);
-    }
-
-    #[test]
-    fn paper_scale_config_has_paper_widths() {
-        let cfg = HybridConfig::paper_scale();
-        assert_eq!(cfg.enc_hidden, vec![64, 64]);
-        assert_eq!(cfg.dec_hidden, vec![16, 16]);
     }
 
     #[test]

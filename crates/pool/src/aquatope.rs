@@ -22,6 +22,11 @@ use aqua_telemetry::{SimEvent, Telemetry};
 
 use crate::to_series;
 
+/// Uncertainty head-room: the pool target is ⌈mean + `UNCERTAINTY_Z`·std⌉.
+const UNCERTAINTY_Z: f64 = 1.3;
+/// Keep-alive for idle containers (short: the pool is predictive).
+const KEEP_ALIVE: SimDuration = SimDuration::from_secs(120);
+
 /// Configuration of [`AquatopePool`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AquatopePoolConfig {
@@ -32,12 +37,8 @@ pub struct AquatopePoolConfig {
     pub retrain_every: usize,
     /// Sliding training-window length (most recent windows kept).
     pub training_window: usize,
-    /// Uncertainty head-room: pool target = ⌈mean + z·std⌉.
-    pub uncertainty_z: f64,
     /// Whether to use MC-dropout uncertainty at all (false = AquaLite).
     pub uncertainty: bool,
-    /// Keep-alive for idle containers (short: the pool is predictive).
-    pub keep_alive: SimDuration,
     /// Hybrid-model hyperparameters.
     pub hybrid: HybridConfig,
 }
@@ -56,9 +57,7 @@ impl Default for AquatopePoolConfig {
             warmup_windows: 64,
             retrain_every: 120,
             training_window: 480,
-            uncertainty_z: 1.3,
             uncertainty: true,
-            keep_alive: SimDuration::from_secs(120),
             hybrid: HybridConfig {
                 window: 24,
                 horizon: 2,
@@ -157,10 +156,10 @@ impl AquatopePool {
         self
     }
 
-    /// The AquaLite ablation: same model, no uncertainty estimation.
+    /// The AquaLite ablation: same model, no uncertainty estimation. Its
+    /// point forecast has `std = 0`, so the target is ⌈mean⌉.
     pub fn aqualite(mut config: AquatopePoolConfig, dags: &[&WorkflowDag]) -> Self {
         config.uncertainty = false;
-        config.uncertainty_z = 0.0;
         AquatopePool::new(config, dags)
     }
 
@@ -213,7 +212,7 @@ impl AquatopePool {
                 } else {
                     aqua_forecast::Forecast::point(model.forecast_point(&series))
                 };
-                let raw = forecast.ucb(config.uncertainty_z);
+                let raw = forecast.ucb(UNCERTAINTY_Z);
                 let target = if raw < 0.45 { 0 } else { raw.ceil() as usize };
                 TargetPrediction {
                     target,
@@ -304,7 +303,7 @@ impl PrewarmController for AquatopePool {
                 PoolDecision {
                     function: s.function,
                     prewarm_target: Some(target),
-                    keep_alive: self.config.keep_alive,
+                    keep_alive: KEEP_ALIVE,
                     shrink: true,
                 }
             })
@@ -398,7 +397,6 @@ mod tests {
         let run = |uncertainty: bool| -> usize {
             let mut cfg = fast_config();
             cfg.uncertainty = uncertainty;
-            cfg.uncertainty_z = if uncertainty { 2.0 } else { 0.0 };
             let mut p = AquatopePool::new(cfg, &[]);
             let mut total = 0usize;
             let mut rngish = 1u64;
@@ -444,9 +442,25 @@ mod tests {
 
     #[test]
     fn aqualite_disables_uncertainty() {
-        let p = AquatopePool::aqualite(fast_config(), &[]);
+        let (tel, rec) = Telemetry::recording();
+        let mut p = AquatopePool::aqualite(fast_config(), &[]).with_telemetry(tel);
         assert!(!p.config.uncertainty);
-        assert_eq!(p.config.uncertainty_z, 0.0);
+        // Once trained, every target rests on a point forecast: σ = 0.
+        for minute in 0..60u64 {
+            p.tick(&obs(&[3 + (minute % 4) as u32], minute));
+        }
+        let trained: Vec<f64> = rec
+            .lock()
+            .expect("recorder lock")
+            .events()
+            .into_iter()
+            .skip(40)
+            .filter_map(|e| match e {
+                SimEvent::PoolResize { predicted_std, .. } => Some(predicted_std),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(trained, vec![0.0; 20]);
     }
 
     /// A resident policy's memory is bounded, and forgetting old windows

@@ -39,7 +39,7 @@ pub use aquatope::{AquaLitePool, AquatopePool, AquatopePoolConfig};
 pub use baselines::{FaasCachePolicy, IceBreakerPolicy, ReactiveAutoscale};
 pub use histogram::HistogramPolicy;
 pub use service::LivePoolSignal;
-pub use slack::{SlackAwarePolicy, SlackConfig};
+pub use slack::SlackAwarePolicy;
 
 use aqua_forecast::{SeriesPoint, TriggerKind};
 

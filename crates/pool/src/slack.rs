@@ -24,37 +24,16 @@ use aqua_faas::{
 };
 use aqua_sim::SimDuration;
 
-/// Configuration of [`SlackAwarePolicy`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlackConfig {
-    /// Container boots are batched in multiples of this bucket size.
-    pub bucket: usize,
-    /// Pre-warming is deferred while a function's slack exceeds
-    /// `defer_margin ×` its cold-start estimate.
-    pub defer_margin: f64,
-    /// EWMA smoothing factor for the per-window demand estimate.
-    pub ewma_alpha: f64,
-    /// Head-room multiplier over smoothed demand for slack-poor stages.
-    pub headroom: f64,
-    /// Keep-alive for idle containers.
-    pub keep_alive: SimDuration,
-}
-
-impl Default for SlackConfig {
-    /// Buckets of 2, defer while slack covers one full cold start, 25%
-    /// head-room, 5-minute keep-alive (Fifer holds queued requests rather
-    /// than capacity, so its keep-alive sits between the pure caches and
-    /// the predictive poolers).
-    fn default() -> Self {
-        SlackConfig {
-            bucket: 2,
-            defer_margin: 1.0,
-            ewma_alpha: 0.4,
-            headroom: 1.25,
-            keep_alive: SimDuration::from_secs(300),
-        }
-    }
-}
+/// Container boots are batched in multiples of this bucket size.
+const BUCKET: usize = 2;
+/// EWMA smoothing factor for the per-window demand estimate.
+const EWMA_ALPHA: f64 = 0.4;
+/// Head-room multiplier over smoothed demand for slack-poor stages.
+const HEADROOM: f64 = 1.25;
+/// Keep-alive for idle containers: Fifer holds queued requests rather
+/// than capacity, so its keep-alive sits between the pure caches and the
+/// predictive poolers.
+const KEEP_ALIVE: SimDuration = SimDuration::from_secs(300);
 
 #[derive(Debug, Clone, Default)]
 struct FnSlackState {
@@ -65,7 +44,6 @@ struct FnSlackState {
 /// The slack-aware batching/queueing pre-warm policy.
 #[derive(Debug, Clone)]
 pub struct SlackAwarePolicy {
-    config: SlackConfig,
     /// Per-function slack estimate in milliseconds (functions absent from
     /// every registered workflow get zero slack — treated conservatively).
     slack_ms: HashMap<FunctionId, f64>,
@@ -82,11 +60,7 @@ impl SlackAwarePolicy {
     /// proportionally to stage execution time (Fifer's proportional slack
     /// allocation) and a function inherits the *smallest* slack of any
     /// stage it serves.
-    pub fn new(
-        config: SlackConfig,
-        workflows: &[(&WorkflowDag, SimDuration)],
-        registry: &FunctionRegistry,
-    ) -> Self {
+    pub fn new(workflows: &[(&WorkflowDag, SimDuration)], registry: &FunctionRegistry) -> Self {
         let base = ResourceConfig::default();
         let mut slack_ms: HashMap<FunctionId, f64> = HashMap::new();
         let mut cold_ms = HashMap::new();
@@ -116,7 +90,6 @@ impl SlackAwarePolicy {
             }
         }
         SlackAwarePolicy {
-            config,
             slack_ms,
             cold_ms,
             state: HashMap::new(),
@@ -128,11 +101,11 @@ impl SlackAwarePolicy {
         self.slack_ms.get(&function).copied().unwrap_or(0.0)
     }
 
-    /// Whether pre-warming is deferred for `function` (its slack covers a
-    /// cold start, so queueing is free deadline-wise).
+    /// Whether pre-warming is deferred for `function` (its slack covers one
+    /// full cold start, so queueing is free deadline-wise).
     pub fn defers(&self, function: FunctionId) -> bool {
         let cold = self.cold_ms.get(&function).copied().unwrap_or(f64::MAX);
-        self.slack_of(function) >= cold * self.config.defer_margin
+        self.slack_of(function) >= cold
     }
 
     /// Rounds a demand estimate up to the bucket size (batched boots).
@@ -143,7 +116,7 @@ impl SlackAwarePolicy {
             return 0;
         }
         let raw = demand.ceil() as usize;
-        raw.div_ceil(self.config.bucket) * self.config.bucket
+        raw.div_ceil(BUCKET) * BUCKET
     }
 }
 
@@ -153,8 +126,8 @@ impl PrewarmController for SlackAwarePolicy {
             .iter()
             .map(|s| {
                 let st = self.state.entry(s.function).or_default();
-                let a = self.config.ewma_alpha;
-                st.ewma_demand = a * s.peak_concurrency as f64 + (1.0 - a) * st.ewma_demand;
+                st.ewma_demand =
+                    EWMA_ALPHA * s.peak_concurrency as f64 + (1.0 - EWMA_ALPHA) * st.ewma_demand;
                 let demand = st.ewma_demand;
                 let base = if self.defers(s.function) {
                     // Slack covers the cold start: queue requests instead
@@ -162,12 +135,12 @@ impl PrewarmController for SlackAwarePolicy {
                     // the fault-free path stays a strict no-op).
                     None
                 } else {
-                    Some(self.bucketize(demand * self.config.headroom))
+                    Some(self.bucketize(demand * HEADROOM))
                 };
                 PoolDecision {
                     function: s.function,
                     prewarm_target: replacement_target(base, s.failed_boots),
-                    keep_alive: self.config.keep_alive,
+                    keep_alive: KEEP_ALIVE,
                     shrink: true,
                 }
             })
@@ -224,7 +197,6 @@ mod tests {
         );
         let dag = WorkflowDag::chain("w", vec![fast, slow]);
         let policy = SlackAwarePolicy::new(
-            SlackConfig::default(),
             &[(&dag, SimDuration::from_secs_f64(deadline_secs))],
             &registry,
         );

@@ -14,7 +14,7 @@ use aqua_faas::{
     replacement_target, FixedPrewarm, FunctionId, PoolDecision, PoolObservation, PrewarmController,
 };
 use aqua_forecast::HybridConfig;
-use aqua_pool::{AquatopePool, AquatopePoolConfig, HistogramPolicy, SlackAwarePolicy, SlackConfig};
+use aqua_pool::{AquatopePool, AquatopePoolConfig, HistogramPolicy, SlackAwarePolicy};
 use aqua_sim::SimDuration;
 
 use crate::scenario::ScenarioInstance;
@@ -71,11 +71,7 @@ impl PolicyKind {
                     .zip(&inst.deadlines)
                     .map(|(j, &d)| (&j.dag, d))
                     .collect();
-                Box::new(SlackAwarePolicy::new(
-                    SlackConfig::default(),
-                    &workflows,
-                    &inst.registry,
-                ))
+                Box::new(SlackAwarePolicy::new(&workflows, &inst.registry))
             }
             PolicyKind::Oracle => Box::new(OraclePrewarm::new(inst)),
         }

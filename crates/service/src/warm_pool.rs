@@ -46,9 +46,6 @@ pub struct WarmPoolConfig {
     /// Boot semaphore: maximum pre-warm boots in flight at once across
     /// all functions.
     pub max_concurrent_boots: usize,
-    /// Filler floor: minimum idle-plus-booting containers per function
-    /// with a nonzero pre-warm target.
-    pub min_idle: usize,
     /// Keep-alive applied before the policy's first decision.
     pub default_keep_alive: SimDuration,
     /// Total memory the pool may reserve, MiB.
@@ -59,7 +56,6 @@ impl Default for WarmPoolConfig {
     fn default() -> Self {
         WarmPoolConfig {
             max_concurrent_boots: 64,
-            min_idle: 0,
             default_keep_alive: SimDuration::from_secs(600),
             memory_budget_mb: 256.0 * 16.0 * 1024.0,
         }
@@ -395,11 +391,10 @@ impl WarmPoolManager {
             if self.draining {
                 continue;
             }
-            let desired = match target {
-                Some(t) => t.max(self.cfg.min_idle),
-                None => continue,
+            let Some(target) = target else {
+                continue;
             };
-            let mut deficit = desired.saturating_sub(self.pools[i].headroom());
+            let mut deficit = target.saturating_sub(self.pools[i].headroom());
             while deficit > 0 {
                 if self.prewarm_inflight >= self.cfg.max_concurrent_boots {
                     self.stats.semaphore_deferrals += deficit as u64;
@@ -654,7 +649,6 @@ mod tests {
         WarmPoolManager::new(
             WarmPoolConfig {
                 max_concurrent_boots: max_boots,
-                min_idle: 0,
                 default_keep_alive: SimDuration::from_secs(600),
                 memory_budget_mb: budget_mb,
             },

@@ -6,13 +6,8 @@
 //! arrival noise and execution noise do not perturb each other when one
 //! component draws more samples.
 
-use rand::{Error, RngCore, SeedableRng};
-
-/// Deterministic 64-bit PRNG (xoshiro256++) with cheap stream forking.
-///
-/// Implements [`rand::RngCore`] so it can be used with the `rand` crate's
-/// distribution adapters while remaining fully reproducible from a `u64`
-/// seed.
+/// Deterministic 64-bit PRNG (xoshiro256++) with cheap stream forking,
+/// fully reproducible from a `u64` seed.
 ///
 /// # Examples
 ///
@@ -171,32 +166,6 @@ impl SimRng {
             let j = self.below(i + 1);
             xs.swap(i, j);
         }
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = SimRng::next_u64(self).to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 8];
-    fn from_seed(seed: Self::Seed) -> Self {
-        SimRng::seed(u64::from_le_bytes(seed))
     }
 }
 

@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, measured in integer microseconds from the
 /// start of the simulation.
 ///
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_secs_f64(1.5);
 /// assert_eq!(t.as_millis(), 1_500);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, measured in integer microseconds.
@@ -35,9 +31,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_millis(250) * 4;
 /// assert_eq!(d.as_secs_f64(), 1.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

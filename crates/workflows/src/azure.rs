@@ -25,6 +25,9 @@ use aqua_sim::{SimRng, SimTime};
 
 use crate::apps::synthetic_function;
 
+/// Zipf popularity exponent across apps (0 would be uniform).
+const ZIPF_S: f64 = 0.8;
+
 /// Shape of an [`azure_scale`] workload.
 #[derive(Debug, Clone)]
 pub struct AzureScaleConfig {
@@ -34,8 +37,6 @@ pub struct AzureScaleConfig {
     pub minutes: u64,
     /// Aggregate arrival rate across all apps, workflows per minute.
     pub total_rpm: f64,
-    /// Zipf popularity exponent across apps (0 = uniform).
-    pub zipf_s: f64,
     /// Fraction of apps that are 2–3-stage chains instead of a single
     /// function (the Azure dataset is dominated by single-function apps).
     pub chain_fraction: f64,
@@ -51,7 +52,6 @@ impl AzureScaleConfig {
             apps: 1_100,
             minutes: 60,
             total_rpm: 18_000.0,
-            zipf_s: 0.8,
             chain_fraction: 0.15,
             seed: 0xA2_0423,
         }
@@ -64,7 +64,6 @@ impl AzureScaleConfig {
             apps: 96,
             minutes: 4,
             total_rpm: 1_500.0,
-            zipf_s: 0.8,
             chain_fraction: 0.15,
             seed: 0xA2_0423,
         }
@@ -96,7 +95,7 @@ pub fn azure_scale(cfg: &AzureScaleConfig) -> AzureWorkload {
 
     // Zipf popularity: weight 1/(rank+1)^s, normalized to total_rpm.
     let weights: Vec<f64> = (0..cfg.apps)
-        .map(|i| 1.0 / ((i + 1) as f64).powf(cfg.zipf_s))
+        .map(|i| 1.0 / ((i + 1) as f64).powf(ZIPF_S))
         .collect();
     let norm: f64 = weights.iter().sum();
 

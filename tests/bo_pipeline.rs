@@ -72,7 +72,6 @@ fn batch_sampling_respects_budget_exactly() {
     let (mut eval, qos) = ml_eval(NoiseModel::production(), 2, 7);
     let cfg = AquatopeRmConfig {
         batch: 3,
-        bootstrap: 5,
         ..AquatopeRmConfig::default()
     };
     let out = AquatopeRm::with_config(7, cfg).optimize(&mut eval, qos, 20);

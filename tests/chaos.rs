@@ -483,7 +483,6 @@ fn counted_run(
     let retry = RetryPolicy {
         max_retries: 1,
         task_timeout: Some(SimDuration::from_secs(20)),
-        ..RetryPolicy::default()
     };
     let mut sim = FaasSim::builder()
         .workers(WORKERS, 24.0, MEM_MB)
@@ -559,7 +558,6 @@ fn unfinished_and_rejected_match_a_recount_from_the_trace() {
         straggler: 0.25,
         straggler_factor: 40.0,
         handoff_delay: 0.10,
-        ..FaultRates::default()
     };
     let last = 30u64 * 4;
     // Thirty arrivals 4 s apart, then three the horizon never reaches.

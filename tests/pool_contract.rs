@@ -22,7 +22,7 @@ use aquatope::faas::{
 };
 use aquatope::pool::{
     AquatopePool, AquatopePoolConfig, FaasCachePolicy, HistogramPolicy, IceBreakerPolicy,
-    ReactiveAutoscale, SlackAwarePolicy, SlackConfig,
+    ReactiveAutoscale, SlackAwarePolicy,
 };
 use aquatope::prelude::*;
 use aquatope::scenarios::OraclePrewarm;
@@ -79,11 +79,7 @@ fn all_policies() -> Vec<(&'static str, Box<dyn PrewarmController>)> {
         ..AquatopePoolConfig::default()
     };
     let (registry, dag) = chain_fixture();
-    let slack = SlackAwarePolicy::new(
-        SlackConfig::default(),
-        &[(&dag, SimDuration::from_millis(1500))],
-        &registry,
-    );
+    let slack = SlackAwarePolicy::new(&[(&dag, SimDuration::from_millis(1500))], &registry);
     // A periodic oracle schedule over the three fixture functions.
     let schedule: HashMap<FunctionId, Vec<u32>> = (0..3)
         .map(|f| {

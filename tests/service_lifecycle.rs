@@ -131,7 +131,6 @@ fn filler_respects_the_boot_semaphore_under_failures() {
     let cfg = ServiceConfig {
         pool: WarmPoolConfig {
             max_concurrent_boots: 2,
-            min_idle: 2,
             ..WarmPoolConfig::default()
         },
         run_for: SimDuration::from_secs(30),

@@ -12,13 +12,13 @@ use aqua_linalg::mean;
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{print_table, sim_evaluator, Scale};
+use crate::common::sim_evaluator;
 
 /// Runs the ablations and returns the JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let budget = scale.pick(30, 55);
-    let samples = scale.pick(2, 3);
-    let seeds = scale.pick(3, 6);
+pub fn run() -> serde_json::Value {
+    let budget = 30;
+    let samples = 2;
+    let seeds = 3;
 
     let mut registry = aqua_faas::FunctionRegistry::new();
     let app = apps::ml_pipeline(&mut registry);
@@ -51,7 +51,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
         ),
     ];
 
-    let mut rows = Vec::new();
     let mut records = Vec::new();
     for (name, cfg) in &variants {
         let mut costs = Vec::new();
@@ -78,12 +77,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
         } else {
             mean(&costs)
         };
-        rows.push(vec![
-            name.to_string(),
-            format!("{cost:.2}"),
-            format!("{feasible}/{seeds}"),
-            rounds.to_string(),
-        ]);
         records.push(json!({
             "variant": name,
             "mean_cost": cost,
@@ -91,14 +84,5 @@ pub fn run(scale: Scale) -> serde_json::Value {
             "profiling_rounds": rounds,
         }));
     }
-    print_table(
-        "Ablations: AQUATOPE RM design choices on the ML pipeline",
-        &["Variant", "Mean best cost", "Feasible", "Profiling rounds"],
-        &rows,
-    );
-    println!(
-        "(batching cuts profiling rounds ≈ {}×; noise-awareness protects quality under production noise)",
-        3
-    );
     json!({ "experiment": "ablation", "variants": records })
 }

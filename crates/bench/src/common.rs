@@ -1,5 +1,5 @@
-//! Shared experiment infrastructure: scale control, table printing, JSON
-//! output, and workload construction.
+//! Shared experiment infrastructure: JSON output and workload
+//! construction.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -10,62 +10,6 @@ use aqua_faas::{FaasSim, FunctionRegistry, NoiseModel, StageConfigs, WorkflowDag
 use aqua_linalg::mean;
 use aqua_sim::{SimRng, SimTime};
 use aqua_workflows::{apps, App, RateTraceConfig};
-
-/// Experiment scale, selected with the `AQUA_SCALE` environment variable
-/// (`quick` default, `full` for paper-scale runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Minutes-long runs: short traces, few repeats.
-    Quick,
-    /// Paper-scale runs: long traces, more repeats.
-    Full,
-}
-
-impl Scale {
-    /// Reads `AQUA_SCALE` (default quick).
-    pub fn from_env() -> Self {
-        match std::env::var("AQUA_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
-        }
-    }
-
-    /// Picks between the quick and full value.
-    pub fn pick<T>(self, quick: T, full: T) -> T {
-        match self {
-            Scale::Quick => quick,
-            Scale::Full => full,
-        }
-    }
-}
-
-/// Prints a fixed-width table with a title.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let widths: Vec<usize> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            rows.iter()
-                .map(|r| r.get(i).map_or(0, |c| c.len()))
-                .chain(std::iter::once(h.len()))
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-    let line = |cells: Vec<String>| {
-        let mut out = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!("{:>width$}  ", c, width = widths[i]));
-        }
-        println!("{}", out.trim_end());
-    };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
-    }
-}
 
 /// Writes `value` as pretty-printed JSON to `path` — relative paths are
 /// taken from the workspace root, wherever the binary was started —
@@ -196,6 +140,18 @@ pub fn all_apps() -> (FunctionRegistry, Vec<App>) {
     (registry, apps)
 }
 
+/// The five evaluated workflows, each in its own registry.
+pub(crate) fn five_workflows() -> Vec<(FunctionRegistry, App)> {
+    apps::AppKind::ALL
+        .iter()
+        .map(|k| {
+            let mut registry = FunctionRegistry::new();
+            let app = k.build(&mut registry);
+            (registry, app)
+        })
+        .collect()
+}
+
 /// An Azure-like workload trace for one app: diurnal + bursts, scaled to
 /// `rpm` mean invocations/minute over `minutes`.
 pub fn azure_like_arrivals(minutes: usize, rpm: f64, seed: u64) -> Vec<SimTime> {
@@ -219,12 +175,6 @@ pub fn azure_like_arrivals(minutes: usize, rpm: f64, seed: u64) -> Vec<SimTime> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_pick() {
-        assert_eq!(Scale::Quick.pick(1, 2), 1);
-        assert_eq!(Scale::Full.pick(1, 2), 2);
-    }
 
     #[test]
     fn apps_and_cluster_build() {

@@ -7,41 +7,41 @@
 
 use aqua_faas::sim::WorkflowJob;
 use aqua_faas::types::ResourceConfig;
-use aqua_faas::{FixedPrewarm, NoiseModel, PrewarmController, StageConfigs};
+use aqua_faas::{
+    FixedPrewarm, FunctionId, FunctionRegistry, NoiseModel, PrewarmController, StageConfigs,
+};
 use aqua_pool::{
     AquatopePool, AquatopePoolConfig, FaasCachePolicy, HistogramPolicy, IceBreakerPolicy,
     ReactiveAutoscale,
 };
 use aqua_sim::{SimRng, SimTime};
-use aqua_workflows::{apps, App};
+use aqua_workflows::{apps, split_history};
 use serde_json::json;
 
-use crate::common::{cluster_sim, print_table, Scale};
+use crate::common::cluster_sim;
+
+/// The measured window starts after `HISTORY_MINUTES` of recorded
+/// invocations; predictive policies train on that history first, as the
+/// paper's scheduler does with the CouchDB invocation log.
+const HISTORY_MINUTES: usize = 360;
+/// Length of the measured window.
+const MINUTES: usize = 420;
 
 /// The Fig. 9 workload: intermittent Azure-like traffic where invocation
 /// gaps routinely exceed provider keep-alives (the dominant pattern in the
 /// Azure dataset — rarely-invoked functions with periodic timer components
 /// plus irregular arrivals). This is the regime in which keep-alive and
 /// pre-warming decisions decide the cold-start rate.
+///
+/// Registers the apps in `registry` and returns the live jobs and the
+/// per-function pre-load history.
 fn workload(
-    scale: Scale,
+    registry: &mut FunctionRegistry,
     seed: u64,
-) -> (
-    aqua_faas::FunctionRegistry,
-    Vec<WorkflowJob>,
-    SimTime,
-    Vec<App>,
-    Vec<Vec<f64>>, // per-app historical per-minute arrival counts
-) {
-    // The measured window starts after `history` minutes of recorded
-    // invocations; predictive policies train on that history first, as the
-    // paper's scheduler does with the CouchDB invocation log.
-    let history = scale.pick(360usize, 960);
-    let minutes = scale.pick(420usize, 900);
-    let total = history + minutes;
-    let mut registry = aqua_faas::FunctionRegistry::new();
-    let fan = apps::fan_out_in(&mut registry, 6);
-    let chain = apps::chain(&mut registry, 3);
+) -> (Vec<WorkflowJob>, Vec<(FunctionId, Vec<f64>)>) {
+    let total = HISTORY_MINUTES + MINUTES;
+    let fan = apps::fan_out_in(registry, 6);
+    let chain = apps::chain(registry, 3);
 
     let mut rng = SimRng::seed(seed);
     // App A: timer-driven every 20 min plus rare extra invocations —
@@ -73,72 +73,45 @@ fn workload(
         .map(|t| t.as_secs_f64() as u64)
         .collect();
 
-    // Split at the history boundary; live arrivals are shifted so the
-    // measured run starts at 0 (history is a whole number of hours, so
-    // calendar phases stay aligned).
-    let split_secs = history as u64 * 60;
-    let live = |secs: &[u64]| -> Vec<SimTime> {
-        secs.iter()
-            .filter(|s| **s >= split_secs)
-            .map(|s| SimTime::from_secs(s - split_secs))
-            .collect()
-    };
-    let hist_counts = |secs: &[u64], tasks_per_arrival: f64| -> Vec<f64> {
-        let mut counts = vec![0.0; history];
-        for s in secs.iter().filter(|s| **s < split_secs) {
-            counts[(*s / 60) as usize] += tasks_per_arrival;
-        }
-        counts
-    };
-    // Historical concurrency approximation: each workflow arrival briefly
-    // occupies one container per stage task.
-    let hist_a = hist_counts(&all_a, 1.0);
-    let hist_b = hist_counts(&all_b, 1.0);
-
-    let cfg_fan = StageConfigs::uniform(&fan.dag, ResourceConfig::new(1.0, 1024.0, 1));
-    let cfg_chain = StageConfigs::uniform(&chain.dag, ResourceConfig::new(1.0, 1024.0, 1));
-    let jobs = vec![
-        WorkflowJob::new(fan.dag.clone(), cfg_fan, live(&all_a)),
-        WorkflowJob::new(chain.dag.clone(), cfg_chain, live(&all_b)),
-    ];
-    let horizon = SimTime::from_secs(60 * (minutes as u64 + 2));
-    (
-        registry,
-        jobs,
-        horizon,
-        vec![fan, chain],
-        vec![hist_a, hist_b],
-    )
+    // Split at the history boundary (a whole number of hours, so calendar
+    // phases stay aligned); live arrivals start at 0.
+    let mut jobs = Vec::new();
+    let mut preload = Vec::new();
+    for (app, secs) in [(&fan, &all_a), (&chain, &all_b)] {
+        let arrivals: Vec<SimTime> = secs.iter().map(|s| SimTime::from_secs(*s)).collect();
+        let split = split_history(&app.dag, &arrivals, HISTORY_MINUTES);
+        let configs = StageConfigs::uniform(&app.dag, ResourceConfig::new(1.0, 1024.0, 1));
+        jobs.push(WorkflowJob::new(app.dag.clone(), configs, split.live));
+        preload.extend(split.history);
+    }
+    (jobs, preload)
 }
 
-fn pool_config(scale: Scale) -> AquatopePoolConfig {
+fn pool_config() -> AquatopePoolConfig {
     let mut cfg = AquatopePoolConfig {
-        warmup_windows: scale.pick(48, 64),
-        retrain_every: scale.pick(240, 180),
-        training_window: scale.pick(360, 960),
+        warmup_windows: 48,
+        retrain_every: 240,
+        training_window: 360,
         ..AquatopePoolConfig::default()
     };
-    cfg.hybrid.pretrain_epochs = scale.pick(4, 6);
-    cfg.hybrid.train_epochs = scale.pick(10, 14);
+    cfg.hybrid.pretrain_epochs = 4;
+    cfg.hybrid.train_epochs = 10;
     cfg
 }
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
+pub fn run() -> serde_json::Value {
     let seed = 0xF1609;
-    let (registry, jobs, horizon, the_apps, histories) = workload(scale, seed);
-    let dags: Vec<&aqua_faas::WorkflowDag> = the_apps.iter().map(|a| &a.dag).collect();
+    let mut registry = FunctionRegistry::new();
+    let (jobs, preload) = workload(&mut registry, seed);
+    let horizon = SimTime::from_secs(60 * (MINUTES as u64 + 2));
+    let dags: Vec<&aqua_faas::WorkflowDag> = jobs.iter().map(|j| &j.dag).collect();
 
-    // Per-function scaled histories: a stage with k tasks sees k× the
-    // workflow arrival concurrency.
     let mut ice = IceBreakerPolicy::new();
-    let mut aqua = AquatopePool::new(pool_config(scale), &dags);
-    for (app, hist) in the_apps.iter().zip(&histories) {
-        for stage in app.dag.stages() {
-            let scaled: Vec<f64> = hist.iter().map(|c| c * stage.tasks as f64).collect();
-            ice.preload_history(stage.function, &scaled);
-            aqua.preload_history(stage.function, &scaled);
-        }
+    let mut aqua = AquatopePool::new(pool_config(), &dags);
+    for (function, history) in &preload {
+        ice.preload_history(*function, history);
+        aqua.preload_history(*function, history);
     }
 
     let policies: Vec<(&str, Box<dyn PrewarmController>)> = vec![
@@ -163,35 +136,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
     }
 
     let keep_memory = results[0].2;
-    let paper_cold = [51.0, 44.0, 34.0, 43.0, 28.0, 4.0];
-    let paper_mem = [100.0, 105.0, 90.0, 103.0, 75.0, 58.0];
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .enumerate()
-        .map(|(i, (name, cold, mem, done))| {
-            vec![
-                name.to_string(),
-                format!("{:.1}%", cold * 100.0),
-                format!("{:.0}%", paper_cold[i]),
-                format!("{:.0}%", 100.0 * mem / keep_memory),
-                format!("{:.0}%", paper_mem[i]),
-                done.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Fig. 9: cold starts (a) and provisioned memory time (b), relative to Keep",
-        &[
-            "Policy",
-            "Cold",
-            "Paper-cold",
-            "Mem (%Keep)",
-            "Paper-mem",
-            "Completed",
-        ],
-        &rows,
-    );
-
     json!({
         "experiment": "fig09",
         "policies": results.iter().map(|(n, c, m, d)| json!({

@@ -9,22 +9,21 @@ use aqua_faas::sim::WorkflowJob;
 use aqua_faas::types::ResourceConfig;
 use aqua_faas::{NoiseModel, PrewarmController, StageConfigs};
 use aqua_pool::{AquatopePool, AquatopePoolConfig, IceBreakerPolicy};
-use aqua_sim::{arrivals_with_cv, SimRng, SimTime};
-use aqua_workflows::apps;
+use aqua_sim::{arrivals_with_cv, SimDuration, SimRng, SimTime};
+use aqua_workflows::{apps, split_history};
 use serde_json::json;
 
-use crate::common::{cluster_sim, print_table, Scale};
+use crate::common::cluster_sim;
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
+pub fn run() -> serde_json::Value {
     // Sparse traffic: mean inter-arrival of 4 minutes straddles the
     // policies' keep-alives, so the gap distribution (the CV) decides how
     // many invocations land cold.
-    let n_total = scale.pick(500, 1200);
+    let n_total = 500;
     let mean_gap = 240.0;
     let cvs = [0.0, 1.0, 2.0, 3.0, 4.0];
 
-    let mut rows = Vec::new();
     let mut records = Vec::new();
     for (ci, &cv) in cvs.iter().enumerate() {
         let mut registry = aqua_faas::FunctionRegistry::new();
@@ -33,30 +32,25 @@ pub fn run(scale: Scale) -> serde_json::Value {
         let all = arrivals_with_cv(n_total, mean_gap, cv, &mut rng);
 
         // First half is recorded history the models train on; second half
-        // is the measured run (shifted to start at 0, hour-aligned).
-        let split_idx = n_total / 2;
-        let split_min = (all[split_idx].as_secs_f64() / 3600.0).ceil() as u64 * 60;
-        let split = SimTime::from_secs(split_min * 60);
-        let history_minutes = split_min as usize;
-        let mut hist_counts = vec![0.0f64; history_minutes];
-        for t in all.iter().filter(|t| **t < split) {
-            let m = (t.as_secs_f64() / 60.0) as usize;
-            if m < history_minutes {
-                hist_counts[m] += 1.0;
-            }
-        }
+        // is the measured run (hour-aligned split, whole-second arrivals).
+        let split_min = (all[n_total / 2].as_secs_f64() / 3600.0).ceil() as usize * 60;
+        let whole_secs: Vec<SimTime> = all
+            .iter()
+            .map(|t| SimTime::from_secs(t.as_secs_f64() as u64))
+            .collect();
+        let split = split_history(&app.dag, &whole_secs, split_min);
         // +5 s phase offset so arrivals land just after the minute tick
         // (a deterministic CV=0 stream would otherwise race the pool
         // adjustment at exactly the tick instant).
-        let live: Vec<SimTime> = all
+        let live: Vec<SimTime> = split
+            .live
             .iter()
-            .filter(|t| **t >= split)
-            .map(|t| SimTime::from_secs(t.as_secs_f64() as u64 - split_min * 60 + 5))
+            .map(|t| *t + SimDuration::from_secs(5))
             .collect();
-        if live.is_empty() {
+        let Some(&last) = live.last() else {
             continue;
-        }
-        let horizon = *live.last().expect("non-empty") + aqua_sim::SimDuration::from_secs(300);
+        };
+        let horizon = last + SimDuration::from_secs(300);
         let configs = StageConfigs::uniform(&app.dag, ResourceConfig::new(1.0, 1024.0, 1));
         let job = WorkflowJob::new(app.dag.clone(), configs, live);
 
@@ -69,41 +63,25 @@ pub fn run(scale: Scale) -> serde_json::Value {
         let mut ice = IceBreakerPolicy::new();
         let mut pool_cfg = AquatopePoolConfig {
             warmup_windows: 40,
-            retrain_every: scale.pick(600, 400),
-            training_window: scale.pick(480, 960),
+            retrain_every: 600,
+            training_window: 480,
             ..AquatopePoolConfig::default()
         };
-        pool_cfg.hybrid.pretrain_epochs = scale.pick(3, 6);
-        pool_cfg.hybrid.train_epochs = scale.pick(8, 14);
+        pool_cfg.hybrid.pretrain_epochs = 3;
+        pool_cfg.hybrid.train_epochs = 8;
         let mut aqua = AquatopePool::new(pool_cfg, &[&app.dag]);
-        for stage in app.dag.stages() {
-            let scaled: Vec<f64> = hist_counts.iter().map(|c| c * stage.tasks as f64).collect();
-            ice.preload_history(stage.function, &scaled);
-            aqua.preload_history(stage.function, &scaled);
+        for (function, history) in &split.history {
+            ice.preload_history(*function, history);
+            aqua.preload_history(*function, history);
         }
 
         let ice_cold = run_policy(&mut ice);
         let aqua_cold = run_policy(&mut aqua);
-
-        rows.push(vec![
-            format!("{cv:.0}"),
-            format!("{:.1}%", ice_cold * 100.0),
-            format!("{:.1}%", aqua_cold * 100.0),
-            format!(
-                "{:+.0}%",
-                100.0 * (ice_cold - aqua_cold) / ice_cold.max(1e-9)
-            ),
-        ]);
         records.push(json!({
             "cv": cv,
             "icebreaker_cold": ice_cold,
             "aquatope_cold": aqua_cold,
         }));
     }
-    print_table(
-        "Fig. 10: cold starts vs workload CV (IceBreaker vs Aquatope)",
-        &["CV", "IceBreaker", "Aquatope", "Aquatope saves"],
-        &rows,
-    );
     json!({ "experiment": "fig10", "points": records })
 }

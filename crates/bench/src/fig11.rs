@@ -12,11 +12,11 @@ use aqua_sim::{SimRng, SimTime};
 use aqua_workflows::{apps, concurrency_series, RateTraceConfig};
 use serde_json::json;
 
-use crate::common::{cluster_sim, print_table, Scale};
+use crate::common::cluster_sim;
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let minutes = scale.pick(300, 600);
+pub fn run() -> serde_json::Value {
+    let minutes = 300;
     let mut registry = aqua_faas::FunctionRegistry::new();
     let app = apps::chain(&mut registry, 2);
     let mut rng = SimRng::seed(0xF1611);
@@ -28,11 +28,11 @@ pub fn run(scale: Scale) -> serde_json::Value {
 
     let pool_cfg = {
         let mut cfg = AquatopePoolConfig {
-            warmup_windows: scale.pick(48, 64),
+            warmup_windows: 48,
             ..AquatopePoolConfig::default()
         };
-        cfg.hybrid.pretrain_epochs = scale.pick(2, 4);
-        cfg.hybrid.train_epochs = scale.pick(4, 8);
+        cfg.hybrid.pretrain_epochs = 2;
+        cfg.hybrid.train_epochs = 4;
         cfg
     };
 
@@ -84,51 +84,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
     };
     let aqua_track = track(&aqua_series);
     let lite_track = track(&lite_series);
-
-    let rows = vec![
-        vec![
-            "Aquatope".to_string(),
-            format!("{:.1}%", aqua_cold * 100.0),
-            format!("{:.1}", aqua_mem),
-            format!("{:.2} GB", aqua_track),
-        ],
-        vec![
-            "AquaLite".to_string(),
-            format!("{:.1}%", lite_cold * 100.0),
-            format!("{:.1}", lite_mem),
-            format!("{:.2} GB", lite_track),
-        ],
-    ];
-    print_table(
-        "Fig. 11: fluctuating load — Aquatope vs AquaLite",
-        &[
-            "Pool",
-            "Cold starts",
-            "Provisioned GB·s",
-            "Mean tracking error",
-        ],
-        &rows,
-    );
-    println!(
-        "(paper: Aquatope reduces ~3% more cold starts and saves ~8% provisioned memory vs AquaLite)"
-    );
-
-    // A downsampled time-series excerpt, as printed series.
-    let step = (demand.len() / 12).max(1);
-    let mut series_rows = Vec::new();
-    for i in (start..demand.len()).step_by(step) {
-        series_rows.push(vec![
-            format!("{i}"),
-            format!("{:.1}", demand[i]),
-            format!("{:.1}", aqua_series.get(i).copied().unwrap_or(0.0)),
-            format!("{:.1}", lite_series.get(i).copied().unwrap_or(0.0)),
-        ]);
-    }
-    print_table(
-        "Provisioned memory over time (GB, excerpt)",
-        &["Minute", "Actual", "Aquatope", "AquaLite"],
-        &series_rows,
-    );
 
     json!({
         "experiment": "fig11",

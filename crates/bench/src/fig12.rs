@@ -6,28 +6,15 @@
 
 use aqua_alloc::{AquatopeRm, AutoscaleRm, Clite, RandomSearch, ResourceManager, SearchOutcome};
 use aqua_faas::NoiseModel;
-use aqua_workflows::{apps, App};
 use serde_json::json;
 
-use crate::common::{oracle, print_table, sim_evaluator, Scale};
-
-/// The five evaluated workflows, each in its own registry.
-pub(crate) fn five_workflows() -> Vec<(aqua_faas::FunctionRegistry, App)> {
-    apps::AppKind::ALL
-        .iter()
-        .map(|k| {
-            let mut registry = aqua_faas::FunctionRegistry::new();
-            let app = k.build(&mut registry);
-            (registry, app)
-        })
-        .collect()
-}
+use crate::common::{five_workflows, oracle, sim_evaluator};
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let budget = scale.pick(30, 60);
-    let samples = scale.pick(2, 3);
-    let seeds: u64 = scale.pick(4, 8);
+pub fn run() -> serde_json::Value {
+    let budget = 30;
+    let samples = 2;
+    let seeds: u64 = 4;
     let checkpoints = [0.2, 0.4, 0.6, 0.8, 1.0];
     let manager_names = ["Random", "Autoscale", "CLITE", "Aquatope"];
 
@@ -64,31 +51,16 @@ pub fn run(scale: Scale) -> serde_json::Value {
             run(&mut AquatopeRm::new(seed), 3);
         }
 
-        let mut rows = Vec::new();
-        let mut curves = Vec::new();
-        for (mi, name) in manager_names.iter().enumerate() {
-            let mut row = vec![name.to_string()];
-            let mut curve = Vec::new();
-            for ci in 0..checkpoints.len() {
-                let v = if counts[mi][ci] > 0 {
-                    Some(sums[mi][ci] / counts[mi][ci] as f64)
-                } else {
-                    None
-                };
-                row.push(v.map_or("—".to_string(), |p| format!("{p:.0}%")));
-                curve.push(v);
-            }
-            rows.push(row);
-            curves.push(json!({ "manager": name, "pct_of_oracle": curve }));
-        }
-        print_table(
-            &format!(
-                "Fig. 12 [{}]: best feasible cost (% oracle) vs search budget",
-                app.kind.name()
-            ),
-            &["Manager", "20%", "40%", "60%", "80%", "100%"],
-            &rows,
-        );
+        let curves: Vec<serde_json::Value> = manager_names
+            .iter()
+            .enumerate()
+            .map(|(mi, name)| {
+                let curve: Vec<Option<f64>> = (0..checkpoints.len())
+                    .map(|ci| (counts[mi][ci] > 0).then(|| sums[mi][ci] / counts[mi][ci] as f64))
+                    .collect();
+                json!({ "manager": name, "pct_of_oracle": curve })
+            })
+            .collect();
         records.push(
             json!({ "workflow": app.kind.name(), "curves": curves, "oracle_cost": oracle_cost }),
         );

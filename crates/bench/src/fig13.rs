@@ -10,8 +10,7 @@ use aqua_linalg::mean;
 use aqua_workflows::App;
 use serde_json::json;
 
-use crate::common::{cluster_sim, oracle, print_table, sim_evaluator, Scale};
-use crate::fig12::five_workflows;
+use crate::common::{cluster_sim, five_workflows, oracle, sim_evaluator};
 
 /// Measures the chosen configuration's warm-path CPU and memory time per
 /// invocation (averaged over profiling samples) on a quiet cluster.
@@ -39,10 +38,10 @@ fn mean_pct(xs: &[f64]) -> f64 {
 }
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let budget = scale.pick(30, 60);
-    let repeats = scale.pick(2, 5);
-    let samples = scale.pick(2, 3);
+pub fn run() -> serde_json::Value {
+    let budget = 30;
+    let repeats = 2;
+    let samples = 2;
 
     let manager_names = ["Random", "Autoscale", "CLITE", "Aquatope"];
     let mut records = Vec::new();
@@ -74,26 +73,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
             }
         }
 
-        let rows: Vec<Vec<String>> = manager_names
-            .iter()
-            .enumerate()
-            .map(|(mi, name)| {
-                let fmt = |xs: &[f64]| match mean_pct(xs) {
-                    pct if pct.is_nan() => "infeasible".to_string(),
-                    pct => format!("{pct:.0}%"),
-                };
-                vec![name.to_string(), fmt(&cpu_pct[mi]), fmt(&mem_pct[mi])]
-            })
-            .collect();
-        print_table(
-            &format!(
-                "Fig. 13 [{}]: CPU / memory time of chosen config (% oracle, {} repeats)",
-                app.kind.name(),
-                repeats
-            ),
-            &["Manager", "CPU time", "Memory time"],
-            &rows,
-        );
         records.push(json!({
             "workflow": app.kind.name(),
             "managers": manager_names,

@@ -17,7 +17,7 @@ use aqua_faas::{FunctionRegistry, FunctionSpec, NoiseModel, StageConfigs, Workfl
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{oracle, print_table, revalidate, sim_evaluator, PickScore, Scale};
+use crate::common::{oracle, revalidate, sim_evaluator, PickScore};
 
 /// CLITE's and Aquatope's scores, in that order.
 #[allow(clippy::too_many_arguments)]
@@ -56,13 +56,12 @@ fn compare(
 }
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let budget = scale.pick(28, 55);
-    let samples = scale.pick(2, 3);
-    let seeds = scale.pick(3, 6);
+pub fn run() -> serde_json::Value {
+    let budget = 28;
+    let samples = 2;
+    let seeds = 3;
 
     // (a) Chain length sweep.
-    let mut rows_a = Vec::new();
     let mut rec_a = Vec::new();
     for n in [1usize, 3, 5] {
         let mut registry = FunctionRegistry::new();
@@ -77,24 +76,13 @@ pub fn run(scale: Scale) -> serde_json::Value {
             seeds,
             0xF1614 + n as u64,
         );
-        rows_a.push(vec![
-            n.to_string(),
-            format!("{:.0}% ({})", clite.pct(), clite.violations),
-            format!("{:.0}% ({})", aqua.pct(), aqua.violations),
-        ]);
         rec_a.push(json!({
             "stages": n, "clite_pct": clite.pct(), "aquatope_pct": aqua.pct(),
             "clite_violations": clite.violations, "aquatope_violations": aqua.violations,
         }));
     }
-    print_table(
-        "Fig. 14a: true execution cost (% oracle) vs chain length — (n) = QoS-violating picks",
-        &["Stages", "CLITE", "Aquatope"],
-        &rows_a,
-    );
 
     // (b) Execution-time CV sweep on a single function.
-    let mut rows_b = Vec::new();
     let mut rec_b = Vec::new();
     for &cv in &[0.0, 0.5, 1.0] {
         let mut registry = FunctionRegistry::new();
@@ -119,21 +107,10 @@ pub fn run(scale: Scale) -> serde_json::Value {
             seeds,
             0xF1614 + (cv * 10.0) as u64,
         );
-        rows_b.push(vec![
-            format!("{cv:.1}"),
-            format!("{:.0}% ({})", clite.pct(), clite.violations),
-            format!("{:.0}% ({})", aqua.pct(), aqua.violations),
-        ]);
         rec_b.push(json!({
             "exec_cv": cv, "clite_pct": clite.pct(), "aquatope_pct": aqua.pct(),
             "clite_violations": clite.violations, "aquatope_violations": aqua.violations,
         }));
     }
-    print_table(
-        "Fig. 14b: true execution cost (% oracle) vs execution-time CV — (n) = QoS-violating picks",
-        &["CV", "CLITE", "Aquatope"],
-        &rows_b,
-    );
-
     json!({ "experiment": "fig14", "chain_sweep": rec_a, "cv_sweep": rec_b })
 }

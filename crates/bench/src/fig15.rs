@@ -12,13 +12,13 @@ use aqua_faas::{NoiseModel, StageConfigs};
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{oracle, print_table, revalidate, sim_evaluator, PickScore, Scale};
+use crate::common::{oracle, revalidate, sim_evaluator, PickScore};
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let budget = scale.pick(30, 55);
-    let samples = scale.pick(3, 4);
-    let seeds = scale.pick(3, 6);
+pub fn run() -> serde_json::Value {
+    let budget = 30;
+    let samples = 3;
+    let seeds = 3;
     let levels = [0.0, 1.0, 2.0, 3.0, 4.0];
 
     let mut registry = aqua_faas::FunctionRegistry::new();
@@ -28,7 +28,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
     // Oracle configuration under quiet conditions (the offline reference).
     let (oracle_cfg, _) = oracle(&registry, &app.dag, qos, 0xF1615);
 
-    let mut rows = Vec::new();
     let mut records = Vec::new();
     for (li, &level) in levels.iter().enumerate() {
         let noise = NoiseModel::background_jobs(level);
@@ -60,12 +59,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
             }
         }
         let [clite, aqualite, aquatope] = scores;
-        rows.push(vec![
-            format!("{level:.0}"),
-            format!("{:.0}% ({})", clite.pct(), clite.violations),
-            format!("{:.0}% ({})", aqualite.pct(), aqualite.violations),
-            format!("{:.0}% ({})", aquatope.pct(), aquatope.violations),
-        ]);
         records.push(json!({
             "noise_level": level,
             "clite_pct": clite.pct(), "aqualite_pct": aqualite.pct(), "aquatope_pct": aquatope.pct(),
@@ -76,10 +69,5 @@ pub fn run(scale: Scale) -> serde_json::Value {
             },
         }));
     }
-    print_table(
-        "Fig. 15: true execution cost (% oracle) vs noise level — (n) = QoS-violating picks",
-        &["Noise", "CLITE", "AquaLite", "Aquatope"],
-        &rows,
-    );
     json!({ "experiment": "fig15", "points": records })
 }

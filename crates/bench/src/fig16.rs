@@ -10,7 +10,7 @@ use aqua_faas::{FunctionRegistry, NoiseModel};
 use aqua_workflows::apps;
 use serde_json::json;
 
-use crate::common::{oracle, print_table, sim_evaluator, Scale};
+use crate::common::{oracle, sim_evaluator};
 
 /// Builds the video app with inputs scaled by `input_scale` (larger inputs
 /// mean proportionally more compute per stage).
@@ -35,9 +35,9 @@ fn video_app(input_scale: f64) -> (FunctionRegistry, aqua_workflows::App) {
 }
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let phase_budget = scale.pick(24, 40);
-    let samples = scale.pick(2, 3);
+pub fn run() -> serde_json::Value {
+    let phase_budget = 24;
+    let samples = 2;
     let input_scale = 1.7;
 
     // Phase A: original inputs.
@@ -59,7 +59,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
 
     // Performance trajectory: best-so-far cost as % oracle (inverted to
     // the paper's "performance" axis: oracle/best × 100).
-    let mut rows = Vec::new();
     let mut series = Vec::new();
     let mut push_points =
         |out: &aqua_alloc::SearchOutcome, oracle: f64, qos: f64, offset: usize| {
@@ -68,23 +67,11 @@ pub fn run(scale: Scale) -> serde_json::Value {
                     .best_cost_after(k, qos)
                     .map(|c| 100.0 * oracle / c)
                     .unwrap_or(0.0);
-                rows.push(vec![format!("{}", offset + k), format!("{perf:.0}%")]);
                 series.push(json!({ "samples": offset + k, "performance_pct": perf }));
             }
         };
     push_points(&out_a, oracle_a, qos_a, 0);
-    println!("--- input change (work × {input_scale}) ---");
     push_points(&out_b, oracle_b, qos_b, phase_budget);
-
-    print_table(
-        "Fig. 16: performance (% oracle) vs samples, behaviour change at the midpoint",
-        &["Samples", "Performance"],
-        &rows,
-    );
-    println!(
-        "change events detected: {} (sliding-window retraining engaged)",
-        rm.changes_detected()
-    );
 
     json!({
         "experiment": "fig16",

@@ -9,11 +9,11 @@ use aqua_sim::SimTime;
 use aquatope_core::{run_framework, AquatopeConfig, ClusterSpec, Framework, Workload};
 use serde_json::json;
 
-use crate::common::{azure_like_arrivals, print_table, Scale};
+use crate::common::azure_like_arrivals;
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let minutes = scale.pick(150, 360);
+pub fn run() -> serde_json::Value {
+    let minutes = 150;
     let mut registry = aqua_faas::FunctionRegistry::new();
     let app = aqua_workflows::apps::ml_pipeline(&mut registry);
     let workloads = vec![Workload {
@@ -21,7 +21,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
         arrivals: azure_like_arrivals(minutes, 5.0, 0xF1617),
     }];
     let mut cfg = AquatopeConfig::fast();
-    cfg.search_budget = scale.pick(20, 36);
+    cfg.search_budget = 20;
     let horizon = SimTime::from_secs(60 * (minutes as u64 + 2));
 
     let full = run_framework(
@@ -40,41 +40,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
         horizon,
         &cfg,
     );
-
-    let rows = vec![
-        vec![
-            "Prewarm + RM".to_string(),
-            "100%".to_string(),
-            "100%".to_string(),
-            format!("{:.1}%", full.cold_start_rate * 100.0),
-            format!("{:.1}%", full.qos_violation_rate * 100.0),
-        ],
-        vec![
-            "RM only".to_string(),
-            format!(
-                "{:.0}%",
-                100.0 * rm_only.cpu_core_seconds / full.cpu_core_seconds
-            ),
-            format!(
-                "{:.0}%",
-                100.0 * rm_only.memory_gb_seconds / full.memory_gb_seconds
-            ),
-            format!("{:.1}%", rm_only.cold_start_rate * 100.0),
-            format!("{:.1}%", rm_only.qos_violation_rate * 100.0),
-        ],
-    ];
-    print_table(
-        "Fig. 17: resource-manager-only ablation (full system = 100%)",
-        &[
-            "System",
-            "CPU time",
-            "Memory time",
-            "Cold starts",
-            "QoS violations",
-        ],
-        &rows,
-    );
-    println!("(paper: RM-only pays +64% CPU time and +28% memory time)");
 
     json!({
         "experiment": "fig17",

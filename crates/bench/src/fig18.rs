@@ -6,16 +6,15 @@
 //! reduces CPU time by 37–55% and memory time by 41–64% vs the
 //! alternatives.
 
-use aqua_sim::SimTime;
+use aqua_sim::{SimRng, SimTime};
+use aqua_workflows::split_history;
 use aquatope_core::{
     run_framework_with_history, AquatopeConfig, AquatopePoolConfig, ClusterSpec, Framework,
     Workload,
 };
 use serde_json::json;
 
-use aqua_sim::SimRng;
-
-use crate::common::{all_apps, print_table, Scale};
+use crate::common::all_apps;
 
 /// Intermittent per-app traffic: timer bursts every `period` minutes plus
 /// rare irregular singles — the Azure-dataset regime where pre-warming
@@ -43,9 +42,9 @@ fn intermittent_arrivals(minutes: usize, period: u64, per_burst: usize, seed: u6
 }
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let minutes = scale.pick(360, 720);
-    let history_minutes = scale.pick(720usize, 1440);
+pub fn run() -> serde_json::Value {
+    let minutes = 360;
+    let history_minutes = 720usize;
     let (registry, apps) = all_apps();
     let periods = [15u64, 20, 20, 20, 12];
     let bursts = [2usize, 2, 1, 2, 2];
@@ -60,33 +59,21 @@ pub fn run(scale: Scale) -> serde_json::Value {
             bursts[i],
             0xF1618 + i as u64,
         );
-        let split = aqua_sim::SimTime::from_secs(history_minutes as u64 * 60);
-        let mut counts = vec![0.0f64; history_minutes];
-        for t in all.iter().filter(|t| **t < split) {
-            counts[(t.as_secs_f64() / 60.0) as usize] += 1.0;
-        }
-        for stage in app.dag.stages() {
-            let scaled: Vec<f64> = counts.iter().map(|c| c * stage.tasks as f64).collect();
-            history.push((stage.function, scaled));
-        }
-        let live: Vec<SimTime> = all
-            .iter()
-            .filter(|t| **t >= split)
-            .map(|t| SimTime::from_secs(t.as_secs_f64() as u64 - history_minutes as u64 * 60))
-            .collect();
+        let split = split_history(&app.dag, &all, history_minutes);
+        history.extend(split.history);
         workloads.push(Workload {
             app,
-            arrivals: live,
+            arrivals: split.live,
         });
     }
 
     let mut cfg = AquatopeConfig::fast();
-    cfg.search_budget = scale.pick(30, 48);
+    cfg.search_budget = 30;
     // Full-capacity pool model (fast() shrinks it too far to learn the
     // timer phases); history is preloaded, so training starts immediately.
     cfg.pool = AquatopePoolConfig::default();
     cfg.pool.warmup_windows = 60;
-    cfg.pool.retrain_every = scale.pick(240, 300);
+    cfg.pool.retrain_every = 240;
     cfg.pool.training_window = history_minutes.min(960);
     let horizon = SimTime::from_secs(60 * (minutes as u64 + 3));
 
@@ -95,81 +82,21 @@ pub fn run(scale: Scale) -> serde_json::Value {
         Framework::IceBreakerClite,
         Framework::Aquatope,
     ];
-    let mut reports = Vec::new();
-    for fw in frameworks {
-        let report = run_framework_with_history(
-            fw,
-            &registry,
-            &workloads,
-            ClusterSpec::default(),
-            horizon,
-            &cfg,
-            &history,
-        );
-        // Per-app violation breakdown (diagnostic).
-        let mut start = 0usize;
-        for w in &workloads {
-            let end = start + w.arrivals.len();
-            let viol = report
-                .raw
-                .workflows
-                .iter()
-                .filter(|wf| wf.instance >= start && wf.instance < end && wf.latency() > w.app.qos)
-                .count();
-            let lat_mean: f64 = {
-                let ls: Vec<f64> = report
-                    .raw
-                    .workflows
-                    .iter()
-                    .filter(|wf| wf.instance >= start && wf.instance < end)
-                    .map(|wf| wf.latency().as_secs_f64())
-                    .collect();
-                if ls.is_empty() {
-                    0.0
-                } else {
-                    ls.iter().sum::<f64>() / ls.len() as f64
-                }
-            };
-            eprintln!(
-                "  [{}] {}: {viol}/{} violated (QoS {:.1}s, mean lat {lat_mean:.2}s)",
-                fw.name(),
-                w.app.kind.name(),
-                w.arrivals.len(),
-                w.app.qos.as_secs_f64()
-            );
-            start = end;
-        }
-        reports.push((fw, report));
-    }
-
-    let base_cpu = reports[0].1.cpu_core_seconds;
-    let base_mem = reports[0].1.memory_gb_seconds;
-    let rows: Vec<Vec<String>> = reports
+    let reports: Vec<_> = frameworks
         .iter()
-        .map(|(fw, r)| {
-            vec![
-                fw.name().to_string(),
-                format!("{:.1}%", r.qos_violation_rate * 100.0),
-                format!("{:.0}%", 100.0 * r.cpu_core_seconds / base_cpu),
-                format!("{:.0}%", 100.0 * r.memory_gb_seconds / base_mem),
-                format!("{:.1}%", r.cold_start_rate * 100.0),
-                r.completed.to_string(),
-            ]
+        .map(|&fw| {
+            let report = run_framework_with_history(
+                fw,
+                &registry,
+                &workloads,
+                ClusterSpec::default(),
+                horizon,
+                &cfg,
+                &history,
+            );
+            (fw, report)
         })
         .collect();
-    print_table(
-        "Fig. 18: end-to-end (CPU/memory normalized to Autoscale)",
-        &[
-            "Framework",
-            "QoS viol",
-            "CPU time",
-            "Mem time",
-            "Cold",
-            "Completed",
-        ],
-        &rows,
-    );
-    println!("(paper: Aquatope < 3% violations, −37–55% CPU, −41–64% memory)");
 
     json!({
         "experiment": "fig18",

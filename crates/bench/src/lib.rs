@@ -1,17 +1,15 @@
 //! Experiment harness regenerating every table and figure of the AQUATOPE
 //! paper's evaluation (§8).
 //!
-//! Each module reproduces one result; `cargo run -p aqua-bench --release --
-//! paper <name>` prints the same rows/series the paper reports and writes
-//! a JSON record under `target/experiments/`.
+//! Each module reproduces one result as a JSON record; `cargo run -p
+//! aqua-bench --release -- paper <name>` writes it under
+//! `target/experiments/` and prints only the record's path. Every
+//! experiment runs at one fixed scale that finishes in minutes.
 //!
 //! Absolute numbers differ from the paper (our substrate is a simulator,
 //! not a 7-node OpenWhisk testbed); the reproduced *shape* — who wins, by
 //! roughly what factor, where crossovers fall — is the target, and
 //! `EXPERIMENTS.md` records paper-vs-measured for every entry.
-//!
-//! Scale control: set `AQUA_SCALE=full` for paper-scale runs (longer
-//! traces, more repeats); the default `quick` finishes in minutes.
 
 pub mod ablation;
 pub mod common;
@@ -28,4 +26,4 @@ pub mod fig18;
 pub mod matrix;
 pub mod table1;
 
-pub use common::{write_json, Scale};
+pub use common::write_json;

@@ -15,17 +15,19 @@
 //!   least one stressed cell.
 //! * `cargo run -p aqua-bench --release -- paper <name>` — one table or
 //!   figure of the paper's evaluation (`table1`, `fig09` … `fig18`,
-//!   `ablation`) → `target/experiments/<name>.json`; `AQUA_SCALE=full`
-//!   for paper-scale runs.
+//!   `ablation`) → `target/experiments/<name>.json`. Prints only the
+//!   record's path.
 //!
-//! Anything else prints usage and exits 2. Records land relative to the
-//! workspace root; a record that cannot be written exits 1.
+//! Anything else — an unknown flag, a missing or unknown `--mode` value,
+//! an unknown or extra `paper` argument — prints usage and exits 2.
+//! Records land relative to the workspace root; a record that cannot be
+//! written exits 1.
 
 use std::process::exit;
 
 use aqua_bench::*;
 
-type Experiment = fn(Scale) -> serde_json::Value;
+type Experiment = fn() -> serde_json::Value;
 
 const EXPERIMENTS: [(&str, Experiment); 12] = [
     ("table1", table1::run),
@@ -61,14 +63,40 @@ fn write_record(path: &str, record: &serde_json::Value) {
     }
 }
 
-fn run_matrix(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let service_mode = args
-        .iter()
-        .position(|a| a == "--mode")
-        .and_then(|i| args.get(i + 1))
-        .is_some_and(|m| m == "service");
-    let (record, violations) = if service_mode {
+/// A parsed command line.
+#[derive(Debug, PartialEq, Eq)]
+enum Command {
+    /// `matrix [--smoke] [--mode service]`.
+    Matrix { smoke: bool, service: bool },
+    /// `paper <name>`: the index of `name` in [`EXPERIMENTS`].
+    Paper(usize),
+}
+
+/// Parses the arguments after the program name; `None` is a usage error.
+fn parse(args: &[String]) -> Option<Command> {
+    match args.split_first() {
+        Some((cmd, rest)) if cmd == "matrix" => {
+            let (mut smoke, mut service) = (false, false);
+            let mut rest = rest.iter().map(String::as_str);
+            while let Some(arg) = rest.next() {
+                match arg {
+                    "--smoke" => smoke = true,
+                    "--mode" if rest.next() == Some("service") => service = true,
+                    _ => return None,
+                }
+            }
+            Some(Command::Matrix { smoke, service })
+        }
+        Some((cmd, [name])) if cmd == "paper" => EXPERIMENTS
+            .iter()
+            .position(|(n, _)| n == name)
+            .map(Command::Paper),
+        _ => None,
+    }
+}
+
+fn run_matrix(smoke: bool, service: bool) {
+    let (record, violations) = if service {
         matrix::run_service(smoke)
     } else {
         matrix::run(smoke)
@@ -89,19 +117,53 @@ fn run_matrix(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("matrix") => run_matrix(&args[1..]),
-        Some("paper") => {
-            let which = args.get(1).map(String::as_str);
-            let Some((name, run)) = EXPERIMENTS.iter().find(|(name, _)| Some(*name) == which)
-            else {
-                usage()
-            };
-            write_record(
-                &format!("target/experiments/{name}.json"),
-                &run(Scale::from_env()),
-            );
+    match parse(&args) {
+        Some(Command::Matrix { smoke, service }) => run_matrix(smoke, service),
+        Some(Command::Paper(i)) => {
+            let (name, run) = EXPERIMENTS[i];
+            write_record(&format!("target/experiments/{name}.json"), &run());
         }
-        _ => usage(),
+        None => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(line: &str) -> Option<Command> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn accepts_every_documented_form() {
+        let matrix = |smoke, service| Some(Command::Matrix { smoke, service });
+        assert_eq!(parsed("matrix"), matrix(false, false));
+        assert_eq!(parsed("matrix --smoke"), matrix(true, false));
+        assert_eq!(parsed("matrix --mode service"), matrix(false, true));
+        assert_eq!(parsed("matrix --mode service --smoke"), matrix(true, true));
+        for (i, (name, _)) in EXPERIMENTS.iter().enumerate() {
+            assert_eq!(parsed(&format!("paper {name}")), Some(Command::Paper(i)));
+        }
+    }
+
+    #[test]
+    fn rejects_anything_else() {
+        for line in [
+            "",
+            "matrix --smok",
+            "matrix --smoke extra",
+            "matrix --mode",
+            "matrix --mode servce",
+            "matrix --mode --smoke",
+            "paper",
+            "paper fig99",
+            "paper fig09 fig10",
+            "paper fig09 --smoke",
+            "fig09",
+        ] {
+            assert_eq!(parsed(line), None, "{line:?}");
+        }
     }
 }

@@ -21,7 +21,33 @@
 
 use aqua_scenarios::{run_matrix, run_service_matrix, Comparison, MatrixConfig, MatrixReport};
 
-use crate::common::print_table;
+/// Prints a fixed-width table with a title.
+fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    println!("\n=== {title} ===");
+    let widths: Vec<usize> = headers
+        .iter()
+        .enumerate()
+        .map(|(i, h)| {
+            rows.iter()
+                .map(|r| r.get(i).map_or(0, |c| c.len()))
+                .chain(std::iter::once(h.len()))
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    let line = |cells: Vec<String>| {
+        let mut out = String::new();
+        for (i, c) in cells.iter().enumerate() {
+            out.push_str(&format!("{:>width$}  ", c, width = widths[i]));
+        }
+        println!("{}", out.trim_end());
+    };
+    line(headers.iter().map(|h| h.to_string()).collect());
+    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    for row in rows {
+        line(row.clone());
+    }
+}
 
 fn print_cell_table(title: &str, report: &MatrixReport) {
     let rows: Vec<Vec<String>> = report

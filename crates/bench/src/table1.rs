@@ -14,8 +14,6 @@ use aqua_sim::SimRng;
 use aqua_workflows::RateTraceConfig;
 use serde_json::json;
 
-use crate::common::{print_table, Scale};
-
 fn trace_families(minutes: usize) -> Vec<(&'static str, RateTraceConfig, TriggerKind)> {
     vec![
         (
@@ -70,9 +68,9 @@ fn trace_families(minutes: usize) -> Vec<(&'static str, RateTraceConfig, Trigger
 }
 
 /// Runs the experiment and returns its JSON record.
-pub fn run(scale: Scale) -> serde_json::Value {
-    let minutes = scale.pick(4 * 24 * 60, 9 * 24 * 60);
-    let (lstm_epochs, hybrid_pre, hybrid_train) = scale.pick((5, 3, 8), (6, 6, 14));
+pub fn run() -> serde_json::Value {
+    let minutes = 4 * 24 * 60;
+    let (lstm_epochs, hybrid_pre, hybrid_train) = (5, 3, 8);
 
     let families = trace_families(minutes);
     let model_names = ["Fixed Keep-Alive", "ARIMA", "LSTM", "Aquatope"];
@@ -113,31 +111,6 @@ pub fn run(scale: Scale) -> serde_json::Value {
     let means: Vec<f64> = sums.iter().map(|s| s / n).collect();
 
     let paper = [24.5, 18.6, 9.5, 5.7];
-    let mut rows = Vec::new();
-    for (mi, name) in model_names.iter().enumerate() {
-        rows.push(vec![
-            name.to_string(),
-            format!("{:.1}%", means[mi] * 100.0),
-            format!("{:.1}%", paper[mi]),
-        ]);
-    }
-    print_table(
-        "Table 1: prediction accuracy (SMAPE), mean over invocation-pattern families",
-        &["Model", "Measured", "Paper"],
-        &rows,
-    );
-    let mut fam_rows = Vec::new();
-    for (fam, vals) in &per_family {
-        let mut row = vec![fam.clone()];
-        row.extend(vals.iter().map(|v| format!("{:.1}%", v * 100.0)));
-        fam_rows.push(row);
-    }
-    print_table(
-        "Per-family SMAPE",
-        &["Family", "Keep-Alive", "ARIMA", "LSTM", "Aquatope"],
-        &fam_rows,
-    );
-
     json!({
         "experiment": "table1",
         "models": model_names,

@@ -71,9 +71,11 @@ pub fn run_framework(
 }
 
 /// Like [`run_framework`], additionally pre-loading the predictive pool
-/// policies with recorded per-function concurrency history (the paper's
-/// scheduler trains on the invocation log stored in CouchDB before it
-/// starts managing an application).
+/// policies with recorded per-function history (the paper's scheduler
+/// trains on the invocation log stored in CouchDB before it starts
+/// managing an application). `history` is in the unit
+/// [`aqua_workflows::split_history`] produces: task invocations per
+/// minute, one `(function, series)` entry per stage.
 #[allow(clippy::too_many_arguments)]
 pub fn run_framework_with_history(
     framework: Framework,

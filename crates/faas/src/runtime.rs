@@ -2,7 +2,7 @@
 //!
 //! The batch simulator drives container lifecycles from inside its own
 //! event loop; a long-running control plane needs the same mechanisms as
-//! an *imperative* interface it can call from its reactor: "boot a
+//! an *imperative* interface it can call from its event loop: "boot a
 //! container for function `f` under config `c` and tell me how long that
 //! takes and whether it fails", "sample one execution", "kill container
 //! `id`". [`ContainerRuntime`] is that interface and

@@ -5,7 +5,7 @@
 //! jobs pin), an admission budget, and a guaranteed slice of the warm
 //! pool's memory. The scenario generators and the live service share this
 //! vocabulary so a "noisy neighbor" means the same thing whether a cell
-//! runs in the batch simulator or against the live reactor.
+//! runs in the batch simulator or against the live control plane.
 
 use aqua_sim::SimDuration;
 

@@ -189,7 +189,7 @@ pub fn evaluate_cell_service(
 /// (through [`par_map`], bit-identical whatever `AQUA_THREADS` says) and
 /// packs the result as a [`MatrixReport`] so cell lookup, sanity gates,
 /// and JSON shape are shared with the sim matrix. `shards` is pinned 1:
-/// the live reactor has no sharded mode.
+/// the live control plane has no sharded mode.
 pub fn run_service_cells(
     scenarios: &[ScenarioSpec],
     policies: &[PolicyKind],

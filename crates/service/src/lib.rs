@@ -5,10 +5,6 @@
 //! report. This crate lifts the same components into a **long-running
 //! service process** shaped the way a production control plane is:
 //!
-//! * [`Reactor`] — a hand-rolled, deterministic-when-seeded event loop
-//!   over the simulation engine's future-event list. No tokio, no OS
-//!   timers; the existing `par_map`/`AQUA_THREADS` contract remains the
-//!   workspace's only concurrency substrate.
 //! * [`WarmPoolManager`] — owns the containers: per-function idle pools,
 //!   a background filler task working toward any
 //!   [`aqua_faas::PrewarmController`]'s targets under a boot-concurrency
@@ -21,7 +17,10 @@
 //!   the request path.
 //! * [`ControlPlane`] — the service itself: admission → warm pool →
 //!   execution → completion bookkeeping, policy/filler/refit ticks, and
-//!   graceful shutdown that drains in-flight work.
+//!   graceful shutdown that drains in-flight work. It is a single-threaded
+//!   event loop over the simulation engine's [`aqua_sim::EventQueue`]
+//!   (time order, FIFO on ties): no tokio, no OS timers, wall-clock time
+//!   only ever measured, never consulted for control flow.
 //!
 //! # Example
 //!
@@ -57,13 +56,11 @@
 //! ```
 
 pub mod admission;
-pub mod reactor;
 pub mod refit;
 pub mod service;
 pub mod warm_pool;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats};
-pub use reactor::Reactor;
 pub use refit::{RefitScheduler, RefitStats};
 pub use service::{
     ControlPlane, InstanceRef, PredictiveConfig, ServiceConfig, ServiceReport, SvcEvent,

@@ -1,4 +1,5 @@
-//! The control plane: a long-running service process around the reactor.
+//! The control plane: a long-running service process around one
+//! virtual-clock event loop.
 //!
 //! [`ControlPlane`] hosts everything the batch simulator used to drive in
 //! one shot, as a resident event loop:
@@ -16,12 +17,12 @@
 //!   into the GP on its own budgeted cadence, never on the request path;
 //! * **graceful shutdown** — a `Shutdown` event flips the plane into
 //!   drain mode: intake stops, periodic ticks stop re-arming, demand
-//!   boots stay allowed so queued work can finish, and once the reactor
-//!   runs dry a final sweep kills every remaining container and asserts
-//!   the runtime ledger reads zero.
+//!   boots stay allowed so queued work can finish, and once the event
+//!   queue runs dry a final sweep kills every remaining container and
+//!   asserts the runtime ledger reads zero.
 //!
 //! Everything is deterministic given the [`ServiceConfig`] seed and the
-//! fault plan: the reactor pops in `(time, insertion)` order and all
+//! fault plan: the event queue pops in `(time, insertion)` order and all
 //! sampling flows through forked [`aqua_sim::SimRng`] streams.
 
 use std::collections::VecDeque;
@@ -34,19 +35,18 @@ use aqua_faas::{
     SimContainerRuntime, StageConfigs, TenantId, TenantPlan, WorkflowDag, WorkflowJob,
 };
 use aqua_pool::LivePoolSignal;
-use aqua_sim::{LatencySummary, SimDuration, SimTime};
+use aqua_sim::{EventQueue, LatencySummary, SimDuration, SimTime};
 use aqua_telemetry::{EventSink, LiveSink, LiveStats, ShedReason, SimEvent};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats};
-use crate::reactor::Reactor;
 use crate::refit::{RefitScheduler, RefitStats};
 use crate::warm_pool::{Acquired, WarmPoolConfig, WarmPoolManager, WarmPoolStats};
 
-/// Events the control plane's reactor delivers.
+/// Events the control plane's event loop delivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvcEvent {
     /// The `k`-th arrival of `job` (lazily re-armed: handling arrival `k`
-    /// schedules arrival `k + 1`, so the reactor heap stays O(jobs), not
+    /// schedules arrival `k + 1`, so the event heap stays O(jobs), not
     /// O(total arrivals)).
     Arrival { job: usize, k: usize },
     /// A container boot finished warm.
@@ -168,7 +168,7 @@ pub struct TenantReport {
 pub struct ServiceReport {
     /// Virtual time when the loop ran dry.
     pub sim_horizon: SimTime,
-    /// Reactor events delivered over the whole run.
+    /// Events delivered over the whole run.
     pub events_processed: u64,
     /// Workflow instances that completed every stage.
     pub completed: u64,
@@ -313,7 +313,9 @@ impl InstanceSlab {
 /// The long-running AQUATOPE control plane.
 pub struct ControlPlane {
     cfg: ServiceConfig,
-    reactor: Reactor<SvcEvent>,
+    queue: EventQueue<SvcEvent>,
+    /// Events popped from `queue` so far.
+    events_processed: u64,
     pool: WarmPoolManager,
     admission: Admission,
     signal: LivePoolSignal,
@@ -405,7 +407,8 @@ impl ControlPlane {
         let plan = TenantPlan::single(jobs.len());
         let predictive_left = cfg.predictive.checks_per_window;
         ControlPlane {
-            reactor: Reactor::with_capacity(jobs.len() + 64),
+            queue: EventQueue::with_capacity(jobs.len() + 64),
+            events_processed: 0,
             pool: WarmPoolManager::new(cfg.pool, Box::new(runtime), configs),
             admission: Admission::new(cfg.admission),
             signal: LivePoolSignal::new(functions, cfg.pool.memory_budget_mb, SimTime::ZERO),
@@ -500,17 +503,15 @@ impl ControlPlane {
     pub fn run(mut self) -> ServiceReport {
         for j in 0..self.jobs.len() {
             if let Some(&t) = self.jobs[j].arrivals.first() {
-                self.reactor.at(t, SvcEvent::Arrival { job: j, k: 0 });
+                self.queue.push(t, SvcEvent::Arrival { job: j, k: 0 });
             }
         }
-        self.reactor
-            .after(self.cfg.policy_window, SvcEvent::PolicyTick);
-        self.reactor
-            .after(self.cfg.filler_interval, SvcEvent::FillerTick);
-        self.reactor
-            .after(self.cfg.refit_interval, SvcEvent::RefitTick);
-        self.reactor.after(self.cfg.run_for, SvcEvent::Shutdown);
-        while let Some((now, ev)) = self.reactor.next() {
+        self.after(self.cfg.policy_window, SvcEvent::PolicyTick);
+        self.after(self.cfg.filler_interval, SvcEvent::FillerTick);
+        self.after(self.cfg.refit_interval, SvcEvent::RefitTick);
+        self.after(self.cfg.run_for, SvcEvent::Shutdown);
+        while let Some((now, ev)) = self.queue.pop() {
+            self.events_processed += 1;
             self.handle(now, ev);
         }
         self.finish()
@@ -524,7 +525,7 @@ impl ControlPlane {
                     return;
                 }
                 if let Some(&t) = self.jobs[job].arrivals.get(k + 1) {
-                    self.reactor.at(t, SvcEvent::Arrival { job, k: k + 1 });
+                    self.queue.push(t, SvcEvent::Arrival { job, k: k + 1 });
                 }
                 self.admit(job, now);
             }
@@ -569,8 +570,7 @@ impl ControlPlane {
                 self.pool.apply_decisions(&decisions);
                 self.predictive_left = self.cfg.predictive.checks_per_window;
                 if !self.draining {
-                    self.reactor
-                        .after(self.cfg.policy_window, SvcEvent::PolicyTick);
+                    self.after(self.cfg.policy_window, SvcEvent::PolicyTick);
                 }
             }
             SvcEvent::FillerTick => {
@@ -583,8 +583,7 @@ impl ControlPlane {
                 // waiters even when no boot started.
                 self.relieve_starved(now);
                 if !self.draining {
-                    self.reactor
-                        .after(self.cfg.filler_interval, SvcEvent::FillerTick);
+                    self.after(self.cfg.filler_interval, SvcEvent::FillerTick);
                 }
             }
             SvcEvent::RefitTick => {
@@ -600,8 +599,7 @@ impl ControlPlane {
                     }
                 }
                 if !self.draining {
-                    self.reactor
-                        .after(self.cfg.refit_interval, SvcEvent::RefitTick);
+                    self.after(self.cfg.refit_interval, SvcEvent::RefitTick);
                 }
             }
             SvcEvent::Shutdown => {
@@ -770,7 +768,7 @@ impl ControlPlane {
         now: SimTime,
     ) {
         let d = self.pool.sample_exec(f);
-        self.reactor.after(
+        self.after(
             d,
             SvcEvent::ExecDone {
                 wf,
@@ -787,6 +785,11 @@ impl ControlPlane {
         }
     }
 
+    /// Schedules `event` `delay` after the current virtual time.
+    fn after(&mut self, delay: SimDuration, event: SvcEvent) {
+        self.queue.push(self.queue.now() + delay, event);
+    }
+
     fn schedule_boot(&mut self, t: &BootTicket) {
         let ev = if t.fails {
             SvcEvent::BootFailed {
@@ -797,7 +800,7 @@ impl ControlPlane {
                 container: t.container,
             }
         };
-        self.reactor.after(t.boot, ev);
+        self.after(t.boot, ev);
     }
 
     fn emit_cold_start(&mut self, ticket: &BootTicket, now: SimTime, prewarmed: bool) {
@@ -982,8 +985,8 @@ impl ControlPlane {
 
     fn finish(mut self) -> ServiceReport {
         let stranded = self.instances.live();
-        let cost_gb_s = self.pool.memory_gb_seconds(self.reactor.now());
-        let swept = self.pool.shutdown_sweep(self.reactor.now());
+        let cost_gb_s = self.pool.memory_gb_seconds(self.queue.now());
+        let swept = self.pool.shutdown_sweep(self.queue.now());
         let live = self.pool.live_containers();
         if let Some(t) = &mut self.telemetry {
             t.flush();
@@ -1011,8 +1014,8 @@ impl ControlPlane {
             .collect();
         let latency = LatencySummary::of_in_place(&mut self.latencies);
         ServiceReport {
-            sim_horizon: self.reactor.now(),
-            events_processed: self.reactor.processed(),
+            sim_horizon: self.queue.now(),
+            events_processed: self.events_processed,
             completed: self.completed,
             rejected_workflows: self.rejected,
             arrivals_skipped_in_drain: self.skipped_in_drain,

@@ -9,7 +9,7 @@
 //!   pre-warm *targets* and keep-alives once per control window — the
 //!   service applies its decisions via [`WarmPoolManager::apply_decisions`];
 //! * the **filler task** ([`WarmPoolManager::filler_tick`], scheduled by
-//!   the reactor on its own shorter cadence) works toward those targets:
+//!   the event loop on its own shorter cadence) works toward those targets:
 //!   it reaps keep-alive-expired idle containers, shrinks over-target
 //!   pools when the policy asked for it, and boots replacements —
 //!   never more than [`WarmPoolConfig::max_concurrent_boots`] pre-warm

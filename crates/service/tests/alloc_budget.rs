@@ -2,8 +2,9 @@
 //! counting global allocator (hence its own test binary): a plane that
 //! serves five times the workflows at the same arrival rate allocates no
 //! more than `O(log N)` times more, the `Vec` growth of its latency record
-//! and queues. Admission, dispatch, warm hits, completions and the reactor
-//! reuse their storage, so a workflow in steady state costs no allocation.
+//! and queues. Admission, dispatch, warm hits, completions and the event
+//! queue reuse their storage, so a workflow in steady state costs no
+//! allocation.
 //!
 //! The policy decides nothing and the latency model observes nothing, so
 //! the periodic ticks — whose count grows with the run's length, not with

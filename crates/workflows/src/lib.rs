@@ -8,8 +8,10 @@
 //! * [`trace`] — Azure-Function-dataset-like invocation traces: diurnal +
 //!   weekly shape, bursts, Poisson intra-minute arrivals, and direct
 //!   CV-controlled renewal traces for the Fig. 10 sweep.
-//! * [`loadgen`] — open-loop workload assembly (the Locust role) and
-//!   per-window concurrency series extraction for training predictors.
+//! * [`loadgen`] — open-loop workload assembly (the Locust role),
+//!   per-window concurrency series extraction for training predictors,
+//!   and [`split_history`], the one split of a trace into pre-load
+//!   history and live traffic.
 //! * [`azure`] — cluster-scale Azure-like workload synthesis (~1 k apps
 //!   with Zipf popularity), the trace of `aqua-benchmark`'s `sim_azure`
 //!   and `svc_azure` workloads.
@@ -34,5 +36,5 @@ pub mod trace;
 pub use apps::{App, AppKind};
 pub use azure::{azure_scale, AzureScaleConfig, AzureWorkload};
 pub use graph::SocialGraph;
-pub use loadgen::{concurrency_series, make_job};
+pub use loadgen::{concurrency_series, make_job, split_history, HistorySplit};
 pub use trace::{RateTraceConfig, TraceBundle};

@@ -1,10 +1,11 @@
-//! Open-loop workload assembly (the role Locust plays in the paper) and
-//! per-window concurrency extraction for predictor training.
+//! Open-loop workload assembly (the role Locust plays in the paper),
+//! per-window concurrency extraction for predictor training, and the split
+//! of a trace into recorded history and live traffic.
 
 use std::collections::HashMap;
 
 use aqua_faas::sim::WorkflowJob;
-use aqua_faas::{FunctionId, RunReport, StageConfigs};
+use aqua_faas::{FunctionId, RunReport, StageConfigs, WorkflowDag};
 use aqua_sim::SimTime;
 
 use crate::apps::App;
@@ -47,6 +48,57 @@ pub fn concurrency_series(report: &RunReport, function: FunctionId, minutes: usi
         *slot = peak as f64;
     }
     out
+}
+
+/// A workflow's arrival trace split into recorded history and live
+/// traffic; see [`split_history`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct HistorySplit {
+    /// Workflow arrivals per minute before the split, one entry per
+    /// history minute.
+    pub counts: Vec<f64>,
+    /// The pre-load history of each stage, in stage order: `counts`
+    /// multiplied by the stage's `tasks`.
+    pub history: Vec<(FunctionId, Vec<f64>)>,
+    /// The arrivals at or after the split, shifted so the split is time 0.
+    pub live: Vec<SimTime>,
+}
+
+/// Splits `arrivals` (workflow arrival times of `dag`) at minute
+/// `history_minutes`: arrivals before the split become per-minute history
+/// the predictive pools pre-load, the rest (an arrival exactly at the
+/// split included) is the measured live traffic.
+///
+/// The history's unit is **task invocations per minute**: each workflow
+/// arrival counts `tasks` for every stage it runs. That is not the unit a
+/// pool observes live, which is each window's peak concurrency.
+pub fn split_history(
+    dag: &WorkflowDag,
+    arrivals: &[SimTime],
+    history_minutes: usize,
+) -> HistorySplit {
+    let split = SimTime::from_secs(history_minutes as u64 * 60);
+    let mut counts = vec![0.0f64; history_minutes];
+    for t in arrivals.iter().filter(|t| **t < split) {
+        counts[(t.as_micros() / 60_000_000) as usize] += 1.0;
+    }
+    let history = dag
+        .stages()
+        .map(|stage| {
+            let series = counts.iter().map(|c| c * stage.tasks as f64).collect();
+            (stage.function, series)
+        })
+        .collect();
+    let live = arrivals
+        .iter()
+        .filter(|t| **t >= split)
+        .map(|t| SimTime::ZERO + (*t - split))
+        .collect();
+    HistorySplit {
+        counts,
+        history,
+        live,
+    }
 }
 
 /// Sums, per function, the invocation counts of a report (sanity metric
@@ -165,6 +217,67 @@ mod tests {
         for (lat, _) in &samples {
             assert!(*lat <= qos, "warm latency {lat} must meet QoS {qos}");
         }
+    }
+
+    /// A two-stage chain whose second stage fans out to three tasks.
+    fn fan_dag() -> WorkflowDag {
+        WorkflowDag::new(
+            "w",
+            vec![
+                Stage::new(FunctionId(0), 1, vec![]),
+                Stage::new(FunctionId(1), 3, vec![0]),
+            ],
+        )
+    }
+
+    #[test]
+    fn an_arrival_at_the_split_instant_is_live() {
+        let arrivals = [SimTime::from_secs(119), SimTime::from_secs(120)];
+        let split = split_history(&fan_dag(), &arrivals, 2);
+        assert_eq!(split.counts, vec![0.0, 1.0]);
+        assert_eq!(split.live, vec![SimTime::ZERO]);
+    }
+
+    #[test]
+    fn history_has_one_count_per_minute_and_live_starts_at_zero() {
+        let arrivals: Vec<SimTime> = [5, 65, 70, 300, 301]
+            .into_iter()
+            .map(SimTime::from_secs)
+            .collect();
+        let split = split_history(&fan_dag(), &arrivals, 4);
+        assert_eq!(split.counts, vec![1.0, 2.0, 0.0, 0.0]);
+        assert_eq!(
+            split.live,
+            vec![SimTime::from_secs(60), SimTime::from_secs(61)]
+        );
+    }
+
+    #[test]
+    fn each_stage_history_is_counts_times_tasks() {
+        let dag = fan_dag();
+        let arrivals: Vec<SimTime> = [10, 20, 130].into_iter().map(SimTime::from_secs).collect();
+        let split = split_history(&dag, &arrivals, 3);
+        assert_eq!(split.history.len(), dag.num_stages());
+        for (stage, (f, series)) in dag.stages().zip(&split.history) {
+            assert_eq!(*f, stage.function);
+            let expected: Vec<f64> = split
+                .counts
+                .iter()
+                .map(|c| c * stage.tasks as f64)
+                .collect();
+            assert_eq!(*series, expected);
+        }
+        assert_eq!(split.history[1].1, vec![6.0, 0.0, 3.0]);
+    }
+
+    #[test]
+    fn an_empty_trace_splits_into_zero_counts_and_no_live_traffic() {
+        let split = split_history(&fan_dag(), &[], 3);
+        assert_eq!(split.counts, vec![0.0; 3]);
+        assert!(split.live.is_empty());
+        let empty = split_history(&fan_dag(), &[], 0);
+        assert!(empty.counts.is_empty());
+        assert!(empty.history.iter().all(|(_, s)| s.is_empty()));
     }
 
     #[test]

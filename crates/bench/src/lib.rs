@@ -23,7 +23,6 @@ pub mod fig15;
 pub mod fig16;
 pub mod fig17;
 pub mod fig18;
-pub mod matrix;
 pub mod table1;
 
 pub use common::write_json;

@@ -12,7 +12,8 @@
 //!   sim-vs-service drift and predictive-rejection verdicts; service
 //!   cells are sanity-gated the same way, and full service runs also
 //!   fail unless predictive rejection beats depth-only shedding in at
-//!   least one stressed cell.
+//!   least one stressed cell. Prints only the record's path; gate
+//!   violations go to stderr.
 //! * `cargo run -p aqua-bench --release -- paper <name>` — one table or
 //!   figure of the paper's evaluation (`table1`, `fig09` … `fig18`,
 //!   `ablation`) → `target/experiments/<name>.json`. Prints only the
@@ -26,6 +27,7 @@
 use std::process::exit;
 
 use aqua_bench::*;
+use aqua_scenarios::{run_service_matrix, MatrixConfig};
 
 type Experiment = fn() -> serde_json::Value;
 
@@ -95,11 +97,35 @@ fn parse(args: &[String]) -> Option<Command> {
     }
 }
 
+/// Runs the policy-zoo scenario matrix (see `aqua-scenarios`), writes its
+/// record and exits 1 on any violated gate.
+///
+/// The sim and, in service mode, the live-plane sanity orderings always
+/// gate. Full service runs also need one stressed cell where predictive
+/// rejection beats depth-only shedding at the 0.05 sign-test level; smoke's
+/// three seeds bottom the sign test out at p = 0.25, so that gate would be
+/// vacuously red in CI and is skipped there.
 fn run_matrix(smoke: bool, service: bool) {
-    let (record, violations) = if service {
-        matrix::run_service(smoke)
+    let config = if smoke {
+        MatrixConfig::smoke()
     } else {
-        matrix::run(smoke)
+        MatrixConfig::full()
+    };
+    let (record, violations) = if service {
+        let report = run_service_matrix(&config);
+        let mut violations = report.sim.sanity_violations();
+        violations.extend(report.service_sanity_violations());
+        if !smoke && report.predictive_wins().is_empty() {
+            violations.push(
+                "predictive: no stressed cell where predictive rejection beats \
+                 depth-only shedding at the 0.05 sign-test level"
+                    .to_string(),
+            );
+        }
+        (report.to_json(), violations)
+    } else {
+        let report = aqua_scenarios::run_matrix(&config);
+        (report.to_json(), report.sanity_violations())
     };
     let path = if smoke {
         "target/MATRIX_REPORT_SMOKE.json"
@@ -134,6 +160,16 @@ mod tests {
     fn parsed(line: &str) -> Option<Command> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
         parse(&args)
+    }
+
+    #[test]
+    fn configs_cover_the_required_matrix() {
+        for cfg in [MatrixConfig::full(), MatrixConfig::smoke()] {
+            assert!(cfg.scenarios.len() >= 5);
+            assert!(cfg.policies.len() >= 5);
+            assert!(cfg.seeds.len() >= 3);
+        }
+        assert!(MatrixConfig::full().seeds.len() >= 5);
     }
 
     #[test]

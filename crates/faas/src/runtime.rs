@@ -7,7 +7,7 @@
 //! takes and whether it fails", "sample one execution", "kill container
 //! `id`". [`ContainerRuntime`] is that interface and
 //! [`SimContainerRuntime`] its simulated implementation — the same
-//! [`FunctionSpec`] latency model, [`NoiseModel`] jitter, and
+//! [`crate::FunctionSpec`] latency model, [`NoiseModel`] jitter, and
 //! [`FaultState`] boot-failure stream the simulator uses, behind
 //! callbacks.
 //!

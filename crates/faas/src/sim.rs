@@ -976,8 +976,8 @@ impl<'a> RunState<'a> {
     }
 
     fn on_arrival(&mut self, job: usize, inst: usize, now: SimTime) {
-        let roots = self.jobs[job].dag.roots();
-        for stage in roots {
+        let jobs = self.jobs;
+        for &stage in jobs[job].dag.roots() {
             self.dispatch_stage(job, inst, stage, now);
         }
     }
@@ -1458,16 +1458,15 @@ impl<'a> RunState<'a> {
             }
             return;
         }
-        let dependents = dag.dependents();
-        let ready: Vec<usize> = dependents[stage]
-            .iter()
-            .copied()
-            .filter(|&d| {
-                instance.deps_left[d] -= 1;
-                instance.deps_left[d] == 0
-            })
-            .collect();
-        for d in ready {
+        // Dispatching never reaches this function synchronously, so
+        // unlocking and dispatching each dependent in turn meets the same
+        // `deps_left` as unlocking them all first.
+        for &d in dag.dependents(stage) {
+            let deps_left = &mut self.instance(job, inst).deps_left[d];
+            *deps_left -= 1;
+            if *deps_left > 0 {
+                continue;
+            }
             // Handoff fault: the dependent stage's dispatch is delayed.
             if let Some(delay) = self.faults.next_handoff() {
                 let function = dag.stage(d).function;

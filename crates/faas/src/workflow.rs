@@ -56,6 +56,10 @@ impl Stage {
 pub struct WorkflowDag {
     name: String,
     stages: Vec<Stage>,
+    /// Stages with no dependencies, in stage order.
+    roots: Vec<usize>,
+    /// `dependents[s]`: the stages that depend on stage `s`, in stage order.
+    dependents: Vec<Vec<usize>>,
 }
 
 impl WorkflowDag {
@@ -68,14 +72,21 @@ impl WorkflowDag {
     /// index is out of bounds.
     pub fn new(name: impl Into<String>, stages: Vec<Stage>) -> Self {
         assert!(!stages.is_empty(), "workflow needs at least one stage");
+        let mut dependents = vec![Vec::new(); stages.len()];
         for (i, s) in stages.iter().enumerate() {
             for &d in &s.deps {
                 assert!(d < i, "stage {i} depends on non-earlier stage {d}");
+                dependents[d].push(i);
             }
         }
+        let roots = (0..stages.len())
+            .filter(|&i| stages[i].deps.is_empty())
+            .collect();
         WorkflowDag {
             name: name.into(),
             stages,
+            roots,
+            dependents,
         }
     }
 
@@ -140,22 +151,18 @@ impl WorkflowDag {
         self.stages.iter()
     }
 
-    /// Stages with no dependencies (entry points).
-    pub fn roots(&self) -> Vec<usize> {
-        (0..self.stages.len())
-            .filter(|&i| self.stages[i].deps.is_empty())
-            .collect()
+    /// Stages with no dependencies (entry points), in stage order.
+    pub fn roots(&self) -> &[usize] {
+        &self.roots
     }
 
-    /// For each stage, the stages that depend on it.
-    pub fn dependents(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.stages.len()];
-        for (i, s) in self.stages.iter().enumerate() {
-            for &d in &s.deps {
-                out[d].push(i);
-            }
-        }
-        out
+    /// The stages that depend on stage `i`, in stage order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of bounds.
+    pub fn dependents(&self, i: usize) -> &[usize] {
+        &self.dependents[i]
     }
 
     /// Total task count across all stages (invocations per workflow run).
@@ -182,7 +189,7 @@ mod tests {
         assert_eq!(dag.num_stages(), 3);
         assert_eq!(dag.stage(0).deps, Vec::<usize>::new());
         assert_eq!(dag.stage(2).deps, vec![1]);
-        assert_eq!(dag.roots(), vec![0]);
+        assert_eq!(dag.roots(), [0]);
         assert_eq!(dag.total_tasks(), 3);
     }
 
@@ -190,8 +197,9 @@ mod tests {
     fn fan_out_in_shape() {
         let dag = WorkflowDag::fan_out_in("f", FunctionId(0), FunctionId(1), 8, FunctionId(2));
         assert_eq!(dag.stage(1).tasks, 8);
-        assert_eq!(dag.dependents()[0], vec![1]);
-        assert_eq!(dag.dependents()[1], vec![2]);
+        assert_eq!(dag.dependents(0), [1]);
+        assert_eq!(dag.dependents(1), [2]);
+        assert!(dag.dependents(2).is_empty());
         assert_eq!(dag.total_tasks(), 10);
     }
 
@@ -212,8 +220,9 @@ mod tests {
                 Stage::new(FunctionId(3), 1, vec![1, 2]),
             ],
         );
-        assert_eq!(dag.roots(), vec![0]);
-        assert_eq!(dag.dependents()[0], vec![1, 2]);
+        assert_eq!(dag.roots(), [0]);
+        assert_eq!(dag.dependents(0), [1, 2]);
+        assert_eq!(dag.dependents(2), [3]);
         assert_eq!(dag.stage(3).deps, vec![1, 2]);
     }
 

@@ -3,7 +3,7 @@
 //! function").
 //!
 //! Everything here is generic over [`Surrogate`], so the same proposal
-//! machinery runs against the exact [`Gp`] tier and the sparse
+//! machinery runs against the exact [`crate::Gp`] tier and the sparse
 //! inducing-point tier. On the exact tier the generic code monomorphizes
 //! to exactly the concrete code it replaced — results are bit-identical.
 

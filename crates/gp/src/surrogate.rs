@@ -10,7 +10,7 @@
 //! approximation over `m ≪ n` inducing points chosen by deterministic
 //! greedy farthest-point selection. All O(n) work happens once at fit
 //! time (the `n × m` cross-kernel matrix is built by the blocked
-//! [`aqua_linalg::gemm`] engine with runtime SIMD dispatch); predictions,
+//! [`aqua_linalg::gemm()`] engine with runtime SIMD dispatch); predictions,
 //! posterior sampling, and fantasy conditioning are O(m²) regardless of
 //! how many observations the model has absorbed. A caller that refits a
 //! growing window keeps a [`DtcBasis`], which pays the O(n) work only for

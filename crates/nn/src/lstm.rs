@@ -13,8 +13,8 @@
 //! descending. `tests/batched_equiv.rs` holds the scalar textbook
 //! reference those bits are asserted against.
 //!
-//! Every rollout runs on an [`LstmTape`] and every BPTT on an
-//! [`LstmBptt`]: flat buffers that hold the packed weights, the states,
+//! Every rollout runs on an `LstmTape` and every BPTT on an
+//! `LstmBptt`: flat buffers that hold the packed weights, the states,
 //! the recorded activations and the gradient scratch. The public calls
 //! build fresh ones and copy matrices out; a training loop keeps one pair
 //! per network and reuses it for every step, so a steady-state step

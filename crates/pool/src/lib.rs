@@ -1,7 +1,7 @@
 //! Pre-warmed-container-pool policies.
 //!
 //! Every cold-start mitigation compared in the paper's §8.1, implemented
-//! against the simulator's [`PrewarmController`] interface. The fixed
+//! against the simulator's [`aqua_faas::PrewarmController`] interface. The fixed
 //! 10-minute keep-alive of most providers (the paper's "Keep") is
 //! [`aqua_faas::FixedPrewarm`]; this crate holds the rest:
 //!

@@ -26,6 +26,7 @@
 //! sampling flows through forked [`aqua_sim::SimRng`] streams.
 
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 use aqua_alloc::{OnlineLatencyModel, OnlineModelStats};
 use aqua_faas::runtime::{BootTicket, RuntimeStats};
@@ -36,7 +37,7 @@ use aqua_faas::{
 };
 use aqua_pool::LivePoolSignal;
 use aqua_sim::{EventQueue, LatencySummary, SimDuration, SimTime};
-use aqua_telemetry::{EventSink, LiveSink, LiveStats, ShedReason, SimEvent};
+use aqua_telemetry::{EventSink, LiveSink, ShedReason, SimEvent, Telemetry};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats};
 use crate::refit::{RefitScheduler, RefitStats};
@@ -190,8 +191,6 @@ pub struct ServiceReport {
     pub refit: RefitStats,
     /// Online-model counters.
     pub model: OnlineModelStats,
-    /// Telemetry counters when a sink was attached.
-    pub telemetry: Option<LiveStats>,
     /// Runtime ledger size after the shutdown sweep (0 = clean).
     pub live_containers_at_exit: usize,
     /// Containers the final sweep had to kill.
@@ -208,9 +207,6 @@ pub struct ServiceReport {
 struct JobState {
     dag: WorkflowDag,
     arrivals: Vec<SimTime>,
-    /// `dependents[s]` = stages unblocked by stage `s` completing.
-    dependents: Vec<Vec<usize>>,
-    roots: Vec<usize>,
     /// Stage-0 config normalized into `[0,1]^3` — the model coordinate
     /// for this app's workflow latency observations.
     u: [f64; 3],
@@ -219,7 +215,7 @@ struct JobState {
 
 /// A handle on an in-flight workflow instance: its slot in the plane's
 /// instance slab, plus the low 32 bits of its sequential id, which debug
-/// builds check on every access (see [`InstanceSlab`] for why a live
+/// builds check on every access (see `InstanceSlab` for why a live
 /// handle never meets a recycled slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstanceRef {
@@ -335,7 +331,7 @@ pub struct ControlPlane {
     starved: VecDeque<FunctionId>,
     starved_flag: Vec<bool>,
     draining: bool,
-    telemetry: Option<LiveSink<Box<dyn EventSink + Send>>>,
+    telemetry: Telemetry,
     /// Completion latencies, seconds, in completion order.
     latencies: Vec<f64>,
     /// The tenant of each entry of `latencies`: per-tenant samples are read
@@ -396,8 +392,6 @@ impl ControlPlane {
         let jobs: Vec<JobState> = jobs
             .into_iter()
             .map(|job| JobState {
-                dependents: job.dag.dependents(),
-                roots: job.dag.roots(),
                 u: stage0_u(&job.configs),
                 dag: job.dag,
                 arrivals: job.arrivals,
@@ -423,7 +417,7 @@ impl ControlPlane {
             starved: VecDeque::new(),
             starved_flag: vec![false; functions],
             draining: false,
-            telemetry: None,
+            telemetry: Telemetry::disabled(),
             latencies: Vec::new(),
             latency_tenants: Vec::new(),
             completed: 0,
@@ -490,10 +484,11 @@ impl ControlPlane {
     }
 
     /// Attaches a live telemetry sink flushed every `flush_every` events.
-    /// Only coarse container-lifecycle events (warm hits, cold-start
-    /// begins) are emitted, keeping the request path cheap.
+    /// Only coarse events are emitted, keeping the request path cheap:
+    /// warm hits, cold-start begins, tenant admissions, sheds and
+    /// completions, predictive rejections and surrogate-tier switches.
     pub fn attach_telemetry(&mut self, sink: Box<dyn EventSink + Send>, flush_every: u64) {
-        self.telemetry = Some(LiveSink::new(sink, flush_every));
+        self.telemetry = Telemetry::new(Arc::new(Mutex::new(LiveSink::new(sink, flush_every))));
     }
 
     /// Runs the service to completion: arrivals are injected lazily, the
@@ -589,14 +584,12 @@ impl ControlPlane {
             SvcEvent::RefitTick => {
                 self.refit.tick(&mut self.model);
                 for sw in self.model.drain_tier_switches() {
-                    if let Some(t) = &mut self.telemetry {
-                        t.record(&SimEvent::SurrogateTierSwitch {
-                            at: now,
-                            app: sw.app,
-                            train: sw.train,
-                            inducing: sw.inducing,
-                        });
-                    }
+                    self.telemetry.emit_with(|| SimEvent::SurrogateTierSwitch {
+                        at: now,
+                        app: sw.app,
+                        train: sw.train,
+                        inducing: sw.inducing,
+                    });
                 }
                 if !self.draining {
                     self.after(self.cfg.refit_interval, SvcEvent::RefitTick);
@@ -644,16 +637,14 @@ impl ControlPlane {
             return false;
         }
         self.admission.predictive_reject(tenant);
-        if let Some(t) = &mut self.telemetry {
-            t.record(&SimEvent::PredictiveReject {
-                at: now,
-                tenant: tenant.0,
-                workflow: job,
-                predicted_secs: predicted,
-                sigma_secs: sigma,
-                slo_secs: slo,
-            });
-        }
+        self.telemetry.emit_with(|| SimEvent::PredictiveReject {
+            at: now,
+            tenant: tenant.0,
+            workflow: job,
+            predicted_secs: predicted,
+            sigma_secs: sigma,
+            slo_secs: slo,
+        });
         true
     }
 
@@ -664,31 +655,27 @@ impl ControlPlane {
         }
         if !self.admission.try_admit(tenant) {
             // Shed at the front door, counted by the limiter.
-            if let Some(t) = &mut self.telemetry {
-                t.record(&SimEvent::TenantShed {
-                    at: now,
-                    tenant: tenant.0,
-                    workflow: job,
-                    reason: ShedReason::Inflight,
-                });
-            }
+            self.telemetry.emit_with(|| SimEvent::TenantShed {
+                at: now,
+                tenant: tenant.0,
+                workflow: job,
+                reason: ShedReason::Inflight,
+            });
             return;
         }
         let id = self.next_instance;
         self.next_instance += 1;
-        if let Some(t) = &mut self.telemetry {
-            t.record(&SimEvent::TenantAdmit {
-                at: now,
-                tenant: tenant.0,
-                workflow: job,
-                instance: id,
-            });
-        }
+        self.telemetry.emit_with(|| SimEvent::TenantAdmit {
+            at: now,
+            tenant: tenant.0,
+            workflow: job,
+            instance: id,
+        });
         let wf = self.instances.admit(id, job, &self.jobs[job].dag, now);
         // Indexed loop: `dispatch_stage` needs `&mut self`, and cloning the
         // root list here would put an allocation on every admission.
-        for r in 0..self.jobs[job].roots.len() {
-            let s = self.jobs[job].roots[r];
+        for r in 0..self.jobs[job].dag.roots().len() {
+            let s = self.jobs[job].dag.roots()[r];
             if !self.dispatch_stage(wf, s, now) {
                 break;
             }
@@ -739,14 +726,12 @@ impl ControlPlane {
                     self.mark_starved(f);
                     true
                 } else {
-                    if let Some(t) = &mut self.telemetry {
-                        t.record(&SimEvent::TenantShed {
-                            at: now,
-                            tenant: tenant.0,
-                            workflow: job,
-                            reason: ShedReason::Queue,
-                        });
-                    }
+                    self.telemetry.emit_with(|| SimEvent::TenantShed {
+                        at: now,
+                        tenant: tenant.0,
+                        workflow: job,
+                        reason: ShedReason::Queue,
+                    });
                     self.signal.on_complete(f); // undo the dispatch count
                     self.abort(wf);
                     false
@@ -776,13 +761,11 @@ impl ControlPlane {
                 container,
             },
         );
-        if let Some(t) = &mut self.telemetry {
-            t.record(&SimEvent::WarmHit {
-                at: now,
-                function: f.0,
-                container: container.0,
-            });
-        }
+        self.telemetry.emit_with(|| SimEvent::WarmHit {
+            at: now,
+            function: f.0,
+            container: container.0,
+        });
     }
 
     /// Schedules `event` `delay` after the current virtual time.
@@ -803,19 +786,16 @@ impl ControlPlane {
         self.after(t.boot, ev);
     }
 
-    fn emit_cold_start(&mut self, ticket: &BootTicket, now: SimTime, prewarmed: bool) {
-        let memory_mb = self.pool.config(ticket.function).memory_mb;
-        if let Some(t) = &mut self.telemetry {
-            t.record(&SimEvent::ColdStartBegin {
-                at: now,
-                function: ticket.function.0,
-                container: ticket.container.0,
-                worker: 0,
-                memory_mb,
-                slots: 1,
-                prewarmed,
-            });
-        }
+    fn emit_cold_start(&self, ticket: &BootTicket, now: SimTime, prewarmed: bool) {
+        self.telemetry.emit_with(|| SimEvent::ColdStartBegin {
+            at: now,
+            function: ticket.function.0,
+            container: ticket.container.0,
+            worker: 0,
+            memory_mb: self.pool.config(ticket.function).memory_mb,
+            slots: 1,
+            prewarmed,
+        });
     }
 
     /// Serves waiting tasks from idle containers until one side runs out.
@@ -944,15 +924,13 @@ impl ControlPlane {
             if latency > self.plan.classes[tenant.0].slo_secs() {
                 self.tenant_qos_misses[tenant.0] += 1;
             }
-            if let Some(t) = &mut self.telemetry {
-                t.record(&SimEvent::TenantComplete {
-                    at: now,
-                    tenant: tenant.0,
-                    workflow: job,
-                    instance: id,
-                    latency_secs: latency,
-                });
-            }
+            self.telemetry.emit_with(|| SimEvent::TenantComplete {
+                at: now,
+                tenant: tenant.0,
+                workflow: job,
+                instance: id,
+                latency_secs: latency,
+            });
             let js = &mut self.jobs[job];
             js.completions += 1;
             if js.completions.is_multiple_of(self.cfg.model_sample_every) {
@@ -966,8 +944,8 @@ impl ControlPlane {
         }
         // Indexed loop for the same reason as `admit`: stage completions
         // are hot, and the dependent list is immutable while we dispatch.
-        for di in 0..self.jobs[job].dependents[stage].len() {
-            let d = self.jobs[job].dependents[stage][di];
+        for di in 0..self.jobs[job].dag.dependents(stage).len() {
+            let d = self.jobs[job].dag.dependents(stage)[di];
             let ready = {
                 // A dispatch that aborts the instance returns `false` and
                 // ends the loop (the abort may free the slot), so here the
@@ -988,9 +966,7 @@ impl ControlPlane {
         let cost_gb_s = self.pool.memory_gb_seconds(self.queue.now());
         let swept = self.pool.shutdown_sweep(self.queue.now());
         let live = self.pool.live_containers();
-        if let Some(t) = &mut self.telemetry {
-            t.flush();
-        }
+        self.telemetry.flush();
         // Each tenant's sample, in completion order, through one buffer;
         // then the global sample, which the summary reorders in place.
         let mut sample = Vec::new();
@@ -1026,7 +1002,6 @@ impl ControlPlane {
             runtime: self.pool.runtime_stats(),
             refit: self.refit.stats(),
             model: self.model.stats(),
-            telemetry: self.telemetry.as_ref().map(|t| t.stats()),
             live_containers_at_exit: live,
             swept_at_exit: swept,
             stranded_instances: stranded,
@@ -1040,6 +1015,20 @@ impl ControlPlane {
 mod tests {
     use super::*;
     use aqua_faas::{FunctionSpec, StageConfigs};
+    use aqua_telemetry::{Fanout, Recorder, SharedSink};
+
+    /// Attaches a recorder to `plane` and returns it.
+    fn record(plane: &mut ControlPlane) -> Arc<Mutex<Recorder>> {
+        let rec = Arc::new(Mutex::new(Recorder::unbounded()));
+        plane.attach_telemetry(Box::new(Fanout::new(vec![rec.clone() as SharedSink])), 64);
+        rec
+    }
+
+    /// The recorded events of `kind`.
+    fn count(rec: &Mutex<Recorder>, kind: &str) -> u64 {
+        let events = rec.lock().unwrap().events();
+        events.iter().filter(|e| e.kind() == kind).count() as u64
+    }
 
     fn chain_jobs(apps: usize, arrivals_per_app: usize) -> (FunctionRegistry, Vec<WorkflowJob>) {
         let mut reg = FunctionRegistry::new();
@@ -1204,12 +1193,11 @@ mod tests {
                 .with_tier_threshold(16)
                 .with_inducing(8),
         );
-        plane.attach_telemetry(Box::new(aqua_telemetry::Recorder::unbounded()), 64);
+        let rec = record(&mut plane);
         let report = plane.run();
         assert_eq!(report.completed, 60);
         assert_eq!(report.model.tier_switches, 1, "exact tier crossed 16 obs");
-        let live = report.telemetry.expect("sink attached");
-        assert_eq!(live.kind("surrogate_tier_switch"), 1);
+        assert_eq!(count(&rec, "surrogate_tier_switch"), 1);
     }
 
     #[test]
@@ -1222,20 +1210,19 @@ mod tests {
             &FaultPlan::disabled(),
             small_cfg(),
         );
-        plane.attach_telemetry(Box::new(aqua_telemetry::Recorder::unbounded()), 64);
-        let report = plane.run();
-        let live = report.telemetry.expect("sink attached");
-        assert!(live.kind("cold_start_begin") > 0);
-        assert!(live.kind("warm_hit") > 0);
+        let rec = record(&mut plane);
+        plane.run();
+        assert!(count(&rec, "cold_start_begin") > 0);
+        assert!(count(&rec, "warm_hit") > 0);
         assert_eq!(
-            live.kind("warm_hit")
-                + live.kind("cold_start_begin")
-                + live.kind("tenant_admit")
-                + live.kind("tenant_complete"),
-            live.events
+            count(&rec, "warm_hit")
+                + count(&rec, "cold_start_begin")
+                + count(&rec, "tenant_admit")
+                + count(&rec, "tenant_complete"),
+            rec.lock().unwrap().events().len() as u64
         );
-        assert_eq!(live.kind("tenant_admit"), 20, "one admit per arrival");
-        assert_eq!(live.kind("tenant_complete"), 20);
+        assert_eq!(count(&rec, "tenant_admit"), 20, "one admit per arrival");
+        assert_eq!(count(&rec, "tenant_complete"), 20);
     }
 
     #[test]
@@ -1318,14 +1305,13 @@ mod tests {
             cfg,
         )
         .with_tenants(plan);
-        plane.attach_telemetry(Box::new(aqua_telemetry::Recorder::unbounded()), 64);
+        let rec = record(&mut plane);
         let report = plane.run();
         let s = report.admission;
         assert!(s.predictive_rejects > 0, "model must veto once fitted");
         assert_eq!(s.arrivals(), 60, "rejects balance the arrival ledger");
         assert_eq!(s.admitted, s.finished, "every admitted instance drained");
-        let live = report.telemetry.expect("sink attached");
-        assert_eq!(live.kind("predictive_reject"), s.predictive_rejects);
+        assert_eq!(count(&rec, "predictive_reject"), s.predictive_rejects);
         assert_eq!(report.live_containers_at_exit, 0);
     }
 

@@ -125,7 +125,7 @@ impl SimRng {
         mean + std_dev * self.standard_normal()
     }
 
-    /// Bernoulli trial returning true with probability `p` (clamped to [0,1]).
+    /// Bernoulli trial returning true with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p.clamp(0.0, 1.0)
     }

@@ -202,7 +202,7 @@ pub enum SimEvent {
         /// Observed execution cost of the candidate.
         cost: f64,
     },
-    /// A fault from the run's [`FaultPlan`] fired.
+    /// A fault from the run's `FaultPlan` fired.
     ///
     /// `container` is `None` for faults not tied to a container
     /// (stage-handoff delays). `magnitude` is fault-specific: the

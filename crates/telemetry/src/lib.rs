@@ -7,7 +7,7 @@
 //! violations — is emitted as a [`SimEvent`] through a pluggable
 //! [`EventSink`]. On top of the stream sit:
 //!
-//! * [`Recorder`] — an in-memory (optionally bounded) trace recorder;
+//! * [`Recorder`] — an in-memory trace recorder;
 //! * [`JsonlWriter`] — line-delimited JSON export for offline analysis;
 //! * [`InvariantChecker`] — online checks of simulator accounting
 //!   invariants (per-worker container conservation, no memory
@@ -45,5 +45,5 @@ pub mod sink;
 pub use diff::{diff_jsonl, diff_traces, Divergence};
 pub use event::{EvictionReason, FaultKind, ShedReason, SimEvent};
 pub use invariant::InvariantChecker;
-pub use live::{LiveSink, LiveStats};
+pub use live::LiveSink;
 pub use sink::{EventSink, Fanout, JsonlWriter, Recorder, SharedSink, Telemetry};

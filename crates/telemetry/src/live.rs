@@ -2,44 +2,19 @@
 //!
 //! Replay sinks ([`crate::Recorder`], [`crate::JsonlWriter`]) assume a
 //! bounded run: buffer everything, flush once at the end. A service that
-//! never ends needs the opposite contract — bounded memory, periodic
-//! flushes, and cheap aggregate counters that can be scraped while events
-//! keep streaming. [`LiveSink`] provides that: it wraps any downstream
-//! [`EventSink`], forwards every event, force-flushes the downstream every
-//! `flush_every` events, and maintains per-kind counters (keyed by
-//! [`SimEvent::kind`]) readable at any time without stopping the stream.
-
-use std::collections::BTreeMap;
+//! never ends needs its output on disk as it goes. [`LiveSink`] provides
+//! that: it wraps any downstream [`EventSink`], forwards every event, and
+//! force-flushes the downstream every `flush_every` events.
 
 use crate::event::SimEvent;
 use crate::sink::EventSink;
 
-/// Aggregate counters scraped from a [`LiveSink`] while it runs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LiveStats {
-    /// Events seen, total.
-    pub events: u64,
-    /// Flushes forced by the periodic cadence (excludes terminal flush).
-    pub periodic_flushes: u64,
-    /// Events seen per [`SimEvent::kind`] tag, sorted by kind.
-    pub by_kind: BTreeMap<&'static str, u64>,
-}
-
-impl LiveStats {
-    /// Count for one event kind (0 when never seen).
-    pub fn kind(&self, kind: &str) -> u64 {
-        self.by_kind.get(kind).copied().unwrap_or(0)
-    }
-}
-
 /// An [`EventSink`] adapter for long-running processes: forwards to a
-/// downstream sink, flushes it every `flush_every` events, and keeps
-/// scrapeable per-kind counters.
+/// downstream sink and flushes it every `flush_every` events.
 pub struct LiveSink<S> {
     downstream: S,
     flush_every: u64,
     since_flush: u64,
-    stats: LiveStats,
 }
 
 impl<S: EventSink> LiveSink<S> {
@@ -54,36 +29,16 @@ impl<S: EventSink> LiveSink<S> {
             downstream,
             flush_every,
             since_flush: 0,
-            stats: LiveStats::default(),
         }
-    }
-
-    /// A snapshot of the aggregate counters.
-    pub fn stats(&self) -> LiveStats {
-        self.stats.clone()
-    }
-
-    /// Borrows the downstream sink (e.g. to inspect a wrapped recorder).
-    pub fn downstream(&self) -> &S {
-        &self.downstream
-    }
-
-    /// Consumes the adapter, flushing and returning the downstream sink.
-    pub fn into_downstream(mut self) -> S {
-        self.downstream.flush();
-        self.downstream
     }
 }
 
 impl<S: EventSink> EventSink for LiveSink<S> {
     fn record(&mut self, event: &SimEvent) {
-        self.stats.events += 1;
-        *self.stats.by_kind.entry(event.kind()).or_insert(0) += 1;
         self.downstream.record(event);
         self.since_flush += 1;
         if self.since_flush >= self.flush_every {
             self.since_flush = 0;
-            self.stats.periodic_flushes += 1;
             self.downstream.flush();
         }
     }
@@ -124,34 +79,15 @@ mod tests {
         }
     }
 
-    fn cold(us: u64) -> SimEvent {
-        SimEvent::ColdStartBegin {
-            at: SimTime::from_micros(us),
-            function: 0,
-            container: us,
-            worker: 0,
-            memory_mb: 128.0,
-            slots: 1,
-            prewarmed: false,
-        }
-    }
-
     #[test]
-    fn flushes_on_cadence_and_counts_kinds() {
+    fn flushes_on_cadence() {
         let mut live = LiveSink::new(FlushCounter::default(), 3);
-        for i in 0..7 {
+        for i in 0..8 {
             live.record(&hit(i));
         }
-        live.record(&cold(7));
-        let stats = live.stats();
-        assert_eq!(stats.events, 8);
-        assert_eq!(stats.kind("warm_hit"), 7);
-        assert_eq!(stats.kind("cold_start_begin"), 1);
-        assert_eq!(stats.kind("never_seen"), 0);
         // 8 events at cadence 3 → flushes after events 3 and 6.
-        assert_eq!(stats.periodic_flushes, 2);
-        assert_eq!(live.downstream().flushes, 2);
-        assert_eq!(live.downstream().records, 8);
+        assert_eq!(live.downstream.flushes, 2);
+        assert_eq!(live.downstream.records, 8);
     }
 
     #[test]
@@ -163,17 +99,7 @@ mod tests {
         // The cadence restarted: two more events stay under the threshold.
         live.record(&hit(2));
         live.record(&hit(3));
-        assert_eq!(live.stats().periodic_flushes, 0);
-        assert_eq!(live.downstream().flushes, 1);
-    }
-
-    #[test]
-    fn into_downstream_flushes_and_returns_the_wrapped_sink() {
-        let mut live = LiveSink::new(Recorder::unbounded(), 1000);
-        live.record(&hit(0));
-        live.record(&hit(1));
-        let rec = live.into_downstream();
-        assert_eq!(rec.events().len(), 2);
+        assert_eq!(live.downstream.flushes, 1);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl Telemetry {
         )
     }
 
-    /// Shorthand for [`Telemetry::attach`] with an unbounded [`Recorder`].
+    /// Shorthand for [`Telemetry::attach`] with a [`Recorder`].
     pub fn recording() -> (Telemetry, Arc<Mutex<Recorder>>) {
         Telemetry::attach(Recorder::unbounded())
     }
@@ -130,18 +130,10 @@ impl Telemetry {
     }
 }
 
-/// An in-memory trace recorder.
-///
-/// With a capacity it behaves as a ring buffer keeping the **latest**
-/// `capacity` events; unbounded it keeps everything.
+/// An in-memory trace recorder that keeps every event.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     events: Vec<SimEvent>,
-    capacity: Option<usize>,
-    /// Ring start index when the buffer has wrapped.
-    head: usize,
-    /// Total events ever recorded (≥ `events.len()`).
-    seen: u64,
 }
 
 impl Recorder {
@@ -150,61 +142,26 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// A ring-buffer recorder keeping the most recent `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        Recorder {
-            capacity: Some(capacity),
-            ..Recorder::default()
-        }
-    }
-
     /// The recorded events in arrival order (oldest first).
     pub fn events(&self) -> Vec<SimEvent> {
-        let mut out = Vec::with_capacity(self.events.len());
-        out.extend_from_slice(&self.events[self.head..]);
-        out.extend_from_slice(&self.events[..self.head]);
-        out
-    }
-
-    /// Total events observed, including any that fell out of the ring.
-    pub fn total_seen(&self) -> u64 {
-        self.seen
+        self.events.clone()
     }
 
     /// Encodes the recorded trace as JSONL (one event per line, trailing
     /// newline included when non-empty).
     pub fn to_jsonl(&self) -> String {
         let mut s = String::new();
-        for ev in self.events() {
+        for ev in &self.events {
             s.push_str(&ev.to_json());
             s.push('\n');
         }
         s
     }
-
-    /// Clears the buffer (the `total_seen` counter keeps counting).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.head = 0;
-    }
 }
 
 impl EventSink for Recorder {
     fn record(&mut self, event: &SimEvent) {
-        self.seen += 1;
-        match self.capacity {
-            Some(cap) if self.events.len() == cap => {
-                // Overwrite the oldest slot.
-                self.events[self.head] = event.clone();
-                self.head = (self.head + 1) % cap;
-            }
-            _ => self.events.push(event.clone()),
-        }
+        self.events.push(event.clone());
     }
 }
 
@@ -329,20 +286,6 @@ mod tests {
         assert_eq!(evs.len(), 5);
         assert_eq!(evs[0].at(), SimTime::from_micros(0));
         assert_eq!(evs[4].at(), SimTime::from_micros(4));
-    }
-
-    #[test]
-    fn ring_buffer_keeps_latest() {
-        let (tel, rec) = Telemetry::attach(Recorder::with_capacity(3));
-        for i in 0..7 {
-            tel.emit(&hit(i));
-        }
-        let rec = rec.lock().unwrap();
-        assert_eq!(rec.total_seen(), 7);
-        let evs = rec.events();
-        assert_eq!(evs.len(), 3);
-        let at: Vec<u64> = evs.iter().map(|e| e.at().as_micros()).collect();
-        assert_eq!(at, vec![4, 5, 6]);
     }
 
     #[test]

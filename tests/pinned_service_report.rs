@@ -16,7 +16,8 @@
 //! The literals were captured before the request path under them was
 //! changed, in debug and `--release`, and must not move when only the way
 //! the plane keeps its bookkeeping does (a mismatch prints the observed
-//! values).
+//! values). The same run without a sink must reproduce every word but the
+//! last three, which pin the telemetry stream itself.
 
 use std::sync::{Arc, Mutex};
 
@@ -31,8 +32,8 @@ use aquatope::sim::{LatencySummary, SimDuration};
 use aquatope::telemetry::{Fanout, Recorder, SharedSink};
 use aquatope::workflows::azure::{azure_scale, AzureScaleConfig};
 
-/// Runs the plane and returns its report and JSONL telemetry stream.
-fn run() -> (ServiceReport, String) {
+/// Runs the plane, feeding its telemetry to `rec` when given.
+fn run(rec: Option<&Arc<Mutex<Recorder>>>) -> ServiceReport {
     let azure = AzureScaleConfig {
         apps: 40,
         minutes: 2,
@@ -85,7 +86,6 @@ fn run() -> (ServiceReport, String) {
             ..FaultRates::default()
         },
     );
-    let rec = Arc::new(Mutex::new(Recorder::unbounded()));
     let mut plane = ControlPlane::new(
         wl.registry,
         wl.jobs,
@@ -94,10 +94,10 @@ fn run() -> (ServiceReport, String) {
         cfg,
     )
     .with_tenants(plan);
-    plane.attach_telemetry(Box::new(Fanout::new(vec![rec.clone() as SharedSink])), 256);
-    let report = plane.run();
-    let jsonl = rec.lock().unwrap().to_jsonl();
-    (report, jsonl)
+    if let Some(rec) = rec {
+        plane.attach_telemetry(Box::new(Fanout::new(vec![rec.clone() as SharedSink])), 256);
+    }
+    plane.run()
 }
 
 /// FNV-1a over the telemetry stream: one number that moves with any byte.
@@ -114,18 +114,8 @@ fn summary_bits(s: &LatencySummary, out: &mut Vec<u64>) {
     }
 }
 
-#[test]
-fn service_report_bits_are_pinned() {
-    let (r, jsonl) = run();
-    // The run must reach every branch the pin is there to cover.
-    assert!(r.admission.shed_arrivals > 0, "{:?}", r.admission);
-    assert!(r.admission.shed_tasks > 0, "{:?}", r.admission);
-    assert!(r.admission.predictive_rejects > 0, "{:?}", r.admission);
-    assert!(r.pool.boot_failures > 0, "{:?}", r.pool);
-    assert!(r.rejected_workflows > 0);
-    assert_eq!(r.live_containers_at_exit, 0);
-    assert_eq!(r.stranded_instances, 0);
-
+/// The report's pinned words: all of `want()` but the telemetry words.
+fn report_bits(r: &ServiceReport) -> Vec<u64> {
     let mut got = vec![
         r.sim_horizon.as_micros(),
         r.events_processed,
@@ -180,10 +170,13 @@ fn service_report_bits_are_pinned() {
         m.rejected,
         m.tier_switches,
     ]);
-    let live = r.telemetry.as_ref().expect("sink attached");
-    got.extend([live.events, jsonl.lines().count() as u64, fnv1a(&jsonl)]);
+    got
+}
 
-    let want: [u64; 94] = [
+/// The pinned words: the report's, then the telemetry stream's event
+/// count, line count and FNV-1a hash.
+fn want() -> [u64; 94] {
+    [
         0x8ac07d1,
         0x35db,
         0x804,
@@ -278,6 +271,35 @@ fn service_report_bits_are_pinned() {
         0x3f54,
         0x3f54,
         0x6832dd8ecd2828cd,
-    ];
-    assert_eq!(got, want, "observed {got:#x?}");
+    ]
+}
+
+#[test]
+fn service_report_bits_are_pinned() {
+    let rec = Arc::new(Mutex::new(Recorder::unbounded()));
+    let r = run(Some(&rec));
+    // The run must reach every branch the pin is there to cover.
+    assert!(r.admission.shed_arrivals > 0, "{:?}", r.admission);
+    assert!(r.admission.shed_tasks > 0, "{:?}", r.admission);
+    assert!(r.admission.predictive_rejects > 0, "{:?}", r.admission);
+    assert!(r.pool.boot_failures > 0, "{:?}", r.pool);
+    assert!(r.rejected_workflows > 0);
+    assert_eq!(r.live_containers_at_exit, 0);
+    assert_eq!(r.stranded_instances, 0);
+
+    let mut got = report_bits(&r);
+    let rec = rec.lock().unwrap();
+    let jsonl = rec.to_jsonl();
+    got.extend([
+        rec.events().len() as u64,
+        jsonl.lines().count() as u64,
+        fnv1a(&jsonl),
+    ]);
+    assert_eq!(got, want(), "observed {got:#x?}");
+}
+
+#[test]
+fn telemetry_leaves_the_report_unchanged() {
+    let got = report_bits(&run(None));
+    assert_eq!(got, want()[..91], "observed {got:#x?}");
 }

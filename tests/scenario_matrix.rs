@@ -1,8 +1,9 @@
 //! Regression gates over the scenario-matrix evaluator:
 //!
-//! * a **golden** small matrix report (`tests/golden/matrix_small.json`,
-//!   byte-identical; regenerate with `BLESS=1 cargo test --test
-//!   scenario_matrix`),
+//! * **golden** small matrix reports, one from the batch simulator
+//!   (`tests/golden/matrix_small.json`) and one from the live control
+//!   plane (`tests/golden/matrix_small_service.json`), byte-identical;
+//!   regenerate with `BLESS=1 cargo test --test scenario_matrix`,
 //! * the **zero-rate fault identity**: a faulted cell whose fault plan
 //!   has every rate at zero must reproduce its clean diurnal counterpart
 //!   bit-for-bit (same arrival stream by construction),
@@ -15,10 +16,12 @@
 use std::collections::BTreeSet;
 
 use aquatope::faas::FaultRates;
+use aquatope::scenarios::service_mode::{run_service_cells, ClusterProfile};
 use aquatope::scenarios::{
     matrix::{evaluate, evaluate_with_rates},
     run_matrix, MatrixConfig, PolicyKind, ScenarioKind, ScenarioSpec,
 };
+use aquatope::service::PredictiveConfig;
 
 /// The golden configuration: 2 scenarios × 2 cheap policies × 2 seeds at
 /// 30 minutes. No neural nets involved, so it runs in milliseconds and
@@ -37,11 +40,38 @@ fn golden_config() -> MatrixConfig {
 
 #[test]
 fn golden_small_matrix_report() {
-    let report = run_matrix(&golden_config());
-    let body = report.to_json_string();
+    assert_golden(
+        "matrix_small.json",
+        &run_matrix(&golden_config()).to_json_string(),
+    );
+}
+
+/// The golden configuration's scenarios and seeds on the live control
+/// plane's sim-matched cluster, with the fixed, histogram and slack-aware
+/// policies (`tests/golden/matrix_small_service.json`, byte-identical).
+#[test]
+fn golden_small_service_matrix_report() {
+    let config = golden_config();
+    let report = run_service_cells(
+        &config.scenarios,
+        &[
+            PolicyKind::Fixed,
+            PolicyKind::Histogram,
+            PolicyKind::SlackAware,
+        ],
+        &config.seeds,
+        PredictiveConfig::default(),
+        ClusterProfile::sim_matched(),
+    );
+    assert_golden("matrix_small_service.json", &report.to_json_string());
+}
+
+/// Checks `body` byte for byte against `tests/golden/<name>`, or writes
+/// it there under `BLESS=1`.
+fn assert_golden(name: &str, body: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join("matrix_small.json");
+        .join(name);
     if std::env::var("BLESS").ok().as_deref() == Some("1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, body).unwrap();

@@ -22,17 +22,6 @@ impl Worker {
     }
 }
 
-/// Aggregate cluster state handed to pool policies each tick.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSnapshot {
-    /// Total memory reserved by containers, MiB.
-    pub reserved_memory_mb: f64,
-    /// Total cluster memory, MiB.
-    pub total_memory_mb: f64,
-    /// Number of live containers.
-    pub containers: usize,
-}
-
 /// The simulated cluster of invoker servers.
 ///
 /// All memory-time and CPU-time integrals are maintained here so every
@@ -432,15 +421,6 @@ impl Cluster {
             }
         }
         counts
-    }
-
-    /// Snapshot for pool policies.
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            reserved_memory_mb: self.reserved_mb_now,
-            total_memory_mb: self.workers.iter().map(|w| w.memory_capacity_mb).sum(),
-            containers: self.containers.len(),
-        }
     }
 
     /// Brings the resource-time integrals up to `now`.
@@ -851,22 +831,5 @@ mod tests {
         cl.kill(a, SimTime::from_secs(1), EvictionReason::Shrink);
         assert!(cl.container(a).is_none());
         assert_eq!(cl.counts(FunctionId(0)), (1, 0, 0));
-    }
-
-    #[test]
-    fn snapshot_reports_reservation() {
-        let mut cl = cluster();
-        cl.boot_container(
-            FunctionId(0),
-            cfg(),
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            false,
-        )
-        .unwrap();
-        let snap = cl.snapshot();
-        assert_eq!(snap.reserved_memory_mb, 1024.0);
-        assert_eq!(snap.total_memory_mb, 8192.0);
-        assert_eq!(snap.containers, 1);
     }
 }

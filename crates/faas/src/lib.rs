@@ -54,7 +54,7 @@ pub mod tenant;
 pub mod types;
 pub mod workflow;
 
-pub use cluster::{Cluster, ClusterSnapshot};
+pub use cluster::Cluster;
 pub use container::{Container, ContainerState};
 pub use fault::{FaultPlan, FaultRates, FaultState, RetryPolicy};
 pub use function::{FunctionRegistry, FunctionSpec};

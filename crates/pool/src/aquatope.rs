@@ -314,7 +314,6 @@ impl PrewarmController for AquatopePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqua_faas::cluster::ClusterSnapshot;
     use aqua_faas::sim::FnWindowStats;
     use aqua_faas::Stage;
     use aqua_sim::SimTime;
@@ -322,7 +321,6 @@ mod tests {
     fn obs(peaks: &[u32], minute: u64) -> PoolObservation {
         PoolObservation {
             now: SimTime::from_secs(60 * minute),
-            window: SimDuration::from_secs(60),
             stats: peaks
                 .iter()
                 .enumerate()
@@ -336,11 +334,6 @@ mod tests {
                     failed_boots: 0,
                 })
                 .collect(),
-            cluster: ClusterSnapshot {
-                reserved_memory_mb: 0.0,
-                total_memory_mb: 1.0e6,
-                containers: 0,
-            },
         }
     }
 

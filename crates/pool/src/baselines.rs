@@ -180,7 +180,6 @@ impl PrewarmController for IceBreakerPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqua_faas::cluster::ClusterSnapshot;
     use aqua_faas::sim::FnWindowStats;
     use aqua_faas::FixedPrewarm;
     use aqua_sim::SimTime;
@@ -192,7 +191,6 @@ mod tests {
     fn obs_with_failures(peaks: &[u32], failed_boots: u32) -> PoolObservation {
         PoolObservation {
             now: SimTime::from_secs(60),
-            window: SimDuration::from_secs(60),
             stats: peaks
                 .iter()
                 .enumerate()
@@ -206,11 +204,6 @@ mod tests {
                     failed_boots,
                 })
                 .collect(),
-            cluster: ClusterSnapshot {
-                reserved_memory_mb: 0.0,
-                total_memory_mb: 1.0e6,
-                containers: 0,
-            },
         }
     }
 

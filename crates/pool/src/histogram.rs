@@ -138,7 +138,6 @@ impl PrewarmController for HistogramPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqua_faas::cluster::ClusterSnapshot;
     use aqua_faas::sim::FnWindowStats;
     use aqua_faas::FunctionId;
     use aqua_sim::SimTime;
@@ -148,7 +147,6 @@ mod tests {
     fn obs_one(invocations: u32, peak: u32) -> PoolObservation {
         PoolObservation {
             now: SimTime::from_secs(60),
-            window: SimDuration::from_secs(60),
             stats: vec![FnWindowStats {
                 function: FunctionId(0),
                 invocations,
@@ -158,11 +156,6 @@ mod tests {
                 busy: 0,
                 failed_boots: 0,
             }],
-            cluster: ClusterSnapshot {
-                reserved_memory_mb: 0.0,
-                total_memory_mb: 1.0e6,
-                containers: 0,
-            },
         }
     }
 

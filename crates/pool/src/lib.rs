@@ -32,13 +32,11 @@
 pub mod aquatope;
 pub mod baselines;
 pub mod histogram;
-pub mod service;
 pub mod slack;
 
 pub use aquatope::{AquaLitePool, AquatopePool, AquatopePoolConfig};
 pub use baselines::{FaasCachePolicy, IceBreakerPolicy, ReactiveAutoscale};
 pub use histogram::HistogramPolicy;
-pub use service::LivePoolSignal;
 pub use slack::SlackAwarePolicy;
 
 use aqua_forecast::{SeriesPoint, TriggerKind};

@@ -151,7 +151,6 @@ impl PrewarmController for SlackAwarePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqua_faas::cluster::ClusterSnapshot;
     use aqua_faas::sim::FnWindowStats;
     use aqua_faas::FunctionSpec;
     use aqua_sim::SimTime;
@@ -159,7 +158,6 @@ mod tests {
     fn obs(peaks: &[u32], failed_boots: u32) -> PoolObservation {
         PoolObservation {
             now: SimTime::from_secs(60),
-            window: SimDuration::from_secs(60),
             stats: peaks
                 .iter()
                 .enumerate()
@@ -173,11 +171,6 @@ mod tests {
                     failed_boots,
                 })
                 .collect(),
-            cluster: ClusterSnapshot {
-                reserved_memory_mb: 0.0,
-                total_memory_mb: 1.0e6,
-                containers: 0,
-            },
         }
     }
 

@@ -175,14 +175,12 @@ impl PrewarmController for OraclePrewarm {
 mod tests {
     use super::*;
     use crate::scenario::{ScenarioKind, ScenarioSpec};
-    use aqua_faas::cluster::ClusterSnapshot;
     use aqua_faas::sim::FnWindowStats;
     use aqua_sim::SimTime;
 
     fn obs(now_min: u64, fns: &[usize], failed: u32) -> PoolObservation {
         PoolObservation {
             now: SimTime::from_secs(60 * now_min),
-            window: SimDuration::from_secs(60),
             stats: fns
                 .iter()
                 .map(|&f| FnWindowStats {
@@ -195,11 +193,6 @@ mod tests {
                     failed_boots: failed,
                 })
                 .collect(),
-            cluster: ClusterSnapshot {
-                reserved_memory_mb: 0.0,
-                total_memory_mb: 1.0e6,
-                containers: 0,
-            },
         }
     }
 

@@ -16,7 +16,6 @@
 
 use aquatope::alloc::testkit::tiny_problem;
 use aquatope::alloc::{AquatopeRm, ResourceManager, SearchOutcome, SearchStep, SimEvaluator};
-use aquatope::faas::cluster::ClusterSnapshot;
 use aquatope::faas::sim::FnWindowStats;
 use aquatope::faas::types::ConfigSpace;
 use aquatope::faas::{
@@ -63,7 +62,6 @@ impl Fnv {
 fn window(peak: u32, minute: u64) -> PoolObservation {
     PoolObservation {
         now: SimTime::from_secs(60 * minute),
-        window: SimDuration::from_secs(60),
         stats: vec![FnWindowStats {
             function: FunctionId(0),
             invocations: peak,
@@ -73,11 +71,6 @@ fn window(peak: u32, minute: u64) -> PoolObservation {
             busy: 0,
             failed_boots: 0,
         }],
-        cluster: ClusterSnapshot {
-            reserved_memory_mb: 0.0,
-            total_memory_mb: 1.0e6,
-            containers: 0,
-        },
     }
 }
 

@@ -12,9 +12,6 @@
 //! The property block fuzzes observation streams with proptest; the named
 //! tests below pin the sharper per-policy behaviors.
 
-use std::collections::HashMap;
-
-use aquatope::faas::cluster::ClusterSnapshot;
 use aquatope::faas::sim::FnWindowStats;
 use aquatope::faas::{
     FixedPrewarm, FunctionId, FunctionRegistry, FunctionSpec, PoolObservation, PrewarmController,
@@ -27,6 +24,7 @@ use aquatope::pool::{
 use aquatope::prelude::*;
 use aquatope::scenarios::OraclePrewarm;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn obs(peaks: &[u32], minute: u64) -> PoolObservation {
     obs_failed(peaks, minute, 0)
@@ -35,7 +33,6 @@ fn obs(peaks: &[u32], minute: u64) -> PoolObservation {
 fn obs_failed(peaks: &[u32], minute: u64, failed_boots: u32) -> PoolObservation {
     PoolObservation {
         now: SimTime::from_secs(60 * minute),
-        window: SimDuration::from_secs(60),
         stats: peaks
             .iter()
             .enumerate()
@@ -49,11 +46,6 @@ fn obs_failed(peaks: &[u32], minute: u64, failed_boots: u32) -> PoolObservation 
                 failed_boots,
             })
             .collect(),
-        cluster: ClusterSnapshot {
-            reserved_memory_mb: 1024.0,
-            total_memory_mb: 1.0e6,
-            containers: 3,
-        },
     }
 }
 

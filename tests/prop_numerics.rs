@@ -1,7 +1,5 @@
 //! Property-based tests for the numerical kernels (Cholesky) and the
 //! histogram keep-alive policy's edge cases.
-
-use aquatope::faas::cluster::ClusterSnapshot;
 use aquatope::faas::sim::FnWindowStats;
 use aquatope::faas::{FunctionId, PoolObservation, PrewarmController};
 use aquatope::linalg::{Cholesky, Matrix};
@@ -73,13 +71,7 @@ proptest! {
 fn observation(stats: Vec<FnWindowStats>, minute: u64) -> PoolObservation {
     PoolObservation {
         now: SimTime::from_secs(60 * minute),
-        window: SimDuration::from_secs(60),
         stats,
-        cluster: ClusterSnapshot {
-            reserved_memory_mb: 0.0,
-            total_memory_mb: 1.0e6,
-            containers: 0,
-        },
     }
 }
 

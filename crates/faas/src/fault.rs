@@ -23,8 +23,6 @@
 //!
 //! [`FaasSimBuilder`]: crate::sim::FaasSimBuilder
 
-use std::collections::HashMap;
-
 use aqua_sim::{SimDuration, SimRng};
 use aqua_telemetry::FaultKind;
 
@@ -267,11 +265,6 @@ impl RetryPolicy {
         RETRY_BACKOFF * (1u64 << attempt.saturating_sub(1).min(10))
     }
 }
-
-/// Per-function failed-boot counts for one pool window, keyed by raw
-/// function id (kept untyped so pool crates can consume it without a
-/// dependency cycle).
-pub type BootFailures = HashMap<usize, u32>;
 
 #[cfg(test)]
 mod tests {

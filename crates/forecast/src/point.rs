@@ -55,11 +55,6 @@ impl SeriesPoint {
         self.minute % (24 * 60)
     }
 
-    /// Day within the (simulated) week.
-    pub fn day_of_week(&self) -> u64 {
-        (self.minute / (24 * 60)) % 7
-    }
-
     /// The external feature vector `L` of the paper: cyclic encodings of
     /// time-of-day, time-of-week, and minute-of-hour (timer-triggered
     /// functions fire at fixed sub-hourly phases in the Azure dataset),
@@ -146,7 +141,6 @@ mod tests {
     #[test]
     fn day_of_week_advances() {
         let p = SeriesPoint::new(0.0, 3 * 24 * 60 + 5, TriggerKind::Timer);
-        assert_eq!(p.day_of_week(), 3);
         assert_eq!(p.minute_of_day(), 5);
     }
 

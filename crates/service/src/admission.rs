@@ -185,16 +185,6 @@ impl Admission {
     pub fn tenant_stats(&self, tenant: TenantId) -> AdmissionStats {
         self.tenant_stats[tenant.0]
     }
-
-    /// Fraction of arrivals shed at the front door (0 when none arrived).
-    pub fn shed_rate(&self) -> f64 {
-        let arrivals = self.stats.admitted + self.stats.shed_arrivals;
-        if arrivals == 0 {
-            0.0
-        } else {
-            self.stats.shed_arrivals as f64 / arrivals as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +210,6 @@ mod tests {
         let s = a.stats();
         assert_eq!(s.admitted, 3);
         assert_eq!(s.shed_arrivals, 1);
-        assert!((a.shed_rate() - 0.25).abs() < 1e-12);
         assert_eq!(a.tenant_stats(T0), s, "single tenant mirrors globals");
     }
 
@@ -239,7 +228,7 @@ mod tests {
     #[test]
     fn empty_limiter_sheds_nothing() {
         let a = Admission::new(AdmissionConfig::default());
-        assert_eq!(a.shed_rate(), 0.0);
+        assert_eq!(a.stats(), AdmissionStats::default());
         assert_eq!(a.inflight(), 0);
     }
 

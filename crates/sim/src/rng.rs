@@ -130,36 +130,6 @@ impl SimRng {
         self.uniform() < p.clamp(0.0, 1.0)
     }
 
-    /// Poisson sample with mean `lambda` (Knuth for small, normal
-    /// approximation for large means).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is negative or not finite.
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        assert!(
-            lambda.is_finite() && lambda >= 0.0,
-            "lambda must be non-negative"
-        );
-        if lambda == 0.0 {
-            return 0;
-        }
-        if lambda > 50.0 {
-            let x = self.normal(lambda, lambda.sqrt());
-            return x.max(0.0).round() as u64;
-        }
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.uniform();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -226,25 +196,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean = {mean}");
         assert!((var - 4.0).abs() < 0.15, "var = {var}");
-    }
-
-    #[test]
-    fn poisson_mean_matches_lambda() {
-        let mut r = SimRng::seed(17);
-        for &lambda in &[0.5, 4.0, 30.0, 200.0] {
-            let n = 20_000;
-            let mean = (0..n).map(|_| r.poisson(lambda) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (mean - lambda).abs() < 0.05 * lambda.max(1.0),
-                "lambda={lambda} mean={mean}"
-            );
-        }
-    }
-
-    #[test]
-    fn poisson_zero_lambda_is_zero() {
-        let mut r = SimRng::seed(1);
-        assert_eq!(r.poisson(0.0), 0);
     }
 
     #[test]

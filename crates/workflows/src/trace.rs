@@ -183,26 +183,6 @@ impl TraceBundle {
         }
         aqua_linalg::sample_std(&gaps) / mean
     }
-
-    /// Scales arrival density by `factor` by thinning (factor < 1) — the
-    /// paper scales traces so cluster CPU utilization stays below 70%.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < factor <= 1`.
-    pub fn thin(&self, factor: f64, rng: &mut SimRng) -> TraceBundle {
-        assert!(factor > 0.0 && factor <= 1.0, "thinning factor in (0, 1]");
-        let arrivals: Vec<SimTime> = self
-            .arrivals
-            .iter()
-            .copied()
-            .filter(|_| rng.chance(factor))
-            .collect();
-        TraceBundle {
-            rates: self.rates.iter().map(|r| r * factor).collect(),
-            arrivals,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -281,15 +261,6 @@ mod tests {
             ],
         };
         assert_eq!(bundle.counts_per_minute(), vec![2.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn thinning_reduces_volume_proportionally() {
-        let mut rng = SimRng::seed(5);
-        let bundle = RateTraceConfig::steady(300, 40.0).generate(&mut rng);
-        let thinned = bundle.thin(0.25, &mut rng);
-        let ratio = thinned.arrivals.len() as f64 / bundle.arrivals.len() as f64;
-        assert!((ratio - 0.25).abs() < 0.03, "ratio {ratio}");
     }
 
     #[test]

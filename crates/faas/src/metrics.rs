@@ -11,8 +11,9 @@ pub struct InvocationRecord {
     pub function: FunctionId,
     /// Workflow instance this task belonged to.
     pub workflow_instance: usize,
-    /// Stage index within the workflow.
-    pub stage: usize,
+    /// Stage index within the workflow (`u32` keeps the record at 64
+    /// bytes: a trace replay holds one per invocation).
+    pub stage: u32,
     /// When the task became runnable (dependencies satisfied).
     pub requested: SimTime,
     /// When execution actually began (after any cold start / queueing).
@@ -149,6 +150,11 @@ mod tests {
             cpu_seconds: 1.0,
             memory_gb_seconds: 0.5,
         }
+    }
+
+    #[test]
+    fn invocation_record_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<InvocationRecord>(), 64);
     }
 
     #[test]

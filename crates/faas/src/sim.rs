@@ -257,38 +257,123 @@ pub(crate) enum Next {
     Event(Event),
 }
 
-/// The loop's event source: a cursor over the time-sorted arrivals merged
-/// with the future-event heap, so the heap holds only what running work
-/// scheduled, never the trace.
+/// The loop's event source: the trace's arrivals, released in time order a
+/// window at a time, merged with the future-event heap, so the heap holds
+/// only what running work scheduled, never the trace.
 ///
-/// The next event is the earlier of the cursor's head and the heap's, and
+/// The next event is the earlier of the window's head and the heap's, and
 /// **the arrival wins a tie**: a loop that pushed every arrival before its
 /// first pop gave arrivals the lowest sequence numbers, which is the pop
 /// order every golden trace was recorded under. Equal-time arrivals fire in
-/// `(job, inst)` order for the same reason (the sort is stable).
+/// `(job, inst)` order for the same reason: the order a stable sort by time
+/// gives the trace listed job by job.
+///
+/// Nothing is held per arrival of the trace. A refill takes `start`, the
+/// earliest arrival not yet released, gathers every arrival before
+/// `start + POOL_TICK` from per-job cursors and sorts only that window.
+/// Every arrival left behind is at or after the window's end, so the
+/// windows, concatenated, are the whole trace in pop order.
 #[derive(Debug)]
-pub(crate) struct Agenda {
-    /// `(time, job, inst)`, sorted by time.
-    arrivals: Vec<(SimTime, u32, u32)>,
-    /// Index of the next arrival to fire: the count fired so far.
-    cursor: usize,
+pub(crate) struct Agenda<'a> {
+    /// One cursor per job with arrivals on this agenda, in job order.
+    lanes: Vec<Lane<'a>>,
+    /// The current window's `(time, job, inst)` in pop order;
+    /// `window[head..]` has not fired yet, and is empty only once every
+    /// lane is exhausted.
+    window: Vec<(SimTime, u32, u32)>,
+    head: usize,
+    /// Arrivals fired so far.
+    fired: usize,
     queue: EventQueue<Event>,
 }
 
-impl Agenda {
-    /// An agenda over `arrivals`, given in `(job, inst)` order.
-    fn new(mut arrivals: Vec<(SimTime, u32, u32)>) -> Self {
-        arrivals.sort_by_key(|&(at, _, _)| at);
-        Agenda {
-            arrivals,
-            cursor: 0,
+/// One job's arrivals as the agenda releases them: in time order, with
+/// equal times in instance order.
+#[derive(Debug)]
+struct Lane<'a> {
+    job: u32,
+    times: &'a [SimTime],
+    /// Stable time-order permutation of `times`, built only when `times`
+    /// is not already sorted (one `u32` per arrival of this job).
+    order: Option<Vec<u32>>,
+    /// Position, in time order, of the next arrival to release.
+    next: usize,
+}
+
+impl Lane<'_> {
+    /// `(time, inst)` of the next arrival to release, if any.
+    fn peek(&self) -> Option<(SimTime, u32)> {
+        let inst = match &self.order {
+            Some(order) => *order.get(self.next)?,
+            None if self.next < self.times.len() => self.next as u32,
+            None => return None,
+        };
+        Some((self.times[inst as usize], inst))
+    }
+}
+
+impl<'a> Agenda<'a> {
+    /// An agenda over each `(job, arrival times)` lane, given in job order.
+    fn new(jobs: impl IntoIterator<Item = (u32, &'a [SimTime])>) -> Self {
+        let lanes = jobs
+            .into_iter()
+            .filter(|(_, times)| !times.is_empty())
+            .map(|(job, times)| {
+                let order = (!times.is_sorted()).then(|| {
+                    let mut order: Vec<u32> = (0..times.len() as u32).collect();
+                    order.sort_by_key(|&i| times[i as usize]);
+                    order
+                });
+                Lane {
+                    job,
+                    times,
+                    order,
+                    next: 0,
+                }
+            })
+            .collect();
+        let mut agenda = Agenda {
+            lanes,
+            window: Vec::new(),
+            head: 0,
+            fired: 0,
             queue: EventQueue::new(),
+        };
+        agenda.refill();
+        agenda
+    }
+
+    /// Replaces the spent window with every unreleased arrival before
+    /// `start + POOL_TICK`, in pop order, dropping exhausted lanes.
+    fn refill(&mut self) {
+        self.window.clear();
+        self.head = 0;
+        let Some(start) = self
+            .lanes
+            .iter()
+            .filter_map(|l| l.peek())
+            .map(|p| p.0)
+            .min()
+        else {
+            return;
+        };
+        let end = start + POOL_TICK;
+        for lane in &mut self.lanes {
+            while let Some((at, inst)) = lane.peek().filter(|&(at, _)| at < end) {
+                self.window.push((at, lane.job, inst));
+                lane.next += 1;
+            }
         }
+        self.lanes.retain(|l| l.peek().is_some());
+        // `(time, job, inst)` keys are distinct, so sorting them whole
+        // gives what a stable sort by time gives the trace in
+        // `(job, inst)` order, without the stable sort's scratch buffer.
+        self.window.sort_unstable();
     }
 
     /// Time of the next event, if any.
     pub(crate) fn next_time(&self) -> Option<SimTime> {
-        let arrival = self.arrivals.get(self.cursor).map(|a| a.0);
+        let arrival = self.window.get(self.head).map(|a| a.0);
         match (arrival, self.queue.peek_time()) {
             (Some(a), Some(q)) => Some(a.min(q)),
             (a, q) => a.or(q),
@@ -297,9 +382,13 @@ impl Agenda {
 
     /// Takes the next event, advancing the clock that clamps past pushes.
     fn pop(&mut self) -> Option<(SimTime, Next)> {
-        if let Some(&(at, job, inst)) = self.arrivals.get(self.cursor) {
+        if let Some(&(at, job, inst)) = self.window.get(self.head) {
             if self.queue.peek_time().is_none_or(|queued| at <= queued) {
-                self.cursor += 1;
+                self.head += 1;
+                self.fired += 1;
+                if self.head == self.window.len() {
+                    self.refill();
+                }
                 self.queue.advance_to(at);
                 let (job, inst) = (job as usize, inst as usize);
                 return Some((at, Next::Arrival { job, inst }));
@@ -317,7 +406,7 @@ impl Agenda {
 
     /// Arrivals fired so far.
     pub(crate) fn arrivals_fired(&self) -> usize {
-        self.cursor
+        self.fired
     }
 }
 
@@ -675,7 +764,7 @@ pub(crate) struct RunState<'a> {
     jobs: &'a [WorkflowJob],
     pub(crate) cluster: Cluster,
     rng: SimRng,
-    pub(crate) agenda: Agenda,
+    pub(crate) agenda: Agenda<'a>,
     /// Slab index of each workflow instance's live state, dense over
     /// global instance ids ([`UNSEEN`] before the first touch, [`DONE`]
     /// once the slot was handed back).
@@ -748,9 +837,10 @@ impl<'a> RunState<'a> {
     /// shard id, and only the arrivals of jobs homed on it; pool ticks are
     /// driven externally by [`crate::shard::run_sharded`].
     ///
-    /// Nothing here is built per arrival except the sorted arrival index
-    /// and the instance slot table: instance state is created on first
-    /// touch and the heap starts empty.
+    /// Nothing here is built per arrival except the instance slot table
+    /// (and a time-order permutation for a job whose arrivals are not
+    /// sorted): instance state is created on first touch, the heap starts
+    /// empty, and the agenda releases arrivals a window at a time.
     pub(crate) fn new_shard(
         params: &'a FaasSimBuilder,
         jobs: &'a [WorkflowJob],
@@ -818,14 +908,20 @@ impl<'a> RunState<'a> {
             total_instances < DONE as usize,
             "instance slots are u32: {total_instances} arrivals"
         );
-        let mut arrivals = Vec::new();
-        for (ji, job) in jobs.iter().enumerate().filter(|(ji, _)| home[*ji] == shard) {
-            let times = job.arrivals.iter().enumerate();
-            arrivals.extend(times.map(|(ii, &at)| (at, ji as u32, ii as u32)));
-        }
-        let mut agenda = Agenda::new(arrivals);
+        let homed = jobs.iter().enumerate().filter(|(ji, _)| home[*ji] == shard);
+        let mut agenda = Agenda::new(homed.map(|(ji, j)| (ji as u32, j.arrivals.as_slice())));
+        let mut report = RunReport::default();
         if !sharded {
             agenda.push(SimTime::ZERO + POOL_TICK, Event::PoolTick);
+            // One record per task of every arrival, and one per workflow:
+            // without retries the vectors never grow, so they never hold a
+            // doubled capacity or copy themselves mid-run.
+            let tasks: usize = jobs
+                .iter()
+                .map(|j| j.arrivals.len() * j.dag.total_tasks() as usize)
+                .sum();
+            report.invocations.reserve_exact(tasks);
+            report.workflows.reserve_exact(total_instances);
         }
         let (rng, faults) = if sharded {
             (
@@ -860,7 +956,7 @@ impl<'a> RunState<'a> {
             home,
             inst_base,
             outbox: Vec::new(),
-            report: RunReport::default(),
+            report,
         }
     }
 
@@ -1137,7 +1233,7 @@ impl<'a> RunState<'a> {
         self.report.invocations.push(InvocationRecord {
             function,
             workflow_instance: self.global_instance(task.job, task.inst),
-            stage: task.stage,
+            stage: task.stage as u32,
             requested: task.requested,
             started: now,
             finished: finish,
@@ -1960,7 +2056,8 @@ mod tests {
     /// What firing `next` at `now` schedules in the merge-order script: a
     /// boot per arrival (sometimes at the arrival's own instant), an
     /// exec-done per boot (sometimes in the past, which the queue clamps
-    /// to its clock), a re-armed tick plus a pre-warm boot per tick. Ids
+    /// to its clock), a re-armed tick plus a pre-warm boot per tick
+    /// through the last refill window. Ids
     /// are minted in firing order, so any divergence in order snowballs
     /// into different labels.
     fn script(
@@ -1985,7 +2082,7 @@ mod tests {
                     Event::ExecDone { seq: *minted },
                 )]
             }
-            Next::Event(Event::PoolTick) if now < SimTime::from_secs(24) => vec![
+            Next::Event(Event::PoolTick) if now < SimTime::from_secs(190) => vec![
                 (after(*minted as usize, 0), Event::BootDone { container }),
                 (now + SimDuration::from_secs(2), Event::PoolTick),
             ],
@@ -1994,29 +2091,52 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The cursor+heap source pops in exactly the order of the source
-        /// it replaced: one `EventQueue` with every arrival pushed in
+        /// The windowed source pops in exactly the order of the source it
+        /// replaced: one `EventQueue` with every arrival pushed in
         /// `(job, inst)` order before the first pop, then the first tick.
-        /// Arrival lists are unsorted and full of duplicates within and
-        /// across jobs; half-second granularity lands them on the 2 s
-        /// ticks and on scripted boot instants.
+        /// Arrival lists are full of duplicates within and across jobs;
+        /// half-second granularity lands them on the 2 s ticks and on
+        /// scripted boot instants. Jobs 0 and 1 always arrive at 0, 60,
+        /// 120 and 180 s, so every case spans at least four refill
+        /// windows, and each later window starts on an instant where both
+        /// jobs arrive together; a fifth of the random draws land on those
+        /// edges too. Each job's list is left unsorted or sorted (`sorted`),
+        /// mixing lanes read through a permutation with lanes read in place.
         #[test]
         fn prop_agenda_pops_like_a_preloaded_queue(
-            jobs in proptest::collection::vec(proptest::collection::vec(0u64..44, 0..14), 1..5),
+            draws in proptest::collection::vec(proptest::collection::vec(0u64..500, 0..40), 2..6),
+            sorted in proptest::collection::vec(0u64..2, 6),
             offsets in proptest::collection::vec(0u64..7, 1..6),
         ) {
             let first_tick = SimTime::from_secs(2);
-            let mut arrivals = Vec::new();
+            // In half seconds: the window edges, where draws of 400 and up go.
+            let edge = |k: u64| 120 * k;
+            let jobs: Vec<Vec<SimTime>> = draws
+                .iter()
+                .enumerate()
+                .map(|(job, draws)| {
+                    let mut half_secs: Vec<u64> = draws
+                        .iter()
+                        .map(|&h| if h >= 400 { edge(h % 4) } else { h })
+                        .collect();
+                    if job < 2 {
+                        half_secs.extend((0..4).map(edge));
+                    }
+                    if sorted[job] == 1 {
+                        half_secs.sort_unstable();
+                    }
+                    half_secs.into_iter().map(|h| SimTime::from_millis(500 * h)).collect()
+                })
+                .collect();
             let mut oracle: EventQueue<Next> = EventQueue::new();
             for (job, times) in jobs.iter().enumerate() {
-                for (inst, half_secs) in times.iter().enumerate() {
-                    let at = SimTime::from_millis(500 * half_secs);
-                    arrivals.push((at, job as u32, inst as u32));
+                for (inst, &at) in times.iter().enumerate() {
                     oracle.push(at, Next::Arrival { job, inst });
                 }
             }
             oracle.push(first_tick, Next::Event(Event::PoolTick));
-            let mut agenda = Agenda::new(arrivals);
+            let lanes = jobs.iter().enumerate().map(|(job, t)| (job as u32, t.as_slice()));
+            let mut agenda = Agenda::new(lanes);
             agenda.push(first_tick, Event::PoolTick);
 
             let (mut minted_a, mut minted_o) = (0u64, 0u64);

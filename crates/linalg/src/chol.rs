@@ -120,9 +120,13 @@ impl Cholesky {
         let scale = a.max_abs().max(1.0);
         let mut jitter = 1e-10 * scale;
         let mut last_err = NotPositiveDefiniteError { pivot: 0 };
+        // One copy for the whole ladder: each rung rewrites only the
+        // diagonal, from `a`'s own entries, so no jitter accumulates.
+        let mut aj = a.clone();
         while jitter <= 1e-4 * scale {
-            let mut aj = a.clone();
-            aj.add_diagonal(jitter);
+            for i in 0..a.rows() {
+                aj[(i, i)] = a[(i, i)] + jitter;
+            }
             match Cholesky::new(&aj) {
                 Ok(mut c) => {
                     c.jitter = jitter;

@@ -30,15 +30,121 @@ pub fn sample_std(xs: &[f64]) -> f64 {
 }
 
 /// Empirical quantile with linear interpolation, `q ∈ [0, 1]`: bit for bit
-/// what [`quantile_sorted`] reads from [`sorted`]`(xs)`, found by selection
-/// on a copy ([`select_quantiles`]) instead of a full sort.
+/// what [`quantile_sorted`] reads from [`sorted`]`(xs)`, found on the
+/// borrowed sample by radix counting over [`f64::total_cmp`] keys — no
+/// copy, no sort.
+///
+/// A sample holding both `-0.0` and `+0.0` is read as
+/// [`select_quantiles`] reads it, from a sorted copy.
 ///
 /// # Panics
 ///
 /// Panics if `xs` is empty or holds a NaN, or `q` is outside `[0, 1]`.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    let [v] = select_quantiles(&mut xs.to_vec(), [q]);
-    v
+    if check_sample(xs, &[q]) {
+        let [v] = select_quantiles(&mut xs.to_vec(), [q]);
+        return v;
+    }
+    let (lo, hi, pos) = rank_pos(xs.len(), q);
+    let (at_lo, above) = radix_select(xs, lo);
+    if lo == hi {
+        at_lo
+    } else {
+        let w = pos - lo as f64;
+        at_lo * (1.0 - w) + above * w
+    }
+}
+
+/// Checks a quantile query the way a sort would meet it, panicking on an
+/// empty sample, a NaN among two or more samples, or a `q` outside
+/// `[0, 1]`. Returns whether `xs` holds both `-0.0` and `+0.0`, which
+/// compare equal but differ in their bits: only a stable sort knows which
+/// of them lands at a rank.
+fn check_sample(xs: &[f64], qs: &[f64]) -> bool {
+    let (mut nan, mut pos_zero, mut neg_zero) = (false, false, false);
+    for &x in xs {
+        nan |= x.is_nan();
+        pos_zero |= x == 0.0 && x.is_sign_positive();
+        neg_zero |= x == 0.0 && x.is_sign_negative();
+    }
+    // A sort of two or more samples compares each one, so it meets any NaN.
+    assert!(!(nan && xs.len() > 1), "NaN in quantile input");
+    assert!(!xs.is_empty(), "quantile of an empty slice");
+    assert!(
+        qs.iter().all(|q| (0.0..=1.0).contains(q)),
+        "q must be in [0, 1]"
+    );
+    pos_zero && neg_zero
+}
+
+/// The order statistic at `rank` of `xs` under [`f64::total_cmp`], and
+/// the one at `rank + 1` (meaningless when `rank` is the last), read from
+/// the borrowed slice with no allocation.
+///
+/// Each pass counts, among the samples whose key agrees with the bytes
+/// fixed so far, how many carry each value of the next byte, and fixes the
+/// byte whose bucket holds `rank` — eight 8-bit passes at most, over keys
+/// that order like `total_cmp`. It stops early once one sample is left. A
+/// last pass reads the sample(s) left and the least sample above them.
+///
+/// Under `total_cmp`, values that share a key share their bits, and it
+/// orders like the comparison sort only where `-0.0` and `+0.0` do not
+/// meet — the caller's job.
+fn radix_select(xs: &[f64], rank: usize) -> (f64, f64) {
+    /// `total_cmp`'s order as an unsigned integer order.
+    fn key(x: f64) -> u64 {
+        let bits = x.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+    fn value(key: u64) -> f64 {
+        f64::from_bits(if key >> 63 == 1 {
+            key & !(1 << 63)
+        } else {
+            !key
+        })
+    }
+
+    // `rank` among the `left` samples whose key has `prefix` under `mask`.
+    let (mut prefix, mut mask, mut rank, mut left) = (0u64, 0u64, rank, xs.len());
+    for shift in (0..64).step_by(8).rev() {
+        if left == 1 {
+            break;
+        }
+        let mut counts = [0usize; 256];
+        for &x in xs {
+            let k = key(x);
+            if k & mask == prefix {
+                counts[(k >> shift) as usize & 0xff] += 1;
+            }
+        }
+        let mut byte = 0;
+        while rank >= counts[byte] {
+            rank -= counts[byte];
+            byte += 1;
+        }
+        prefix |= (byte as u64) << shift;
+        mask |= 0xff << shift;
+        left = counts[byte];
+    }
+    // Every sample left shares the selected key once all eight bytes are
+    // fixed; before that, exactly one is left.
+    let (mut at, mut above) = (prefix, u64::MAX);
+    for &x in xs {
+        let k = key(x);
+        if k & mask == prefix {
+            at = k;
+        } else if k & mask > prefix {
+            above = above.min(k);
+        }
+    }
+    if rank + 1 < left {
+        above = at;
+    }
+    (value(at), value(above))
 }
 
 /// The quantiles `qs` of `xs`, each bit for bit what [`quantile_sorted`]
@@ -56,20 +162,7 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 /// As [`quantile`]: if `xs` is empty or (with two or more samples) holds a
 /// NaN, or any `q` is outside `[0, 1]`.
 pub fn select_quantiles<const N: usize>(xs: &mut [f64], qs: [f64; N]) -> [f64; N] {
-    let (mut nan, mut pos_zero, mut neg_zero) = (false, false, false);
-    for &x in xs.iter() {
-        nan |= x.is_nan();
-        pos_zero |= x == 0.0 && x.is_sign_positive();
-        neg_zero |= x == 0.0 && x.is_sign_negative();
-    }
-    // A sort of two or more samples compares each one, so it meets any NaN.
-    assert!(!(nan && xs.len() > 1), "NaN in quantile input");
-    assert!(!xs.is_empty(), "quantile of an empty slice");
-    assert!(
-        qs.iter().all(|q| (0.0..=1.0).contains(q)),
-        "q must be in [0, 1]"
-    );
-    if pos_zero && neg_zero {
+    if check_sample(xs, &qs) {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
         return qs.map(|q| quantile_sorted(xs, q));
     }

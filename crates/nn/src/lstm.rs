@@ -713,14 +713,16 @@ impl Lstm {
 
     /// BPTT over the recorded `tape`, between [`Lstm::begin_backward`] (and
     /// the caller's writes to the incoming gradients) and the caller's
-    /// reads of `dh` / `dc` / the input gradients.
+    /// reads of `dh` / `dc` / the input gradients. The input gradients
+    /// (`d_inputs`) are computed only when `input_grads` is set; nothing
+    /// else depends on them.
     ///
     /// Weight gradients are accumulated **lane-major, timestep-descending**
     /// — deferred until all per-step `dz` blocks exist, then contracted
     /// with one in-order [`gemm_tn`] per layer. That is, bit for bit, the
     /// order in which `B` one-lane calls accumulate: example by example,
     /// each walking its steps backwards.
-    pub(crate) fn backward(&mut self, tape: &LstmTape, bptt: &mut LstmBptt) {
+    pub(crate) fn backward(&mut self, tape: &LstmTape, bptt: &mut LstmBptt, input_grads: bool) {
         let (batch, steps) = (tape.batch, tape.steps);
         let num_layers = self.layers.len();
         let LstmBptt {
@@ -781,11 +783,14 @@ impl Lstm {
                 }
                 // dX = dZ · Wx and dH_prev = dZ · Wh: the contraction runs
                 // over the 4H gate rows in order — the scalar r-loop order.
-                let dx_t = match l {
-                    0 => &mut d_inputs[t * in_n..][..in_n],
-                    _ => &mut dx[l][..batch * idim],
-                };
-                gemm(batch, idim, h4, dz_t, &layer.wx, dx_t);
+                match l {
+                    0 if input_grads => {
+                        let dx_t = &mut d_inputs[t * in_n..][..in_n];
+                        gemm(batch, idim, h4, dz_t, &layer.wx, dx_t);
+                    }
+                    0 => {}
+                    _ => gemm(batch, idim, h4, dz_t, &layer.wx, &mut dx[l][..batch * idim]),
+                }
                 gemm(batch, hdim, h4, dz_t, &layer.wh, &mut dh[l]);
             }
         }
@@ -854,7 +859,7 @@ impl Lstm {
                 bptt.dc[l].copy_from_slice(dcf[l].as_slice());
             }
         }
-        self.backward(tape, &mut bptt);
+        self.backward(tape, &mut bptt, true);
 
         let idim = self.layers[0].input_dim;
         let states = |vs: &[Vec<f64>]| -> Vec<Matrix> {

@@ -415,7 +415,7 @@ impl EncoderDecoder {
                     .copy_from_slice(&d_out_in[(b * horizon + t) * top..][..top]);
             }
         }
-        self.decoder.backward(&ws.dec, &mut ws.dec_bptt);
+        self.decoder.backward(&ws.dec, &mut ws.dec_bptt, false);
 
         // Through the tanh bridges into Z.
         let dz = grown(&mut ws.dz, z.len());
@@ -443,7 +443,7 @@ impl EncoderDecoder {
         // Into the encoder: gradient lands on the final top-layer hidden.
         self.encoder.begin_backward(&mut ws.enc_bptt, &ws.enc);
         ws.enc_bptt.dh[self.encoder.num_layers() - 1].copy_from_slice(dz);
-        self.encoder.backward(&ws.enc, &mut ws.enc_bptt);
+        self.encoder.backward(&ws.enc, &mut ws.enc_bptt, false);
 
         loss
     }

@@ -14,21 +14,24 @@ use crate::event::SimEvent;
 pub struct Divergence {
     /// Zero-based index of the first differing event (or line).
     pub index: usize,
-    /// The left trace's event at `index` (JSON), `None` if it ended early.
+    /// The left trace's event at `index` (JSON, or a line with its
+    /// terminator), `None` if it ended early.
     pub left: Option<String>,
-    /// The right trace's event at `index` (JSON), `None` if it ended early.
+    /// The right trace's event at `index`, as `left`.
     pub right: Option<String>,
 }
 
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "traces diverge at event {}:", self.index)?;
+        // Spell out line terminators: lines may differ only in them.
+        let show = |l: &str| l.replace('\r', "\\r").replace('\n', "\\n");
         match &self.left {
-            Some(l) => writeln!(f, "  left : {l}")?,
+            Some(l) => writeln!(f, "  left : {}", show(l))?,
             None => writeln!(f, "  left : <trace ended after {} events>", self.index)?,
         }
         match &self.right {
-            Some(r) => write!(f, "  right: {r}"),
+            Some(r) => write!(f, "  right: {}", show(r)),
             None => write!(f, "  right: <trace ended after {} events>", self.index),
         }
     }
@@ -49,47 +52,37 @@ impl fmt::Display for Divergence {
 /// assert_eq!(d.index, 0);
 /// ```
 pub fn diff_traces(left: &[SimEvent], right: &[SimEvent]) -> Option<Divergence> {
-    let n = left.len().min(right.len());
-    for i in 0..n {
-        if left[i] != right[i] {
-            return Some(Divergence {
-                index: i,
-                left: Some(left[i].to_json()),
-                right: Some(right[i].to_json()),
-            });
-        }
-    }
-    if left.len() != right.len() {
-        return Some(Divergence {
-            index: n,
-            left: left.get(n).map(SimEvent::to_json),
-            right: right.get(n).map(SimEvent::to_json),
-        });
-    }
-    None
+    first_divergence(left.iter(), right.iter(), SimEvent::to_json)
 }
 
 /// Line-by-line comparison of two JSONL trace exports, returning the
 /// first divergent line or `None` when identical. Works on anything
 /// line-oriented, so golden files can be diffed without re-parsing.
+///
+/// Lines are compared with their terminators, so a missing final newline
+/// or a CRLF ending diverges: the result is `None` exactly when
+/// `left == right`.
 pub fn diff_jsonl(left: &str, right: &str) -> Option<Divergence> {
-    let mut l = left.lines();
-    let mut r = right.lines();
-    let mut index = 0usize;
+    let lines = |s| str::split_inclusive(s, '\n');
+    first_divergence(lines(left), lines(right), str::to_string)
+}
+
+/// The first position where `left` and `right` differ, rendered by `show`.
+fn first_divergence<T: PartialEq>(
+    mut left: impl Iterator<Item = T>,
+    mut right: impl Iterator<Item = T>,
+    show: impl Fn(T) -> String,
+) -> Option<Divergence> {
+    let mut index = 0;
     loop {
-        match (l.next(), r.next()) {
+        match (left.next(), right.next()) {
             (None, None) => return None,
-            (a, b) => {
-                if a != b {
-                    return Some(Divergence {
-                        index,
-                        left: a.map(str::to_string),
-                        right: b.map(str::to_string),
-                    });
-                }
+            (l, r) if l != r => {
+                let (left, right) = (l.map(&show), r.map(&show));
+                return Some(Divergence { index, left, right });
             }
+            _ => index += 1,
         }
-        index += 1;
     }
 }
 
@@ -140,8 +133,18 @@ mod tests {
         let b = "one\nTWO\nthree";
         let d = diff_jsonl(a, b).expect("differs");
         assert_eq!(d.index, 1);
-        assert_eq!(d.left.as_deref(), Some("two"));
-        assert_eq!(d.right.as_deref(), Some("TWO"));
+        assert_eq!(d.left.as_deref(), Some("two\n"));
+        assert_eq!(d.right.as_deref(), Some("TWO\n"));
+    }
+
+    #[test]
+    fn jsonl_diff_sees_a_missing_final_newline_and_crlf_endings() {
+        let d = diff_jsonl("one\ntwo\n", "one\ntwo").expect("differs");
+        assert_eq!((d.index, d.right.as_deref()), (1, Some("two")));
+        assert!(d.to_string().contains("left : two\\n"), "{d}");
+        let text = diff_jsonl("one\n", "one\r\n").expect("differs").to_string();
+        assert!(text.contains("event 0:\n  left : one\\n\n  right: one\\r\\n"));
+        assert_eq!(diff_jsonl("", "\n").map(|d| d.index), Some(0));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   accounting);
 //! * [`diff_traces`] / [`diff_jsonl`] — replay comparison reporting the
 //!   first divergent event between two traces, the backbone of the
-//!   determinism and golden-trace regression tests.
+//!   determinism and golden-trace regression tests;
+//! * [`golden`] — the golden files and named-pin ledger those tests check.
 //!
 //! The default [`Telemetry`] handle is a **null sink**: one `Option`
 //! branch on the hot path and the event is never even constructed (use
@@ -38,6 +39,7 @@
 
 pub mod diff;
 pub mod event;
+pub mod golden;
 pub mod invariant;
 pub mod live;
 pub mod sink;

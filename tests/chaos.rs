@@ -3,7 +3,7 @@
 //! online invariant checker riding along every run.
 //!
 //! Also holds the faulted golden trace (`tests/golden/ml_pipeline_faulted
-//! .jsonl` — regenerate with `BLESS=1 cargo test --test chaos`), the
+//! .jsonl` — re-bless with `BLESS=1 cargo test`), the
 //! strict no-op check (an all-zero fault plan must not move a single
 //! byte of the fault-free trace) and differential same-seed replays.
 
@@ -13,6 +13,7 @@ use aquatope::alloc::{AquatopeRm, AquatopeRmConfig, ResourceManager, SimEvaluato
 use aquatope::faas::prelude::*;
 use aquatope::faas::sim::WorkflowJob;
 use aquatope::faas::types::{ConfigSpace, ResourceConfig};
+use aquatope::telemetry::golden::{assert_golden, assert_matches_golden};
 use aquatope::telemetry::{diff_jsonl, Fanout, InvariantChecker, Recorder, SimEvent, Telemetry};
 use aquatope::workflows::apps;
 use proptest::prelude::*;
@@ -201,8 +202,7 @@ proptest! {
         };
         let (a, ra, _, _) = run_case(&case);
         let (b, rb, _, _) = run_case(&case);
-        prop_assert_eq!(&a, &b, "same-seed faulted replay diverged");
-        prop_assert!(diff_jsonl(&a, &b).is_none());
+        prop_assert!(diff_jsonl(&a, &b).is_none(), "same-seed faulted replay diverged");
         prop_assert_eq!(ra.workflows.len(), rb.workflows.len());
         prop_assert_eq!(ra.rejected, rb.rejected);
     }
@@ -239,38 +239,7 @@ fn zero_rate_plan_reproduces_fault_free_golden() {
         FaultPlan::from_seed(987_654_321, FaultRates::default()),
         RetryPolicy::default(),
     );
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/ml_pipeline.jsonl");
-    let golden = std::fs::read_to_string(&path).expect("fault-free golden trace must exist");
-    assert_eq!(
-        golden, jsonl,
-        "an all-zero fault plan must not perturb the fault-free trace"
-    );
-}
-
-fn check_golden(name: &str, jsonl: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var("BLESS").ok().as_deref() == Some("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, jsonl).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden trace {}: {e}\nregenerate with: BLESS=1 cargo test --test chaos",
-            path.display()
-        )
-    });
-    if let Some(d) = diff_jsonl(&golden, jsonl) {
-        panic!(
-            "faulted trace diverged from {}: {d}\nif the change is intentional, re-bless with: \
-             BLESS=1 cargo test --test chaos",
-            path.display()
-        );
-    }
-    assert_eq!(golden, jsonl, "structurally equal but not byte-identical");
+    assert_matches_golden("ml_pipeline.jsonl", &jsonl);
 }
 
 /// Golden JSONL trace for a faulted `ml_pipeline` run: boot failures,
@@ -297,7 +266,7 @@ fn golden_trace_ml_pipeline_faulted() {
         jsonl.contains("\"type\":\"fault_injected\""),
         "faulted run must actually inject faults"
     );
-    check_golden("ml_pipeline_faulted.jsonl", &jsonl);
+    assert_golden("ml_pipeline_faulted.jsonl", &jsonl);
 }
 
 /// The testkit's two-stage chain (same spec as

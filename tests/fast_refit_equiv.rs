@@ -8,12 +8,13 @@
 //! files below were blessed from the slow path; any divergence means the
 //! "optimization" changed a decision.
 //!
-//! Regenerate after an *intentional* behaviour change with
-//! `BLESS=1 cargo test --test fast_refit_equiv`.
+//! Re-bless after an *intentional* behaviour change with
+//! `BLESS=1 cargo test`.
 
 use aquatope::core::{run_framework_traced, AquatopeConfig, ClusterSpec, Framework, Workload};
 use aquatope::faas::prelude::*;
-use aquatope::telemetry::{diff_jsonl, Telemetry};
+use aquatope::telemetry::golden::assert_golden;
+use aquatope::telemetry::Telemetry;
 use aquatope::workflows::{apps, App};
 
 /// Plans and replays `app` under the full Aquatope framework with a
@@ -44,39 +45,9 @@ fn chain3(registry: &mut FunctionRegistry) -> App {
     apps::chain(registry, 3)
 }
 
-/// Compares `jsonl` against the checked-in golden trace, or regenerates it
-/// when `BLESS=1` is set.
-fn check_golden(name: &str, jsonl: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var("BLESS").ok().as_deref() == Some("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, jsonl).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden trace {}: {e}\nregenerate with: BLESS=1 cargo test --test fast_refit_equiv",
-            path.display()
-        )
-    });
-    if let Some(d) = diff_jsonl(&golden, jsonl) {
-        panic!(
-            "fast path diverged from the exact path at {}: {d}\nif the change is intentional, \
-             re-bless with: BLESS=1 cargo test --test fast_refit_equiv",
-            path.display()
-        );
-    }
-    assert_eq!(
-        golden, jsonl,
-        "traces structurally equal but not byte-identical"
-    );
-}
-
 #[test]
 fn framework_trace_ml_pipeline_byte_identical() {
-    check_golden(
+    assert_golden(
         "framework_ml_pipeline.jsonl",
         &framework_trace(apps::ml_pipeline),
     );
@@ -84,5 +55,5 @@ fn framework_trace_ml_pipeline_byte_identical() {
 
 #[test]
 fn framework_trace_chain_byte_identical() {
-    check_golden("framework_chain.jsonl", &framework_trace(chain3));
+    assert_golden("framework_chain.jsonl", &framework_trace(chain3));
 }

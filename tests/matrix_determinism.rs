@@ -14,6 +14,7 @@
 //! concurrently with another test's parallel region.
 
 use aquatope::scenarios::{run_matrix, MatrixConfig, PolicyKind, ScenarioKind, ScenarioSpec};
+use aquatope::telemetry::diff_jsonl;
 
 fn small_matrix_json(shards: usize) -> String {
     let config = MatrixConfig {
@@ -45,11 +46,9 @@ fn matrix_report_is_identical_across_thread_counts_per_shard_count() {
         let (_, base) = &reports[0];
         assert!(base.contains("\"cells\""), "report must contain cells");
         for (threads, report) in &reports[1..] {
-            assert_eq!(
-                base, report,
-                "shards={shards} AQUA_THREADS={threads} diverged from the \
-                 single-threaded report"
-            );
+            if let Some(d) = diff_jsonl(base, report) {
+                panic!("shards={shards} AQUA_THREADS={threads} diverged from one thread: {d}");
+            }
         }
     }
 }

@@ -9,10 +9,10 @@
 //!   the phases, so behaviour-change detection fires and the sliding
 //!   window drops the old observations.
 //!
-//! Floats are compared by `to_bits`, folded into an FNV-1a hash. The
-//! literals were captured before the controllers' tunables became named
-//! constants, in debug and `--release`, and must not move while those
-//! constants keep their values (a mismatch prints the observed values).
+//! Floats are compared by `to_bits`, folded into an FNV-1a hash pinned in
+//! `tests/golden/pins.txt` beside the counts. They were captured before
+//! the controllers' tunables became named constants, in debug and
+//! `--release`, and must not move while those constants keep their values.
 
 use aquatope::alloc::testkit::tiny_problem;
 use aquatope::alloc::{AquatopeRm, ResourceManager, SearchOutcome, SearchStep, SimEvaluator};
@@ -25,6 +25,7 @@ use aquatope::faas::{
 use aquatope::forecast::HybridConfig;
 use aquatope::pool::{AquatopePool, AquatopePoolConfig};
 use aquatope::prelude::*;
+use aquatope::telemetry::golden::assert_pinned;
 use aquatope::workflows::apps;
 
 struct Fnv(u64);
@@ -121,14 +122,7 @@ fn aqualite_pool_bits_are_pinned() {
             hash.add_f64(predicted_std);
         }
     }
-    let got = (resizes, hash.0);
-    assert_eq!(
-        got,
-        (120, 0xcab5_6cf2_4144_d420),
-        "observed ({}, {:#x})",
-        got.0,
-        got.1
-    );
+    assert_pinned("aqualite_pool", &[("resizes", resizes), ("fnv", hash.0)]);
 }
 
 #[test]
@@ -146,14 +140,11 @@ fn aqualite_rm_pick_bits_are_pinned() {
     let out = AquatopeRm::aqualite(5).optimize(&mut eval, qos, 24);
     let mut hash = Fnv::new();
     hash.add_outcome(&out);
-    let got = (out.evaluations(), out.best.is_some(), hash.0);
-    assert_eq!(
-        got,
-        (24, true, 0xcbda_2b4b_b767_933e),
-        "observed ({}, {}, {:#x})",
-        got.0,
-        got.1,
-        got.2
+    assert!(out.best.is_some());
+    let evaluations = out.evaluations() as u64;
+    assert_pinned(
+        "aqualite_rm_pick",
+        &[("evaluations", evaluations), ("fnv", hash.0)],
     );
 }
 
@@ -196,14 +187,13 @@ fn change_detection_bits_are_pinned() {
     hash.add_outcome(&first);
     hash.add_outcome(&second);
     hash.add_steps(rm.observations());
-    let got = (calm, rm.changes_detected(), rm.observations().len(), hash.0);
-    assert_eq!(
-        got,
-        (0, 4, 12, 0xc53c_9264_c6ad_00c8),
-        "observed ({}, {}, {}, {:#x})",
-        got.0,
-        got.1,
-        got.2,
-        got.3
+    assert_pinned(
+        "change_detection",
+        &[
+            ("calm_changes", calm as u64),
+            ("changes", rm.changes_detected() as u64),
+            ("observations", rm.observations().len() as u64),
+            ("fnv", hash.0),
+        ],
     );
 }

@@ -13,11 +13,11 @@
 //!   recycled only after they drain);
 //! * a fault plan that fails one boot in eight.
 //!
-//! The literals were captured before the request path under them was
-//! changed, in debug and `--release`, and must not move when only the way
-//! the plane keeps its bookkeeping does (a mismatch prints the observed
-//! values). The same run without a sink must reproduce every word but the
-//! last three, which pin the telemetry stream itself.
+//! The report's words are pinned in `tests/golden/pins.txt`. They were
+//! captured before the request path under them was changed, in debug and
+//! `--release`, and must not move when only the way the plane keeps its
+//! bookkeeping does. The same run without a sink must reproduce every
+//! word; only the traced run pins the telemetry stream itself.
 //!
 //! The observations the plane hands its policy are pinned as well: the
 //! tick count, one hash over every window's time and each function's
@@ -32,15 +32,18 @@ use aquatope::faas::{
 };
 use aquatope::pool::HistogramPolicy;
 use aquatope::service::{
-    AdmissionConfig, ControlPlane, PredictiveConfig, ServiceConfig, ServiceReport, WarmPoolConfig,
+    AdmissionConfig, AdmissionStats, ControlPlane, PredictiveConfig, ServiceConfig, ServiceReport,
+    WarmPoolConfig,
 };
 use aquatope::sim::{LatencySummary, SimDuration};
+use aquatope::telemetry::golden::assert_pinned;
+use aquatope::telemetry::pin_fields;
 use aquatope::telemetry::{Fanout, Recorder, SharedSink};
 use aquatope::workflows::azure::{azure_scale, AzureScaleConfig};
 
 /// What the policy saw: tick count, the FNV-1a hash of every observation
 /// but its `busy` counts, and the FNV-1a hash of those counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 struct ObsPin {
     ticks: u64,
     stats: u64,
@@ -88,13 +91,6 @@ fn fnv1a_byte(h: u64, b: u8) -> u64 {
 fn fnv1a_word(h: u64, w: u64) -> u64 {
     w.to_le_bytes().into_iter().fold(h, fnv1a_byte)
 }
-
-/// The pinned observation words.
-const WANT_OBS: ObsPin = ObsPin {
-    ticks: 120,
-    stats: 0xc049_943a_e173_58ee,
-    busy: 0x5aa8_8d46_75fe_4960,
-};
 
 /// Runs the plane, feeding its telemetry to `rec` when given.
 fn run(rec: Option<&Arc<Mutex<Recorder>>>) -> (ServiceReport, ObsPin) {
@@ -174,178 +170,43 @@ fn fnv1a(s: &str) -> u64 {
     s.bytes().fold(FNV_OFFSET, fnv1a_byte)
 }
 
-fn summary_bits(s: &LatencySummary, out: &mut Vec<u64>) {
-    out.push(s.count as u64);
-    for v in [s.mean, s.p50, s.p90, s.p99, s.max] {
-        out.push(v.to_bits());
-    }
+fn admission(p: &str, a: &AdmissionStats) -> Vec<(String, u64)> {
+    pin_fields!(p, a; admitted, shed_arrivals, shed_tasks, predictive_rejects, finished)
 }
 
-/// The report's pinned words: all of `want()` but the telemetry words.
-fn report_bits(r: &ServiceReport) -> Vec<u64> {
-    let mut got = vec![
-        r.sim_horizon.as_micros(),
-        r.events_processed,
-        r.completed,
-        r.rejected_workflows,
-        r.arrivals_skipped_in_drain,
-        r.invocations_executed,
-        r.swept_at_exit as u64,
-        r.cost_gb_s.to_bits(),
-    ];
-    summary_bits(&r.latency, &mut got);
-    for t in std::iter::once(&r.admission).chain(r.tenants.iter().map(|t| &t.admission)) {
-        got.extend([
-            t.admitted,
-            t.shed_arrivals,
-            t.shed_tasks,
-            t.predictive_rejects,
-            t.finished,
-        ]);
-    }
-    for t in &r.tenants {
-        summary_bits(&t.latency, &mut got);
-        got.push(t.qos_misses);
-    }
-    let p = &r.pool;
-    got.extend([
-        p.warm_hits,
-        p.demand_boots,
-        p.prewarm_boots,
-        p.boot_failures,
-        p.reaped,
-        p.shrunk,
-        p.semaphore_deferrals,
-        p.memory_deferrals,
-        p.pressure_evictions,
-        p.share_deferrals,
-        p.swept,
-    ]);
-    let rt = &r.runtime;
-    got.extend([rt.boots, rt.failed_boots, rt.execs, rt.kills]);
-    got.extend([
-        r.refit.ticks,
-        r.refit.refits,
-        r.refit.absorbed,
-        r.refit.deferred,
-    ]);
-    let m = &r.model;
-    got.extend([
-        m.observed,
-        m.absorbed,
-        m.compactions,
-        m.rejected,
-        m.tier_switches,
-    ]);
-    got
+fn latency(p: &str, s: &LatencySummary) -> Vec<(String, u64)> {
+    pin_fields!(p, s; count, mean, p50, p90, p99, max)
 }
 
-/// The pinned words: the report's, then the telemetry stream's event
-/// count, line count and FNV-1a hash.
-fn want() -> [u64; 94] {
-    [
-        0x8ac07d1,
-        0x35db,
-        0x804,
-        0x45e,
-        0x0,
-        0x1398,
-        0x28,
-        0x40b6a95f634dad1f,
-        0x804,
-        0x4005e4f9e3758e21,
-        0x40011e02a77a2ced,
-        0x4016dae09fe86834,
-        0x4021c7b18096127c,
-        0x402897bfc6540cc8,
-        0xc62,
-        0x5b3,
-        0x45e,
-        0xeb,
-        0xc62,
-        0x312,
-        0x2c0,
-        0xeb,
-        0x87,
-        0x312,
-        0x398,
-        0xee,
-        0x190,
-        0x64,
-        0x398,
-        0x43c,
-        0x0,
-        0x10f,
-        0x0,
-        0x43c,
-        0x17c,
-        0x205,
-        0xd4,
-        0x0,
-        0x17c,
-        0x227,
-        0x3fffee77bf18390f,
-        0x3ff96e7a311e85fd,
-        0x4012ba3c21187e7c,
-        0x401fe2e83a109d06,
-        0x4021c1897a67a52b,
-        0x195,
-        0x208,
-        0x400d71900bbd71d3,
-        0x400c069057d1782e,
-        0x401acda20070684a,
-        0x4023bcc2d2a2fa8f,
-        0x402724b3e5753a3f,
-        0x129,
-        0x32d,
-        0x40061b74d620f15a,
-        0x4000ed00b45ae600,
-        0x40174f202107b789,
-        0x4022bb2c73d15e01,
-        0x402897bfc6540cc8,
-        0x0,
-        0xa8,
-        0x4000f15926680c3a,
-        0x3ffd3b6805a2d730,
-        0x400edc7ada91b170,
-        0x4018145458f2b570,
-        0x401b2d08919ef955,
-        0x0,
-        0x1398,
-        0xc5a,
-        0x0,
-        0x19d,
-        0x0,
-        0x12,
-        0x0,
-        0x17f17,
-        0xa83,
-        0xaf58,
-        0x28,
-        0xc5a,
-        0x19d,
-        0x1398,
-        0xc5a,
-        0x18,
-        0x60,
-        0x335,
-        0x2c5,
-        0x3f8,
-        0x335,
-        0x5,
-        0x0,
-        0x0,
-        0x3f54,
-        0x3f54,
-        0x6832dd8ecd2828cd,
+/// The report's and the observations' pinned words, by field name.
+fn report_pins(r: &ServiceReport, obs: ObsPin) -> Vec<(String, u64)> {
+    let mut got = [
+        pin_fields!("", r; events_processed, completed, rejected_workflows,
+            arrivals_skipped_in_drain, invocations_executed, swept_at_exit, cost_gb_s),
+        admission("admission.", &r.admission),
+        latency("latency.", &r.latency),
+        pin_fields!("pool.", r.pool; warm_hits, demand_boots, prewarm_boots, boot_failures,
+            reaped, shrunk, semaphore_deferrals, memory_deferrals, pressure_evictions,
+            share_deferrals, swept),
+        pin_fields!("runtime.", r.runtime; boots, failed_boots, execs, kills),
+        pin_fields!("refit.", r.refit; ticks, refits, absorbed, deferred),
+        pin_fields!("model.", r.model; observed, absorbed, compactions, rejected, tier_switches),
+        pin_fields!("observations.", obs; ticks, stats, busy),
     ]
+    .concat();
+    got.push(("sim_horizon_us".into(), r.sim_horizon.as_micros()));
+    for (i, t) in r.tenants.iter().enumerate() {
+        got.extend(admission(&format!("tenant{i}.admission."), &t.admission));
+        got.extend(latency(&format!("tenant{i}.latency."), &t.latency));
+        got.push((format!("tenant{i}.qos_misses"), t.qos_misses));
+    }
+    got
 }
 
 #[test]
 fn service_report_bits_are_pinned() {
     let rec = Arc::new(Mutex::new(Recorder::unbounded()));
     let (r, pin) = run(Some(&rec));
-    assert_eq!(pin, WANT_OBS, "observed {pin:#x?}");
     // The run must reach every branch the pin is there to cover.
     assert!(r.admission.shed_arrivals > 0, "{:?}", r.admission);
     assert!(r.admission.shed_tasks > 0, "{:?}", r.admission);
@@ -355,21 +216,21 @@ fn service_report_bits_are_pinned() {
     assert_eq!(r.live_containers_at_exit, 0);
     assert_eq!(r.stranded_instances, 0);
 
-    let mut got = report_bits(&r);
+    assert_pinned("service_report", &report_pins(&r, pin));
     let rec = rec.lock().unwrap();
     let jsonl = rec.to_jsonl();
-    got.extend([
-        rec.events().len() as u64,
-        jsonl.lines().count() as u64,
-        fnv1a(&jsonl),
-    ]);
-    assert_eq!(got, want(), "observed {got:#x?}");
+    assert_pinned(
+        "service_report_traced",
+        &[
+            ("telemetry.events", rec.events().len() as u64),
+            ("telemetry.lines", jsonl.lines().count() as u64),
+            ("telemetry.fnv", fnv1a(&jsonl)),
+        ],
+    );
 }
 
 #[test]
 fn telemetry_leaves_the_report_unchanged() {
     let (r, pin) = run(None);
-    assert_eq!(pin, WANT_OBS, "observed {pin:#x?}");
-    let got = report_bits(&r);
-    assert_eq!(got, want()[..91], "observed {got:#x?}");
+    assert_pinned("service_report", &report_pins(&r, pin));
 }

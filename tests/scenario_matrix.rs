@@ -3,7 +3,7 @@
 //! * **golden** small matrix reports, one from the batch simulator
 //!   (`tests/golden/matrix_small.json`) and one from the live control
 //!   plane (`tests/golden/matrix_small_service.json`), byte-identical;
-//!   regenerate with `BLESS=1 cargo test --test scenario_matrix`,
+//!   re-bless with `BLESS=1 cargo test`,
 //! * the **zero-rate fault identity**: a faulted cell whose fault plan
 //!   has every rate at zero must reproduce its clean diurnal counterpart
 //!   bit-for-bit (same arrival stream by construction),
@@ -22,6 +22,7 @@ use aquatope::scenarios::{
     run_matrix, MatrixConfig, PolicyKind, ScenarioKind, ScenarioSpec,
 };
 use aquatope::service::PredictiveConfig;
+use aquatope::telemetry::golden::assert_golden;
 
 /// The golden configuration: 2 scenarios × 2 cheap policies × 2 seeds at
 /// 30 minutes. No neural nets involved, so it runs in milliseconds and
@@ -64,33 +65,6 @@ fn golden_small_service_matrix_report() {
         ClusterProfile::sim_matched(),
     );
     assert_golden("matrix_small_service.json", &report.to_json_string());
-}
-
-/// Checks `body` byte for byte against `tests/golden/<name>`, or writes
-/// it there under `BLESS=1`.
-fn assert_golden(name: &str, body: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var("BLESS").ok().as_deref() == Some("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, body).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden matrix report {}: {e}\nregenerate with: \
-             BLESS=1 cargo test --test scenario_matrix",
-            path.display()
-        )
-    });
-    assert_eq!(
-        golden,
-        body,
-        "matrix report diverged from {}; if intentional, re-bless with \
-         BLESS=1 cargo test --test scenario_matrix",
-        path.display()
-    );
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! against `tests/golden/service_two_tenant.jsonl` and must be identical
 //! under `AQUA_THREADS` ∈ {1, 2, 8}.
 //!
-//! After an *intentional* scheduling change, regenerate the golden with
-//! `BLESS=1 cargo test --test service_trace`.
+//! After an *intentional* scheduling change, re-bless the golden with
+//! `BLESS=1 cargo test`.
 
 use std::sync::{Arc, Mutex};
 
@@ -20,6 +20,7 @@ use aquatope::faas::{
 use aquatope::pool::ReactiveAutoscale;
 use aquatope::service::{ControlPlane, PredictiveConfig, ServiceConfig, WarmPoolConfig};
 use aquatope::sim::{SimDuration, SimTime};
+use aquatope::telemetry::golden::assert_golden;
 use aquatope::telemetry::{diff_jsonl, Fanout, Recorder, SharedSink};
 
 /// Runs the two-tenant service and returns its JSONL telemetry trace.
@@ -94,32 +95,6 @@ fn two_tenant_trace() -> String {
     jsonl
 }
 
-/// Compares `jsonl` against the checked-in golden trace, or regenerates
-/// it when `BLESS=1` is set.
-fn check_golden(name: &str, jsonl: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var("BLESS").ok().as_deref() == Some("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, jsonl).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden trace {}: {e}\nregenerate with: BLESS=1 cargo test --test service_trace",
-            path.display()
-        )
-    });
-    if let Some(d) = diff_jsonl(&golden, jsonl) {
-        panic!(
-            "trace diverged from {}: {d}\nif the scheduling change is intentional, re-bless with: \
-             BLESS=1 cargo test --test service_trace",
-            path.display()
-        );
-    }
-}
-
 /// One test (not several) because `AQUA_THREADS` is process-global: the
 /// thread-count sweep must run sequentially, and the golden comparison
 /// rides on the first (single-threaded) trace.
@@ -162,11 +137,9 @@ fn golden_two_tenant_service_trace_is_thread_count_invariant() {
     assert!(!tagged("tenant_shed", 1), "steady tenant was shed");
     assert!(!tagged("predictive_reject", 1), "steady tenant was vetoed");
     for (threads, trace) in &traces[1..] {
-        assert_eq!(
-            base, trace,
-            "AQUA_THREADS={threads} diverged from the single-threaded trace"
-        );
-        assert!(diff_jsonl(base, trace).is_none());
+        if let Some(d) = diff_jsonl(base, trace) {
+            panic!("AQUA_THREADS={threads} diverged from the single-threaded trace: {d}");
+        }
     }
-    check_golden("service_two_tenant.jsonl", base);
+    assert_golden("service_two_tenant.jsonl", base);
 }

@@ -1,14 +1,15 @@
 //! Telemetry regression tests: trace determinism, golden JSONL traces, and
 //! the online invariant checker riding along full end-to-end runs.
 //!
-//! Golden files live in `tests/golden/`. After an *intentional* scheduling
-//! change, regenerate them with `BLESS=1 cargo test --test telemetry_trace`.
+//! Golden files live in `tests/golden/` and are checked through
+//! `aquatope::telemetry::golden` (re-bless with `BLESS=1 cargo test`).
 
 use std::sync::{Arc, Mutex};
 
 use aquatope::core::{run_framework_traced, AquatopeConfig, ClusterSpec, Framework, Workload};
 use aquatope::faas::prelude::*;
 use aquatope::faas::types::ResourceConfig;
+use aquatope::telemetry::golden::assert_golden;
 use aquatope::telemetry::{diff_jsonl, Fanout, InvariantChecker, Recorder, SimEvent, Telemetry};
 use aquatope::workflows::{apps, App};
 
@@ -36,39 +37,15 @@ fn chain3(registry: &mut FunctionRegistry) -> App {
     apps::chain(registry, 3)
 }
 
-/// Compares `jsonl` against the checked-in golden trace, or regenerates it
-/// when `BLESS=1` is set.
-fn check_golden(name: &str, jsonl: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var("BLESS").ok().as_deref() == Some("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, jsonl).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden trace {}: {e}\nregenerate with: BLESS=1 cargo test --test telemetry_trace",
-            path.display()
-        )
-    });
-    if let Some(d) = diff_jsonl(&golden, jsonl) {
-        panic!(
-            "trace diverged from {}: {d}\nif the scheduling change is intentional, re-bless with: \
-             BLESS=1 cargo test --test telemetry_trace",
-            path.display()
-        );
-    }
-}
-
 #[test]
 fn same_seed_produces_byte_identical_traces() {
     let a = trace_app(apps::ml_pipeline, 11);
     let b = trace_app(apps::ml_pipeline, 11);
     assert!(!a.is_empty(), "trace must not be empty");
-    assert_eq!(a, b, "same seed must replay to a byte-identical trace");
-    assert!(diff_jsonl(&a, &b).is_none());
+    assert!(
+        diff_jsonl(&a, &b).is_none(),
+        "same seed must replay byte for byte"
+    );
 }
 
 #[test]
@@ -82,12 +59,12 @@ fn different_seeds_diverge() {
 
 #[test]
 fn golden_trace_ml_pipeline() {
-    check_golden("ml_pipeline.jsonl", &trace_app(apps::ml_pipeline, 7));
+    assert_golden("ml_pipeline.jsonl", &trace_app(apps::ml_pipeline, 7));
 }
 
 #[test]
 fn golden_trace_chain() {
-    check_golden("chain.jsonl", &trace_app(chain3, 7));
+    assert_golden("chain.jsonl", &trace_app(chain3, 7));
 }
 
 #[test]

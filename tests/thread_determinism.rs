@@ -93,12 +93,9 @@ fn faulted_trace_is_identical_across_thread_counts_per_shard_count() {
              anything (shards={shards})"
         );
         for (threads, trace) in &traces[1..] {
-            assert_eq!(
-                base, trace,
-                "shards={shards} AQUA_THREADS={threads} diverged from the \
-                 single-threaded trace"
-            );
-            assert!(diff_jsonl(base, trace).is_none());
+            if let Some(d) = diff_jsonl(base, trace) {
+                panic!("shards={shards} AQUA_THREADS={threads} diverged from one thread: {d}");
+            }
         }
     }
 }

@@ -18,7 +18,9 @@ pub struct ClusterSpec {
 }
 
 impl Default for ClusterSpec {
-    /// Six 40-core / 128-GiB workers — the paper's invoker fleet.
+    /// Six 40-core / 128-GiB workers — the paper's invoker fleet, and its
+    /// one definition: the paper harnesses and the scenario matrix build
+    /// their simulators from it.
     fn default() -> Self {
         ClusterSpec {
             workers: 6,

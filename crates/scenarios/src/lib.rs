@@ -1,10 +1,14 @@
-//! Head-to-head evaluation harness for the pre-warm policy zoo.
+//! The reproduction's evaluation: the paper's §8 results and the
+//! policy-zoo scenario matrix, on one invoker fleet
+//! ([`aquatope_core::ClusterSpec::default`]).
 //!
-//! The paper's §8 compares AQUATOPE against one baseline at a time on one
-//! workload at a time. This crate makes the comparison systematic: a
-//! *scenario matrix* runs every policy (fixed keep-alive, histogram and
-//! AQUATOPE from the paper's line-up, plus the slack-aware policy and a
-//! clairvoyant oracle) over every workload regime (diurnal, bursty, CV-swept, fault-injected,
+//! The [`paper`] module regenerates every table and figure of the paper
+//! (Table 1, Figs. 9–18 and the ablations), one JSON record each. The
+//! paper compares AQUATOPE against one baseline at a time on one workload
+//! at a time; the *scenario matrix* makes that comparison systematic: it
+//! runs every policy (fixed keep-alive, histogram and AQUATOPE from the
+//! paper's line-up, plus the slack-aware policy and a clairvoyant oracle)
+//! over every workload regime (diurnal, bursty, CV-swept, fault-injected,
 //! noisy-neighbor) over N seeds, and reduces each cell to QoS-violation
 //! rate, provisioned cost, latency quantiles, and cold-start ratio with
 //! seed-replicate confidence intervals.
@@ -13,21 +17,25 @@
 //! ([`Comparison`]): paired seed-wise deltas and an exact sign test make
 //! "policy A beats policy B on scenario C" a machine-checkable claim
 //! rather than a glance at a table, which is what the regression gates in
-//! `tests/scenario_matrix.rs` and the CI smoke job check.
+//! `tests/scenario_matrix.rs` and the `matrix` command check.
 //!
 //! Everything is deterministic: scenarios derive their arrival processes
 //! from forked [`aqua_sim::SimRng`] streams, cells are evaluated through
 //! [`aqua_sim::par_map`] (order-preserving, `AQUA_THREADS`-independent),
-//! and [`matrix::MatrixReport::to_json`] emits a byte-stable report
-//! (`MATRIX_REPORT.json` at the workspace root).
+//! and the reports serialize byte-stably.
 //!
 //! The [`service_mode`] module re-runs the same cells against the live
 //! control plane (`aqua-service`) with multi-tenant admission and,
 //! optionally, predictive rejection enabled, and reports sim-vs-service
 //! QoS drift plus predictive-vs-shedding sign-test verdicts as the
-//! `aquatope.matrix_report.v2` schema.
+//! `aquatope.matrix_report.v2` schema — the committed
+//! `MATRIX_REPORT.json` at the workspace root.
+//!
+//! The `aqua-scenarios` binary takes `matrix` or `paper <name>` and
+//! writes the corresponding record.
 
 pub mod matrix;
+pub mod paper;
 pub mod policy;
 pub mod scenario;
 pub mod service_mode;
@@ -40,3 +48,17 @@ pub use service_mode::{
     evaluate_cell_service, run_service_cells, run_service_matrix, ClusterProfile, DriftRow,
     ServiceMatrixReport,
 };
+
+use aqua_faas::{FaasSim, FaasSimBuilder};
+use aquatope_core::ClusterSpec;
+
+/// A batch simulator on the paper's invoker fleet, the one cluster every
+/// matrix cell and paper harness runs on.
+pub(crate) fn fleet() -> FaasSimBuilder {
+    let fleet = ClusterSpec::default();
+    FaasSim::builder().workers(
+        fleet.workers,
+        fleet.cpu_per_worker,
+        fleet.memory_mb_per_worker,
+    )
+}

@@ -264,6 +264,18 @@ mod tests {
     }
 
     #[test]
+    fn arrivals_are_sorted() {
+        for cfg in [
+            RateTraceConfig::default(),
+            RateTraceConfig::fluctuating(120, 5.0),
+        ] {
+            let arrivals = cfg.generate(&mut SimRng::seed(2)).arrivals;
+            assert!(!arrivals.is_empty());
+            assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
+        }
+    }
+
+    #[test]
     fn deterministic_generation() {
         let cfg = RateTraceConfig::default();
         let a = cfg.generate(&mut SimRng::seed(9));

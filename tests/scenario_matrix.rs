@@ -18,8 +18,8 @@ use std::collections::BTreeSet;
 use aquatope::faas::FaultRates;
 use aquatope::scenarios::service_mode::{run_service_cells, ClusterProfile};
 use aquatope::scenarios::{
-    matrix::{evaluate, evaluate_with_rates},
-    run_matrix, MatrixConfig, PolicyKind, ScenarioKind, ScenarioSpec,
+    default_fault_rates, matrix::evaluate_cell, run_matrix, MatrixConfig, PolicyKind, ScenarioKind,
+    ScenarioSpec,
 };
 use aquatope::service::PredictiveConfig;
 use aquatope::telemetry::golden::assert_golden;
@@ -81,8 +81,8 @@ fn zero_rate_faulted_cells_match_clean_counterparts() {
         PolicyKind::Histogram,
     ] {
         for seed in [1u64, 9] {
-            let a = evaluate(&clean, policy, seed);
-            let b = evaluate_with_rates(&faulted, policy, seed, FaultRates::default());
+            let a = evaluate_cell(&clean, policy, seed, default_fault_rates(), 1);
+            let b = evaluate_cell(&faulted, policy, seed, FaultRates::default(), 1);
             assert_eq!(a, b, "{} seed {seed}", policy.name());
         }
     }
@@ -93,8 +93,8 @@ fn nonzero_fault_rates_actually_change_the_cells() {
     // Guard the guard: the identity above would pass vacuously if the
     // faulted row ignored its rates entirely.
     let faulted = ScenarioSpec::new(ScenarioKind::Faulted, 20, 3.0);
-    let clean = evaluate_with_rates(&faulted, PolicyKind::Fixed, 1, FaultRates::default());
-    let hot = evaluate(&faulted, PolicyKind::Fixed, 1);
+    let clean = evaluate_cell(&faulted, PolicyKind::Fixed, 1, FaultRates::default(), 1);
+    let hot = evaluate_cell(&faulted, PolicyKind::Fixed, 1, default_fault_rates(), 1);
     assert_ne!(clean, hot, "default fault rates must perturb the run");
 }
 
@@ -144,7 +144,7 @@ fn committed_matrix_report_names_exactly_the_zoo() {
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let zoo: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
     let stale = "MATRIX_REPORT.json is stale; regenerate with \
-                 `cargo run -p aqua-bench --release -- matrix --mode service`";
+                 `cargo run -p aqua-scenarios --release -- matrix`";
 
     let sim = between(&text, "\"sim\": {", "\"service\": {");
     let listed: Vec<&str> = between(sim, "\"policies\": [", "]")

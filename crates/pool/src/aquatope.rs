@@ -475,7 +475,7 @@ mod tests {
                 hash = (hash ^ target).wrapping_mul(0x100000001b3);
             }
         }
-        assert_eq!(hash, 0xf663a3ba96b02300, "a decision moved");
+        aqua_telemetry::golden::assert_pinned("aquatope_history_cap", &[("fnv", hash)]);
         let st = &p.state[&FunctionId(0)];
         assert_eq!((st.history.len(), st.seen), (cap, 5000));
     }

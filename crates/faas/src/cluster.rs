@@ -1,7 +1,7 @@
 //! The worker cluster: container placement, warm-pool bookkeeping, and
 //! resource-time accounting.
 
-use aqua_sim::{FxHashMap, SimDuration, SimTime};
+use aqua_sim::{SimDuration, SimTime};
 use aqua_telemetry::{EvictionReason, SimEvent, Telemetry};
 
 use crate::container::{Container, ContainerState};
@@ -22,23 +22,40 @@ impl Worker {
     }
 }
 
+/// Slot-table mark: the container was killed.
+const DEAD: u32 = u32::MAX;
+
 /// The simulated cluster of invoker servers.
 ///
 /// All memory-time and CPU-time integrals are maintained here so every
 /// experiment reports resource usage the same way.
+///
+/// Containers live in a recycled slab reached through a slot table over
+/// container ids, so a lookup by id is two array reads and nothing is
+/// hashed. Slot numbers are internal: every selection minimises or
+/// maximises a key that ends in the container id, so which slot a
+/// container landed in never decides anything.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     workers: Vec<Worker>,
     /// Global id of `workers[0]` — non-zero when this cluster is one shard
     /// of a partitioned run.
     worker_base: usize,
-    /// Live containers by id. Never iterated for anything order-sensitive:
-    /// the one scan (`evict_for`) minimises a unique key.
-    containers: FxHashMap<ContainerId, Container>,
-    /// Live container ids per function (`by_function[fid.0]`), so the hot
-    /// lookups (`find_warm`, `find_booting`, `counts`, reaping) touch only
-    /// the function's own containers instead of scanning the whole map.
-    by_function: Vec<Vec<ContainerId>>,
+    /// Live containers; a killed container's slot is `None` until the next
+    /// boot takes it.
+    slab: Vec<Option<Container>>,
+    /// Freed slab slots, reused before the slab grows.
+    free: Vec<u32>,
+    /// Slab slot of every container id minted so far, indexed by
+    /// `(id − container_base) / id_stride` ([`DEAD`] once killed): one
+    /// `u32` per container the run boots.
+    slot_of: Vec<u32>,
+    /// Slab slots of each function's live containers (`by_function[fid.0]`),
+    /// so the hot lookups (`find_warm`, `find_booting`, `counts`, reaping)
+    /// touch only the function's own containers.
+    by_function: Vec<Vec<u32>>,
+    /// Id of the first container this cluster mints.
+    container_base: u64,
     next_id: u64,
     /// Container-id step — the shard count in a partitioned run, so every
     /// shard mints globally unique ids.
@@ -96,8 +113,11 @@ impl Cluster {
                 })
                 .collect(),
             worker_base,
-            containers: FxHashMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            slot_of: Vec::new(),
             by_function: Vec::new(),
+            container_base,
             next_id: container_base,
             id_stride: stride,
             last_account: SimTime::ZERO,
@@ -130,20 +150,66 @@ impl Cluster {
 
     /// Live container count.
     pub fn num_containers(&self) -> usize {
-        self.containers.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Looks up a container.
     pub fn container(&self, id: ContainerId) -> Option<&Container> {
-        self.containers.get(&id)
+        self.slot(id).map(|slot| self.at(slot))
     }
 
-    /// The live-container index slice for `function` (possibly empty).
-    fn fn_index(&self, function: FunctionId) -> &[ContainerId] {
+    /// `id`'s entry in the slot table, if this cluster minted it.
+    fn table_index(&self, id: ContainerId) -> Option<usize> {
+        let k = id.0.checked_sub(self.container_base)?;
+        let k = if self.id_stride == 1 {
+            k
+        } else {
+            k / self.id_stride
+        };
+        usize::try_from(k).ok().filter(|&k| k < self.slot_of.len())
+    }
+
+    /// The slab slot of live container `id`. Slots are dense from 0 and
+    /// reused after a kill, so a caller can keep per-container state in a
+    /// table of its own indexed by slot, as long as it empties an entry
+    /// before the container dies.
+    pub(crate) fn slot(&self, id: ContainerId) -> Option<usize> {
+        let slot = self.slot_of[self.table_index(id)?] as usize;
+        // A foreign id can land on another container's table entry.
+        self.slab
+            .get(slot)?
+            .as_ref()
+            .is_some_and(|c| c.id == id)
+            .then_some(slot)
+    }
+
+    /// The live container in `slot`.
+    fn at(&self, slot: usize) -> &Container {
+        self.slab[slot]
+            .as_ref()
+            .expect("indexed slot holds a container")
+    }
+
+    /// The live container `id`, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the container is unknown.
+    fn live_mut(&mut self, id: ContainerId) -> &mut Container {
+        let slot = self.slot(id).expect("unknown container");
+        self.slab[slot]
+            .as_mut()
+            .expect("indexed slot holds a container")
+    }
+
+    /// The live containers of `function` (possibly none).
+    fn of_function(&self, function: FunctionId) -> impl Iterator<Item = &Container> {
         self.by_function
             .get(function.0)
             .map(Vec::as_slice)
             .unwrap_or(&[])
+            .iter()
+            .map(|&slot| self.at(slot as usize))
     }
 
     /// Starts booting a container for `function` with `config`; the boot
@@ -173,10 +239,18 @@ impl Cluster {
         self.reserved_mb_now += config.memory_mb;
         let id = ContainerId(self.next_id);
         self.next_id += self.id_stride;
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slab.push(None);
+                u32::try_from(self.slab.len() - 1).expect("container slots are u32")
+            }
+        };
+        self.slot_of.push(slot);
         if self.by_function.len() <= function.0 {
             self.by_function.resize(function.0 + 1, Vec::new());
         }
-        self.by_function[function.0].push(id);
+        self.by_function[function.0].push(slot);
         self.telemetry.emit_with(|| SimEvent::ColdStartBegin {
             at: now,
             function: function.0,
@@ -186,22 +260,19 @@ impl Cluster {
             slots: config.concurrency,
             prewarmed,
         });
-        self.containers.insert(
+        self.slab[slot as usize] = Some(Container {
             id,
-            Container {
-                id,
-                function,
-                worker: wid,
-                config,
-                state: ContainerState::Booting,
-                created: now,
-                ready_at: now + boot_time,
-                last_used: now + boot_time,
-                busy_slots: 0,
-                claimed: 0,
-                prewarmed,
-            },
-        );
+            function,
+            worker: wid,
+            config,
+            state: ContainerState::Booting,
+            created: now,
+            ready_at: now + boot_time,
+            last_used: now + boot_time,
+            busy_slots: 0,
+            claimed: 0,
+            prewarmed,
+        });
         Some(id)
     }
 
@@ -212,7 +283,7 @@ impl Cluster {
     /// Panics if the container is unknown or not booting.
     pub fn boot_complete(&mut self, id: ContainerId, now: SimTime) {
         self.account(now);
-        let c = self.containers.get_mut(&id).expect("unknown container");
+        let c = self.live_mut(id);
         assert_eq!(c.state, ContainerState::Booting, "container not booting");
         c.state = ContainerState::Idle;
         c.claimed = 0;
@@ -224,9 +295,7 @@ impl Cluster {
     /// resource configuration, preferring the most recently used (better
     /// cache locality, standard practice).
     pub fn find_warm(&self, function: FunctionId, config: &ResourceConfig) -> Option<ContainerId> {
-        self.fn_index(function)
-            .iter()
-            .map(|id| &self.containers[id])
+        self.of_function(function)
             .filter(|c| c.config == *config && c.can_serve())
             .max_by_key(|c| (c.last_used, c.id.0))
             .map(|c| c.id)
@@ -240,9 +309,7 @@ impl Cluster {
         function: FunctionId,
         config: &ResourceConfig,
     ) -> Option<ContainerId> {
-        self.fn_index(function)
-            .iter()
-            .map(|id| &self.containers[id])
+        self.of_function(function)
             .filter(|c| {
                 c.config == *config
                     && c.state == ContainerState::Booting
@@ -259,7 +326,7 @@ impl Cluster {
     ///
     /// Panics if the container is unknown, not booting, or fully claimed.
     pub fn claim(&mut self, id: ContainerId) {
-        let c = self.containers.get_mut(&id).expect("unknown container");
+        let c = self.live_mut(id);
         assert_eq!(c.state, ContainerState::Booting, "container not booting");
         assert!(c.claimed < c.config.concurrency, "container fully claimed");
         c.claimed += 1;
@@ -272,12 +339,13 @@ impl Cluster {
     /// Panics if the container cannot serve (booting or full).
     pub fn assign(&mut self, id: ContainerId, now: SimTime) {
         self.account(now);
-        let c = self.containers.get_mut(&id).expect("unknown container");
+        let c = self.live_mut(id);
         assert!(c.can_serve(), "container cannot serve");
         c.busy_slots += 1;
         c.state = ContainerState::Busy;
-        self.busy_cpu_now += c.config.cpu_per_slot();
-        self.busy_mem_mb_now += c.config.memory_per_slot();
+        let config = c.config;
+        self.busy_cpu_now += config.cpu_per_slot();
+        self.busy_mem_mb_now += config.memory_per_slot();
     }
 
     /// Releases one invocation slot.
@@ -287,15 +355,16 @@ impl Cluster {
     /// Panics if the container is unknown or has no busy slots.
     pub fn release(&mut self, id: ContainerId, now: SimTime) {
         self.account(now);
-        let c = self.containers.get_mut(&id).expect("unknown container");
+        let c = self.live_mut(id);
         assert!(c.busy_slots > 0, "release on an idle container");
         c.busy_slots -= 1;
-        self.busy_cpu_now -= c.config.cpu_per_slot();
-        self.busy_mem_mb_now -= c.config.memory_per_slot();
         if c.busy_slots == 0 {
             c.state = ContainerState::Idle;
             c.last_used = now;
         }
+        let config = c.config;
+        self.busy_cpu_now -= config.cpu_per_slot();
+        self.busy_mem_mb_now -= config.memory_per_slot();
     }
 
     /// Destroys a container, freeing its memory. `reason` is recorded in
@@ -306,9 +375,17 @@ impl Cluster {
     /// Panics if the container is unknown or currently busy.
     pub fn kill(&mut self, id: ContainerId, now: SimTime, reason: EvictionReason) {
         self.account(now);
-        let c = self.containers.remove(&id).expect("unknown container");
+        let slot = self.slot(id).expect("unknown container");
+        let c = self.slab[slot]
+            .take()
+            .expect("indexed slot holds a container");
         assert_eq!(c.busy_slots, 0, "cannot kill a busy container");
-        self.by_function[c.function.0].retain(|cid| *cid != id);
+        let k = self
+            .table_index(id)
+            .expect("a live container has a table entry");
+        self.slot_of[k] = DEAD;
+        self.free.push(slot as u32);
+        self.by_function[c.function.0].retain(|&s| s as usize != slot);
         let w = &mut self.workers[c.worker.0 - self.worker_base];
         w.memory_used_mb -= c.config.memory_mb;
         self.reserved_mb_now -= c.config.memory_mb;
@@ -333,12 +410,10 @@ impl Cluster {
     /// Panics if the container is unknown.
     pub fn kill_faulted(&mut self, id: ContainerId, now: SimTime) {
         self.account(now);
-        {
-            let c = self.containers.get_mut(&id).expect("unknown container");
-            self.busy_cpu_now -= c.config.cpu_per_slot() * c.busy_slots as f64;
-            self.busy_mem_mb_now -= c.config.memory_per_slot() * c.busy_slots as f64;
-            c.busy_slots = 0;
-        }
+        let c = self.live_mut(id);
+        let (config, busy) = (c.config, std::mem::take(&mut c.busy_slots));
+        self.busy_cpu_now -= config.cpu_per_slot() * busy as f64;
+        self.busy_mem_mb_now -= config.memory_per_slot() * busy as f64;
         self.kill(id, now, EvictionReason::Fault);
     }
 
@@ -351,9 +426,7 @@ impl Cluster {
         now: SimTime,
     ) -> usize {
         let mut victims: Vec<ContainerId> = self
-            .fn_index(function)
-            .iter()
-            .map(|id| &self.containers[id])
+            .of_function(function)
             .filter(|c| c.state == ContainerState::Idle && c.idle_for(now) > keep_alive)
             .map(|c| c.id)
             .collect();
@@ -370,9 +443,7 @@ impl Cluster {
     /// (used to shrink an over-provisioned pre-warm pool).
     pub fn shrink_idle(&mut self, function: FunctionId, count: usize, now: SimTime) -> usize {
         let mut idle: Vec<(SimTime, ContainerId)> = self
-            .fn_index(function)
-            .iter()
-            .map(|id| &self.containers[id])
+            .of_function(function)
             .filter(|c| c.state == ContainerState::Idle)
             .map(|c| (c.last_used, c.id))
             .collect();
@@ -394,8 +465,9 @@ impl Cluster {
                 return true;
             }
             let victim = self
-                .containers
-                .values()
+                .slab
+                .iter()
+                .flatten()
                 .filter(|c| c.state == ContainerState::Idle)
                 .min_by_key(|c| (c.last_used, c.id.0))
                 .map(|c| c.id);
@@ -409,11 +481,7 @@ impl Cluster {
     /// Counts per-state containers of `function`: `(booting, idle, busy)`.
     pub fn counts(&self, function: FunctionId) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for c in self
-            .fn_index(function)
-            .iter()
-            .map(|id| &self.containers[id])
-        {
+        for c in self.of_function(function) {
             match c.state {
                 ContainerState::Booting => counts.0 += 1,
                 ContainerState::Idle => counts.1 += 1,

@@ -2,7 +2,7 @@
 
 use aqua_sim::{SimDuration, SimRng};
 
-use crate::interference::NoiseModel;
+use crate::interference::{ExecSampler, NoiseModel};
 use crate::types::{FunctionId, ResourceConfig};
 
 /// A serverless function's performance profile.
@@ -123,17 +123,10 @@ impl FunctionSpec {
         self.io_ms + self.work_ms / self.effective_cpu(config) * self.memory_factor(config)
     }
 
-    /// Samples a warm-start execution time with intrinsic and environment
-    /// noise applied.
-    pub fn sample_exec(
-        &self,
-        config: &ResourceConfig,
-        noise: &NoiseModel,
-        rng: &mut SimRng,
-    ) -> SimDuration {
-        let base = self.base_exec_ms(config);
-        let jittered = noise.apply(base, self.exec_cv, rng);
-        SimDuration::from_secs_f64((jittered / 1e3).max(1e-6))
+    /// The warm-start execution-time sampler under `config`: the base time
+    /// with intrinsic and environment noise applied.
+    pub fn exec_sampler(&self, config: &ResourceConfig, noise: &NoiseModel) -> ExecSampler {
+        noise.sampler(self.base_exec_ms(config), self.exec_cv)
     }
 
     /// Samples the extra latency a cold start adds before execution: boot
@@ -145,8 +138,7 @@ impl FunctionSpec {
         rng: &mut SimRng,
     ) -> SimDuration {
         let init = self.init_work_ms / self.effective_cpu(config) * self.memory_factor(config);
-        let total = noise.apply(self.boot_ms + init, self.exec_cv, rng);
-        SimDuration::from_secs_f64((total / 1e3).max(1e-6))
+        noise.sampler(self.boot_ms + init, self.exec_cv).sample(rng)
     }
 }
 
@@ -268,7 +260,7 @@ mod tests {
         let f = FunctionSpec::new("f").with_work_ms(200.0).with_exec_cv(0.0);
         let mut rng = SimRng::seed(2);
         let cfg = ResourceConfig::default();
-        let t = f.sample_exec(&cfg, &quiet(), &mut rng);
+        let t = f.exec_sampler(&cfg, &quiet()).sample(&mut rng);
         assert!((t.as_secs_f64() * 1e3 - f.base_exec_ms(&cfg)).abs() < 1e-6);
     }
 }

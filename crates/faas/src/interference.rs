@@ -8,7 +8,7 @@
 //! the same injection methodology as the paper's Fig. 15, whose x-axis
 //! "noise level" scales the frequency and intensity of those bursts.
 
-use aqua_sim::{LogNormal, Pareto, SimRng};
+use aqua_sim::{LogNormal, Pareto, SimDuration, SimRng};
 
 /// Execution-time noise model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,20 +64,64 @@ impl NoiseModel {
         }
     }
 
-    /// Applies noise to a base latency (milliseconds): log-normal jitter
-    /// with combined CV, plus a Pareto burst with `outlier_prob`.
-    pub fn apply(&self, base_ms: f64, intrinsic_cv: f64, rng: &mut SimRng) -> f64 {
+    /// The sampler for a latency of `base_ms` milliseconds with the
+    /// function's `intrinsic_cv`: log-normal jitter at the combined CV
+    /// `√(intrinsic² + gaussian²)`, plus a Pareto burst with probability
+    /// `outlier_prob`. Derive it once per (function, configuration) and
+    /// draw from it per invocation.
+    pub fn sampler(&self, base_ms: f64, intrinsic_cv: f64) -> ExecSampler {
         if base_ms <= 0.0 {
-            return 0.0;
+            return ExecSampler {
+                base_ms,
+                jitter: None,
+                outlier: None,
+            };
         }
         let cv = (intrinsic_cv * intrinsic_cv + self.gaussian_cv * self.gaussian_cv).sqrt();
-        let mut value = if cv > 0.0 {
-            LogNormal::with_mean_cv(base_ms, cv).sample(rng)
-        } else {
-            base_ms
+        ExecSampler {
+            base_ms,
+            jitter: (cv > 0.0).then(|| LogNormal::with_mean_cv(base_ms, cv)),
+            outlier: (self.outlier_prob > 0.0).then(|| {
+                (
+                    self.outlier_prob,
+                    Pareto::new(self.outlier_scale, self.outlier_shape),
+                )
+            }),
+        }
+    }
+}
+
+/// One noisy latency draw with its distribution parameters derived up
+/// front (see [`NoiseModel::sampler`]), so a draw costs only its random
+/// numbers: a normal and an `exp` for the jitter, a uniform for the burst
+/// check, and a uniform and a `powf` when a burst hits.
+///
+/// A non-positive base draws no random numbers and samples the 1 µs floor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExecSampler {
+    base_ms: f64,
+    /// Log-normal jitter with mean `base_ms` (`None` at a zero CV).
+    jitter: Option<LogNormal>,
+    /// Burst probability and slowdown factor (`None` without bursts).
+    outlier: Option<(f64, Pareto)>,
+}
+
+impl ExecSampler {
+    /// Draws one latency, floored at 1 µs.
+    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
+        SimDuration::from_secs_f64((self.sample_ms(rng) / 1e3).max(1e-6))
+    }
+
+    /// Draws one latency in milliseconds, without the floor.
+    fn sample_ms(&self, rng: &mut SimRng) -> f64 {
+        let mut value = match &self.jitter {
+            Some(jitter) => jitter.sample(rng),
+            None => self.base_ms,
         };
-        if self.outlier_prob > 0.0 && rng.chance(self.outlier_prob) {
-            value *= Pareto::new(self.outlier_scale, self.outlier_shape).sample(rng);
+        if let Some((p, burst)) = &self.outlier {
+            if rng.chance(*p) {
+                value *= burst.sample(rng);
+            }
         }
         value
     }
@@ -97,7 +141,7 @@ mod tests {
     fn quiet_noise_is_identity() {
         let n = NoiseModel::quiet();
         let mut rng = SimRng::seed(1);
-        assert_eq!(n.apply(100.0, 0.0, &mut rng), 100.0);
+        assert_eq!(n.sampler(100.0, 0.0).sample_ms(&mut rng), 100.0);
     }
 
     #[test]
@@ -109,7 +153,8 @@ mod tests {
         };
         let mut rng = SimRng::seed(2);
         let m = 50_000;
-        let mean: f64 = (0..m).map(|_| n.apply(100.0, 0.0, &mut rng)).sum::<f64>() / m as f64;
+        let s = n.sampler(100.0, 0.0);
+        let mean: f64 = (0..m).map(|_| s.sample_ms(&mut rng)).sum::<f64>() / m as f64;
         assert!((mean - 100.0).abs() < 1.0, "mean {mean}");
     }
 
@@ -122,7 +167,8 @@ mod tests {
             outlier_scale: 2.0,
         };
         let mut rng = SimRng::seed(3);
-        let samples: Vec<f64> = (0..20_000).map(|_| n.apply(100.0, 0.0, &mut rng)).collect();
+        let s = n.sampler(100.0, 0.0);
+        let samples: Vec<f64> = (0..20_000).map(|_| s.sample_ms(&mut rng)).collect();
         let outliers = samples.iter().filter(|s| **s > 150.0).count() as f64 / samples.len() as f64;
         assert!((outliers - 0.05).abs() < 0.01, "outlier rate {outliers}");
         assert!(samples.iter().cloned().fold(0.0, f64::max) > 250.0);
@@ -141,6 +187,8 @@ mod tests {
     fn zero_base_stays_zero() {
         let n = NoiseModel::production();
         let mut rng = SimRng::seed(4);
-        assert_eq!(n.apply(0.0, 0.5, &mut rng), 0.0);
+        let before = rng.clone();
+        assert_eq!(n.sampler(0.0, 0.5).sample_ms(&mut rng), 0.0);
+        assert_eq!(rng, before, "a zero base draws nothing");
     }
 }

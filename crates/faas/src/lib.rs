@@ -58,7 +58,7 @@ pub use cluster::Cluster;
 pub use container::{Container, ContainerState};
 pub use fault::{FaultPlan, FaultRates, FaultState, RetryPolicy};
 pub use function::{FunctionRegistry, FunctionSpec};
-pub use interference::NoiseModel;
+pub use interference::{ExecSampler, NoiseModel};
 pub use metrics::{InvocationRecord, RunReport, WorkflowRecord};
 pub use runtime::{BootTicket, ContainerRuntime, RuntimeStats, SimContainerRuntime};
 pub use sim::{

@@ -22,7 +22,7 @@ use aqua_sim::{FxHashMap, SimDuration, SimRng};
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::function::FunctionRegistry;
-use crate::interference::NoiseModel;
+use crate::interference::{ExecSampler, NoiseModel};
 use crate::types::{ContainerId, FunctionId, ResourceConfig};
 
 /// The outcome of asking the runtime to boot one container.
@@ -88,6 +88,10 @@ pub struct SimContainerRuntime {
     boot_rng: SimRng,
     exec_rng: SimRng,
     faults: FaultState,
+    /// Per function id, the exec sampler of the configuration its last
+    /// execution ran under, rebuilt only when a call's configuration
+    /// differs.
+    exec_samplers: Vec<Option<(ResourceConfig, ExecSampler)>>,
     next_id: u64,
     live: FxHashMap<ContainerId, FunctionId>,
     stats: RuntimeStats,
@@ -109,6 +113,7 @@ impl SimContainerRuntime {
     ) -> Self {
         let root = SimRng::seed(seed);
         SimContainerRuntime {
+            exec_samplers: vec![None; registry.len()],
             registry,
             noise,
             boot_rng: root.fork("svc-boot"),
@@ -148,9 +153,18 @@ impl ContainerRuntime for SimContainerRuntime {
 
     fn exec(&mut self, function: FunctionId, config: &ResourceConfig) -> SimDuration {
         self.stats.execs += 1;
-        self.registry
-            .spec(function)
-            .sample_exec(config, &self.noise, &mut self.exec_rng)
+        let cached = &mut self.exec_samplers[function.0];
+        let sampler = match cached {
+            Some((built_for, sampler)) if built_for == config => sampler,
+            _ => {
+                let sampler = self
+                    .registry
+                    .spec(function)
+                    .exec_sampler(config, &self.noise);
+                &mut cached.insert((*config, sampler)).1
+            }
+        };
+        sampler.sample(&mut self.exec_rng)
     }
 
     fn kill(&mut self, container: ContainerId) -> bool {

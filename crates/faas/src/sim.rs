@@ -4,16 +4,15 @@
 //! a pluggable [`PrewarmController`] every pool-adjustment interval (1 min,
 //! the paper's container keep-alive timescale).
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
-use aqua_sim::{EventQueue, FxHashMap, SimDuration, SimRng, SimTime};
+use aqua_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use aqua_telemetry::{EvictionReason, FaultKind, SimEvent, Telemetry};
 
 use crate::cluster::Cluster;
 use crate::fault::{FaultPlan, FaultState, RetryPolicy};
 use crate::function::FunctionRegistry;
-use crate::interference::NoiseModel;
+use crate::interference::{ExecSampler, NoiseModel};
 use crate::metrics::{InvocationRecord, RunReport, WorkflowRecord};
 use crate::types::{ContainerId, FunctionId, ResourceConfig, StageConfigs};
 use crate::workflow::WorkflowDag;
@@ -175,20 +174,26 @@ pub(crate) enum Event {
     BootFailed {
         container: ContainerId,
     },
-    /// Execution attempt `seq` finishes. Keyed by a unique sequence
-    /// number so crashes and timeouts can cancel the attempt by removing
-    /// its metadata — the stale event is then ignored.
+    /// Execution attempt `seq`, held in attempt slot `attempt`,
+    /// finishes. A crash or timeout that cancels the attempt frees its
+    /// slot, and the slot may hold a newer attempt by the time this event
+    /// pops: a `seq` that no longer matches the slot's marks the event
+    /// stale, and it is ignored.
     ExecDone {
+        attempt: u32,
         seq: u64,
     },
-    /// An injected crash fires on `container` unless attempt `seq`
-    /// already finished.
+    /// An injected crash fires on `container` unless attempt `seq` (in
+    /// slot `attempt`) already finished.
     ContainerCrash {
         container: ContainerId,
+        attempt: u32,
         seq: u64,
     },
-    /// Attempt `seq` hits the per-stage timeout unless already finished.
+    /// Attempt `seq` (in slot `attempt`) hits the per-stage timeout unless
+    /// already finished.
     TaskTimeout {
+        attempt: u32,
         seq: u64,
     },
     /// A failed attempt re-enters scheduling after its backoff.
@@ -460,18 +465,36 @@ pub(crate) struct Task {
 }
 
 /// The work riding on one container: tasks waiting for its boot, then the
-/// attempts executing on it (for crash cancellation). An entry exists only
-/// while one of the two is non-empty, so the table never outlives the
-/// containers the cluster kills on its own (those are idle: no work).
+/// attempts executing on it (for crash cancellation). Held per cluster
+/// slot ([`Cluster::slot`]), so both lists keep their buffers from one
+/// container in the slot to the next. Both are empty whenever the slot's
+/// container dies: the cluster kills only idle containers on its own, and
+/// the loop empties the lists itself on a boot failure or a crash.
 #[derive(Debug, Default)]
 struct ContainerWork {
     attached: Vec<Task>,
-    running: Vec<u64>,
+    /// Attempt slots, in start order.
+    running: Vec<u32>,
 }
 
-/// Metadata of one in-flight execution attempt, keyed by its `seq`.
+/// What every task of one stage of one job reads, derived at run start.
 #[derive(Debug, Clone, Copy)]
-struct ExecInfo {
+struct StagePlan {
+    function: FunctionId,
+    config: ResourceConfig,
+    /// The stage's execution-time sampler under `config`.
+    exec: ExecSampler,
+}
+
+/// Attempt-slot mark: the slot holds no attempt in flight.
+const FREE_ATTEMPT: u64 = u64::MAX;
+
+/// One in-flight execution attempt, in the attempt slab.
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
+    /// The attempt's unique sequence number, or [`FREE_ATTEMPT`] once it
+    /// finished or was cancelled.
+    seq: u64,
     container: ContainerId,
     task: Task,
     /// Index of the attempt's [`InvocationRecord`] in the report, so a
@@ -778,8 +801,14 @@ pub(crate) struct RunState<'a> {
     free_slots: Vec<u32>,
     /// Tasks waiting for cluster capacity.
     pending: VecDeque<Task>,
-    /// Per-container work, for containers that have any.
-    work: FxHashMap<ContainerId, ContainerWork>,
+    /// Per-container work, indexed by cluster slot; grows with the
+    /// cluster's slab.
+    work: Vec<ContainerWork>,
+    /// Per (job, stage), at `stages[stage_base[job] + stage]`: what every
+    /// task of the stage reads, derived once per run.
+    stages: Vec<StagePlan>,
+    /// Prefix sums of per-job stage counts.
+    stage_base: Vec<usize>,
     /// Current resource config per function id, dense over function ids
     /// (`None` = no workload uses the id).
     config_of: Vec<Option<ResourceConfig>>,
@@ -799,10 +828,16 @@ pub(crate) struct RunState<'a> {
     demand_now: Vec<i64>,
     /// Live fault-draw streams for this run.
     faults: FaultState,
-    /// In-flight execution attempts by sequence number.
-    exec_meta: FxHashMap<u64, ExecInfo>,
+    /// Execution attempts; a slot is free while its `seq` is
+    /// [`FREE_ATTEMPT`], so the slab is as long as the peak number of
+    /// attempts in flight.
+    attempts: Vec<Attempt>,
+    /// Freed attempt slots, reused before the slab grows.
+    free_attempts: Vec<u32>,
     /// Next execution-attempt sequence number.
     next_seq: u64,
+    /// The pool observation's buffer, refilled at every tick.
+    tick_stats: Vec<FnWindowStats>,
     /// Per-function failed-boot count in the current window (dense).
     window_boot_failures: Vec<u32>,
     /// This state's event sink: the run's own telemetry for the sequential
@@ -902,6 +937,28 @@ impl<'a> RunState<'a> {
                 Some(b)
             })
             .collect();
+        let stage_base: Vec<usize> = jobs
+            .iter()
+            .scan(0usize, |base, j| {
+                let b = *base;
+                *base += j.dag.num_stages();
+                Some(b)
+            })
+            .collect();
+        let stages: Vec<StagePlan> = jobs
+            .iter()
+            .flat_map(|j| {
+                j.dag.stages().enumerate().map(|(si, stage)| {
+                    let config = j.configs.stage(si);
+                    let spec = params.registry.spec(stage.function);
+                    StagePlan {
+                        function: stage.function,
+                        config,
+                        exec: spec.exec_sampler(&config, &params.noise),
+                    }
+                })
+            })
+            .collect();
 
         let total_instances: usize = jobs.iter().map(|j| j.arrivals.len()).sum();
         assert!(
@@ -941,14 +998,18 @@ impl<'a> RunState<'a> {
             slab: Vec::new(),
             free_slots: Vec::new(),
             pending: VecDeque::new(),
-            work: FxHashMap::default(),
+            work: Vec::new(),
+            stages,
+            stage_base,
             config_of,
             window_invocations: vec![0; nfn],
             window_peak: vec![0; nfn],
             demand_now: vec![0; nfn],
             faults,
-            exec_meta: FxHashMap::default(),
+            attempts: Vec::new(),
+            free_attempts: Vec::new(),
             next_seq: 0,
+            tick_stats: Vec::new(),
             window_boot_failures: vec![0; nfn],
             telemetry,
             shard,
@@ -1000,11 +1061,13 @@ impl<'a> RunState<'a> {
             Next::Event(event) => match event {
                 Event::BootDone { container } => self.on_boot_done(container, now),
                 Event::BootFailed { container } => self.on_boot_failed(container, now),
-                Event::ExecDone { seq } => self.on_exec_done(seq, now),
-                Event::ContainerCrash { container, seq } => {
-                    self.on_container_crash(container, seq, now)
-                }
-                Event::TaskTimeout { seq } => self.on_task_timeout(seq, now),
+                Event::ExecDone { attempt, seq } => self.on_exec_done(attempt, seq, now),
+                Event::ContainerCrash {
+                    container,
+                    attempt,
+                    seq,
+                } => self.on_container_crash(container, attempt, seq, now),
+                Event::TaskTimeout { attempt, seq } => self.on_task_timeout(attempt, seq, now),
                 Event::Retry { task } => self.start_task(task, now),
                 Event::StageReady { job, inst, stage } => {
                     self.dispatch_stage(job, inst, stage, now)
@@ -1104,9 +1167,9 @@ impl<'a> RunState<'a> {
     }
 
     fn start_task(&mut self, task: Task, now: SimTime) {
-        let dag = &self.jobs[task.job].dag;
-        let function = dag.stage(task.stage).function;
-        let config = self.jobs[task.job].configs.stage(task.stage);
+        let StagePlan {
+            function, config, ..
+        } = *self.plan(task.job, task.stage);
         self.window_invocations[function.0] += 1;
         self.instance(task.job, task.inst).invocations += 1;
         self.demand_now[function.0] += 1;
@@ -1164,24 +1227,52 @@ impl<'a> RunState<'a> {
     /// container's future slots and pays the boot as its cold start.
     fn attach(&mut self, cid: ContainerId, task: Task) {
         self.cluster.claim(cid);
-        self.work.entry(cid).or_default().attached.push(task);
+        self.work_of(cid).attached.push(task);
         self.instance(task.job, task.inst).cold_starts += 1;
     }
 
-    /// Forgets that attempt `seq` runs on `cid` (it finished or timed out).
-    fn detach_running(&mut self, cid: ContainerId, seq: u64) {
-        if let Entry::Occupied(mut work) = self.work.entry(cid) {
-            work.get_mut().running.retain(|s| *s != seq);
-            if work.get().running.is_empty() {
-                work.remove();
-            }
+    /// The work lists of live container `cid`.
+    fn work_of(&mut self, cid: ContainerId) -> &mut ContainerWork {
+        let slot = self.work_slot(cid);
+        &mut self.work[slot]
+    }
+
+    /// The cluster slot of live container `cid`, with its `work` entry.
+    fn work_slot(&mut self, cid: ContainerId) -> usize {
+        let slot = self.cluster.slot(cid).expect("live container");
+        if slot >= self.work.len() {
+            self.work.resize_with(slot + 1, ContainerWork::default);
         }
+        slot
+    }
+
+    /// Forgets that `attempt` runs on `cid` (it finished or timed out).
+    fn detach_running(&mut self, cid: ContainerId, attempt: u32) {
+        self.work_of(cid).running.retain(|&a| a != attempt);
+    }
+
+    /// The attempt in slot `attempt`, if it is still attempt `seq`: a
+    /// cancelled attempt's events find its slot free or holding a newer
+    /// attempt, and are ignored.
+    fn live_attempt(&self, attempt: u32, seq: u64) -> Option<Attempt> {
+        let a = self.attempts[attempt as usize];
+        (a.seq == seq).then_some(a)
+    }
+
+    /// Hands attempt slot `attempt` back.
+    fn end_attempt(&mut self, attempt: u32) {
+        let a = &mut self.attempts[attempt as usize];
+        debug_assert_ne!(a.seq, FREE_ATTEMPT, "attempt ended twice");
+        a.seq = FREE_ATTEMPT;
+        self.free_attempts.push(attempt);
     }
 
     fn begin_exec(&mut self, cid: ContainerId, task: Task, now: SimTime, cold: bool) {
-        let function = self.jobs[task.job].dag.stage(task.stage).function;
-        let config = self.jobs[task.job].configs.stage(task.stage);
-        let spec = self.params.registry.spec(function);
+        let StagePlan {
+            function,
+            config,
+            exec: sampler,
+        } = *self.plan(task.job, task.stage);
         if !cold {
             // Cold tasks were charged at boot completion; only warm reuse
             // is a warm hit.
@@ -1193,7 +1284,7 @@ impl<'a> RunState<'a> {
         }
         self.cluster.assign(cid, now);
 
-        let mut exec = spec.sample_exec(&config, &self.params.noise, &mut self.rng);
+        let mut exec = sampler.sample(&mut self.rng);
         // Straggler fault: stretch this attempt's execution time. The
         // draw comes from the dedicated straggler stream, so the main
         // noise stream — and with it every fault-free run — is untouched.
@@ -1210,7 +1301,23 @@ impl<'a> RunState<'a> {
         let finish = now + exec;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.agenda.push(finish, Event::ExecDone { seq });
+        let entry = Attempt {
+            seq,
+            container: cid,
+            task,
+            record: self.report.invocations.len(),
+        };
+        let attempt = match self.free_attempts.pop() {
+            Some(attempt) => {
+                self.attempts[attempt as usize] = entry;
+                attempt
+            }
+            None => {
+                self.attempts.push(entry);
+                u32::try_from(self.attempts.len() - 1).expect("attempt slots are u32")
+            }
+        };
+        self.agenda.push(finish, Event::ExecDone { attempt, seq });
         // Crash fault: the container dies partway through this attempt,
         // taking every invocation running on it down with it.
         if let Some(frac) = self.faults.next_crash() {
@@ -1219,17 +1326,18 @@ impl<'a> RunState<'a> {
                 crash_at,
                 Event::ContainerCrash {
                     container: cid,
+                    attempt,
                     seq,
                 },
             );
         }
         if let Some(timeout) = self.params.retry.task_timeout {
             if timeout < exec {
-                self.agenda.push(now + timeout, Event::TaskTimeout { seq });
+                self.agenda
+                    .push(now + timeout, Event::TaskTimeout { attempt, seq });
             }
         }
         let secs = exec.as_secs_f64();
-        let record = self.report.invocations.len();
         self.report.invocations.push(InvocationRecord {
             function,
             workflow_instance: self.global_instance(task.job, task.inst),
@@ -1241,15 +1349,7 @@ impl<'a> RunState<'a> {
             cpu_seconds: config.cpu_per_slot() * secs,
             memory_gb_seconds: config.memory_per_slot() / 1024.0 * secs,
         });
-        self.exec_meta.insert(
-            seq,
-            ExecInfo {
-                container: cid,
-                task,
-                record,
-            },
-        );
-        self.work.entry(cid).or_default().running.push(seq);
+        self.work_of(cid).running.push(attempt);
     }
 
     /// Truncates a cancelled attempt's billed window at `now`: the crash
@@ -1289,6 +1389,10 @@ impl<'a> RunState<'a> {
             let newly = !std::mem::replace(&mut self.instance(task.job, task.inst).rejected, true);
             self.report.rejected += usize::from(newly);
         }
+    }
+
+    fn plan(&self, job: usize, stage: usize) -> &StagePlan {
+        &self.stages[self.stage_base[job] + stage]
     }
 
     fn global_instance(&self, job: usize, inst: usize) -> usize {
@@ -1353,22 +1457,27 @@ impl<'a> RunState<'a> {
             container: Some(cid.0),
             magnitude: 0.0,
         });
+        let slot = self.work_slot(cid);
+        let mut attached = std::mem::take(&mut self.work[slot].attached);
         self.cluster.kill(cid, now, EvictionReason::Fault);
         self.window_boot_failures[function.0] += 1;
-        let work = self.work.remove(&cid).unwrap_or_default();
-        for task in work.attached {
+        for &task in &attached {
             // The waiting task is no longer outstanding until its retry
             // re-enters scheduling.
             self.demand_now[function.0] -= 1;
             self.retry_or_reject(task, now);
         }
+        // Retries re-enter through the agenda, so nothing has taken the
+        // freed slot yet: hand the buffer back to it.
+        attached.clear();
+        self.work[slot].attached = attached;
     }
 
     /// An injected crash fires: unless the triggering attempt already
     /// finished, the container dies and all attempts running on it are
     /// cancelled and retried.
-    fn on_container_crash(&mut self, cid: ContainerId, seq: u64, now: SimTime) {
-        if !self.exec_meta.contains_key(&seq) {
+    fn on_container_crash(&mut self, cid: ContainerId, attempt: u32, seq: u64, now: SimTime) {
+        if self.live_attempt(attempt, seq).is_none() {
             return; // attempt finished (or was cancelled) before the crash
         }
         let function = match self.cluster.container(cid) {
@@ -1382,30 +1491,40 @@ impl<'a> RunState<'a> {
             container: Some(cid.0),
             magnitude: 0.0,
         });
-        let work = self.work.remove(&cid).unwrap_or_default();
+        let slot = self.work_slot(cid);
+        let work = &mut self.work[slot];
+        debug_assert!(
+            work.attached.is_empty(),
+            "a warm container has no boot waiters"
+        );
+        let mut running = std::mem::take(&mut work.running);
         self.cluster.kill_faulted(cid, now);
-        for s in work.running {
-            let Some(info) = self.exec_meta.remove(&s) else {
-                continue;
-            };
-            let f = self.jobs[info.task.job].dag.stage(info.task.stage).function;
+        for &a in &running {
+            // Every attempt on the list is live: finishing or timing out
+            // takes an attempt off its container's list.
+            let info = self.attempts[a as usize];
+            self.end_attempt(a);
+            let f = self.plan(info.task.job, info.task.stage).function;
             self.demand_now[f.0] -= 1;
             self.truncate_record(info.record, now);
             self.retry_or_reject(info.task, now);
         }
+        running.clear();
+        self.work[slot].running = running;
     }
 
     /// The per-stage timeout fires: unless the attempt already finished,
     /// cancel it, free its slot, and retry.
-    fn on_task_timeout(&mut self, seq: u64, now: SimTime) {
-        let Some(info) = self.exec_meta.remove(&seq) else {
+    fn on_task_timeout(&mut self, attempt: u32, seq: u64, now: SimTime) {
+        let Some(info) = self.live_attempt(attempt, seq) else {
             return; // attempt finished before the timeout
         };
+        self.end_attempt(attempt);
         let cid = info.container;
-        self.detach_running(cid, seq);
+        self.detach_running(cid, attempt);
         self.cluster.release(cid, now);
         let task = info.task;
-        let function = self.jobs[task.job].dag.stage(task.stage).function;
+        let function = self.plan(task.job, task.stage).function;
         self.demand_now[function.0] -= 1;
         self.truncate_record(info.record, now);
         self.telemetry.emit_with(|| SimEvent::InvocationTimedOut {
@@ -1437,10 +1556,8 @@ impl<'a> RunState<'a> {
             None => return, // reaped while booting cannot happen, but stay safe
         };
         self.cluster.boot_complete(cid, now);
-        let tasks = match self.work.get_mut(&cid) {
-            Some(work) => std::mem::take(&mut work.attached),
-            None => Vec::new(), // a pre-warm nobody waited for
-        };
+        let slot = self.work_slot(cid);
+        let mut tasks = std::mem::take(&mut self.work[slot].attached);
         self.telemetry.emit_with(|| SimEvent::ColdStartEnd {
             at: now,
             function: function.0,
@@ -1448,23 +1565,27 @@ impl<'a> RunState<'a> {
             worker: worker.0,
             tasks_attached: tasks.len() as u32,
         });
-        for task in tasks {
+        for &task in &tasks {
             // Attached tasks experienced the boot as their cold start.
             self.begin_exec(cid, task, now, true);
         }
+        // Nothing attaches to a warm container: hand the buffer back.
+        tasks.clear();
+        self.work[slot].attached = tasks;
     }
 
-    fn on_exec_done(&mut self, seq: u64, now: SimTime) {
-        let Some(info) = self.exec_meta.remove(&seq) else {
+    fn on_exec_done(&mut self, attempt: u32, seq: u64, now: SimTime) {
+        let Some(info) = self.live_attempt(attempt, seq) else {
             return; // attempt was cancelled by a crash or timeout
         };
+        self.end_attempt(attempt);
         let cid = info.container;
-        self.detach_running(cid, seq);
+        self.detach_running(cid, attempt);
         let Task {
             job, inst, stage, ..
         } = info.task;
         self.cluster.release(cid, now);
-        let function = self.jobs[job].dag.stage(stage).function;
+        let function = self.plan(job, stage).function;
         self.demand_now[function.0] -= 1;
         self.telemetry.emit_with(|| SimEvent::TaskComplete {
             at: now,
@@ -1577,17 +1698,20 @@ impl<'a> RunState<'a> {
         now: SimTime,
         horizon: SimTime,
     ) {
-        let stats: Vec<FnWindowStats> = self
-            .params
-            .registry
-            .iter()
-            .map(|(fid, _)| self.stats_for(fid))
-            .collect();
+        let mut stats = std::mem::take(&mut self.tick_stats);
+        stats.clear();
+        stats.extend(
+            self.params
+                .registry
+                .iter()
+                .map(|(fid, _)| self.stats_for(fid)),
+        );
         let obs = PoolObservation { now, stats };
         self.report
             .pool_snapshots
             .push((now, self.cluster.reserved_memory_mb()));
         let decisions = controller.tick(&obs);
+        self.tick_stats = obs.stats;
         for d in decisions {
             self.apply_decision(&d, now);
         }
@@ -1662,8 +1786,9 @@ impl<'a> RunState<'a> {
         // Retry queued tasks (FIFO); stop at the first that still can't run
         // to preserve ordering fairness.
         while let Some(task) = self.pending.front().copied() {
-            let function = self.jobs[task.job].dag.stage(task.stage).function;
-            let config = self.jobs[task.job].configs.stage(task.stage);
+            let StagePlan {
+                function, config, ..
+            } = *self.plan(task.job, task.stage);
             let can_warm = self.cluster.find_warm(function, &config).is_some();
             let can_attach = self.cluster.find_booting(function, &config).is_some();
             if !can_warm && !can_attach && !self.cluster.evict_for(config.memory_mb, now) {
@@ -2079,7 +2204,10 @@ mod tests {
             Next::Event(Event::BootDone { container }) => {
                 vec![(
                     after(container.0 as usize, 3),
-                    Event::ExecDone { seq: *minted },
+                    Event::ExecDone {
+                        attempt: 0,
+                        seq: *minted,
+                    },
                 )]
             }
             Next::Event(Event::PoolTick) if now < SimTime::from_secs(190) => vec![
@@ -2183,7 +2311,101 @@ mod tests {
         assert!(peak_queued <= 8, "heap peaked at {peak_queued} events");
         assert!(state.slab.len() <= 4, "{} live instances", state.slab.len());
         assert_eq!(state.free_slots.len(), state.slab.len(), "slot leaked");
-        assert!(state.work.is_empty() && state.exec_meta.is_empty());
+        assert!(state.attempts.iter().all(|a| a.seq == FREE_ATTEMPT));
+        assert_eq!(state.free_attempts.len(), state.attempts.len());
+        assert!(state
+            .work
+            .iter()
+            .all(|w| w.attached.is_empty() && w.running.is_empty()));
+    }
+
+    /// A crash or a timeout cancels the only task's first attempt, and its
+    /// retry takes the freed attempt slot while the first attempt's
+    /// `ExecDone` is still on the heap. That event must find a newer `seq`
+    /// in the slot and be ignored, so the retry completes exactly once, at
+    /// its own finish.
+    #[test]
+    fn stale_event_of_a_cancelled_attempt_skips_its_slot_s_new_attempt() {
+        let mut registry = FunctionRegistry::new();
+        // 10 s of work without noise, booting in 1 µs.
+        let f = registry.register(
+            FunctionSpec::new("f")
+                .with_work_ms(10_000.0)
+                .with_io_ms(0.0)
+                .with_cold_start(0.0, 0.0)
+                .with_exec_cv(0.0),
+        );
+        let dag = WorkflowDag::chain("wf", vec![f]);
+        let configs = StageConfigs::uniform(&dag, ResourceConfig::default());
+        let exec = SimDuration::from_secs(10);
+        // The crash lands 1–9 s into the first attempt; the retry boots a
+        // fresh container after 0.5 s and starts before the first attempt's
+        // planned 10 s are up.
+        let crash = FaultPlan::scripted(3, vec![(FaultKind::Crash, 0)]);
+        // The first attempt straggles to 15–20 s and is cut off at 12 s;
+        // the retry runs 12.5–22.5 s on the same, now idle, container.
+        let mut straggle = FaultPlan::scripted(3, vec![(FaultKind::Straggler, 0)]);
+        straggle.rates.straggler_factor = 1.6;
+        let factor = FaultState::new(&straggle)
+            .next_straggler()
+            .expect("scripted");
+        let cases = [
+            (crash, None, exec),
+            (
+                straggle,
+                Some(SimDuration::from_secs(12)),
+                SimDuration::from_secs_f64(exec.as_secs_f64() * factor),
+            ),
+        ];
+        for (plan, task_timeout, first_exec) in cases {
+            let (telemetry, recorder) = Telemetry::recording();
+            let sim = FaasSim::builder()
+                .workers(1, 8.0, 8192)
+                .registry(registry.clone())
+                .noise(NoiseModel::quiet())
+                .faults(plan)
+                .retry_policy(RetryPolicy {
+                    task_timeout,
+                    ..RetryPolicy::default()
+                })
+                .telemetry(telemetry)
+                .build();
+            let jobs = [WorkflowJob::new(
+                dag.clone(),
+                configs.clone(),
+                vec![SimTime::from_secs(1)],
+            )];
+            let horizon = SimTime::from_secs(60);
+            let mut controller = FixedPrewarm::provider_default();
+            let mut state = RunState::new(&sim.params, &jobs);
+            while state.agenda.next_time().is_some_and(|t| t <= horizon) {
+                state.step(Some(&mut controller), horizon);
+            }
+            let [first, retry] = state.report.invocations.as_slice() else {
+                panic!("{:?}", state.report.invocations);
+            };
+            assert_eq!(state.attempts.len(), 1, "the retry took the freed slot");
+            let stale_at = first.started + first_exec;
+            assert!(
+                retry.started < stale_at && stale_at < retry.finished,
+                "the stale event pops while the retry holds the slot"
+            );
+            assert_eq!(retry.finished, retry.started + exec);
+            let [workflow] = state.report.workflows.as_slice() else {
+                panic!("{:?}", state.report.workflows);
+            };
+            assert_eq!(workflow.finished, retry.finished);
+            let completions = recorder
+                .lock()
+                .unwrap()
+                .events()
+                .iter()
+                .filter(|e| matches!(e, SimEvent::TaskComplete { .. }))
+                .count();
+            assert_eq!(completions, 1);
+            assert!(state.attempts.iter().all(|a| a.seq == FREE_ATTEMPT));
+            assert_eq!(state.cluster.counts(f).2, 0, "no container left busy");
+        }
     }
 
     #[test]

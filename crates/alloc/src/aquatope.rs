@@ -103,11 +103,6 @@ impl AquatopeRm {
         self
     }
 
-    /// Replaces the telemetry channel in place.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
     /// The AquaLite ablation: same skeleton, noise handling disabled.
     pub fn aqualite(seed: u64) -> Self {
         AquatopeRm::with_config(

@@ -10,8 +10,6 @@ pub struct SampleResult {
     pub latency: f64,
     /// Mean execution cost over the profiling samples.
     pub cost: f64,
-    /// Raw per-sample `(latency, cost)` pairs.
-    pub raw: Vec<(f64, f64)>,
 }
 
 /// A black-box mapping from configuration points to observed performance.
@@ -87,11 +85,6 @@ impl SimEvaluator {
     pub fn evaluations(&self) -> usize {
         self.evaluations
     }
-
-    /// The workflow being profiled.
-    pub fn dag(&self) -> &WorkflowDag {
-        &self.dag
-    }
 }
 
 impl ConfigEvaluator for SimEvaluator {
@@ -99,7 +92,7 @@ impl ConfigEvaluator for SimEvaluator {
         assert_eq!(u.len(), self.dim(), "dimension mismatch");
         self.evaluations += 1;
         let configs = StageConfigs::decode(&self.space, u);
-        let raw = self.sim.profile_config(
+        let samples = self.sim.profile_config(
             &self.dag,
             &configs,
             self.samples,
@@ -107,9 +100,10 @@ impl ConfigEvaluator for SimEvaluator {
             self.price_cpu,
             self.price_mem,
         );
-        let latency = raw.iter().map(|s| s.0).sum::<f64>() / raw.len().max(1) as f64;
-        let cost = raw.iter().map(|s| s.1).sum::<f64>() / raw.len().max(1) as f64;
-        SampleResult { latency, cost, raw }
+        let n = samples.len().max(1) as f64;
+        let latency = samples.iter().map(|s| s.0).sum::<f64>() / n;
+        let cost = samples.iter().map(|s| s.1).sum::<f64>() / n;
+        SampleResult { latency, cost }
     }
 
     fn stages(&self) -> usize {
@@ -133,8 +127,6 @@ mod tests {
         let r = eval.evaluate(&vec![0.5; eval.dim()]);
         assert!(r.latency > 0.0);
         assert!(r.cost > 0.0);
-        // Each profiling window launches a burst of 2 instances.
-        assert_eq!(r.raw.len(), 6);
         assert_eq!(eval.evaluations(), 1);
     }
 

@@ -36,13 +36,6 @@ impl Default for OracleSearch {
     }
 }
 
-impl OracleSearch {
-    /// Creates the oracle with default grid resolution.
-    pub fn new() -> Self {
-        OracleSearch::default()
-    }
-}
-
 impl ResourceManager for OracleSearch {
     fn name(&self) -> &'static str {
         "Oracle"

@@ -4,7 +4,7 @@
 //! [`crate::run_framework`] with [`crate::Framework::Aquatope`].
 
 use aqua_faas::{FaasSim, FunctionRegistry, NoiseModel};
-use aqua_sim::SimTime;
+use aqua_sim::{SimDuration, SimTime};
 use aqua_workflows::App;
 
 use crate::config::{AquatopeConfig, ClusterSpec};
@@ -51,18 +51,32 @@ impl Aquatope {
     }
 }
 
+/// Where each global workflow instance of a mixed run comes from:
+/// `(job, local instance, the job's QoS target)`, indexed by the
+/// simulator's job-major instance numbering.
+pub(crate) fn instance_qos(workloads: &[Workload]) -> Vec<(usize, usize, SimDuration)> {
+    workloads
+        .iter()
+        .enumerate()
+        .flat_map(|(job, w)| (0..w.arrivals.len()).map(move |local| (job, local, w.app.qos)))
+        .collect()
+}
+
 /// Computes the per-instance QoS violation rate for a mixed-workload run:
 /// each workflow instance is checked against its own app's QoS; unfinished
 /// instances count as violations.
 pub fn violation_rate(raw: &aqua_faas::RunReport, workloads: &[Workload], horizon: SimTime) -> f64 {
-    // Map global instance index → app QoS, mirroring the simulator's
-    // job-major instance numbering.
-    let mut qos_of = Vec::new();
-    for w in workloads {
-        for _ in &w.arrivals {
-            qos_of.push(w.app.qos);
-        }
-    }
+    violation_rate_over(raw, &instance_qos(workloads), workloads, horizon)
+}
+
+/// [`violation_rate`] over an [`instance_qos`] map the caller already
+/// built.
+pub(crate) fn violation_rate_over(
+    raw: &aqua_faas::RunReport,
+    qos_of: &[(usize, usize, SimDuration)],
+    workloads: &[Workload],
+    horizon: SimTime,
+) -> f64 {
     let arrived: usize = workloads
         .iter()
         .flat_map(|w| w.arrivals.iter())
@@ -77,7 +91,7 @@ pub fn violation_rate(raw: &aqua_faas::RunReport, workloads: &[Workload], horizo
         .filter(|wf| {
             qos_of
                 .get(wf.instance)
-                .is_some_and(|qos| wf.latency() > *qos)
+                .is_some_and(|&(_, _, qos)| wf.latency() > qos)
         })
         .count();
     (violated_completed + raw.unfinished) as f64 / arrived as f64

@@ -20,7 +20,7 @@ use aqua_sim::SimTime;
 use aqua_telemetry::{SimEvent, Telemetry};
 
 use crate::config::{AquatopeConfig, ClusterSpec};
-use crate::controller::{violation_rate, Aquatope, Workload};
+use crate::controller::{instance_qos, violation_rate_over, Aquatope, Workload};
 use crate::report::EndToEndReport;
 
 /// Which end-to-end framework to run.
@@ -179,21 +179,15 @@ pub fn run_framework_traced(
         Framework::AquatopeRmOnly => Box::new(FixedPrewarm::provider_default()),
     };
     let raw = sim.run(&jobs, pool.as_mut(), horizon);
-    let violation = violation_rate(&raw, workloads, horizon);
+    let qos_of = instance_qos(workloads);
+    let violation = violation_rate_over(&raw, &qos_of, workloads, horizon);
 
     // QoS verdicts are only known once per-app targets are joined with the
     // run report, so they are synthesized here rather than inside the
-    // simulator. Global instance numbering is job-major (mirroring
-    // `violation_rate`), which lets us recover (workflow, local instance).
+    // simulator, from the same instance map the violation rate reads.
     if telemetry.is_enabled() {
-        let mut job_of = Vec::new();
-        for (job, w) in workloads.iter().enumerate() {
-            for local in 0..w.arrivals.len() {
-                job_of.push((job, local, w.app.qos));
-            }
-        }
         for wf in &raw.workflows {
-            if let Some(&(job, local, qos)) = job_of.get(wf.instance) {
+            if let Some(&(job, local, qos)) = qos_of.get(wf.instance) {
                 if wf.latency() > qos {
                     telemetry.emit_with(|| SimEvent::QosViolation {
                         at: wf.finished,
@@ -237,7 +231,7 @@ mod tests {
         let space = AquatopeConfig::fast().space;
         let plan = fallback_configs(&space, 3);
         assert_eq!(plan.len(), 3);
-        for cfg in plan.iter() {
+        for cfg in (0..plan.len()).map(|s| plan.stage(s)) {
             assert_eq!(cfg.cpu, space.cpu.1);
             assert_eq!(cfg.memory_mb, space.memory_mb.1);
             assert_eq!(cfg.concurrency, 1);

@@ -11,7 +11,6 @@ use crate::types::{ContainerId, FunctionId, ResourceConfig, WorkerId};
 #[derive(Debug, Clone, PartialEq)]
 struct Worker {
     id: WorkerId,
-    cpu_capacity: f64,
     memory_capacity_mb: f64,
     memory_used_mb: f64,
 }
@@ -72,7 +71,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Creates a cluster of `n` identical workers.
+    /// Creates a cluster of `n` identical workers. Workers bound memory
+    /// only: `cpu_per_worker` is checked and not otherwise read.
     ///
     /// # Panics
     ///
@@ -107,7 +107,6 @@ impl Cluster {
             workers: (0..n)
                 .map(|i| Worker {
                     id: WorkerId(worker_base + i),
-                    cpu_capacity: cpu_per_worker,
                     memory_capacity_mb: memory_mb_per_worker,
                     memory_used_mb: 0.0,
                 })
@@ -266,12 +265,10 @@ impl Cluster {
             worker: wid,
             config,
             state: ContainerState::Booting,
-            created: now,
             ready_at: now + boot_time,
             last_used: now + boot_time,
             busy_slots: 0,
             claimed: 0,
-            prewarmed,
         });
         Some(id)
     }

@@ -28,8 +28,6 @@ pub struct Container {
     pub config: ResourceConfig,
     /// Current lifecycle state.
     pub state: ContainerState,
-    /// Creation (boot start) time.
-    pub created: SimTime,
     /// When the boot completes / completed.
     pub ready_at: SimTime,
     /// Last time the container finished serving an invocation.
@@ -39,8 +37,6 @@ pub struct Container {
     /// Slots of this still-booting container already promised to waiting
     /// invocations (zero once the boot completes and they start running).
     pub claimed: u32,
-    /// Whether the pool created this container ahead of demand.
-    pub prewarmed: bool,
 }
 
 impl Container {
@@ -79,12 +75,10 @@ mod tests {
             worker: WorkerId(0),
             config: ResourceConfig::new(1.0, 512.0, conc),
             state,
-            created: SimTime::ZERO,
             ready_at: SimTime::from_secs(1),
             last_used: SimTime::from_secs(2),
             busy_slots: busy,
             claimed: 0,
-            prewarmed: false,
         }
     }
 

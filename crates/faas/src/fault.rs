@@ -65,16 +65,6 @@ impl Default for FaultRates {
     }
 }
 
-impl FaultRates {
-    /// True when every probability is zero.
-    pub fn all_zero(&self) -> bool {
-        self.boot_fail == 0.0
-            && self.crash == 0.0
-            && self.straggler == 0.0
-            && self.handoff_delay == 0.0
-    }
-}
-
 /// Specification of the faults a run should experience.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -112,11 +102,6 @@ impl FaultPlan {
             rates: FaultRates::default(),
             scripted: schedule,
         }
-    }
-
-    /// True when the plan can never inject a fault.
-    pub fn is_disabled(&self) -> bool {
-        self.rates.all_zero() && self.scripted.is_empty()
     }
 }
 
@@ -363,14 +348,5 @@ mod tests {
         assert_eq!(rp.backoff_for(3), SimDuration::from_millis(2000));
         // Exponent caps instead of overflowing.
         assert_eq!(rp.backoff_for(60), SimDuration::from_millis(500 * 1024));
-    }
-
-    #[test]
-    fn disabled_detection() {
-        assert!(FaultPlan::disabled().is_disabled());
-        assert!(!FaultPlan::scripted(0, vec![(FaultKind::Crash, 0)]).is_disabled());
-        let mut p = FaultPlan::disabled();
-        p.rates.straggler = 0.1;
-        assert!(!p.is_disabled());
     }
 }

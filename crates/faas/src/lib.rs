@@ -62,8 +62,8 @@ pub use interference::{ExecSampler, NoiseModel};
 pub use metrics::{InvocationRecord, RunReport, WorkflowRecord};
 pub use runtime::{BootTicket, ContainerRuntime, RuntimeStats, SimContainerRuntime};
 pub use sim::{
-    replacement_target, FaasSim, FaasSimBuilder, FixedPrewarm, FnWindowStats, PoolDecision,
-    PoolObservation, PrewarmController, WorkflowJob,
+    boot_configs, replacement_target, FaasSim, FaasSimBuilder, FixedPrewarm, FnWindowStats,
+    PoolDecision, PoolObservation, PrewarmController, WorkflowJob,
 };
 pub use tenant::{QosClass, TenantId, TenantPlan};
 pub use types::{ContainerId, FunctionId, ResourceConfig, StageConfigs, WorkerId};

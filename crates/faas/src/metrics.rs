@@ -33,11 +33,6 @@ impl InvocationRecord {
     pub fn latency(&self) -> SimDuration {
         self.finished.saturating_since(self.requested)
     }
-
-    /// Startup delay (cold start + queueing) before execution.
-    pub fn startup_delay(&self) -> SimDuration {
-        self.started.saturating_since(self.requested)
-    }
 }
 
 /// Outcome of one workflow instance.
@@ -111,18 +106,6 @@ impl RunReport {
             / self.workflows.len() as f64
     }
 
-    /// Fraction of workflows whose end-to-end latency exceeded `qos`
-    /// (unfinished instances count as violations).
-    pub fn qos_violation_rate(&self, qos: SimDuration) -> f64 {
-        let total = self.workflows.len() + self.unfinished;
-        if total == 0 {
-            return 0.0;
-        }
-        let violated =
-            self.workflows.iter().filter(|w| w.latency() > qos).count() + self.unfinished;
-        violated as f64 / total as f64
-    }
-
     /// Sum of per-invocation billed cost under a linear price model
     /// (`price_cpu` per core·s + `price_mem` per GB·s), the paper's §5.1
     /// cost function.
@@ -160,7 +143,6 @@ mod tests {
     #[test]
     fn latency_and_startup_delay() {
         let r = record(true, 100, 700, 900);
-        assert_eq!(r.startup_delay(), SimDuration::from_millis(600));
         assert_eq!(r.latency(), SimDuration::from_millis(800));
     }
 
@@ -179,24 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn qos_violations_count_unfinished() {
-        let wf = |lat_ms: u64| WorkflowRecord {
-            instance: 0,
-            arrived: SimTime::ZERO,
-            finished: SimTime::from_millis(lat_ms),
-            cold_starts: 0,
-            invocations: 1,
-        };
-        let report = RunReport {
-            workflows: vec![wf(100), wf(300), wf(500)],
-            unfinished: 1,
-            ..Default::default()
-        };
-        let rate = report.qos_violation_rate(SimDuration::from_millis(400));
-        assert!((rate - 0.5).abs() < 1e-12); // 500ms + unfinished out of 4
-    }
-
-    #[test]
     fn execution_cost_is_linear() {
         let report = RunReport {
             invocations: vec![record(false, 0, 0, 1), record(false, 0, 0, 1)],
@@ -211,6 +175,5 @@ mod tests {
         let report = RunReport::default();
         assert_eq!(report.cold_start_rate(), 0.0);
         assert_eq!(report.mean_latency_secs(), 0.0);
-        assert_eq!(report.qos_violation_rate(SimDuration::from_secs(1)), 0.0);
     }
 }

@@ -124,11 +124,6 @@ impl SimContainerRuntime {
             stats: RuntimeStats::default(),
         }
     }
-
-    /// The function registry this runtime serves.
-    pub fn registry(&self) -> &FunctionRegistry {
-        &self.registry
-    }
 }
 
 impl ContainerRuntime for SimContainerRuntime {

@@ -164,6 +164,25 @@ impl WorkflowJob {
     }
 }
 
+/// The configuration each function's pre-warmed containers boot with,
+/// indexed by [`FunctionId`]: that of the first stage using the function,
+/// in job order and then stage order. Both engines pre-warm by this rule.
+/// The table covers `functions` ids and every id a job uses; an id no job
+/// uses maps to `None`.
+pub fn boot_configs(jobs: &[WorkflowJob], functions: usize) -> Vec<Option<ResourceConfig>> {
+    let mut configs = vec![None; functions];
+    for job in jobs {
+        for (i, stage) in job.dag.stages().enumerate() {
+            let f = stage.function.0;
+            if f >= configs.len() {
+                configs.resize(f + 1, None);
+            }
+            configs[f].get_or_insert_with(|| job.configs.stage(i));
+        }
+    }
+    configs
+}
+
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
     BootDone {
@@ -618,11 +637,6 @@ impl FaasSim {
         self.params.telemetry = telemetry;
     }
 
-    /// The registry this simulator was built with.
-    pub fn registry(&self) -> &FunctionRegistry {
-        &self.params.registry
-    }
-
     /// Runs a single-workflow trace under the provider-default pool policy.
     pub fn run_workflow_trace(
         &mut self,
@@ -911,18 +925,8 @@ impl<'a> RunState<'a> {
         cluster.set_telemetry(telemetry.clone());
 
         // Dense per-function tables sized to cover every id in play.
-        let mut nfn = params.registry.len();
-        for job in jobs {
-            for stage in job.dag.stages() {
-                nfn = nfn.max(stage.function.0 + 1);
-            }
-        }
-        let mut config_of: Vec<Option<ResourceConfig>> = vec![None; nfn];
-        for job in jobs {
-            for (si, stage) in job.dag.stages().enumerate() {
-                config_of[stage.function.0] = Some(job.configs.stage(si));
-            }
-        }
+        let config_of = boot_configs(jobs, params.registry.len());
+        let nfn = config_of.len();
 
         let home: Vec<usize> = jobs
             .iter()
@@ -1926,6 +1930,27 @@ mod tests {
         let mut rec = Record(Vec::new());
         sim.run(&[job], &mut rec, SimTime::from_secs(180));
         assert_eq!(rec.0, [(1, 1), (0, 1), (0, 1)]);
+    }
+
+    #[test]
+    fn boot_config_is_the_first_stage_using_the_function() {
+        let (f, g) = (FunctionId(0), FunctionId(1));
+        let space = crate::types::ConfigSpace::default();
+        let dag = WorkflowDag::chain("fgf", vec![f, g, f]);
+        let configs = StageConfigs::decode(&space, &[0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 1.0, 1.0, 1.0]);
+        assert_ne!(configs.stage(0), configs.stage(2), "f serves two shapes");
+        let late = WorkflowDag::chain("g", vec![g, FunctionId(3)]);
+        let late_configs = StageConfigs::uniform(&late, space.decode(&[0.25, 0.25, 0.0]));
+        let jobs = [
+            WorkflowJob::new(dag, configs.clone(), Vec::new()),
+            WorkflowJob::new(late, late_configs.clone(), Vec::new()),
+        ];
+        let table = boot_configs(&jobs, 3);
+        assert_eq!(table.len(), 4, "covers every id a job uses");
+        assert_eq!(table[0], Some(configs.stage(0)));
+        assert_eq!(table[1], Some(configs.stage(1)), "earlier job wins");
+        assert_eq!(table[2], None);
+        assert_eq!(table[3], Some(late_configs.stage(1)));
     }
 
     #[test]

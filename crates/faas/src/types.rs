@@ -108,28 +108,6 @@ impl ConfigSpace {
         let conc = (1.0 + u[2].clamp(0.0, 1.0) * (self.concurrency_max - 1) as f64).round() as u32;
         ResourceConfig::new(cpu, mem, conc.clamp(1, self.concurrency_max))
     }
-
-    /// Enumerates a coarse grid over the space (for oracle search), with
-    /// `cpu_steps × mem_steps × concurrency` points.
-    pub fn grid(&self, cpu_steps: usize, mem_steps: usize) -> Vec<ResourceConfig> {
-        let mut out = Vec::new();
-        for ci in 0..cpu_steps {
-            for mi in 0..mem_steps {
-                for conc in 1..=self.concurrency_max {
-                    let u = [
-                        ci as f64 / (cpu_steps - 1).max(1) as f64,
-                        mi as f64 / (mem_steps - 1).max(1) as f64,
-                        (conc - 1) as f64 / (self.concurrency_max - 1).max(1) as f64,
-                    ];
-                    let cfg = self.decode(&u);
-                    if !out.contains(&cfg) {
-                        out.push(cfg);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Resource configuration for every stage of a workflow.
@@ -139,16 +117,6 @@ pub struct StageConfigs {
 }
 
 impl StageConfigs {
-    /// One config per stage, in stage order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty.
-    pub fn new(configs: Vec<ResourceConfig>) -> Self {
-        assert!(!configs.is_empty(), "need at least one stage config");
-        StageConfigs { configs }
-    }
-
     /// The same configuration for every stage of `dag`.
     pub fn uniform(dag: &WorkflowDag, config: ResourceConfig) -> Self {
         StageConfigs {
@@ -173,11 +141,6 @@ impl StageConfigs {
     /// Whether there are no configs (never true by construction).
     pub fn is_empty(&self) -> bool {
         self.configs.is_empty()
-    }
-
-    /// Iterates over per-stage configs.
-    pub fn iter(&self) -> impl Iterator<Item = &ResourceConfig> {
-        self.configs.iter()
     }
 
     /// Decodes a flat `[0,1]^{3·stages}` vector into per-stage configs.
@@ -236,18 +199,6 @@ mod tests {
         assert_eq!(c.cpu, 0.25);
         assert_eq!(c.memory_mb, 3072.0);
         assert_eq!(c.concurrency, 4);
-    }
-
-    #[test]
-    fn grid_is_deduplicated_and_covers_corners() {
-        let space = ConfigSpace::default();
-        let grid = space.grid(4, 4);
-        assert!(!grid.is_empty());
-        let mut unique = grid.clone();
-        unique.dedup_by(|a, b| a == b);
-        assert_eq!(unique.len(), grid.len());
-        assert!(grid.iter().any(|c| c.cpu == 0.25));
-        assert!(grid.iter().any(|c| c.cpu == 4.0));
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Arima {
         }
     }
 
-    /// The AR order.
-    pub fn order(&self) -> (usize, usize) {
-        (self.p, self.d)
-    }
-
     fn fit_series(&mut self, series: &[f64]) {
         let z = difference(series, self.d);
         let n = z.len();

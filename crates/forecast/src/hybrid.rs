@@ -180,11 +180,6 @@ impl HybridBayesian {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &HybridConfig {
-        &self.config
-    }
-
     fn norm_window(&self, xs: &[f64]) -> Vec<Vec<f64>> {
         let start = xs.len().saturating_sub(self.config.window);
         xs[start..].iter().map(|v| vec![v / self.scale]).collect()

@@ -43,29 +43,6 @@ pub fn expected_improvement<S: Surrogate>(gp: &S, x: &[f64], best: f64) -> f64 {
     ei_from_stats(mean, var.sqrt(), best)
 }
 
-/// Lower confidence bound `mean − beta·sd` for minimization — the
-/// exploration-greedy alternative to EI, exposed for acquisition ablations.
-///
-/// # Panics
-///
-/// Panics if `beta` is negative.
-pub fn lower_confidence_bound<S: Surrogate>(gp: &S, x: &[f64], beta: f64) -> f64 {
-    assert!(beta >= 0.0, "beta must be non-negative");
-    let (mean, var) = gp.predict(x);
-    mean - beta * var.sqrt()
-}
-
-/// Probability of improvement over `best` for minimization — the simplest
-/// improvement-based acquisition, exposed for ablations.
-pub fn probability_of_improvement<S: Surrogate>(gp: &S, x: &[f64], best: f64) -> f64 {
-    let (mean, var) = gp.predict(x);
-    let sd = var.sqrt();
-    if sd < 1e-12 {
-        return if mean < best { 1.0 } else { 0.0 };
-    }
-    normal_cdf((best - mean) / sd)
-}
-
 /// Feasibility weight from posterior statistics — shared by the
 /// point-wise and batch scoring paths so both round identically.
 fn feasible_from_stats(mean: f64, sd: f64, threshold: f64) -> f64 {
@@ -329,29 +306,6 @@ mod tests {
             a_feasible > a_infeasible,
             "feasible {a_feasible} !> infeasible {a_infeasible}"
         );
-    }
-
-    #[test]
-    fn lcb_trades_mean_and_uncertainty() {
-        let (cost_gp, _) = toy_gps();
-        // With beta 0, LCB is the posterior mean; larger beta can only
-        // lower it.
-        let m0 = lower_confidence_bound(&cost_gp, &[0.25], 0.0);
-        let m2 = lower_confidence_bound(&cost_gp, &[0.25], 2.0);
-        assert!(m2 <= m0);
-        let (mean, _) = cost_gp.predict(&[0.25]);
-        assert!((m0 - mean).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pi_is_probability() {
-        let (cost_gp, _) = toy_gps();
-        for i in 0..8 {
-            let p = probability_of_improvement(&cost_gp, &[i as f64 / 7.0], 1.5);
-            assert!((0.0..=1.0).contains(&p));
-        }
-        // Improvement certain far below the observed range is ~0.
-        assert!(probability_of_improvement(&cost_gp, &[0.0], -100.0) < 1e-6);
     }
 
     #[test]

@@ -330,11 +330,6 @@ impl Gp {
         )
     }
 
-    /// Posterior mean/variance at many points.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
     /// Draws `m` joint posterior samples of the latent function at the
     /// training inputs (needed by noisy expected improvement, which must
     /// not assume the incumbent is known exactly). Returned in original

@@ -47,11 +47,6 @@ impl Matern52 {
         self.lengthscale
     }
 
-    /// The output scale σ² (the kernel's value at zero distance).
-    pub fn outputscale(&self) -> f64 {
-        self.outputscale
-    }
-
     /// Evaluates the kernel between two points.
     ///
     /// # Panics

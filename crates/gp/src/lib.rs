@@ -40,8 +40,8 @@ pub mod qmc;
 pub mod surrogate;
 
 pub use acquisition::{
-    constrained_nei, constrained_nei_batch, expected_improvement, lower_confidence_bound,
-    probability_feasible, probability_of_improvement, propose_batch, NeiConfig,
+    constrained_nei, constrained_nei_batch, expected_improvement, probability_feasible,
+    propose_batch, NeiConfig,
 };
 pub use anomaly::detect_anomalies;
 pub use gp::{Gp, GpConfig, GpError};

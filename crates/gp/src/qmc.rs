@@ -60,11 +60,6 @@ impl Halton {
         Halton { dim, index: 20 }
     }
 
-    /// The dimensionality of generated points.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Returns the next point of the sequence.
     pub fn next_point(&mut self) -> Vec<f64> {
         self.index += 1;

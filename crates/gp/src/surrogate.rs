@@ -660,11 +660,6 @@ impl SparseGp {
         self.n_obs == 0
     }
 
-    /// The selected kernel.
-    pub fn kernel(&self) -> &Matern52 {
-        &self.kernel
-    }
-
     /// Indices of the inducing rows in the training set the model was
     /// fit from.
     pub fn inducing_indices(&self) -> &[usize] {

@@ -86,11 +86,6 @@ impl Adam {
         self
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f64 {
-        self.lr
-    }
-
     /// Applies one update step using the gradients accumulated in `model`.
     ///
     /// # Panics

@@ -38,11 +38,6 @@ impl Dropout {
         Dropout { p }
     }
 
-    /// The drop probability.
-    pub fn rate(&self) -> f64 {
-        self.p
-    }
-
     /// Fills `out` with a fresh multiplicative mask: each entry is `0` with
     /// probability `p`, otherwise `1/(1-p)`.
     ///

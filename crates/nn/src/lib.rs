@@ -106,12 +106,6 @@ pub trait Parameterized {
     }
 }
 
-/// Numerically stable logistic sigmoid — the shared [`fastmath`]
-/// implementation every layer uses.
-pub fn sigmoid(x: f64) -> f64 {
-    fastmath::sigmoid(x)
-}
-
 /// Mean-squared-error loss and its gradient w.r.t. the prediction.
 ///
 /// Returns `(loss, dL/dpred)` with `loss = mean((pred - target)^2)`.
@@ -187,6 +181,7 @@ mod tests {
 
     #[test]
     fn sigmoid_symmetry_and_range() {
+        use fastmath::sigmoid;
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
         for x in [-20.0, -1.0, 0.3, 5.0, 50.0] {
             let s = sigmoid(x);

@@ -97,11 +97,6 @@ impl FnState {
     }
 }
 
-/// Alias for the AquaLite ablation (constructed via
-/// [`AquatopePool::aqualite`]): the same policy with uncertainty
-/// estimation disabled.
-pub type AquaLitePool = AquatopePool;
-
 /// The AQUATOPE dynamic pre-warmed container pool.
 #[derive(Debug)]
 pub struct AquatopePool {

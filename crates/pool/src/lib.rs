@@ -13,9 +13,9 @@
 //!   in the Wild* (Shahrad et al.).
 //! * [`IceBreakerPolicy`] — IceBreaker's Fourier-based pre-warming.
 //! * [`AquatopePool`] — AQUATOPE's dynamic pool driven by the hybrid
-//!   Bayesian NN with an uncertainty-aware head-room margin.
-//! * [`AquaLitePool`] — the ablation without uncertainty (paper's
-//!   "AquaLite").
+//!   Bayesian NN with an uncertainty-aware head-room margin; its
+//!   [`AquatopePool::aqualite`] constructor is the ablation without
+//!   uncertainty (paper's "AquaLite").
 //!
 //! Plus one competitor beyond the paper's line-up:
 //!
@@ -34,7 +34,7 @@ pub mod baselines;
 pub mod histogram;
 pub mod slack;
 
-pub use aquatope::{AquaLitePool, AquatopePool, AquatopePoolConfig};
+pub use aquatope::{AquatopePool, AquatopePoolConfig};
 pub use baselines::{FaasCachePolicy, IceBreakerPolicy, ReactiveAutoscale};
 pub use histogram::HistogramPolicy;
 pub use slack::SlackAwarePolicy;

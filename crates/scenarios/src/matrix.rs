@@ -4,7 +4,7 @@
 
 use aqua_faas::{FaultRates, NoiseModel};
 use aqua_sim::par_map;
-use aqua_sim::stats::{mean_ci95, Comparison};
+use aqua_sim::stats::{mean_ci95, Comparison, LatencySummary};
 use serde_json::{json, Value};
 
 use crate::policy::PolicyKind;
@@ -96,13 +96,12 @@ pub fn evaluate_cell(
 
     // Score the primary application only: its instances hold the global
     // indices 0..n_primary because the primary job is always first.
-    let finished: Vec<f64> = report
+    let mut finished: Vec<f64> = report
         .workflows
         .iter()
         .filter(|w| w.instance < inst.n_primary)
         .map(|w| w.latency().as_secs_f64())
         .collect();
-    let finished = aqua_linalg::sorted(&finished);
     let violated = report
         .workflows
         .iter()
@@ -116,25 +115,17 @@ pub fn evaluate_cell(
         .fold((0usize, 0usize), |(c, n), r| {
             (c + usize::from(r.cold), n + 1)
         });
+    let latency = LatencySummary::of_in_place(&mut finished);
     CellMetrics {
         qos_violation_rate: violated as f64 / inst.n_primary.max(1) as f64,
         cost_gb_s: report.memory_gb_seconds,
-        p50_s: quantile_or_zero(&finished, 0.5),
-        p99_s: quantile_or_zero(&finished, 0.99),
+        p50_s: latency.p50,
+        p99_s: latency.p99,
         cold_start_ratio: if invocations == 0 {
             0.0
         } else {
             cold as f64 / invocations as f64
         },
-    }
-}
-
-/// Quantile of an ascending sample, 0 for an empty one.
-fn quantile_or_zero(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        0.0
-    } else {
-        aqua_linalg::quantile_sorted(sorted, q)
     }
 }
 

@@ -295,8 +295,8 @@ mod tests {
         let clean = spec(ScenarioKind::Diurnal).instantiate(5);
         let faulted = spec(ScenarioKind::Faulted).instantiate(5);
         assert_eq!(clean.jobs[0].arrivals, faulted.jobs[0].arrivals);
-        assert!(clean.faults.is_disabled());
-        assert!(!faulted.faults.is_disabled());
+        assert_eq!(clean.faults, FaultPlan::disabled());
+        assert_ne!(faulted.faults.rates, FaultRates::default());
     }
 
     #[test]
@@ -306,7 +306,8 @@ mod tests {
         // the bit-identical-to-clean assertion in
         // tests/scenario_matrix.rs meaningful.
         let faulted = spec(ScenarioKind::Faulted).instantiate_with_rates(5, FaultRates::default());
-        assert!(faulted.faults.is_disabled());
+        assert_eq!(faulted.faults.rates, FaultRates::default());
+        assert!(faulted.faults.scripted.is_empty());
         assert!(faulted.retry.task_timeout.is_some(), "timeouts stay armed");
     }
 

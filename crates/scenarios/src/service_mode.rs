@@ -428,12 +428,6 @@ impl ServiceMatrixReport {
             },
         })
     }
-
-    /// The pretty-printed v2 report with a trailing newline — the form
-    /// `MATRIX_REPORT.json` stores when the matrix runs in service mode.
-    pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(self.to_json()).expect("report serializes") + "\n"
-    }
 }
 
 #[cfg(test)]

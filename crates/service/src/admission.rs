@@ -171,11 +171,6 @@ impl Admission {
         self.tenant_inflight[tenant.0]
     }
 
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Global counter snapshot.
     pub fn stats(&self) -> AdmissionStats {
         self.stats

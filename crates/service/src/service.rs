@@ -377,7 +377,8 @@ impl ControlPlane {
     /// failures.
     ///
     /// Each function's containers boot under the config of the first
-    /// job stage that uses it (jobs come popularity-ordered from the
+    /// job stage that uses it ([`aqua_faas::boot_configs`], the batch
+    /// simulator's rule too; jobs come popularity-ordered from the
     /// workload generators, so popular apps pin their functions' shapes).
     pub fn new(
         registry: FunctionRegistry,
@@ -387,16 +388,10 @@ impl ControlPlane {
         cfg: ServiceConfig,
     ) -> Self {
         let functions = registry.len();
-        let mut configs = vec![aqua_faas::ResourceConfig::default(); functions];
-        let mut pinned = vec![false; functions];
-        for job in &jobs {
-            for (i, s) in job.dag.stages().enumerate() {
-                if !pinned[s.function.0] {
-                    pinned[s.function.0] = true;
-                    configs[s.function.0] = job.configs.stage(i);
-                }
-            }
-        }
+        let configs = aqua_faas::boot_configs(&jobs, functions)
+            .into_iter()
+            .map(Option::unwrap_or_default)
+            .collect();
         let runtime = SimContainerRuntime::new(registry, NoiseModel::default(), cfg.seed, faults);
         let jobs: Vec<JobState> = jobs
             .into_iter()

@@ -44,11 +44,6 @@ impl Exponential {
         Exponential { rate: 1.0 / mean }
     }
 
-    /// The rate parameter `lambda`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Draws one sample.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         let u = loop {
@@ -73,19 +68,6 @@ pub struct LogNormal {
 }
 
 impl LogNormal {
-    /// Creates the distribution from the underlying normal parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or either parameter is not finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(
-            mu.is_finite() && sigma.is_finite() && sigma >= 0.0,
-            "invalid parameters"
-        );
-        LogNormal { mu, sigma }
-    }
-
     /// Creates a log-normal with the given arithmetic mean and coefficient
     /// of variation (`std/mean`).
     ///
@@ -177,11 +159,6 @@ impl Gamma {
         assert!(cv > 0.0, "cv must be positive");
         let shape = 1.0 / (cv * cv);
         Gamma::new(shape, mean / shape)
-    }
-
-    /// Arithmetic mean `k·θ`.
-    pub fn mean(&self) -> f64 {
-        self.shape * self.scale
     }
 
     /// Draws one sample.
@@ -326,11 +303,6 @@ impl PoissonProcess {
         }
     }
 
-    /// The per-minute rates backing this process.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
     /// Total simulated horizon covered by the rate buckets.
     pub fn horizon(&self) -> SimDuration {
         SimDuration::from_secs(60 * self.rates.len() as u64)
@@ -372,7 +344,6 @@ mod tests {
         let n = 100_000;
         let mean = (0..n).map(|_| exp.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean = {mean}");
-        assert!((exp.rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reserves space for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// The number of events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
         self.heap.capacity()

@@ -133,29 +133,9 @@ impl SimDuration {
         SimDuration((s * 1e6).round() as u64)
     }
 
-    /// Returns the raw microsecond count.
-    pub const fn as_micros(self) -> u64 {
-        self.0
-    }
-
-    /// Returns whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Returns true if the duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Saturating subtraction of durations.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 

@@ -230,11 +230,6 @@ impl Fanout {
     pub fn new(sinks: Vec<SharedSink>) -> Self {
         Fanout { sinks }
     }
-
-    /// Adds another downstream sink.
-    pub fn push(&mut self, sink: SharedSink) {
-        self.sinks.push(sink);
-    }
 }
 
 impl EventSink for Fanout {

@@ -31,9 +31,8 @@
 //! factorizations add, and singular exact-tier appends are counted in
 //! [`OnlineModelStats::rejected`].
 
-use std::collections::HashMap;
-
 use aqua_gp::{DtcBasis, Gp, GpConfig, SparseGp};
+use aqua_sim::fxhash::FxHashMap;
 
 /// One buffered observation: normalized input coordinates and an observed
 /// latency (seconds).
@@ -109,7 +108,11 @@ pub struct OnlineModelStats {
 /// Streaming per-application latency models with incremental GP refits.
 #[derive(Debug, Clone)]
 pub struct OnlineLatencyModel {
-    apps: HashMap<usize, AppModel>,
+    /// Seed-free hashing: the map's iteration order, and so the order a
+    /// dropped model frees its apps in, is the same in every process. With
+    /// a per-process random order the heap the next replay allocates from
+    /// differed between runs, and a host's peak RSS with it.
+    apps: FxHashMap<usize, AppModel>,
     /// Apps whose `pending` buffer is non-empty, in no particular order:
     /// a refit tick ranks these few instead of walking every app.
     with_pending: Vec<usize>,
@@ -142,7 +145,7 @@ impl OnlineLatencyModel {
         assert!(window >= 8, "window must hold at least 8 observations");
         assert!(time_horizon > 0.0, "time horizon must be positive");
         OnlineLatencyModel {
-            apps: HashMap::new(),
+            apps: FxHashMap::default(),
             with_pending: Vec::new(),
             config,
             window,

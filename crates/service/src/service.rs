@@ -311,6 +311,70 @@ impl InstanceSlab {
     }
 }
 
+/// Completion latencies, seconds, in one buffer allocated once: a region
+/// per tenant, sized to the arrivals its jobs offer, each filled in
+/// completion order. A tenant completes at most one workflow per arrival,
+/// so no region overflows and the buffer never grows.
+#[derive(Default)]
+struct CompletionStore {
+    latencies: Vec<f64>,
+    /// Where each tenant's region starts, then the buffer's length.
+    bounds: Vec<usize>,
+    /// One past the last filled entry of each tenant's region.
+    fill: Vec<usize>,
+    /// Every latency summed in completion order: the left-to-right fold
+    /// `aqua_linalg::mean` makes over the completion-order sample.
+    sum: f64,
+}
+
+impl CompletionStore {
+    /// A store with one region of `sizes[t]` entries per tenant `t`.
+    fn new(sizes: &[usize]) -> Self {
+        let mut bounds = Vec::with_capacity(sizes.len() + 1);
+        bounds.push(0);
+        for &size in sizes {
+            bounds.push(bounds[bounds.len() - 1] + size);
+        }
+        CompletionStore {
+            latencies: vec![0.0; bounds[sizes.len()]],
+            fill: bounds[..sizes.len()].to_vec(),
+            bounds,
+            sum: 0.0,
+        }
+    }
+
+    fn push(&mut self, tenant: usize, latency: f64) {
+        let at = self.fill[tenant];
+        debug_assert!(at < self.bounds[tenant + 1], "tenant {tenant} overfilled");
+        self.latencies[at] = latency;
+        self.fill[tenant] = at + 1;
+        self.sum += latency;
+    }
+
+    /// Each tenant's summary, reduced in its own region, and the global
+    /// one, reduced over the regions packed to the front of the buffer.
+    /// Quantiles and the maximum do not depend on the order they are read
+    /// in, and the global mean comes from the completion-order sum, so
+    /// both equal a reduction of the completion-order sample.
+    fn summaries(mut self) -> (Vec<LatencySummary>, LatencySummary) {
+        let mut packed = 0;
+        let tenants = (0..self.fill.len())
+            .map(|t| {
+                let region = self.bounds[t]..self.fill[t];
+                let summary = LatencySummary::of_in_place(&mut self.latencies[region.clone()]);
+                self.latencies.copy_within(region, packed);
+                packed += summary.count;
+                summary
+            })
+            .collect();
+        let mut global = LatencySummary::of_in_place(&mut self.latencies[..packed]);
+        if packed > 0 {
+            global.mean = self.sum / packed as f64;
+        }
+        (tenants, global)
+    }
+}
+
 /// The long-running AQUATOPE control plane.
 pub struct ControlPlane {
     cfg: ServiceConfig,
@@ -341,11 +405,8 @@ pub struct ControlPlane {
     starved_flag: Vec<bool>,
     draining: bool,
     telemetry: Telemetry,
-    /// Completion latencies, seconds, in completion order.
-    latencies: Vec<f64>,
-    /// The tenant of each entry of `latencies`: per-tenant samples are read
-    /// back from the one store at the end of the run, not kept twice.
-    latency_tenants: Vec<u32>,
+    /// Completion latencies; sized by [`ControlPlane::run`].
+    latencies: CompletionStore,
     completed: u64,
     rejected: u64,
     skipped_in_drain: u64,
@@ -435,8 +496,7 @@ impl ControlPlane {
             starved_flag: vec![false; functions],
             draining: false,
             telemetry: Telemetry::disabled(),
-            latencies: Vec::new(),
-            latency_tenants: Vec::new(),
+            latencies: CompletionStore::default(),
             completed: 0,
             rejected: 0,
             skipped_in_drain: 0,
@@ -513,6 +573,11 @@ impl ControlPlane {
     /// [`ServiceConfig::run_for`], and the loop exits when the drain
     /// finishes. Consumes the plane and returns its report.
     pub fn run(mut self) -> ServiceReport {
+        let mut offered = vec![0; self.plan.tenants()];
+        for (job, tenant) in self.jobs.iter().zip(&self.plan.job_tenants) {
+            offered[tenant.0] += job.arrivals.len();
+        }
+        self.latencies = CompletionStore::new(&offered);
         for j in 0..self.jobs.len() {
             if let Some(&t) = self.jobs[j].arrivals.first() {
                 self.queue.push(t, SvcEvent::Arrival { job: j, k: 0 });
@@ -954,8 +1019,7 @@ impl ControlPlane {
             self.admission.finish(tenant);
             self.completed += 1;
             let latency = (now - admitted_at).as_secs_f64();
-            self.latencies.push(latency);
-            self.latency_tenants.push(tenant.0 as u32);
+            self.latencies.push(tenant.0, latency);
             if latency > self.plan.classes[tenant.0].slo_secs() {
                 self.tenant_qos_misses[tenant.0] += 1;
             }
@@ -1002,28 +1066,17 @@ impl ControlPlane {
         let swept = self.pool.shutdown_sweep(self.queue.now());
         let live = self.pool.live_containers();
         self.telemetry.flush();
-        // Each tenant's sample, in completion order, through one buffer;
-        // then the global sample, which the summary reorders in place.
-        let mut sample = Vec::new();
-        let tenants = (0..self.plan.tenants())
-            .map(|t| {
-                sample.clear();
-                sample.extend(
-                    self.latencies
-                        .iter()
-                        .zip(&self.latency_tenants)
-                        .filter(|&(_, &of)| of as usize == t)
-                        .map(|(&l, _)| l),
-                );
-                TenantReport {
-                    admission: self.admission.tenant_stats(TenantId(t)),
-                    latency: LatencySummary::of_in_place(&mut sample),
-                    qos_misses: self.tenant_qos_misses[t],
-                    slo_secs: self.plan.classes[t].slo_secs(),
-                }
+        let (tenant_latency, latency) = self.latencies.summaries();
+        let tenants = tenant_latency
+            .into_iter()
+            .enumerate()
+            .map(|(t, latency)| TenantReport {
+                admission: self.admission.tenant_stats(TenantId(t)),
+                latency,
+                qos_misses: self.tenant_qos_misses[t],
+                slo_secs: self.plan.classes[t].slo_secs(),
             })
             .collect();
-        let latency = LatencySummary::of_in_place(&mut self.latencies);
         ServiceReport {
             sim_horizon: self.queue.now(),
             events_processed: self.events_processed,
@@ -1348,6 +1401,66 @@ mod tests {
         assert_eq!(report.stranded_instances, 0);
         assert_eq!(report.live_containers_at_exit, 0);
         assert!(report.cost_gb_s > 0.0, "containers held memory for a while");
+    }
+
+    /// The per-tenant regions of the completion store reduce to what the
+    /// completion-order log does: each tenant's sample filtered out of it,
+    /// and the whole log, through [`LatencySummary::of`].
+    #[test]
+    fn completion_store_matches_the_completion_order_log() {
+        use aqua_faas::QosClass;
+        let (reg, mut jobs) = chain_jobs(4, 40);
+        // Tenant 2's job arrives faster than one slot serves it, so it
+        // sheds and its region ends part-full; tenant 1's job arrives only
+        // after shutdown, so its region stays empty.
+        jobs[1].arrivals = (0..40).map(|i| SimTime::from_millis(20 * i + 5)).collect();
+        jobs[3].arrivals = (0..40).map(|i| SimTime::from_secs(200 + i)).collect();
+        let plan = TenantPlan {
+            classes: vec![
+                QosClass::unlimited(),
+                QosClass::unlimited(),
+                QosClass::new(SimDuration::from_secs(30), 1, 1, 0.0),
+            ],
+            job_tenants: vec![TenantId(0), TenantId(2), TenantId(0), TenantId(1)],
+        };
+        let mut plane = ControlPlane::new(
+            reg,
+            jobs,
+            Box::new(aqua_pool::ReactiveAutoscale::default()),
+            &FaultPlan::disabled(),
+            small_cfg(),
+        )
+        .with_tenants(plan);
+        let rec = record(&mut plane);
+        let report = plane.run();
+        let log: Vec<(usize, f64)> = rec
+            .lock()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                SimEvent::TenantComplete {
+                    tenant,
+                    latency_secs,
+                    ..
+                } => Some((tenant, latency_secs)),
+                _ => None,
+            })
+            .collect();
+        let oracle = |keep: &dyn Fn(usize) -> bool| {
+            let sample: Vec<f64> = log.iter().filter(|(t, _)| keep(*t)).map(|l| l.1).collect();
+            LatencySummary::of(&sample)
+        };
+        let shed = &report.tenants[2];
+        assert!(shed.admission.shed_arrivals > 0, "tenant 2 must shed");
+        assert!((1..40).contains(&shed.latency.count), "part-full region");
+        assert_eq!(report.tenants[1].latency, LatencySummary::default());
+        assert_eq!(report.tenants[0].latency.count, 80);
+        for (t, tenant) in report.tenants.iter().enumerate() {
+            assert_eq!(tenant.latency, oracle(&|of| of == t), "tenant {t}");
+        }
+        assert_eq!(report.latency, oracle(&|_| true));
+        assert_eq!(report.latency.count as u64, report.completed);
     }
 
     #[test]

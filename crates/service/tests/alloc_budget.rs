@@ -1,10 +1,17 @@
-//! Allocation budget of the control plane's request path, measured with a
-//! counting global allocator (hence its own test binary): a plane that
-//! serves five times the workflows at the same arrival rate allocates no
-//! more than `O(log N)` times more, the `Vec` growth of its latency record
-//! and queues. Admission, dispatch, warm hits, completions and the event
-//! queue reuse their storage, so a workflow in steady state costs no
-//! allocation.
+//! Heap budget of the control plane's request path, measured with a
+//! counting global allocator (hence its own test binary).
+//!
+//! *Allocator calls.* A plane that serves five times the workflows at the
+//! same arrival rate allocates no more than `O(log N)` times more, the
+//! `Vec` growth of its queues and in-flight tables. Admission, dispatch,
+//! warm hits, completions and the event queue reuse their storage, so a
+//! workflow in steady state costs no allocation.
+//!
+//! *Memory.* The one buffer that scales with the trace is the completion
+//! store, one `f64` per offered arrival, allocated once when the run
+//! starts. Everything else the run holds scales with what is in flight,
+//! so at a fixed arrival rate four times the workflows may raise the peak
+//! heap by no more than the larger store.
 //!
 //! The policy decides nothing and the latency model observes nothing, so
 //! the periodic ticks — whose count grows with the run's length, not with
@@ -12,6 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
 
 use aqua_faas::{
     FaultPlan, FunctionRegistry, FunctionSpec, PoolDecision, PoolObservation, PrewarmController,
@@ -21,32 +29,61 @@ use aqua_service::{ControlPlane, ServiceConfig};
 use aqua_sim::{SimDuration, SimTime};
 
 thread_local! {
-    /// Allocations made by this thread (tests run on threads of their own).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations and reallocations this thread has made (tests run on
+    /// threads of their own, and the plane spawns none).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds.
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    /// The most `LIVE` has been since the last [`reset_peak`].
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn grow(by: usize) {
+    CALLS.with(|calls| calls.set(calls.get() + 1));
+    LIVE.with(|live| {
+        live.set(live.get() + by);
+        PEAK.with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+fn shrink(by: usize) {
+    // A block freed on another thread than the one that allocated it is
+    // not this test's to count; saturate rather than wrap.
+    LIVE.with(|live| live.set(live.get().saturating_sub(by)));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a thread-local counter without a destructor.
+// only addition is thread-local counters without destructors.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        // Counted as the allocate-copy-free it may be: both blocks live.
+        grow(new_size);
+        shrink(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Restarts the peak at what is live now and returns that level.
+fn reset_peak() -> usize {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
 
 /// A policy that never asks for pre-warm capacity.
 struct Idle;
@@ -93,8 +130,15 @@ fn jobs(n: usize) -> (FunctionRegistry, Vec<WorkflowJob>) {
     (reg, jobs)
 }
 
-/// Allocations of one `run` serving `n` workflows.
-fn run_allocations(n: usize) -> u64 {
+/// What one `run` serving `n` workflows cost the heap.
+struct Run {
+    /// Allocator calls the run made.
+    calls: u64,
+    /// Peak heap above the level the run started at, bytes.
+    peak: usize,
+}
+
+fn run(n: usize) -> Run {
     let (reg, jobs) = jobs(n);
     let cfg = ServiceConfig {
         model_sample_every: u64::MAX,
@@ -102,23 +146,47 @@ fn run_allocations(n: usize) -> u64 {
         ..ServiceConfig::default()
     };
     let plane = ControlPlane::new(reg, jobs, Box::new(Idle), &FaultPlan::disabled(), cfg);
-    let before = ALLOCATIONS.with(Cell::get);
+    let calls = CALLS.with(Cell::get);
+    let before = reset_peak();
     let report = plane.run();
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let run = Run {
+        calls: CALLS.with(Cell::get) - calls,
+        peak: PEAK.with(Cell::get) - before,
+    };
     assert_eq!(report.completed, n as u64, "every workflow completes");
     assert_eq!(report.rejected_workflows, 0);
     assert!(report.pool.warm_hits > 0);
-    allocations
+    run
 }
 
 #[test]
 fn five_times_the_workflows_cost_only_vec_growth() {
     let n = 2_000;
-    let (small, large) = (run_allocations(n), run_allocations(5 * n));
+    let (small, large) = (run(n).calls, run(5 * n).calls);
     let slack = 4 * (5 * n).ilog2() as u64;
     assert!(
         large <= small + slack,
         "{n} workflows allocate {small} times, {} allocate {large} (slack {slack})",
         5 * n
+    );
+}
+
+#[test]
+fn four_times_the_workflows_hold_only_a_larger_completion_store() {
+    let n = 4_000;
+    let (small, large) = (run(n).peak, run(4 * n).peak);
+    // The store's growth: one `f64` per extra offered arrival.
+    let store = 3 * n * size_of::<f64>();
+    // In-flight state (≈ 8 KB beside the store at `n`) reaches the same
+    // peak at the same arrival rate; the slack absorbs a queue that
+    // happens to double once more. A completion record grown by doubling
+    // overshoots the store by up to its own size.
+    const SLACK: usize = 16 << 10;
+    assert!(
+        large <= small + store + SLACK,
+        "{n} workflows peak at {small} B, {} at {large} B: {} B beyond the \
+         larger store ({store} B, slack {SLACK})",
+        4 * n,
+        large.saturating_sub(small + store)
     );
 }

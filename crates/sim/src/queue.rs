@@ -186,11 +186,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops all pending events, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
@@ -276,17 +271,6 @@ mod tests {
             assert_eq!(Some(x), b.pop());
         }
         assert!(b.pop().is_none());
-    }
-
-    #[test]
-    fn clear_keeps_clock() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1), ());
-        q.pop();
-        q.push(SimTime::from_secs(9), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_secs(1));
     }
 
     proptest! {

@@ -138,6 +138,8 @@ pub fn azure_scale(cfg: &AzureScaleConfig) -> AzureWorkload {
             arrivals.push(SimTime::from_secs_f64(t));
             t += -gap_mean * (1.0 - arr_rng.uniform()).ln();
         }
+        // Drop the doubling slack: the trace is held for a whole replay.
+        arrivals.shrink_to_fit();
         arrivals_total += arrivals.len();
         invocations_total += arrivals.len() * stages;
         jobs.push(WorkflowJob::new(dag, configs, arrivals));

@@ -8,11 +8,13 @@
 //! point for that: completions are **buffered** (O(1), request path), and
 //! a refit scheduler running on its own cadence calls
 //! [`OnlineLatencyModel::refit`] per application, which drains the buffer
-//! through [`Gp::extend`] — the O(n²) rank-1 `Cholesky::extend` append,
-//! with the full hyperparameter grid search only every
+//! through [`Gp::extend`] — the O(n²) rank-1 `Cholesky::extend_in_place`
+//! append, with the full hyperparameter grid search only every
 //! [`GpConfig::refit_every`] appends. A sliding window
 //! ([`Gp::refit_subset`]) caps the training set so per-append cost stays
-//! bounded over an unbounded run.
+//! bounded over an unbounded run. The exact tier's GP is the one copy of
+//! an app's training window: a tier switch hands its rows
+//! ([`Gp::train_x`], [`Gp::train_y`]) to the sparse tier.
 //!
 //! Inputs are `(config ∈ [0,1]³, t ∈ [0,1])`: the normalized resource
 //! coordinates plus a normalized-time coordinate, `t = at_secs /
@@ -81,11 +83,6 @@ struct AppModel {
     staleness: u64,
     /// Warm-up observations held until there are enough to fit.
     warmup: Vec<PendingObs>,
-    /// The observations currently inside the exact tier's training
-    /// window, mirrored outside the GP so a tier switch can refit from
-    /// raw data. Kept in lockstep with the exact tier's training set and
-    /// handed to the sparse tier's [`DtcBasis`] at the switch.
-    history: Vec<PendingObs>,
     /// Appends absorbed on the sparse tier since its last full rebuild.
     sparse_appends: usize,
 }
@@ -278,7 +275,7 @@ impl OnlineLatencyModel {
                         let ys: Vec<f64> = model.warmup.iter().map(|o| o.latency).collect();
                         match Gp::fit(xs, ys, self.config.clone()) {
                             Ok(gp) => {
-                                model.history = std::mem::take(&mut model.warmup);
+                                model.warmup = Vec::new();
                                 model.model = Some(TierGp::Exact(gp));
                             }
                             Err(_) => {
@@ -289,9 +286,8 @@ impl OnlineLatencyModel {
                     }
                 }
                 Some(TierGp::Exact(gp)) => {
-                    if gp.extend(obs.x.clone(), obs.latency).is_ok() {
+                    if gp.extend(obs.x, obs.latency).is_ok() {
                         absorbed += 1;
-                        model.history.push(obs);
                     } else {
                         self.stats.rejected += 1;
                     }
@@ -299,18 +295,19 @@ impl OnlineLatencyModel {
                         let keep: Vec<usize> = (gp.len() - self.window / 2..gp.len()).collect();
                         if let Ok(compact) = gp.refit_subset(&keep) {
                             *gp = compact;
-                            let drop = model.history.len() - self.window / 2;
-                            model.history.drain(..drop);
                             self.stats.compactions += 1;
                         }
                     }
                     if gp.len() > self.tier_threshold {
                         // Inherit the exact tier's selected kernel — the
-                        // sparse fit is pure linear algebra, no search.
+                        // sparse fit is pure linear algebra, no search —
+                        // and its training window: the absorbed
+                        // observations still held, oldest first.
                         let mut basis =
                             DtcBasis::new(*gp.kernel(), self.config.noise, self.inducing);
-                        for o in &model.history {
-                            basis.push(&o.x, o.latency);
+                        let xs = gp.train_x();
+                        for (i, &y) in gp.train_y().iter().enumerate() {
+                            basis.push(xs.row(i), y);
                         }
                         if let Ok(sparse) = basis.fit() {
                             self.switches.push(TierSwitch {
@@ -320,7 +317,6 @@ impl OnlineLatencyModel {
                             });
                             self.stats.tier_switches += 1;
                             model.sparse_appends = 0;
-                            model.history = Vec::new();
                             model.model = Some(TierGp::Sparse(sparse, Box::new(basis)));
                         }
                     }
@@ -545,6 +541,47 @@ mod tests {
             m.model_size(0)
         );
         assert!(m.stats().compactions > 0, "cap was exercised");
+    }
+
+    #[test]
+    fn exact_tier_window_is_the_newest_absorbed_observations_in_order() {
+        // What a tier switch hands the sparse tier: after compactions and
+        // further appends, the GP's rows are the newest observations it
+        // absorbed, oldest first, and a rejected append left no row.
+        let mut m = OnlineLatencyModel::new(GpConfig::default(), 16, 3600.0);
+        let mut absorbed: Vec<(Vec<f64>, f64)> = Vec::new();
+        let mut rejected = 0;
+        for i in 0..60 {
+            let v = (i as f64 * 0.618_033_988_75).fract();
+            let at = i as f64 * 30.0;
+            let latency = 1.0 + v + 0.1 * (at / 600.0).sin();
+            if i >= 8 && i % 7 == 3 {
+                // No kernel matrix over a NaN input factors: rejected.
+                m.observe(0, &[f64::NAN, 0.5, 0.5], at, latency);
+                rejected += 1;
+            } else {
+                m.observe(0, &[v, 1.0 - v, 0.5], at, latency);
+                absorbed.push((vec![v, 1.0 - v, 0.5, at / 3600.0], latency));
+            }
+            if i % 3 == 2 {
+                m.refit(0);
+            }
+        }
+        m.refit(0);
+        let stats = m.stats();
+        assert_eq!(stats.rejected, rejected);
+        assert_eq!(stats.absorbed, absorbed.len() as u64);
+        assert!(stats.compactions >= 2, "{stats:?}");
+        let Some(TierGp::Exact(gp)) = &m.apps[&0].model else {
+            panic!("exact tier expected");
+        };
+        let newest = &absorbed[absorbed.len() - gp.len()..];
+        for (r, (x, y)) in newest.iter().enumerate() {
+            let row: Vec<u64> = gp.train_x().row(r).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(row, want, "row {r}");
+            assert_eq!(gp.train_y()[r].to_bits(), y.to_bits(), "row {r}");
+        }
     }
 
     #[test]

@@ -1,4 +1,13 @@
 //! Fixed-noise Gaussian-process regression.
+//!
+//! A [`Gp`] holds its training window once: the inputs, the raw targets,
+//! the weight vector `alpha` and one packed lower-triangular Cholesky
+//! factor, about `n²/2 + (d + 2)·n` floats. [`Gp::extend`] appends one
+//! point: the factor grows by one row in place, and the inputs and
+//! targets move to buffers of the new exact size. Pairwise distances are
+//! not kept: a hyperparameter grid search computes them once for its
+//! candidates, and the fixed-kernel paths (subset refits, posterior
+//! sampling, the append fallback) evaluate the kernel from the points.
 
 use std::error::Error;
 use std::fmt;
@@ -86,11 +95,6 @@ pub struct Gp {
     chol: Cholesky,
     alpha: Vec<f64>,
     lml: f64,
-    /// Pairwise Euclidean distances between training inputs. Cached so
-    /// subset refits, rank-1 extensions, and posterior sampling skip the
-    /// O(n²·d) distance pass; entries feed [`Matern52::eval_dist`], which
-    /// is bit-identical to pairwise [`Matern52::eval`].
-    dists: Matrix,
     config: GpConfig,
     /// Observations appended by [`Gp::extend`] since the last full
     /// hyperparameter selection.
@@ -109,7 +113,7 @@ pub(crate) fn standardize(ys: &[f64]) -> (f64, f64, Vec<f64>) {
 /// Pairwise Euclidean distance matrix with [`Matern52::eval`]'s summation
 /// order, mirrored across the diagonal. Points are rows of a row-major
 /// `n × d` matrix, so each pair is one unit-stride slice pass.
-pub(crate) fn pairwise_dists(x: &Matrix) -> Matrix {
+fn pairwise_dists(x: &Matrix) -> Matrix {
     let n = x.rows();
     let mut d = Matrix::zeros(n, n);
     for i in 0..n {
@@ -140,6 +144,22 @@ fn unit_factor_matrices(dists: &Matrix, lengthscale: f64) -> (Vec<f64>, Vec<f64>
         }
     }
     (poly, decay)
+}
+
+/// The kernel matrix over the rows of `x`, each pair evaluated once and
+/// mirrored across the diagonal. [`euclidean`] is bitwise symmetric, so
+/// this is the every-entry [`Matern52::eval`] matrix bit for bit.
+fn kernel_matrix(x: &Matrix, kernel: &Matern52) -> Matrix {
+    let n = x.rows();
+    let mut k = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let v = kernel.eval(x.row(i), x.row(j));
+            k[(i, j)] = v;
+            k[(j, i)] = v;
+        }
+    }
+    k
 }
 
 /// Packs per-point vectors into the row-major `n × d` form the GP stores.
@@ -191,9 +211,9 @@ impl Gp {
             return Err(GpError::InsufficientData);
         }
         let (y_mean, y_scale, y_std_units) = standardize(&y);
-        let dists = pairwise_dists(&x);
-        let (lml, kernel, chol, alpha) = Self::select_hyperparams(&dists, &y_std_units, &config)
-            .ok_or(GpError::SingularKernel)?;
+        let (lml, kernel, chol, alpha) =
+            Self::select_hyperparams(&pairwise_dists(&x), &y_std_units, &config)
+                .ok_or(GpError::SingularKernel)?;
         Ok(Gp {
             x,
             y_raw: y,
@@ -204,7 +224,6 @@ impl Gp {
             chol,
             alpha,
             lml,
-            dists,
             config,
             since_refit: 0,
         })
@@ -263,17 +282,17 @@ impl Gp {
     }
 
     /// Reference evaluation for a fixed kernel: full kernel build plus
-    /// from-scratch factorization. The incremental paths fall back to this
-    /// when a rank-1 extension hits a non-positive pivot, reproducing the
-    /// fresh jitter ladder a from-scratch refit would run.
+    /// from-scratch factorization. Subset refits run this; the incremental
+    /// paths fall back to it when a rank-1 extension hits a non-positive
+    /// pivot, reproducing the fresh jitter ladder a from-scratch refit
+    /// would run.
     fn evaluate(
         x: &Matrix,
         y: &[f64],
         kernel: &Matern52,
         noise: f64,
     ) -> Option<(f64, Cholesky, Vec<f64>)> {
-        let n = x.rows();
-        let mut k = Matrix::from_fn(n, n, |i, j| kernel.eval(x.row(i), x.row(j)));
+        let mut k = kernel_matrix(x, kernel);
         k.add_diagonal(noise.max(1e-9));
         let chol = Cholesky::new_with_jitter(&k).ok()?;
         let (lml, alpha) = Self::marginal_likelihood(&chol, y);
@@ -342,7 +361,7 @@ impl Gp {
         let n = self.x.rows();
         // Posterior over latent f at train points:
         //   mean = K alpha, cov = K - K (K + σ²I)^{-1} K.
-        let k = Matrix::from_fn(n, n, |i, j| self.kernel.eval_dist(self.dists[(i, j)]));
+        let k = kernel_matrix(&self.x, &self.kernel);
         let mean_std = k.matvec(&self.alpha);
         let kinv_k = self.chol.solve_matrix(&k);
         let mut cov = k.add(&k.matmul(&kinv_k).scale(-1.0));
@@ -383,75 +402,63 @@ impl Gp {
             .collect()
     }
 
-    /// Distances from every training input to `x`, in training order.
-    fn dists_to(&self, x: &[f64]) -> Vec<f64> {
-        (0..self.x.rows())
-            .map(|i| euclidean(self.x.row(i), x))
-            .collect()
-    }
-
-    /// The training matrix with one extra point appended as a new row.
-    fn push_row(&self, x: &[f64]) -> Matrix {
-        assert_eq!(x.len(), self.x.cols(), "dimension mismatch");
-        let mut data = Vec::with_capacity((self.x.rows() + 1) * self.x.cols());
-        data.extend_from_slice(self.x.as_slice());
-        data.extend_from_slice(x);
-        Matrix::from_vec(self.x.rows() + 1, self.x.cols(), data)
-    }
-
-    /// Core of the incremental path: a GP with `(x, y)` appended, keeping
-    /// the current kernel. The factorization grows by one rank-1 bordering
-    /// step (O(n²)); if the new pivot is not positive — the augmented
-    /// matrix needs a larger jitter than the cached factor carries — it
-    /// falls back to the from-scratch jitter ladder, which is what a
-    /// non-incremental refit would have run anyway.
-    fn append_observation(&self, x: Vec<f64>, y: f64) -> Result<Gp, GpError> {
-        let n = self.x.rows();
-        let new_dists = self.dists_to(&x);
-        let xs = self.push_row(&x);
-        let mut ys = self.y_raw.clone();
-        ys.push(y);
-        // Keep hyperparameters: re-standardize and re-factor only.
-        let (y_mean, y_scale, y_std_units) = standardize(&ys);
-        let kcol: Vec<f64> = new_dists
-            .iter()
-            .map(|&d| self.kernel.eval_dist(d))
+    /// Core of the incremental path: appends `(x, y)` in place, keeping
+    /// the current kernel. The point joins the training matrix, the
+    /// factor grows by one rank-1 bordering row (O(n²)) and `alpha` is
+    /// re-solved. If the new pivot is not positive — the augmented matrix
+    /// needs a larger jitter than the factor carries — it falls back to
+    /// the from-scratch jitter ladder, which is what a non-incremental
+    /// refit would have run anyway. On error the GP is left unchanged.
+    fn append_observation(&mut self, x: &[f64], y: f64) -> Result<(), GpError> {
+        let kcol: Vec<f64> = (0..self.x.rows())
+            .map(|i| self.kernel.eval(self.x.row(i), x))
             .collect();
         let kdiag = self.kernel.eval_dist(0.0) + self.noise.max(1e-9);
-        let (lml, chol, alpha) = match self.chol.extend(&kcol, kdiag) {
-            Ok(chol) => {
-                let (lml, alpha) = Self::marginal_likelihood(&chol, &y_std_units);
-                (lml, chol, alpha)
+        let (xs, ys) = self.with_point(x, y);
+        // Keep hyperparameters: re-standardize and re-factor only.
+        let (y_mean, y_scale, y_std_units) = standardize(&ys);
+        let (lml, alpha) = match self.chol.extend_in_place(&kcol, kdiag) {
+            Ok(()) => Self::marginal_likelihood(&self.chol, &y_std_units),
+            Err(_) => {
+                let (lml, chol, alpha) =
+                    Self::evaluate(&xs, &y_std_units, &self.kernel, self.noise)
+                        .ok_or(GpError::SingularKernel)?;
+                self.chol = chol;
+                (lml, alpha)
             }
-            Err(_) => Self::evaluate(&xs, &y_std_units, &self.kernel, self.noise)
-                .ok_or(GpError::SingularKernel)?,
         };
-        let mut dists = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            dists.row_mut(i)[..n].copy_from_slice(self.dists.row(i));
-            dists[(i, n)] = new_dists[i];
-            dists[(n, i)] = new_dists[i];
-        }
-        Ok(Gp {
-            x: xs,
-            y_raw: ys,
-            y_mean,
-            y_scale,
-            kernel: self.kernel,
-            noise: self.noise,
-            chol,
-            alpha,
-            lml,
-            dists,
-            config: self.config.clone(),
-            since_refit: self.since_refit + 1,
-        })
+        self.x = xs;
+        self.y_raw = ys;
+        self.y_mean = y_mean;
+        self.y_scale = y_scale;
+        self.alpha = alpha;
+        self.lml = lml;
+        self.since_refit += 1;
+        Ok(())
+    }
+
+    /// The training inputs and targets with one point appended, each in a
+    /// buffer of exactly the new size, so a failed append leaves the GP
+    /// as it was. Copying these `(d + 1)·n` floats costs little next to
+    /// the O(n²) factor row, and growing the old buffers in place read
+    /// 1.3 MiB more peak RSS on `svc_azure` (EXPERIMENTS.md "Each GP
+    /// holds its training window once").
+    fn with_point(&self, x: &[f64], y: f64) -> (Matrix, Vec<f64>) {
+        let (n, d) = (self.x.rows(), self.x.cols());
+        assert_eq!(x.len(), d, "dimension mismatch");
+        let mut xs = Vec::with_capacity((n + 1) * d);
+        xs.extend_from_slice(self.x.as_slice());
+        xs.extend_from_slice(x);
+        let mut ys = Vec::with_capacity(n + 1);
+        ys.extend_from_slice(&self.y_raw);
+        ys.push(y);
+        (Matrix::from_vec(n + 1, d, xs), ys)
     }
 
     /// Returns a new GP conditioned on one extra (possibly fantasized)
     /// observation, keeping the current kernel hyperparameters — the
     /// Kriging-believer step used for batch selection. O(n²) via a rank-1
-    /// extension of the cached Cholesky factor, bit-identical to a full
+    /// extension of a copy of the Cholesky factor, bit-identical to a full
     /// refactorization.
     ///
     /// # Errors
@@ -459,14 +466,16 @@ impl Gp {
     /// [`GpError::SingularKernel`] if the augmented kernel matrix cannot be
     /// factored.
     pub fn with_observation(&self, x: Vec<f64>, y: f64) -> Result<Gp, GpError> {
-        self.append_observation(x, y)
+        let mut next = self.clone();
+        next.append_observation(&x, y)?;
+        Ok(next)
     }
 
-    /// Appends one real observation in O(n²), reusing the selected
-    /// hyperparameters and refreshing `alpha` — the paper's incremental
-    /// retraining step. Every [`GpConfig::refit_every`]-th append runs the
-    /// full grid search instead, so hyperparameters track the data at a
-    /// bounded cadence. On error the GP is left unchanged.
+    /// Appends one real observation in place in O(n²), reusing the
+    /// selected hyperparameters and refreshing `alpha` — the paper's
+    /// incremental retraining step. Every [`GpConfig::refit_every`]-th
+    /// append runs the full grid search instead, so hyperparameters track
+    /// the data at a bounded cadence. On error the GP is left unchanged.
     ///
     /// # Errors
     ///
@@ -475,26 +484,16 @@ impl Gp {
     pub fn extend(&mut self, x: Vec<f64>, y: f64) -> Result<(), GpError> {
         let due = self.config.refit_every > 0 && self.since_refit + 1 >= self.config.refit_every;
         if !due {
-            *self = self.append_observation(x, y)?;
-            return Ok(());
+            return self.append_observation(&x, y);
         }
-        // Full re-selection: grow the cached distance matrix (skipping the
-        // O(n²·d) pairwise pass) and rerun the grid search.
-        let n = self.x.rows();
-        let new_dists = self.dists_to(&x);
-        let mut dists = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            dists.row_mut(i)[..n].copy_from_slice(self.dists.row(i));
-            dists[(i, n)] = new_dists[i];
-            dists[(n, i)] = new_dists[i];
-        }
-        let mut ys = self.y_raw.clone();
-        ys.push(y);
+        // Full re-selection over the grown training set, its pairwise
+        // distances computed once for every candidate.
+        let (xs, ys) = self.with_point(&x, y);
         let (y_mean, y_scale, y_std_units) = standardize(&ys);
         let (lml, kernel, chol, alpha) =
-            Self::select_hyperparams(&dists, &y_std_units, &self.config)
+            Self::select_hyperparams(&pairwise_dists(&xs), &y_std_units, &self.config)
                 .ok_or(GpError::SingularKernel)?;
-        self.x = self.push_row(&x);
+        self.x = xs;
         self.y_raw = ys;
         self.y_mean = y_mean;
         self.y_scale = y_scale;
@@ -502,15 +501,13 @@ impl Gp {
         self.chol = chol;
         self.alpha = alpha;
         self.lml = lml;
-        self.dists = dists;
         self.since_refit = 0;
         Ok(())
     }
 
     /// Refits on a subset of the current data (used by leave-one-out
     /// anomaly detection and sliding-window retraining), keeping the
-    /// selected hyperparameters. The kernel matrix is gathered from the
-    /// cached distance matrix, so no pairwise distances are recomputed.
+    /// selected hyperparameters.
     ///
     /// # Errors
     ///
@@ -533,11 +530,8 @@ impl Gp {
         let xs = Matrix::from_vec(m, d, xdata);
         let ys: Vec<f64> = keep.iter().map(|&i| self.y_raw[i]).collect();
         let (y_mean, y_scale, y_std_units) = standardize(&ys);
-        let dists = Matrix::from_fn(m, m, |i, j| self.dists[(keep[i], keep[j])]);
-        let mut k = Matrix::from_fn(m, m, |i, j| self.kernel.eval_dist(dists[(i, j)]));
-        k.add_diagonal(self.noise.max(1e-9));
-        let chol = Cholesky::new_with_jitter(&k).map_err(|_| GpError::SingularKernel)?;
-        let (lml, alpha) = Self::marginal_likelihood(&chol, &y_std_units);
+        let (lml, chol, alpha) = Self::evaluate(&xs, &y_std_units, &self.kernel, self.noise)
+            .ok_or(GpError::SingularKernel)?;
         Ok(Gp {
             x: xs,
             y_raw: ys,
@@ -548,7 +542,6 @@ impl Gp {
             chol,
             alpha,
             lml,
-            dists,
             config: self.config.clone(),
             since_refit: 0,
         })

@@ -59,8 +59,9 @@ impl Matern52 {
     /// Evaluates the kernel from a precomputed Euclidean distance.
     ///
     /// Performs exactly the arithmetic [`Matern52::eval`] performs after
-    /// its distance pass, so kernel matrices built from a cached distance
-    /// matrix are bit-identical to ones built pairwise from the points.
+    /// its distance pass, so kernel matrices built from a precomputed
+    /// distance matrix are bit-identical to ones built pairwise from the
+    /// points.
     pub fn eval_dist(&self, d: f64) -> f64 {
         let (poly, decay) = unit_factors(d, self.lengthscale);
         (self.outputscale * poly) * decay

@@ -3,6 +3,11 @@
 //! The GP surrogate models factor their kernel matrices here. The
 //! factorization also exposes log-determinant (for marginal likelihood) and
 //! rank-1-friendly triangular solves (for posterior covariance).
+//!
+//! The factor is stored packed by rows: row `i` of `L` is its `i + 1`
+//! entries on and below the diagonal, back to back, so an `n×n` factor
+//! holds `n(n+1)/2` floats and grows by one row in place
+//! ([`Cholesky::extend_in_place`]).
 
 use std::error::Error;
 use std::fmt;
@@ -33,6 +38,12 @@ impl fmt::Display for NotPositiveDefiniteError {
 
 impl Error for NotPositiveDefiniteError {}
 
+/// Offset of row `i` in packed lower-triangular storage: rows `0..i` hold
+/// `1 + 2 + … + i` entries.
+fn tri(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
 /// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 ///
 /// # Examples
@@ -47,7 +58,11 @@ impl Error for NotPositiveDefiniteError {}
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
-    l: Matrix,
+    /// `L` packed by rows: row `i` is `L[i][0..=i]`, at
+    /// `tri(i)..tri(i + 1)`.
+    l: Vec<f64>,
+    /// Dimension of the factored matrix (`l.len() == tri(n)`).
+    n: usize,
     /// Diagonal jitter that was added to the factored matrix (0 when the
     /// plain factorization succeeded). [`Cholesky::extend`] adds the same
     /// jitter to the new diagonal entry so an extended factor is
@@ -70,7 +85,7 @@ impl Cholesky {
         assert_eq!(a.rows(), a.cols(), "Cholesky of a non-square matrix");
         let n = a.rows();
         let a = a.as_slice();
-        let mut l = Matrix::zeros(n, n);
+        let mut l = vec![0.0; tri(n)];
         // Left-looking, one column at a time: column `j` needs only the
         // finished columns `0..j`, so the elements below the diagonal are
         // independent of each other and their subtraction chains can be
@@ -80,8 +95,8 @@ impl Cholesky {
         // first non-positive pivot, are bit-identical to it and to
         // [`Cholesky::extend`]. Only the lower triangle of `a` is read.
         for j in 0..n {
-            let (head, below) = l.as_mut_slice().split_at_mut((j + 1) * n);
-            let row_j = &mut head[j * n..=j * n + j];
+            let (head, mut below) = l.split_at_mut(tri(j + 1));
+            let row_j = &mut head[tri(j)..];
             let mut pivot = a[j * n + j];
             for v in &row_j[..j] {
                 pivot -= v * v;
@@ -92,17 +107,21 @@ impl Cholesky {
             let diag = pivot.sqrt();
             row_j[j] = diag;
             let lj = &row_j[..j];
-            let mut tiles = below.chunks_exact_mut(4 * n);
-            let mut a_tiles = a[(j + 1) * n..].chunks_exact(4 * n);
-            for (tile, a_tile) in (&mut tiles).zip(&mut a_tiles) {
-                column_tile::<4>(tile, a_tile, n, lj, diag);
+            let mut i = j + 1;
+            while i + 4 <= n {
+                let (tile, rest) = std::mem::take(&mut below).split_at_mut(tri(i + 4) - tri(i));
+                column_tile::<4>(tile, i, &a[i * n..], n, lj, diag);
+                below = rest;
+                i += 4;
             }
-            let rest = tiles.into_remainder().chunks_exact_mut(n);
-            for (row, a_row) in rest.zip(a_tiles.remainder().chunks_exact(n)) {
-                column_tile::<1>(row, a_row, n, lj, diag);
+            while i < n {
+                let (row, rest) = std::mem::take(&mut below).split_at_mut(i + 1);
+                column_tile::<1>(row, i, &a[i * n..], n, lj, diag);
+                below = rest;
+                i += 1;
             }
         }
-        Ok(Cholesky { l, jitter: 0.0 })
+        Ok(Cholesky { l, n, jitter: 0.0 })
     }
 
     /// Factors `a` after adding progressively larger diagonal jitter until it
@@ -147,7 +166,9 @@ impl Cholesky {
 
     /// Rank-1 extension: the factor of the `(n+1)×(n+1)` matrix obtained by
     /// bordering the factored matrix with column `col` and diagonal entry
-    /// `diag` (to which the recorded jitter is re-applied).
+    /// `diag` (to which the recorded jitter is re-applied). A copy of this
+    /// factor, sized for the new row, extended by
+    /// [`Cholesky::extend_in_place`].
     ///
     /// Runs in O(n²) — one forward solve plus a row append — and performs
     /// *exactly* the arithmetic [`Cholesky::new`] would perform for the new
@@ -181,36 +202,76 @@ impl Cholesky {
     /// assert_eq!(ext, Cholesky::new(&full).unwrap());
     /// ```
     pub fn extend(&self, col: &[f64], diag: f64) -> Result<Cholesky, NotPositiveDefiniteError> {
-        let n = self.dim();
+        let mut l = Vec::with_capacity(tri(self.n + 1));
+        l.extend_from_slice(&self.l);
+        let mut next = Cholesky { l, ..*self };
+        next.extend_in_place(col, diag)?;
+        Ok(next)
+    }
+
+    /// [`Cholesky::extend`] applied to this factor itself: the new row
+    /// `[w, √pivot]`, where `L w = col`, is forward-solved straight onto
+    /// the end of the packed storage, which grows by exactly `n + 1`
+    /// entries. On error the factor is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::extend`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col.len() != dim()`.
+    pub fn extend_in_place(
+        &mut self,
+        col: &[f64],
+        diag: f64,
+    ) -> Result<(), NotPositiveDefiniteError> {
+        let n = self.n;
         assert_eq!(col.len(), n, "dimension mismatch");
-        let w = self.forward_solve(col);
+        self.l.reserve_exact(n + 1);
+        // `forward_solve`'s loop, its output `w` being the
+        // first entries of the row under construction.
+        for (i, &c) in col.iter().enumerate() {
+            let (rows, w) = self.l.split_at(tri(n));
+            let lrow = &rows[tri(i)..tri(i + 1)];
+            let mut sum = c;
+            for (lik, wk) in lrow[..i].iter().zip(w) {
+                sum -= lik * wk;
+            }
+            let wi = sum / lrow[i];
+            self.l.push(wi);
+        }
         let mut pivot = diag + self.jitter;
-        for wk in &w {
+        for wk in &self.l[tri(n)..] {
             pivot -= wk * wk;
         }
         if pivot <= 0.0 || !pivot.is_finite() {
+            self.l.truncate(tri(n));
             return Err(NotPositiveDefiniteError { pivot: n });
         }
-        let mut l = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            l.row_mut(i)[..n].copy_from_slice(self.l.row(i));
-        }
-        l.row_mut(n)[..n].copy_from_slice(&w);
-        l[(n, n)] = pivot.sqrt();
-        Ok(Cholesky {
-            l,
-            jitter: self.jitter,
-        })
+        self.l.push(pivot.sqrt());
+        self.n = n + 1;
+        Ok(())
     }
 
-    /// The lower-triangular factor.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
+    /// The lower-triangular factor as a square matrix, zeros above the
+    /// diagonal (built on each call from the packed storage).
+    pub fn factor(&self) -> Matrix {
+        let mut m = Matrix::zeros(self.n, self.n);
+        for i in 0..self.n {
+            m.row_mut(i)[..=i].copy_from_slice(self.row(i));
+        }
+        m
+    }
+
+    /// Row `i` of `L` up to and including the diagonal.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.l[tri(i)..tri(i + 1)]
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.l.rows()
+        self.n
     }
 
     /// Solves `L y = b` (forward substitution).
@@ -223,7 +284,7 @@ impl Cholesky {
         assert_eq!(b.len(), n, "dimension mismatch");
         let mut y = vec![0.0; n];
         for i in 0..n {
-            let lrow = self.l.row(i);
+            let lrow = self.row(i);
             let mut sum = b[i];
             for (lik, yk) in lrow[..i].iter().zip(&y[..i]) {
                 sum -= lik * yk;
@@ -241,15 +302,18 @@ impl Cholesky {
     pub fn backward_solve(&self, y: &[f64]) -> Vec<f64> {
         let n = self.dim();
         assert_eq!(y.len(), n, "dimension mismatch");
-        let l = self.l.as_slice();
+        let l = &self.l;
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = y[i];
-            // Column `i` of `L` below the diagonal, nearest row first.
-            for (lrow, xk) in l[(i + 1) * n..].chunks_exact(n).zip(&x[i + 1..]) {
-                sum -= lrow[i] * xk;
+            // Column `i` of `L` below the diagonal, nearest row first:
+            // entry `(k, i)` sits at `tri(k) + i`.
+            let mut at = tri(i + 1) + i;
+            for (k, xk) in (i + 1..n).zip(&x[i + 1..]) {
+                sum -= l[at] * xk;
+                at += k + 1;
             }
-            x[i] = sum / l[i * n + i];
+            x[i] = sum / l[tri(i) + i];
         }
         x
     }
@@ -289,7 +353,7 @@ impl Cholesky {
             for i in p0..p1 {
                 let (solved, rest) = y.as_mut_slice().split_at_mut(i * r);
                 let yi = &mut rest[..r];
-                let lrow = self.l.row(i);
+                let lrow = self.row(i);
                 for k in p0..i {
                     let lik = lrow[k];
                     let yk = &solved[k * r..(k + 1) * r];
@@ -308,7 +372,7 @@ impl Cholesky {
                 let pw = p1 - p0;
                 panel.clear();
                 for i in p1..n {
-                    panel.extend_from_slice(&self.l.row(i)[p0..p1]);
+                    panel.extend_from_slice(&self.row(i)[p0..p1]);
                 }
                 let (solved, rest) = y.as_mut_slice().split_at_mut(p1 * r);
                 crate::gemm::gemm_sub_acc(n - p1, r, pw, &panel, &solved[p0 * r..], rest);
@@ -338,7 +402,7 @@ impl Cholesky {
         let mut x = y.clone();
         for i in (0..n).rev() {
             for k in i + 1..n {
-                let lki = self.l[(k, i)];
+                let lki = self.l[tri(k) + i];
                 let (head, rest) = x.as_mut_slice().split_at_mut(k * r);
                 let xi = &mut head[i * r..(i + 1) * r];
                 let xk = &rest[..r];
@@ -346,7 +410,7 @@ impl Cholesky {
                     *a -= lki * b;
                 }
             }
-            let div = self.l[(i, i)];
+            let div = self.l[tri(i) + i];
             for v in x.row_mut(i) {
                 *v /= div;
             }
@@ -395,23 +459,27 @@ impl Cholesky {
         let l = &mut self.l;
         let mut w = v.to_vec();
         for k in 0..n {
-            let lkk = l[(k, k)];
+            let kk = tri(k) + k;
+            let lkk = l[kk];
             let wk = w[k];
             let r = (lkk * lkk + wk * wk).sqrt();
             let c = r / lkk;
             let s = wk / lkk;
-            l[(k, k)] = r;
-            for i in k + 1..n {
-                let lik = (l[(i, k)] + s * w[i]) / c;
-                w[i] = c * w[i] - s * lik;
-                l[(i, k)] = lik;
+            l[kk] = r;
+            // Entry `(i, k)`, walking down column `k`.
+            let mut ik = kk + k + 1;
+            for (i, wi) in w.iter_mut().enumerate().skip(k + 1) {
+                let lik = (l[ik] + s * *wi) / c;
+                *wi = c * *wi - s * lik;
+                l[ik] = lik;
+                ik += i + 1;
             }
         }
     }
 
     /// Log-determinant of the original matrix: `2 Σ ln L_ii`.
     pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+        (0..self.n).map(|i| self.l[tri(i) + i].ln()).sum::<f64>() * 2.0
     }
 
     /// Draws `z ↦ L z`, mapping i.i.d. standard normals to samples with
@@ -424,28 +492,30 @@ impl Cholesky {
         let n = self.dim();
         assert_eq!(z.len(), n, "dimension mismatch");
         (0..n)
-            .map(|i| {
-                self.l.row(i)[..=i]
-                    .iter()
-                    .zip(z)
-                    .map(|(l, zz)| l * zz)
-                    .sum()
-            })
+            .map(|i| self.row(i).iter().zip(z).map(|(l, zz)| l * zz).sum())
             .collect()
     }
 }
 
-/// Column `j = lj.len()` of the factor for `R` consecutive rows below the
-/// diagonal: `rows` holds them back to back (`n` apart) and `a_rows` the
-/// same rows of the matrix being factored. The `R` subtraction chains
-/// advance together, one `k` at a time, so the floating-point latency of
-/// one hides behind the others; each chain on its own is the sequential
-/// ascending-`k` loop.
-fn column_tile<const R: usize>(rows: &mut [f64], a_rows: &[f64], n: usize, lj: &[f64], diag: f64) {
+/// Column `j = lj.len()` of the factor for the `R` consecutive rows
+/// `i0..i0 + R` below the diagonal: `rows` holds them packed back to back
+/// and `a_rows` starts at row `i0` of the `n×n` matrix being factored.
+/// The `R` subtraction chains advance together, one `k` at a time, so the
+/// floating-point latency of one hides behind the others; each chain on
+/// its own is the sequential ascending-`k` loop.
+fn column_tile<const R: usize>(
+    rows: &mut [f64],
+    i0: usize,
+    a_rows: &[f64],
+    n: usize,
+    lj: &[f64],
+    diag: f64,
+) {
     let j = lj.len();
+    let start: [usize; R] = std::array::from_fn(|r| tri(i0 + r) - tri(i0));
     let mut sums: [f64; R] = std::array::from_fn(|r| a_rows[r * n + j]);
     {
-        let li: [&[f64]; R] = std::array::from_fn(|r| &rows[r * n..r * n + j]);
+        let li: [&[f64]; R] = std::array::from_fn(|r| &rows[start[r]..start[r] + j]);
         for (k, ljk) in lj.iter().enumerate() {
             for r in 0..R {
                 sums[r] -= li[r][k] * ljk;
@@ -453,7 +523,7 @@ fn column_tile<const R: usize>(rows: &mut [f64], a_rows: &[f64], n: usize, lj: &
         }
     }
     for r in 0..R {
-        rows[r * n + j] = sums[r] / diag;
+        rows[start[r] + j] = sums[r] / diag;
     }
 }
 
@@ -662,7 +732,7 @@ mod tests {
         for n in 1..=97 {
             let a = big_spd(n, 3 + n as u64);
             let got = Cholesky::new(&a).expect("SPD");
-            assert_same_bits(got.factor(), &reference_factor(&a).expect("SPD"));
+            assert_same_bits(&got.factor(), &reference_factor(&a).expect("SPD"));
         }
     }
 
@@ -678,7 +748,7 @@ mod tests {
             let mut a = b.matmul(&b.transpose());
             a.add_diagonal(0.5);
             let got = Cholesky::new(&a).expect("SPD");
-            assert_same_bits(got.factor(), &reference_factor(&a).expect("SPD"));
+            assert_same_bits(&got.factor(), &reference_factor(&a).expect("SPD"));
         }
 
         /// An indefinite matrix fails at the reference loop's pivot, at
@@ -712,7 +782,7 @@ mod tests {
             match (Cholesky::new_with_jitter(&gram), reference_jitter(&gram)) {
                 (Ok(c), Some((jitter, l))) => {
                     prop_assert_eq!(c.jitter().to_bits(), jitter.to_bits());
-                    assert_same_bits(c.factor(), &l);
+                    assert_same_bits(&c.factor(), &l);
                 }
                 (Err(_), None) => {}
                 (got, want) => panic!("ladder disagrees: {got:?} vs {want:?}"),

@@ -167,11 +167,12 @@ fn nei_score<C: Surrogate, K: Surrogate>(
 /// regenerating the stream (and re-sampling both posteriors) per call,
 /// and one [`Surrogate::predict_batch`] per GP instead of per-candidate
 /// predictions — the sparse tier answers the whole pool with a single
-/// gemm plus two blocked multi-RHS solves. Each result is bit-identical
-/// to calling [`constrained_nei`] on that candidate alone: a fresh
-/// 16-dim Halton stream produces the same draw sequence for every
-/// candidate index anyway, and `predict_batch` is contractually
-/// bit-identical to point-wise `predict`.
+/// gemm plus two blocked multi-RHS solves, the exact tier point by point
+/// on the caller's thread. Each result is bit-identical to calling
+/// [`constrained_nei`] on that candidate alone: a fresh 16-dim Halton
+/// stream produces the same draw sequence for every candidate index
+/// anyway, and `predict_batch` is contractually bit-identical to
+/// point-wise `predict`.
 pub fn constrained_nei_batch<C: Surrogate, K: Surrogate>(
     cost_gp: &C,
     constraint_gp: &K,

@@ -13,7 +13,7 @@ use std::error::Error;
 use std::fmt;
 
 use aqua_linalg::{Cholesky, Matrix};
-use aqua_sim::{par_map, SimRng};
+use aqua_sim::SimRng;
 
 use crate::kernel::{euclidean, unit_factors, Matern52};
 
@@ -183,10 +183,9 @@ impl Gp {
     /// likelihood over the configured grid.
     ///
     /// The distance matrix is computed once and shared by every
-    /// lengthscale candidate, outputscale candidates reduce to elementwise
-    /// scaling of per-lengthscale kernel factors, and candidates are
-    /// evaluated on a deterministic parallel map — all bit-identical to
-    /// the sequential one-kernel-build-per-candidate loop.
+    /// lengthscale candidate, and outputscale candidates reduce to
+    /// elementwise scaling of per-lengthscale kernel factors — both
+    /// bit-identical to one kernel build per candidate.
     ///
     /// # Errors
     ///
@@ -229,11 +228,12 @@ impl Gp {
         })
     }
 
-    /// Grid search over (lengthscale, outputscale), parallel across
-    /// lengthscales. Ties resolve exactly as the sequential
-    /// lengthscale-outer / outputscale-inner loop with strict `>` did:
-    /// each lengthscale keeps its first-best outputscale, and the ordered
-    /// cross-lengthscale reduction keeps the first best overall.
+    /// Grid search over (lengthscale, outputscale), lengthscale-outer and
+    /// outputscale-inner. Each lengthscale keeps its first-best
+    /// outputscale under strict `>`, and an ordered strict-`>` pick across
+    /// lengthscales keeps the first best overall. A NaN log likelihood
+    /// therefore replaces no earlier candidate, and one kept first is
+    /// replaced by none.
     fn select_hyperparams(
         dists: &Matrix,
         y: &[f64],
@@ -241,12 +241,13 @@ impl Gp {
     ) -> Option<(f64, Matern52, Cholesky, Vec<f64>)> {
         let n = dists.rows();
         let noise = config.noise.max(1e-9);
-        let per_ls = par_map(&config.lengthscale_grid, |_, &ls| {
-            // One factor pass per lengthscale, shared by all outputscales,
-            // and one kernel buffer overwritten per outputscale.
+        // One kernel buffer for the whole search, overwritten per candidate.
+        let mut k = Matrix::zeros(n, n);
+        let mut best: Option<(f64, Matern52, Cholesky, Vec<f64>)> = None;
+        for &ls in &config.lengthscale_grid {
+            // One factor pass per lengthscale, shared by all outputscales.
             let (poly, decay) = unit_factor_matrices(dists, ls);
-            let mut k = Matrix::zeros(n, n);
-            let mut best: Option<(f64, Matern52, Cholesky, Vec<f64>)> = None;
+            let mut best_ls: Option<(f64, Matern52, Cholesky, Vec<f64>)> = None;
             for &os in &config.outputscale_grid {
                 for ((k, p), e) in k.as_mut_slice().iter_mut().zip(&poly).zip(&decay) {
                     *k = (os * p) * e;
@@ -256,16 +257,14 @@ impl Gp {
                     continue;
                 };
                 let (lml, alpha) = Self::marginal_likelihood(&chol, y);
-                if best.as_ref().is_none_or(|(b, ..)| lml > *b) {
-                    best = Some((lml, Matern52::new(ls, os), chol, alpha));
+                if best_ls.as_ref().is_none_or(|(b, ..)| lml > *b) {
+                    best_ls = Some((lml, Matern52::new(ls, os), chol, alpha));
                 }
             }
-            best
-        });
-        let mut best: Option<(f64, Matern52, Cholesky, Vec<f64>)> = None;
-        for cand in per_ls.into_iter().flatten() {
-            if best.as_ref().is_none_or(|(b, ..)| cand.0 > *b) {
-                best = Some(cand);
+            if let Some(cand) = best_ls {
+                if best.as_ref().is_none_or(|(b, ..)| cand.0 > *b) {
+                    best = Some(cand);
+                }
             }
         }
         best

@@ -34,12 +34,10 @@
 //! Inducing selection, kernel-matrix construction, and every solve are
 //! deterministic: greedy selection breaks ties toward the lowest index,
 //! and the gemm kernels contract in fixed increasing-`k` order per output
-//! element regardless of SIMD tier or thread count. The exact tier is
-//! untouched by this module — golden traces on the exact-tier path stay
-//! byte-identical.
+//! element regardless of SIMD tier. The exact tier is untouched by this
+//! module — golden traces on the exact-tier path stay byte-identical.
 
 use aqua_linalg::{gemm, gemm_tn, pack_transpose, Cholesky, Matrix};
-use aqua_sim::par_map;
 
 use crate::gp::{points_to_matrix, standardize, Gp, GpConfig, GpError};
 use crate::kernel::{euclidean, Matern52};
@@ -91,13 +89,6 @@ impl Surrogate for Gp {
 
     fn predict(&self, x: &[f64]) -> (f64, f64) {
         Gp::predict(self, x)
-    }
-
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        // Deterministic parallel map: same bits as the sequential loop,
-        // and the per-candidate O(n²) solves are where batch-scoring
-        // wall-clock lives on the exact tier.
-        par_map(xs, |_, x| Gp::predict(self, x))
     }
 
     fn posterior_samples_at_support(&self, z: &[Vec<f64>]) -> Vec<Vec<f64>> {

@@ -1,33 +1,46 @@
-//! Deterministic, order-preserving parallel map.
+//! Deterministic, order-preserving parallel map: the one place the
+//! workspace spawns threads.
 //!
-//! The BO hot paths (hyperparameter grid search, acquisition scoring over
-//! candidate pools) are embarrassingly parallel, but the repository's
-//! golden-trace tests demand *bit-identical* replays. This helper keeps
-//! that contract by construction:
+//! Its fan-outs are whole runs or whole models: the scenario matrix's
+//! cells, the AQUATOPE pool's per-function model work, the sharded
+//! simulator's shards and the benchmark's forecaster drill. Golden-trace
+//! tests demand *bit-identical* replays, and this helper keeps that
+//! contract by construction:
 //!
 //! * the closure receives the item **index** and must be pure (no shared
 //!   mutable state, no RNG of its own);
 //! * items are split into contiguous chunks, one `std::thread::scope`
 //!   worker per chunk — no work stealing, no reordering;
-//! * results are collected back **in input order**, so the output is the
-//!   same `Vec` a sequential `map` would produce regardless of how many
-//!   threads actually ran.
+//! * results come back **in input order**, the `Vec` a sequential `map`
+//!   would produce whatever the thread count;
+//! * a fan-out inside a fan-out runs inline: a call on a worker thread
+//!   maps sequentially on that worker, so threads are spawned at one
+//!   level only.
 //!
 //! Thread count adapts to `std::thread::available_parallelism`, can be
 //! pinned with the `AQUA_THREADS` environment variable (`AQUA_THREADS=1`
 //! forces the sequential path), and never affects results — only wall
 //! clock.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 use std::thread;
 
-/// Number of worker threads to use for `len` items.
+thread_local! {
+    /// Set for the life of a worker thread.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Number of worker threads to use for `len` items; 1 on a worker thread.
 ///
 /// `AQUA_THREADS` is read on every call (tests toggle it in-process); the
 /// hardware count it falls back to costs affinity and cgroup syscalls, so
 /// that one is probed once per process.
 fn worker_threads(len: usize) -> usize {
     static HARDWARE: OnceLock<usize> = OnceLock::new();
+    if IN_WORKER.get() {
+        return 1;
+    }
     let cap = std::env::var("AQUA_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -41,8 +54,8 @@ fn worker_threads(len: usize) -> usize {
 /// Maps `f` over `items` in parallel, returning results in input order.
 ///
 /// Equivalent to `items.iter().enumerate().map(|(i, t)| f(i, t)).collect()`
-/// for any pure `f`, bit for bit. Falls back to the sequential loop for
-/// single-item inputs or single-threaded machines.
+/// for any pure `f`, bit for bit. Runs [`par_map_owned`] over the item
+/// references, so it falls back to the sequential loop in the same cases.
 ///
 /// # Panics
 ///
@@ -62,32 +75,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = worker_threads(items.len());
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<R>> = Vec::with_capacity(threads);
-    thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let f = &f;
-                s.spawn(move || {
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(j, t)| f(ci * chunk + j, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            chunks.push(h.join().expect("par_map worker panicked"));
-        }
-    });
-    chunks.into_iter().flatten().collect()
+    par_map_owned(items.iter().collect(), f)
 }
 
 /// Like [`par_map`] but takes **ownership** of the items and passes them to
@@ -96,7 +84,9 @@ where
 ///
 /// Results come back in input order; the same determinism contract as
 /// [`par_map`] applies (contiguous chunks, no work stealing, thread count
-/// affects only wall clock, `AQUA_THREADS=1` forces the sequential path).
+/// affects only wall clock). Runs sequentially for fewer than two items,
+/// under `AQUA_THREADS=1`, on a single-core host and on a worker thread of
+/// another fan-out.
 ///
 /// # Panics
 ///
@@ -118,44 +108,35 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let threads = worker_threads(items.len());
-    if threads <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
     let chunk = items.len().div_ceil(threads);
-    let mut owned: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    loop {
-        let c: Vec<T> = it.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        owned.push(c);
-    }
-    let mut chunks: Vec<Vec<R>> = Vec::with_capacity(owned.len());
-    thread::scope(|s| {
-        let handles: Vec<_> = owned
+    let run = |ci: usize, slice: Vec<T>| -> Vec<R> {
+        slice
             .into_iter()
             .enumerate()
-            .map(|(ci, slice)| {
-                let f = &f;
+            .map(|(j, t)| f(ci * chunk + j, t))
+            .collect()
+    };
+    if threads <= 1 {
+        return run(0, items);
+    }
+    let workers = items.len().div_ceil(chunk);
+    let mut rest = items.into_iter();
+    thread::scope(|s| {
+        let run = &run;
+        let handles: Vec<_> = (0..workers)
+            .map(|ci| {
+                let slice: Vec<T> = rest.by_ref().take(chunk).collect();
                 s.spawn(move || {
-                    slice
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, t)| f(ci * chunk + j, t))
-                        .collect::<Vec<R>>()
+                    IN_WORKER.set(true);
+                    run(ci, slice)
                 })
             })
             .collect();
-        for h in handles {
-            chunks.push(h.join().expect("par_map_owned worker panicked"));
-        }
-    });
-    chunks.into_iter().flatten().collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("par_map worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -210,5 +191,21 @@ mod tests {
             let expected: Vec<Vec<usize>> = (0..len).map(|i| vec![i, i]).collect();
             assert_eq!(out, expected, "len {len}");
         }
+    }
+
+    #[test]
+    fn nested_fan_out_runs_on_the_worker_thread() {
+        // Whether every item of a nested map ran on the calling thread.
+        let inline = |_: usize, _: &usize| {
+            let me = thread::current().id();
+            par_map(&[0; 16], |_, _| thread::current().id())
+                .iter()
+                .all(|&id| id == me)
+        };
+        let outer: Vec<usize> = (0..4).collect();
+        assert!(par_map(&outer, inline).into_iter().all(|ok| ok));
+        assert!(par_map_owned(outer, |i, t| inline(i, &t))
+            .into_iter()
+            .all(|ok| ok));
     }
 }

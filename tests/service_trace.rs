@@ -6,7 +6,9 @@
 //! fits, while a steady tenant completes everything (`tenant_complete`,
 //! `warm_hit`, `cold_start_begin`). The trace is compared byte-for-byte
 //! against `tests/golden/service_two_tenant.jsonl` and must be identical
-//! under `AQUA_THREADS` ∈ {1, 2, 8}.
+//! under `AQUA_THREADS` ∈ {1, 2, 8}. Under `ReactiveAutoscale` the plane
+//! has no fan-out, so the sweep guards against a thread-dependent path
+//! coming back.
 //!
 //! After an *intentional* scheduling change, re-bless the golden with
 //! `BLESS=1 cargo test`.
@@ -96,8 +98,8 @@ fn two_tenant_trace() -> String {
 }
 
 /// One test (not several) because `AQUA_THREADS` is process-global: the
-/// thread-count sweep must run sequentially, and the golden comparison
-/// rides on the first (single-threaded) trace.
+/// sweep, a guard for any fan-out added to the plane, must run
+/// sequentially, and the golden comparison rides on the first trace.
 #[test]
 fn golden_two_tenant_service_trace_is_thread_count_invariant() {
     let mut traces = Vec::new();

@@ -3,18 +3,18 @@
 //! a byte-identical JSONL trace whether the parallel kernels run on 1, 2,
 //! or 8 threads.
 //!
-//! The pool's per-function model work — and, for `shards >= 2`, the
-//! per-shard event loops — fans out through `aqua_sim::par_map_owned`,
-//! which reads `AQUA_THREADS` per call: the only thing a thread-count
-//! change may affect is wall clock, never a decision. Shard counts are
-//! **not** compared to each other — each count is its own deterministic
-//! model (per-shard RNG and fault streams; see `DESIGN.md`, "Sharded
-//! execution"). Faults are active so the fault streams, retries, and
-//! kills are covered by the guarantee too.
+//! The pool's per-function model work (its ticks run on the driver
+//! thread) and, for `shards >= 2`, the per-shard event loops fan out
+//! through `aqua_sim::par_map_owned`, which reads `AQUA_THREADS` per call:
+//! a thread-count change may affect wall clock, never a decision. Shard
+//! counts are **not** compared to each other — each count is its own
+//! deterministic model (per-shard RNG and fault streams; see `DESIGN.md`,
+//! "Sharded execution"). Faults are active so the fault streams, retries,
+//! and kills are covered by the guarantee too.
 //!
-//! The live control plane's thread-count sweep lives in
-//! `tests/service_trace.rs`: the same `AQUA_THREADS` ∈ {1, 2, 8}
-//! guarantee over a two-tenant service run, pinned to a golden trace.
+//! The live control plane's `AQUA_THREADS` ∈ {1, 2, 8} sweep lives in
+//! `tests/service_trace.rs`: a two-tenant run pinned to a golden trace,
+//! with no fan-out today, so it guards against one returning.
 
 use aquatope::faas::prelude::*;
 use aquatope::faas::sim::WorkflowJob;

@@ -27,6 +27,6 @@ pub use chol::{Cholesky, NotPositiveDefiniteError};
 pub use gemm::{col_sum_acc, gemm, gemm_acc, gemm_sub_acc, gemm_tn, pack_transpose};
 pub use matrix::Matrix;
 pub use stats::{
-    mean, normal_cdf, normal_pdf, normal_quantile, quantile, quantile_sorted, sample_std,
-    sample_var, select_quantiles, smape, sorted,
+    chunked_quantiles, chunked_quantiles_by_key, mean, normal_cdf, normal_pdf, normal_quantile,
+    quantile, quantile_sorted, sample_std, sample_var, select_quantiles, smape, sorted,
 };

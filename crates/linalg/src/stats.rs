@@ -31,35 +31,103 @@ pub fn sample_std(xs: &[f64]) -> f64 {
 
 /// Empirical quantile with linear interpolation, `q ∈ [0, 1]`: bit for bit
 /// what [`quantile_sorted`] reads from [`sorted`]`(xs)`, found on the
-/// borrowed sample by radix counting over [`f64::total_cmp`] keys — no
-/// copy, no sort.
-///
-/// A sample holding both `-0.0` and `+0.0` is read as
-/// [`select_quantiles`] reads it, from a sorted copy.
+/// borrowed sample by [`chunked_quantiles`] — no copy, no sort.
 ///
 /// # Panics
 ///
 /// Panics if `xs` is empty or holds a NaN, or `q` is outside `[0, 1]`.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    if check_sample(xs, &[q]) {
-        let [v] = select_quantiles(&mut xs.to_vec(), [q]);
-        return v;
-    }
-    let (lo, hi, pos) = rank_pos(xs.len(), q);
-    let (at_lo, above) = radix_select(xs, lo);
-    if lo == hi {
-        at_lo
-    } else {
-        let w = pos - lo as f64;
-        at_lo * (1.0 - w) + above * w
-    }
+    let [v] = chunked_quantiles(std::iter::once(xs), [q]);
+    v
 }
 
-/// Checks a quantile query the way a sort would meet it, panicking on an
-/// empty sample, a NaN among two or more samples, or a `q` outside
-/// `[0, 1]`. Returns whether `xs` holds both `-0.0` and `+0.0`, which
-/// compare equal but differ in their bits: only a stable sort knows which
-/// of them lands at a rank.
+/// The quantiles `qs` of the concatenation of `chunks`, each bit for bit
+/// what [`select_quantiles`] reads from it, found by radix counting over
+/// [`f64::total_cmp`] keys on the borrowed chunks: no copy, no heap, and
+/// every quantile's ranks selected in the same passes.
+///
+/// `-0.0` and `+0.0` share one key; a rank that lands on a zero reads the
+/// zero the stable sort would put there, found by counting zeros in input
+/// order.
+///
+/// # Panics
+///
+/// As [`select_quantiles`]: if the chunks hold no sample or (with two or
+/// more samples) a NaN, or any `q` is outside `[0, 1]`.
+pub fn chunked_quantiles<'a, const N: usize>(
+    chunks: impl Iterator<Item = &'a [f64]> + Clone,
+    qs: [f64; N],
+) -> [f64; N] {
+    /// `total_cmp`'s order as an unsigned integer order, `-0.0` read as
+    /// `+0.0`.
+    fn key(x: &f64) -> u64 {
+        let bits = match x.to_bits() {
+            z if z == 1 << 63 => 0,
+            bits => bits,
+        };
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+    let range = key_range(chunks.clone(), key);
+    // NaNs are the keys outside the infinities'.
+    let nan = range.1 < key(&f64::NEG_INFINITY) || range.2 > key(&f64::INFINITY);
+    check_query(nan, range.0, &qs);
+    let zero = key(&0.0);
+    quantiles_at_keys(chunks.clone(), key, range, qs, |k, equal_below| {
+        if k == zero {
+            // The stable sort keeps zeros in input order.
+            *chunks
+                .clone()
+                .flatten()
+                .filter(|x| **x == 0.0)
+                .nth(equal_below)
+                .expect("a selected zero is in the sample")
+        } else {
+            f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+        }
+    })
+}
+
+/// The quantiles `qs` of the elements of `chunks`, read through an
+/// integer `key` of each and a `value` of the key, as [`chunked_quantiles`]
+/// finds them. Bit for bit what [`select_quantiles`] reads from the values
+/// of the concatenation when `value` is non-decreasing in the key and maps
+/// equal keys to equal bits — e.g. whole microseconds read as seconds.
+///
+/// # Panics
+///
+/// Panics if the chunks hold no element or any `q` is outside `[0, 1]`.
+pub fn chunked_quantiles_by_key<'a, T: 'a, const N: usize>(
+    chunks: impl Iterator<Item = &'a [T]> + Clone,
+    key: impl Fn(&T) -> u64,
+    value: impl Fn(u64) -> f64,
+    qs: [f64; N],
+) -> [f64; N] {
+    let range = key_range(chunks.clone(), &key);
+    check_query(false, range.0, &qs);
+    quantiles_at_keys(chunks, key, range, qs, |k, _| value(k))
+}
+
+/// Panics on a query a sort could not answer, in the order a sort meets
+/// them: a NaN among two or more samples, an empty sample, a `q` outside
+/// `[0, 1]`.
+fn check_query(nan: bool, n: usize, qs: &[f64]) {
+    // A sort of two or more samples compares each one, so it meets any NaN.
+    assert!(!(nan && n > 1), "NaN in quantile input");
+    assert!(n > 0, "quantile of an empty slice");
+    assert!(
+        qs.iter().all(|q| (0.0..=1.0).contains(q)),
+        "q must be in [0, 1]"
+    );
+}
+
+/// Checks a quantile query the way a sort would meet it ([`check_query`]).
+/// Returns whether `xs` holds both `-0.0` and `+0.0`, which compare equal
+/// but differ in their bits: only a stable sort knows which of them lands
+/// at a rank.
 fn check_sample(xs: &[f64], qs: &[f64]) -> bool {
     let (mut nan, mut pos_zero, mut neg_zero) = (false, false, false);
     for &x in xs {
@@ -67,84 +135,147 @@ fn check_sample(xs: &[f64], qs: &[f64]) -> bool {
         pos_zero |= x == 0.0 && x.is_sign_positive();
         neg_zero |= x == 0.0 && x.is_sign_negative();
     }
-    // A sort of two or more samples compares each one, so it meets any NaN.
-    assert!(!(nan && xs.len() > 1), "NaN in quantile input");
-    assert!(!xs.is_empty(), "quantile of an empty slice");
-    assert!(
-        qs.iter().all(|q| (0.0..=1.0).contains(q)),
-        "q must be in [0, 1]"
-    );
+    check_query(nan, xs.len(), qs);
     pos_zero && neg_zero
 }
 
-/// The order statistic at `rank` of `xs` under [`f64::total_cmp`], and
-/// the one at `rank + 1` (meaningless when `rank` is the last), read from
-/// the borrowed slice with no allocation.
-///
-/// Each pass counts, among the samples whose key agrees with the bytes
-/// fixed so far, how many carry each value of the next byte, and fixes the
-/// byte whose bucket holds `rank` — eight 8-bit passes at most, over keys
-/// that order like `total_cmp`. It stops early once one sample is left. A
-/// last pass reads the sample(s) left and the least sample above them.
-///
-/// Under `total_cmp`, values that share a key share their bits, and it
-/// orders like the comparison sort only where `-0.0` and `+0.0` do not
-/// meet — the caller's job.
-fn radix_select(xs: &[f64], rank: usize) -> (f64, f64) {
-    /// `total_cmp`'s order as an unsigned integer order.
-    fn key(x: f64) -> u64 {
-        let bits = x.to_bits();
-        if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | 1 << 63
-        }
-    }
-    fn value(key: u64) -> f64 {
-        f64::from_bits(if key >> 63 == 1 {
-            key & !(1 << 63)
-        } else {
-            !key
-        })
-    }
-
-    // `rank` among the `left` samples whose key has `prefix` under `mask`.
-    let (mut prefix, mut mask, mut rank, mut left) = (0u64, 0u64, rank, xs.len());
-    for shift in (0..64).step_by(8).rev() {
-        if left == 1 {
-            break;
-        }
-        let mut counts = [0usize; 256];
-        for &x in xs {
+/// The number of elements of `chunks` and the least and greatest of their
+/// keys.
+fn key_range<'a, T: 'a>(
+    chunks: impl Iterator<Item = &'a [T]>,
+    key: impl Fn(&T) -> u64,
+) -> (usize, u64, u64) {
+    let (mut n, mut min, mut max) = (0, u64::MAX, 0);
+    for chunk in chunks {
+        n += chunk.len();
+        for x in chunk {
             let k = key(x);
-            if k & mask == prefix {
-                counts[(k >> shift) as usize & 0xff] += 1;
+            min = min.min(k);
+            max = max.max(k);
+        }
+    }
+    (n, min, max)
+}
+
+/// The quantiles `qs` of a non-empty sample whose keys span `range`
+/// ([`key_range`]), interpolated between the values `value(key,
+/// equal_below)` of the order statistics [`select_ranks`] finds.
+fn quantiles_at_keys<'a, T: 'a, const N: usize>(
+    chunks: impl Iterator<Item = &'a [T]> + Clone,
+    key: impl Fn(&T) -> u64,
+    range: (usize, u64, u64),
+    qs: [f64; N],
+    value: impl Fn(u64, usize) -> f64,
+) -> [f64; N] {
+    let n = range.0;
+    let ranks = qs.map(|q| {
+        let (lo, hi, _) = rank_pos(n, q);
+        [lo, hi]
+    });
+    let mut at = select_ranks(chunks, key, range, ranks).into_iter();
+    qs.map(|q| {
+        let [lo, hi] = at.next().expect("one selection per quantile");
+        interpolate(n, q, value(lo.0, lo.1), value(hi.0, hi.1))
+    })
+}
+
+/// The histogram one counting pass fills: 8 Ki counts (64 KiB), split
+/// evenly among the key prefixes the pass refines.
+const BUCKETS: usize = 1 << 13;
+
+/// For each of `ranks`, the key at that rank of the keys of the elements
+/// of `chunks` in ascending order, and how many keys equal to it rank
+/// below it. `range` is the sample's [`key_range`]; the sample is not
+/// empty.
+///
+/// Every bit above the highest one where the least and greatest keys
+/// differ is common to all keys. Each pass then fixes the next digit of
+/// every rank's key: it counts, for each distinct prefix fixed so far, how
+/// many keys under that prefix carry each value of the digit, and moves
+/// each rank into the bucket that holds it. A pass refining `g` prefixes
+/// uses `log2(BUCKETS / g)`-bit digits. The passes stop once every bit is
+/// fixed, or once every rank is the only key under its prefix, and then
+/// one last pass reads those keys.
+fn select_ranks<'a, T: 'a, const N: usize>(
+    chunks: impl Iterator<Item = &'a [T]> + Clone,
+    key: impl Fn(&T) -> u64,
+    (n, min, max): (usize, u64, u64),
+    ranks: [[usize; 2]; N],
+) -> [[(u64, usize); 2]; N] {
+    /// A rank being selected.
+    #[derive(Clone, Copy)]
+    struct Rank {
+        /// Its rank among the `left` keys that share `prefix`.
+        rank: usize,
+        /// The key bits fixed so far; the rest are 0.
+        prefix: u64,
+        left: usize,
+    }
+    const { assert!(2 * N <= BUCKETS, "too many quantiles for one histogram") };
+    let above = |low: u32| u64::MAX.checked_shl(low).unwrap_or(0);
+    // Bits below `low` are still open.
+    let mut low = u64::BITS - (min ^ max).leading_zeros();
+    let mut sel = ranks.map(|pair| {
+        pair.map(|rank| Rank {
+            rank,
+            prefix: min & above(low),
+            left: n,
+        })
+    });
+    let sel_flat = sel.as_flattened_mut();
+    let mut prefixes = [[0u64; 2]; N];
+    let prefixes = prefixes.as_flattened_mut();
+    let mut hist = [0usize; BUCKETS];
+    while low > 0 && sel_flat.iter().any(|s| s.left > 1) {
+        let mut groups = 0;
+        for s in sel_flat.iter() {
+            if !prefixes[..groups].contains(&s.prefix) {
+                prefixes[groups] = s.prefix;
+                groups += 1;
             }
         }
-        let mut byte = 0;
-        while rank >= counts[byte] {
-            rank -= counts[byte];
-            byte += 1;
+        let prefixes = &prefixes[..groups];
+        let bits = (BUCKETS / groups).ilog2().min(low);
+        let (shift, mask) = (low - bits, above(low));
+        let hist = &mut hist[..groups << bits];
+        hist.fill(0);
+        for chunk in chunks.clone() {
+            for x in chunk {
+                let k = key(x);
+                if let Some(g) = prefixes.iter().position(|&p| p == k & mask) {
+                    hist[g << bits | (k >> shift) as usize & ((1 << bits) - 1)] += 1;
+                }
+            }
         }
-        prefix |= (byte as u64) << shift;
-        mask |= 0xff << shift;
-        left = counts[byte];
+        for s in sel_flat.iter_mut() {
+            let g = prefixes
+                .iter()
+                .position(|&p| p == s.prefix)
+                .expect("a group per prefix");
+            let counts = &hist[g << bits..(g + 1) << bits];
+            let mut digit = 0;
+            while s.rank >= counts[digit] {
+                s.rank -= counts[digit];
+                digit += 1;
+            }
+            s.prefix |= (digit as u64) << shift;
+            s.left = counts[digit];
+        }
+        low = shift;
     }
-    // Every sample left shares the selected key once all eight bytes are
-    // fixed; before that, exactly one is left.
-    let (mut at, mut above) = (prefix, u64::MAX);
-    for &x in xs {
-        let k = key(x);
-        if k & mask == prefix {
-            at = k;
-        } else if k & mask > prefix {
-            above = above.min(k);
+    if low > 0 {
+        // Each rank is the one key under its prefix.
+        let mask = above(low);
+        for chunk in chunks {
+            for x in chunk {
+                let k = key(x);
+                for s in sel_flat.iter_mut().filter(|s| s.prefix & mask == k & mask) {
+                    s.prefix = k;
+                }
+            }
         }
     }
-    if rank + 1 < left {
-        above = at;
-    }
-    (value(at), value(above))
+    sel.map(|pair| pair.map(|s| (s.prefix, s.rank)))
 }
 
 /// The quantiles `qs` of `xs`, each bit for bit what [`quantile_sorted`]
@@ -181,7 +312,7 @@ pub fn select_quantiles<const N: usize>(xs: &mut [f64], qs: [f64; N]) -> [f64; N
             from = r + 1;
         }
     }
-    qs.map(|q| interpolate(xs, q))
+    qs.map(|q| interpolate_ranked(xs, q))
 }
 
 /// The two ranks [`quantile_sorted`] interpolates between for `q` in a
@@ -191,16 +322,23 @@ fn rank_pos(n: usize, q: f64) -> (usize, usize, f64) {
     (pos.floor() as usize, pos.ceil() as usize, pos)
 }
 
-/// Linear interpolation between the order statistics at the ranks of `q`,
-/// read from a slice where at least those two ranks hold their values.
-fn interpolate(ranked: &[f64], q: f64) -> f64 {
-    let (lo, hi, pos) = rank_pos(ranked.len(), q);
+/// Linear interpolation for `q` in a sample of `n` between the order
+/// statistics at its two ranks ([`rank_pos`]).
+fn interpolate(n: usize, q: f64, at_lo: f64, at_hi: f64) -> f64 {
+    let (lo, hi, pos) = rank_pos(n, q);
     if lo == hi {
-        ranked[lo]
+        at_lo
     } else {
         let w = pos - lo as f64;
-        ranked[lo] * (1.0 - w) + ranked[hi] * w
+        at_lo * (1.0 - w) + at_hi * w
     }
+}
+
+/// [`interpolate`] read from a slice where at least the two ranks of `q`
+/// hold their values.
+fn interpolate_ranked(ranked: &[f64], q: f64) -> f64 {
+    let (lo, hi, _) = rank_pos(ranked.len(), q);
+    interpolate(ranked.len(), q, ranked[lo], ranked[hi])
 }
 
 /// Ascending copy of `xs`, the order [`quantile_sorted`] interpolates over.
@@ -223,7 +361,7 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of an empty slice");
     assert!((0.0..=1.0).contains(&q), "q must be in [0, 1]");
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "sample not sorted");
-    interpolate(sorted, q)
+    interpolate_ranked(sorted, q)
 }
 
 /// Standard normal probability density function.

@@ -208,13 +208,25 @@ pub struct ServiceReport {
     pub tenants: Vec<TenantReport>,
 }
 
-/// Per-job static state the plane derives once at construction.
+/// Per-job state: what the plane derives once at construction, and where
+/// the job's completions go.
+///
+/// **Slot rule.** `arrivals` is the job's trace, and it also holds the
+/// job's completion latencies: the `c`-th completion (0-based) writes its
+/// latency, whole microseconds as a [`SimTime`], into slot `c`. Arrival
+/// `k` is read when arrival `k − 1` re-arms it (arrival 0 when the run
+/// starts), and never again. A workflow completes only after the arrival
+/// that admitted it fired, so when the `c`-th completion lands at least
+/// `c + 1` arrivals have fired, and slot `c` has been read. Slots
+/// `..completions` hold the latencies in completion order.
 struct JobState {
     dag: WorkflowDag,
     arrivals: Vec<SimTime>,
     /// Stage-0 config normalized into `[0,1]^3` — the model coordinate
     /// for this app's workflow latency observations.
     u: [f64; 3],
+    /// Arrivals of this job that have fired, the drain's included.
+    fired: usize,
     completions: u64,
 }
 
@@ -311,67 +323,29 @@ impl InstanceSlab {
     }
 }
 
-/// Completion latencies, seconds, in one buffer allocated once: a region
-/// per tenant, sized to the arrivals its jobs offer, each filled in
-/// completion order. A tenant completes at most one workflow per arrival,
-/// so no region overflows and the buffer never grows.
-#[derive(Default)]
-struct CompletionStore {
-    latencies: Vec<f64>,
-    /// Where each tenant's region starts, then the buffer's length.
-    bounds: Vec<usize>,
-    /// One past the last filled entry of each tenant's region.
-    fill: Vec<usize>,
-    /// Every latency summed in completion order: the left-to-right fold
-    /// `aqua_linalg::mean` makes over the completion-order sample.
-    sum: f64,
-}
-
-impl CompletionStore {
-    /// A store with one region of `sizes[t]` entries per tenant `t`.
-    fn new(sizes: &[usize]) -> Self {
-        let mut bounds = Vec::with_capacity(sizes.len() + 1);
-        bounds.push(0);
-        for &size in sizes {
-            bounds.push(bounds[bounds.len() - 1] + size);
-        }
-        CompletionStore {
-            latencies: vec![0.0; bounds[sizes.len()]],
-            fill: bounds[..sizes.len()].to_vec(),
-            bounds,
-            sum: 0.0,
-        }
+/// The summary of the latencies in `slots`, whole microseconds each,
+/// whose completion-order sum is `sum`: bit for bit [`LatencySummary::of`]
+/// over the completion-order sample. The quantiles and the maximum do not
+/// depend on the order they are read in, `as_secs_f64` is non-decreasing
+/// in the microseconds, and the sum is the fold `aqua_linalg::mean` makes.
+fn summary<'a>(slots: impl Iterator<Item = &'a [SimTime]> + Clone, sum: f64) -> LatencySummary {
+    let count = slots.clone().map(<[_]>::len).sum();
+    if count == 0 {
+        return LatencySummary::default();
     }
-
-    fn push(&mut self, tenant: usize, latency: f64) {
-        let at = self.fill[tenant];
-        debug_assert!(at < self.bounds[tenant + 1], "tenant {tenant} overfilled");
-        self.latencies[at] = latency;
-        self.fill[tenant] = at + 1;
-        self.sum += latency;
-    }
-
-    /// Each tenant's summary, reduced in its own region, and the global
-    /// one, reduced over the regions packed to the front of the buffer.
-    /// Quantiles and the maximum do not depend on the order they are read
-    /// in, and the global mean comes from the completion-order sum, so
-    /// both equal a reduction of the completion-order sample.
-    fn summaries(mut self) -> (Vec<LatencySummary>, LatencySummary) {
-        let mut packed = 0;
-        let tenants = (0..self.fill.len())
-            .map(|t| {
-                let region = self.bounds[t]..self.fill[t];
-                let summary = LatencySummary::of_in_place(&mut self.latencies[region.clone()]);
-                self.latencies.copy_within(region, packed);
-                packed += summary.count;
-                summary
-            })
-            .collect();
-        let mut global = LatencySummary::of_in_place(&mut self.latencies[..packed]);
-        if packed > 0 {
-            global.mean = self.sum / packed as f64;
-        }
-        (tenants, global)
+    let [p50, p90, p99, max] = aqua_linalg::chunked_quantiles_by_key(
+        slots,
+        |t| t.as_micros(),
+        |us| SimTime::from_micros(us).as_secs_f64(),
+        [0.5, 0.9, 0.99, 1.0],
+    );
+    LatencySummary {
+        count,
+        mean: sum / count as f64,
+        p50,
+        p90,
+        p99,
+        max,
     }
 }
 
@@ -405,8 +379,8 @@ pub struct ControlPlane {
     starved_flag: Vec<bool>,
     draining: bool,
     telemetry: Telemetry,
-    /// Completion latencies; sized by [`ControlPlane::run`].
-    latencies: CompletionStore,
+    /// Every completion latency summed in completion order.
+    latency_sum: f64,
     completed: u64,
     rejected: u64,
     skipped_in_drain: u64,
@@ -416,6 +390,8 @@ pub struct ControlPlane {
     plan: TenantPlan,
     /// Per-tenant completed-but-late counts.
     tenant_qos_misses: Vec<u64>,
+    /// Per-tenant latency sums, each in completion order.
+    tenant_latency_sums: Vec<f64>,
     /// Predictive checks left in the current policy window.
     predictive_left: u32,
 }
@@ -460,6 +436,7 @@ impl ControlPlane {
                 u: stage0_u(&job.configs),
                 dag: job.dag,
                 arrivals: job.arrivals,
+                fired: 0,
                 completions: 0,
             })
             .collect();
@@ -496,12 +473,13 @@ impl ControlPlane {
             starved_flag: vec![false; functions],
             draining: false,
             telemetry: Telemetry::disabled(),
-            latencies: CompletionStore::default(),
+            latency_sum: 0.0,
             completed: 0,
             rejected: 0,
             skipped_in_drain: 0,
             invocations_executed: 0,
             tenant_qos_misses: vec![0],
+            tenant_latency_sums: vec![0.0],
             predictive_left,
             plan,
             cfg,
@@ -544,6 +522,7 @@ impl ControlPlane {
             self.pool.set_tenancy(fn_tenant, shares);
         }
         self.tenant_qos_misses = vec![0; plan.tenants()];
+        self.tenant_latency_sums = vec![0.0; plan.tenants()];
         self.plan = plan;
         self
     }
@@ -573,11 +552,6 @@ impl ControlPlane {
     /// [`ServiceConfig::run_for`], and the loop exits when the drain
     /// finishes. Consumes the plane and returns its report.
     pub fn run(mut self) -> ServiceReport {
-        let mut offered = vec![0; self.plan.tenants()];
-        for (job, tenant) in self.jobs.iter().zip(&self.plan.job_tenants) {
-            offered[tenant.0] += job.arrivals.len();
-        }
-        self.latencies = CompletionStore::new(&offered);
         for j in 0..self.jobs.len() {
             if let Some(&t) = self.jobs[j].arrivals.first() {
                 self.queue.push(t, SvcEvent::Arrival { job: j, k: 0 });
@@ -597,6 +571,7 @@ impl ControlPlane {
     fn handle(&mut self, now: SimTime, ev: SvcEvent) {
         match ev {
             SvcEvent::Arrival { job, k } => {
+                self.jobs[job].fired = k + 1;
                 if self.draining {
                     self.skipped_in_drain += 1;
                     return;
@@ -1018,8 +993,10 @@ impl ControlPlane {
             let tenant = self.plan.job_tenants[job];
             self.admission.finish(tenant);
             self.completed += 1;
-            let latency = (now - admitted_at).as_secs_f64();
-            self.latencies.push(tenant.0, latency);
+            let took = now - admitted_at;
+            let latency = took.as_secs_f64();
+            self.latency_sum += latency;
+            self.tenant_latency_sums[tenant.0] += latency;
             if latency > self.plan.classes[tenant.0].slo_secs() {
                 self.tenant_qos_misses[tenant.0] += 1;
             }
@@ -1031,6 +1008,10 @@ impl ControlPlane {
                 latency_secs: latency,
             });
             let js = &mut self.jobs[job];
+            // The slot rule at `JobState`.
+            let slot = js.completions as usize;
+            debug_assert!(slot < js.fired, "job {job} completes more than arrived");
+            js.arrivals[slot] = SimTime::ZERO + took;
             js.completions += 1;
             if js.completions.is_multiple_of(self.cfg.model_sample_every) {
                 let u = js.u;
@@ -1066,17 +1047,27 @@ impl ControlPlane {
         let swept = self.pool.shutdown_sweep(self.queue.now());
         let live = self.pool.live_containers();
         self.telemetry.flush();
-        let (tenant_latency, latency) = self.latencies.summaries();
-        let tenants = tenant_latency
-            .into_iter()
-            .enumerate()
-            .map(|(t, latency)| TenantReport {
-                admission: self.admission.tenant_stats(TenantId(t)),
-                latency,
-                qos_misses: self.tenant_qos_misses[t],
-                slo_secs: self.plan.classes[t].slo_secs(),
+        // Each job's completion latencies (the slot rule at `JobState`).
+        let slots = self
+            .jobs
+            .iter()
+            .map(|job| &job.arrivals[..job.completions as usize]);
+        let tenants = (0..self.plan.tenants())
+            .map(|t| {
+                let of_t = slots
+                    .clone()
+                    .zip(&self.plan.job_tenants)
+                    .filter(move |(_, tenant)| tenant.0 == t)
+                    .map(|(s, _)| s);
+                TenantReport {
+                    admission: self.admission.tenant_stats(TenantId(t)),
+                    latency: summary(of_t, self.tenant_latency_sums[t]),
+                    qos_misses: self.tenant_qos_misses[t],
+                    slo_secs: self.plan.classes[t].slo_secs(),
+                }
             })
             .collect();
+        let latency = summary(slots, self.latency_sum);
         ServiceReport {
             sim_horizon: self.queue.now(),
             events_processed: self.events_processed,
@@ -1403,25 +1394,52 @@ mod tests {
         assert!(report.cost_gb_s > 0.0, "containers held memory for a while");
     }
 
-    /// The per-tenant regions of the completion store reduce to what the
-    /// completion-order log does: each tenant's sample filtered out of it,
-    /// and the whole log, through [`LatencySummary::of`].
+    /// The latencies the jobs keep in their spent arrival slots reduce to
+    /// what the completion-order log does: each tenant's sample filtered
+    /// out of it, and the whole log, through [`LatencySummary::of`].
     #[test]
-    fn completion_store_matches_the_completion_order_log() {
+    fn arrival_slot_summaries_match_the_completion_order_log() {
         use aqua_faas::QosClass;
-        let (reg, mut jobs) = chain_jobs(4, 40);
+        let (mut reg, mut jobs) = chain_jobs(4, 40);
         // Tenant 2's job arrives faster than one slot serves it, so it
-        // sheds and its region ends part-full; tenant 1's job arrives only
-        // after shutdown, so its region stays empty.
+        // sheds; tenant 1's job arrives only after shutdown, so its first
+        // arrival is skipped in drain and it completes nothing.
         jobs[1].arrivals = (0..40).map(|i| SimTime::from_millis(20 * i + 5)).collect();
         jobs[3].arrivals = (0..40).map(|i| SimTime::from_secs(200 + i)).collect();
+        // A burst of 60 arrivals 1 ms apart, each waiting out a cold start
+        // and a 300 ms run: the job's first completion lands after its
+        // last arrival fired, 60 slots behind its arrivals.
+        let slow = reg.register(
+            FunctionSpec::new("slow")
+                .with_work_ms(300.0)
+                .with_exec_cv(0.0)
+                .with_cold_start(100.0, 0.0),
+        );
+        let dag = WorkflowDag::chain("burst", vec![slow]);
+        let configs = StageConfigs::uniform(&dag, aqua_faas::ResourceConfig::default());
+        let burst = (0..60).map(|i| SimTime::from_millis(3_000 + i)).collect();
+        jobs.push(WorkflowJob::new(dag, configs, burst));
+        // Tenant 0's second job runs past the shutdown at 120 s: its 300
+        // arrivals before it are admitted, and those still in flight
+        // complete into their slots during the drain; the one at
+        // 120.39 s is skipped and re-arms no more.
+        jobs[2].arrivals = (0..320)
+            .map(|i| SimTime::from_millis(400 * i + 390))
+            .collect();
         let plan = TenantPlan {
             classes: vec![
                 QosClass::unlimited(),
                 QosClass::unlimited(),
                 QosClass::new(SimDuration::from_secs(30), 1, 1, 0.0),
+                QosClass::unlimited(),
             ],
-            job_tenants: vec![TenantId(0), TenantId(2), TenantId(0), TenantId(1)],
+            job_tenants: vec![
+                TenantId(0),
+                TenantId(2),
+                TenantId(0),
+                TenantId(1),
+                TenantId(3),
+            ],
         };
         let mut plane = ControlPlane::new(
             reg,
@@ -1433,10 +1451,8 @@ mod tests {
         .with_tenants(plan);
         let rec = record(&mut plane);
         let report = plane.run();
-        let log: Vec<(usize, f64)> = rec
-            .lock()
-            .unwrap()
-            .events()
+        let events = rec.lock().unwrap().events();
+        let log: Vec<(usize, f64)> = events
             .iter()
             .filter_map(|e| match *e {
                 SimEvent::TenantComplete {
@@ -1453,9 +1469,28 @@ mod tests {
         };
         let shed = &report.tenants[2];
         assert!(shed.admission.shed_arrivals > 0, "tenant 2 must shed");
-        assert!((1..40).contains(&shed.latency.count), "part-full region");
+        assert!(
+            (1..40).contains(&shed.latency.count),
+            "part of tenant 2 completes"
+        );
         assert_eq!(report.tenants[1].latency, LatencySummary::default());
-        assert_eq!(report.tenants[0].latency.count, 80);
+        assert_eq!(report.arrivals_skipped_in_drain, 2, "jobs 2 and 3");
+        assert_eq!(report.tenants[0].latency.count, 40 + 300);
+        // The burst's first completion lands after its last arrival fired.
+        let first_done = events
+            .iter()
+            .find_map(|e| match *e {
+                SimEvent::TenantComplete { at, tenant: 3, .. } => Some(at),
+                _ => None,
+            })
+            .expect("the burst completes");
+        assert!(first_done > SimTime::from_millis(3_059), "{first_done:?}");
+        assert_eq!(report.tenants[3].latency.count, 60);
+        let in_drain = |e: &SimEvent| {
+            matches!(*e, SimEvent::TenantComplete { at, tenant: 0, .. }
+                if at > SimTime::from_secs(120))
+        };
+        assert!(events.iter().any(in_drain), "job 2 completes in the drain");
         for (t, tenant) in report.tenants.iter().enumerate() {
             assert_eq!(tenant.latency, oracle(&|of| of == t), "tenant {t}");
         }
